@@ -32,7 +32,6 @@ from .diff import (
 from .engine import (
     InstrRecord,
     InstrState,
-    MetadataRegistry,
     Pipeline,
     PoolStats,
     RecyclePool,
@@ -100,7 +99,6 @@ __all__ = [
     "MachineModel",
     "MemQueues",
     "MemoryAccess",
-    "MetadataRegistry",
     "ModelError",
     "Pipeline",
     "PoolStats",

@@ -14,6 +14,26 @@ stream and the model:
               ROB, registering scoreboard writes and queue slots.
 
 An instruction never issues earlier than the cycle after its dispatch.
+
+A ready record that fails to issue waits where it is blocked and is
+tried again only once it could succeed, so issue work per cycle follows
+what changes, not the size of the window:
+
+  * blocked by an older LSQ entry: parked on that entry's seq and put
+    back in the ready heap when the entry executes, in the complete stage
+    or on a single-cycle issue earlier in the same pass;
+  * short of resource units: kept in a heap per class.  Every record of
+    a class claims the same units, and within a pass units only get
+    busier, so once one record of a class fails the rest of the class
+    would fail too; each cycle only the oldest record of each class is
+    tried, and the next one follows only after it gets past the units;
+  * inside a multi-uop dispatch span: retried every cycle (deferred).
+
+This is exact: every attempt skipped would have failed, and a failed
+attempt has no side effects, since partial unit claims are rolled back.
+Memory blocking only ever clears, because entries enter the queues in
+seq order, so no older entry can appear after a record was refused.
+
 Records live in a recycle pool: the pipeline allocates a new record only
 when the free list is empty, so memory stays bounded by the ROB plus the
 entry buffer no matter how long the stream runs.
@@ -59,7 +79,6 @@ class InstrRecord:
     issued_at: int = -1
     executed_at: int = -1
     retired_at: int = -1
-    remaining_latency: int = 0
     effective_latency: int = 1
     uops: int = 1
     reads: tuple[int, ...] = ()
@@ -68,7 +87,6 @@ class InstrRecord:
     claims: tuple = ()          # (resource name, busy list, occupancy cycles)
     loads: tuple = ()           # MemoryAccess or None (metadata missing)
     stores: tuple = ()
-    address: int = 0
 
 
 @dataclass(frozen=True)
@@ -110,33 +128,6 @@ class RecyclePool:
                          self.peak_live)
 
 
-class MetadataRegistry:
-    """Memory/context metadata for in-flight instructions, keyed by seq_id.
-
-    Entries enter when an instruction is accepted into the entry buffer
-    and leave at retirement, so the registry never grows past the ROB
-    plus one entry-buffer worth of instructions.
-    """
-
-    def __init__(self):
-        self._entries: dict[int, tuple] = {}
-        self.peak = 0
-
-    def insert(self, seq: int, mem, context):
-        self._entries[seq] = (mem, context)
-        if len(self._entries) > self.peak:
-            self.peak = len(self._entries)
-
-    def get(self, seq: int):
-        return self._entries.get(seq)
-
-    def remove(self, seq: int):
-        self._entries.pop(seq, None)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 @dataclass(frozen=True)
 class RunOutcome:
     """How a streamed run ended."""
@@ -165,15 +156,20 @@ class Pipeline:
         self.rob: deque[InstrRecord] = deque()
         self.live: dict[int, InstrRecord] = {}
         self.scoreboard: dict[int, int] = {}      # register -> youngest writer
+        # seq -> records waiting for it to execute: register consumers, and
+        # ready memory records its LSQ entry blocks
         self.consumers: dict[int, list[InstrRecord]] = {}
         self.ready: list[int] = []                # heap of ready seq ids
-        self.deferred: list[int] = []             # blocked; retried next cycle
+        self.deferred: list[int] = []             # in a dispatch span; next cycle
+        # class name -> heap of ready seq ids that found its units busy
+        self.unit_waits: dict[str, list[int]] = {
+            c.name: [] for c in model.classes if c.resource_usage
+        }
         self.executing: list[tuple[int, int]] = []  # heap (completes_at, seq)
         self.busy: dict[str, list[int]] = {
             r.name: [-1] * r.units for r in model.resources
         }
         self.queues = MemQueues(model.load_queue_size, model.store_queue_size)
-        self.registry = MetadataRegistry()
         self.pool = RecyclePool()
 
         self.instructions_retired = 0
@@ -204,7 +200,6 @@ class Pipeline:
         model = self.model
         entry = self.entry
         pool = self.pool
-        registry = self.registry
         for inst in instructions:
             if accepted >= space:
                 break
@@ -264,7 +259,6 @@ class Pipeline:
             rec.issued_at = -1
             rec.executed_at = -1
             rec.retired_at = -1
-            rec.remaining_latency = lat
             rec.effective_latency = lat
             rec.uops = cls.num_uops
             rec.reads = inst.reads
@@ -272,9 +266,7 @@ class Pipeline:
             rec.claims = self._claims_for(cls)
             rec.loads = tuple(loads)
             rec.stores = tuple(stores)
-            rec.address = inst.address
 
-            registry.insert(seq, inst.mem, context)
             entry.append(rec)
             self._last_seq = seq
             accepted += 1
@@ -307,7 +299,6 @@ class Pipeline:
             budget = self.model.retire_width
             scoreboard = self.scoreboard
             queues = self.queues
-            registry = self.registry
             pool = self.pool
             sink = self.retire_sink
             while budget > 0 and rob and rob[0].state == _EXECUTED:
@@ -321,7 +312,6 @@ class Pipeline:
                         del scoreboard[reg]
                 if rec.loads or rec.stores:
                     queues.remove(seq)
-                registry.remove(seq)
                 self.instructions_retired += 1
                 self.uops_retired += rec.uops
                 self._last_retire_cycle = cycle
@@ -337,7 +327,6 @@ class Pipeline:
             rec = live[seq]
             rec.state = _EXECUTED
             rec.executed_at = cycle
-            rec.remaining_latency = 0
             if rec.loads or rec.stores:
                 self.queues.mark_executed(seq)
             self._wake(seq)
@@ -345,27 +334,46 @@ class Pipeline:
         # 3. issue ready records oldest-first; a producer completing here
         #    (single-cycle latency) can wake and issue its consumers within
         #    the same pass, which keeps issue order equal to seq order.
+        #    A record that cannot issue waits where it is blocked; of the
+        #    records blocked on their class's units, only the oldest of
+        #    each class comes back each cycle.
         ready = self.ready
         deferred = self.deferred
         if deferred:
             for seq in deferred:
                 heappush(ready, seq)
             deferred.clear()
+        unit_waits = self.unit_waits
+        for waiting in unit_waits.values():
+            if waiting:
+                heappush(ready, heappop(waiting))
         if ready:
             policy = self.policy
             queues = self.queues
+            consumers = self.consumers
             claimed = self.resource_claimed
+            full: set[str] = set()   # classes whose units ran out this pass
             while ready:
                 seq = heappop(ready)
                 rec = live[seq]
                 if rec.dispatched_at >= cycle:
                     deferred.append(seq)
                     continue
+                name = rec.cls.name
+                waiting = unit_waits.get(name)
+                if name in full:
+                    heappush(waiting, seq)
+                    continue
+                if waiting:
+                    # The next oldest of the class tries after this one;
+                    # if this one runs out of units, it goes straight back.
+                    heappush(ready, heappop(waiting))
                 loads = rec.loads
                 stores = rec.stores
                 if loads or stores:
-                    if queues.find_blocker(policy, seq, loads, stores) is not None:
-                        deferred.append(seq)
+                    blocker = queues.find_blocker(policy, seq, loads, stores)
+                    if blocker is not None:
+                        consumers.setdefault(blocker, []).append(rec)
                         continue
                 claims = rec.claims
                 if claims:
@@ -385,7 +393,8 @@ class Pipeline:
                     if not ok:
                         for units, idx, old in granted:
                             units[idx] = old
-                        deferred.append(seq)
+                        full.add(name)
+                        heappush(waiting, seq)
                         continue
                     for rname, units, occ in claims:
                         claimed[rname] += occ
@@ -394,13 +403,11 @@ class Pipeline:
                 if lat == 1:
                     rec.state = _EXECUTED
                     rec.executed_at = cycle
-                    rec.remaining_latency = 0
                     if loads or stores:
                         queues.mark_executed(seq)
                     self._wake(seq)
                 else:
                     rec.state = _EXECUTING
-                    rec.remaining_latency = lat - 1
                     heappush(executing, (cycle + lat - 1, seq))
 
         # 4. dispatch from the entry buffer while width and space allow
@@ -435,16 +442,20 @@ class Pipeline:
         self.cycle = cycle + 1
 
     def _wake(self, producer_seq: int):
+        """Release the records waiting for producer_seq to execute."""
         waiters = self.consumers.pop(producer_seq, None)
         if not waiters:
             return
         ready = self.ready
         for rec in waiters:
             pending = rec.waiting_on
-            pending.discard(producer_seq)
-            if not pending and rec.state == _DISPATCHED:
+            if pending:
+                # a register consumer: ready once its last producer is done
+                pending.discard(producer_seq)
+                if pending:
+                    continue
                 rec.state = _READY
-                heappush(ready, rec.seq_id)
+            heappush(ready, rec.seq_id)
 
     def _queue_space(self, rec: InstrRecord) -> bool:
         if not rec.loads and not rec.stores:

@@ -2,8 +2,8 @@
 
 A memory instruction occupies one queue slot per access (loads in the
 load queue, stores in the store queue) from dispatch until retirement.
-At issue time the unit admits the instruction only if every older,
-not-yet-executed queue entry it conflicts with has drained:
+At issue time the unit admits the instruction only if no older,
+not-yet-executed queue entry conflicts with it:
 
   * a load must wait for conflicting older stores;
   * a store must wait for conflicting older stores and older loads;
@@ -14,14 +14,17 @@ operations may touch the same bytes; NONE assumes none do; METADATA
 compares the actual byte ranges.  An access slot with no metadata (the
 producer traced the instruction but not its addresses) is represented by
 None and conservatively conflicts with everything under METADATA.
+
+A refused instruction learns one older blocking entry.  Conflicts never
+change, so the instruction cannot be admitted before that entry executes,
+and the caller may wait for it instead of asking again.  Entries are
+inserted in sequence order, so no new older blocker can appear later.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-
-from .trace import MemoryAccess
 
 
 class AliasPolicy(Enum):
@@ -35,34 +38,20 @@ def ranges_overlap(a_start: int, a_size: int, b_start: int, b_size: int) -> bool
     return not (a_start + a_size <= b_start or b_start + b_size <= a_start)
 
 
-def _conflicts(
-    policy: AliasPolicy,
-    a: MemoryAccess | None,
-    b: MemoryAccess | None,
-) -> bool:
-    if policy is AliasPolicy.NONE:
-        return False
-    if policy is AliasPolicy.ALL:
-        return True
-    if a is None or b is None:
-        return True
-    return ranges_overlap(a.address, a.size, b.address, b.size)
-
-
-@dataclass(slots=True)
-class _Entry:
-    accesses: tuple
-    done: bool = False
-
-
 @dataclass
 class MemQueues:
-    """In-flight memory operations, ordered by sequence id."""
+    """In-flight memory operations, ordered by sequence id.
+
+    Slot counts cover every entry until retirement; the pending maps hold
+    only the accesses of entries that have not executed yet, which are
+    the only ones that can block.
+    """
 
     lq_size: int
     sq_size: int
-    _lq: dict[int, _Entry] = field(default_factory=dict)
-    _sq: dict[int, _Entry] = field(default_factory=dict)
+    _slots: dict[int, tuple[int, int]] = field(default_factory=dict)
+    _pending_loads: dict[int, tuple] = field(default_factory=dict)
+    _pending_stores: dict[int, tuple] = field(default_factory=dict)
     _lq_used: int = 0
     _sq_used: int = 0
 
@@ -73,28 +62,23 @@ class MemQueues:
         )
 
     def insert(self, seq: int, loads: tuple, stores: tuple):
+        self._slots[seq] = (len(loads), len(stores))
+        self._lq_used += len(loads)
+        self._sq_used += len(stores)
         if loads:
-            self._lq[seq] = _Entry(loads)
-            self._lq_used += len(loads)
+            self._pending_loads[seq] = loads
         if stores:
-            self._sq[seq] = _Entry(stores)
-            self._sq_used += len(stores)
+            self._pending_stores[seq] = stores
 
     def mark_executed(self, seq: int):
-        e = self._lq.get(seq)
-        if e is not None:
-            e.done = True
-        e = self._sq.get(seq)
-        if e is not None:
-            e.done = True
+        self._pending_loads.pop(seq, None)
+        self._pending_stores.pop(seq, None)
 
     def remove(self, seq: int):
-        e = self._lq.pop(seq, None)
-        if e is not None:
-            self._lq_used -= len(e.accesses)
-        e = self._sq.pop(seq, None)
-        if e is not None:
-            self._sq_used -= len(e.accesses)
+        n_loads, n_stores = self._slots.pop(seq)
+        self._lq_used -= n_loads
+        self._sq_used -= n_stores
+        self.mark_executed(seq)
 
     def find_blocker(
         self,
@@ -103,27 +87,36 @@ class MemQueues:
         loads: tuple,
         stores: tuple,
     ) -> int | None:
-        """Youngest older in-flight entry blocking issue, or None to admit."""
-        blocker = None
-        # Loads wait on conflicting older stores.
-        if loads:
-            blocker = self._scan(self._sq, policy, seq, loads, blocker)
-        # Stores wait on conflicting older stores and older loads.
-        if stores:
-            blocker = self._scan(self._sq, policy, seq, stores, blocker)
-            blocker = self._scan(self._lq, policy, seq, stores, blocker)
+        """An older blocking entry that has not executed, or None to admit.
+
+        Stores are scanned before loads, each queue oldest first, and the
+        first conflict found is returned.
+        """
+        if policy is AliasPolicy.NONE:
+            return None
+        # Loads wait on conflicting older stores; stores wait on
+        # conflicting older stores and older loads.
+        blocker = _first_conflict(self._pending_stores, policy, seq,
+                                  loads + stores)
+        if blocker is None and stores:
+            blocker = _first_conflict(self._pending_loads, policy, seq, stores)
         return blocker
 
-    @staticmethod
-    def _scan(queue, policy, seq, accesses, blocker):
-        for other_seq, entry in queue.items():
-            if other_seq >= seq:
-                break  # insertion is in seq order; the rest are younger
-            if entry.done:
-                continue
-            for b in entry.accesses:
-                if any(_conflicts(policy, a, b) for a in accesses):
-                    if blocker is None or other_seq > blocker:
-                        blocker = other_seq
-                    break
-        return blocker
+
+def _first_conflict(pending: dict, policy: AliasPolicy, seq: int,
+                    mine: tuple) -> int | None:
+    """Oldest entry of pending, older than seq, that conflicts with mine."""
+    if policy is AliasPolicy.ALL:
+        oldest = next(iter(pending), None)
+        return oldest if oldest is not None and oldest < seq else None
+    for other, theirs in pending.items():
+        if other >= seq:
+            return None  # insertion is in seq order; the rest are younger
+        for b in theirs:
+            for a in mine:
+                # Untraced addresses (None) conflict with every access.
+                if (a is None or b is None
+                        or (a.address < b.address + b.size
+                            and b.address < a.address + a.size)):
+                    return other
+    return None

@@ -170,14 +170,63 @@ def random_model(rng: random.Random) -> MachineModel:
     )
 
 
-_CLASS_WEIGHTS = [
+def wide_model(rng: random.Random) -> MachineModel:
+    """Big-window models: the regimes random_model never reaches.
+
+    Deep ROBs and memory queues, latencies up to 40, and a memory port
+    with several units, with the same class names as random_model so
+    random_trace drives both.
+    """
+    width = rng.choice([2, 4, 4, 6, 8])
+    classes = [
+        make_class("alu", rng.randint(1, 3), uses=[("P0", 1)]),
+        make_class("slow", rng.randint(6, 40),
+                   uses=[("P0", rng.randint(1, 4))]),
+        make_class("mul", rng.randint(3, 12), uses=[("P1", rng.randint(1, 3))]),
+        make_class("pair", rng.randint(1, 4), uops=2,
+                   uses=[("P0", 1), ("P1", 1)]),
+        make_class("wide", rng.randint(1, 3), uops=width + rng.randint(1, 9),
+                   uses=[("P1", 1)]),
+        make_class("ld", rng.randint(2, 40), may_load=True, uses=[("P2", 1)]),
+        make_class("st", rng.randint(1, 4), may_store=True,
+                   uses=[("P2", rng.randint(1, 2))]),
+        make_class("ctx", 2, uses=[("P0", 1)], context_key="sz"),
+        make_class("fence", 1, may_load=True, may_store=True),
+        make_class("skip", 1),
+    ]
+    return make_model(
+        classes,
+        name=f"wide-w{width}",
+        width=width,
+        retire=rng.choice([1, 2, 4, 8]),
+        rob=rng.choice([64, 256, 512]),
+        lq=rng.choice([16, 32, 64]),
+        sq=rng.choice([16, 32, 64]),
+        resources=[
+            ("P0", rng.randint(1, 3)),
+            ("P1", rng.randint(1, 2)),
+            ("P2", rng.randint(2, 4)),
+        ],
+        tables={"sz": {"1": 1, "2": 4, "4": 12, "8": 40}},
+    )
+
+
+CLASS_WEIGHTS = [
     ("alu", 6), ("slow", 2), ("mul", 2), ("pair", 2), ("wide", 1),
     ("ld", 3), ("st", 3), ("ctx", 1), ("fence", 1), ("skip", 2),
 ]
 
 
-def random_trace(rng: random.Random, n: int) -> list[TraceInstruction]:
-    names = [c for c, w in _CLASS_WEIGHTS for _ in range(w)]
+# Memory-heavy mix: loads and stores pile up in deep queues.
+MEMORY_WEIGHTS = [
+    ("alu", 3), ("slow", 2), ("mul", 1), ("pair", 1), ("wide", 1),
+    ("ld", 8), ("st", 8), ("ctx", 1), ("fence", 1), ("skip", 1),
+]
+
+
+def random_trace(rng: random.Random, n: int,
+                 weights=CLASS_WEIGHTS) -> list[TraceInstruction]:
+    names = [c for c, w in weights for _ in range(w)]
     out = []
     for seq in range(n):
         cls = rng.choice(names)

@@ -60,7 +60,7 @@ def test_store_blocked_by_older_loads_and_stores():
     q.insert(2, (), (S(0x200, 8),))
     st_acc = (S(0x100, 4),)
     assert q.find_blocker(AliasPolicy.METADATA, 3, (), st_acc) == 1
-    assert q.find_blocker(AliasPolicy.ALL, 3, (), st_acc) == 2  # youngest wins
+    assert q.find_blocker(AliasPolicy.ALL, 3, (), st_acc) == 2  # SQ scanned first
 
 
 def test_policy_none_never_blocks():

@@ -1,10 +1,12 @@
 """Differential check against the naive reference simulator.
 
 Short random traces over random models, compared timestamp-for-timestamp.
-The full-scale sweep lives in the acceptance suite; this keeps a fast
-version in the regular run so engine regressions fail close to the edit.
+The full-scale sweep of small models lives in the acceptance suite; this
+keeps a fast version in the regular run so engine regressions fail close
+to the edit, and sweeps the big-window regimes the small models miss.
 """
 
+import math
 import random
 
 import pytest
@@ -28,6 +30,22 @@ def test_random_traces_match_reference(seed):
         insts = gen.random_trace(rng, rng.randint(1, 25))
         ref, eng = both(model, insts)
         assert eng == ref
+
+
+def test_wide_windows_match_reference():
+    # Deep ROBs and queues, long latencies and several memory-port units,
+    # over a plain and a memory-heavy mix: records stay blocked on memory
+    # and on busy units for many cycles in a large window.
+    rng = random.Random(0x51DE)
+    policies = list(AliasPolicy)
+    for case in range(200):
+        model = gen.wide_model(rng)
+        weights = gen.MEMORY_WEIGHTS if rng.random() < 1 / 3 else gen.CLASS_WEIGHTS
+        # Log-uniform lengths keep the slow oracle's share of the run small.
+        n = int(math.exp(rng.uniform(math.log(50), math.log(400))))
+        insts = gen.random_trace(rng, n, weights)
+        ref, eng = both(model, insts, policies[case % len(policies)])
+        assert eng == ref, f"case {case}"
 
 
 def test_reference_matches_under_every_policy(rng):
