@@ -26,12 +26,12 @@ import socket
 import threading
 from typing import Iterable, Iterator
 
-from .errors import ProtocolError, TraceParseError, TruncatedTraceError
+from .errors import ProtocolError, TruncatedTraceError
 from .trace import (
     Batch,
     TraceInstruction,
     from_wire,
-    parse_trace_line,
+    iter_trace_lines,
     to_wire,
 )
 
@@ -80,21 +80,7 @@ class FileBroker(SequenceBroker):
 
     def __init__(self, path: str):
         self._fh = open(path, "r", encoding="utf-8")
-        super().__init__(self._parse())
-
-    def _parse(self) -> Iterator[TraceInstruction]:
-        last_seq = -1
-        for lineno, raw in enumerate(self._fh, start=1):
-            inst = parse_trace_line(raw, lineno)
-            if inst is None:
-                continue
-            if inst.seq_id <= last_seq:
-                raise TraceParseError(
-                    f"sequence id {inst.seq_id} not greater than previous "
-                    f"{last_seq}", lineno,
-                )
-            last_seq = inst.seq_id
-            yield inst
+        super().__init__(iter_trace_lines(self._fh))
 
     def close(self):
         super().close()

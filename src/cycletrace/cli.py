@@ -31,7 +31,7 @@ from .errors import (
     TruncatedTraceError,
 )
 from .lsunit import AliasPolicy
-from .model import load_model, validate_model
+from .model import load_model
 from .toyisa import ProgramError, execute, parse_program
 from .trace import render_trace
 from .views import TimelineRecorder, render_summary, render_timeline
@@ -114,7 +114,6 @@ def _read(path: str) -> str:
 
 def _cmd_analyze(args) -> int:
     model = load_model(_read(args.model))
-    validate_model(model)
     regions = parse_regions(_read(args.regions)) if args.regions else None
     recorder = TimelineRecorder(args.timeline) if args.timeline else None
 
@@ -153,7 +152,8 @@ def _cmd_analyze(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(report.to_json())
-    return 0
+    # A truncated stream still gets its summary and report, but no success.
+    return 4 if report.truncated else 0
 
 
 def render_summary_block(report: AnalysisReport) -> str:
@@ -202,7 +202,6 @@ def _cmd_trace(args) -> int:
 
 def _cmd_model_check(args) -> int:
     model = load_model(_read(args.model))
-    validate_model(model)
     print(f"model '{model.name}' ok: dispatch width {model.dispatch_width}, "
           f"{len(model.classes)} classes, {len(model.resources)} resources")
     return 0

@@ -502,30 +502,45 @@ class Pipeline:
         producer batched them.  With the stream exhausted the pipeline
         drains fully; on a stalled producer it drains whatever is in
         flight, then suspends with all state preserved for a later call.
+
+        The broker is asked for batch_size instructions at a time (at
+        most, and by default, entry_capacity), and a batch is staged
+        here until the entry buffer has taken all of it; the broker is
+        asked again only once the staged batch is used up.  So a stream
+        costs one fetch per batch rather than one per cycle, and staging
+        holds at most entry_capacity instructions beyond the buffer.
+        Stalls, end of stream and truncation can only be seen with
+        nothing staged, so suspending never drops an instruction.
         """
         self.suspended = False
         capacity = self.entry_capacity
+        entry = self.entry
         batch = capacity if batch_size is None else min(batch_size, capacity)
+        staged: tuple = ()
+        pos = 0
         eos = False
         truncated = False
         while True:
-            stalled = False
-            while not eos and len(self.entry) < capacity:
-                want = min(batch, capacity - len(self.entry))
+            while len(entry) < capacity:
+                if pos < len(staged):
+                    space = capacity - len(entry)
+                    pos += self.feed(staged[pos:pos + space])
+                    continue
+                if eos:
+                    break
                 try:
-                    got = broker.fetch_batch(want)
+                    got = broker.fetch_batch(batch)
                 except TruncatedTraceError:
                     truncated = True
                     eos = True
                     break
-                if got.instructions:
-                    self.feed(got.instructions)
+                staged = got.instructions
+                pos = 0
                 if got.end_of_stream:
                     eos = True
-                elif got.stalled or not got.instructions:
-                    stalled = True
+                elif got.stalled or not staged:
                     break
-            if not self.entry and not self.rob:
+            if not entry and not self.rob:
                 if eos:
                     return RunOutcome(finished=True, truncated=truncated)
                 self.suspended = True

@@ -145,10 +145,14 @@ def parse_trace_line(text: str, line: int | None = None) -> TraceInstruction | N
     )
 
 
-def iter_trace_text(text: str) -> Iterator[TraceInstruction]:
-    """Yield instructions from trace text, enforcing seq_id monotonicity."""
+def iter_trace_lines(lines: Iterable[str]) -> Iterator[TraceInstruction]:
+    """Yield instructions from trace lines, enforcing seq_id monotonicity.
+
+    Takes any iterable of lines, such as an open file, so a trace can be
+    parsed lazily; errors carry 1-based line numbers.
+    """
     last_seq = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         inst = parse_trace_line(raw, lineno)
         if inst is None:
             continue
@@ -159,6 +163,11 @@ def iter_trace_text(text: str) -> Iterator[TraceInstruction]:
             )
         last_seq = inst.seq_id
         yield inst
+
+
+def iter_trace_text(text: str) -> Iterator[TraceInstruction]:
+    """Yield instructions from trace text, enforcing seq_id monotonicity."""
+    return iter_trace_lines(text.splitlines())
 
 
 def parse_trace(text: str) -> list[TraceInstruction]:

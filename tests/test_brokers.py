@@ -77,8 +77,10 @@ def test_file_broker_reports_bad_line(tmp_path):
 
 def test_file_broker_rejects_seq_regression(tmp_path):
     path = tmp_path / "t.trace"
-    path.write_text("I 4 0x0 add R:- W:-\nI 2 0x4 add R:- W:-\n")
-    with pytest.raises(TraceParseError, match="not greater"):
+    path.write_text("I 4 0x0 add R:- W:-\n# gap\nI 2 0x4 add R:- W:-\n")
+    with pytest.raises(TraceParseError,
+                       match="^line 3: sequence id 2 not greater than "
+                             "previous 4$"):
         drain_broker(FileBroker(str(path)))
 
 

@@ -10,7 +10,13 @@ import time
 import pytest
 
 import gen
-from cycletrace import AnalysisReport, parse_trace, render_model, render_trace
+from cycletrace import (
+    AnalysisReport,
+    parse_trace,
+    render_model,
+    render_trace,
+    stream_to_socket,
+)
 from cycletrace.cli import main
 from gen import ti
 
@@ -352,6 +358,38 @@ def test_protocol_violation_exits_three(model_file, capsys):
     server.close()
     assert rc == 3
     assert "protocol error" in capsys.readouterr().err
+
+
+def test_truncated_stream_exits_four_with_a_partial_report(
+    tmp_path, model_file, capsys
+):
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    port = server.getsockname()[1]
+    insts = [ti(s, "add", writes=[s % 4]) for s in range(6)]
+
+    def producer():
+        conn, _ = server.accept()
+        with conn:
+            stream_to_socket(conn, insts, send_end=False)
+
+    t = threading.Thread(target=producer)
+    t.start()
+    report_path = tmp_path / "partial.json"
+    rc = main(["analyze", "--model", model_file,
+               "--connect", f"127.0.0.1:{port}", "--out", str(report_path)])
+    t.join(5)
+    server.close()
+    assert not t.is_alive()
+    assert rc == 4
+    out, err = capsys.readouterr()
+    assert "without an end-of-stream marker" in err
+    assert f"Instructions:      {len(insts)}\n" in out
+    report = AnalysisReport.from_json(report_path.read_text())
+    assert report.truncated
+    assert report.summary.instructions == len(insts)
+    assert report.summary.total_cycles == cycles_of(out)
 
 
 def test_module_entry_point(model_file):

@@ -6,6 +6,10 @@ cycle after dispatch; an instruction of latency L issued at cycle c
 finishes at c+L-1; total cycles = last retirement cycle + 1).
 """
 
+import json
+import math
+import random
+
 import pytest
 
 import gen
@@ -13,10 +17,12 @@ import refsim
 from cycletrace import (
     AliasPolicy,
     AnalysisError,
+    Batch,
     Pipeline,
     SequenceBroker,
     TimelineRecorder,
     TruncatedTraceError,
+    analyze,
 )
 from gen import make_class, make_model, run_recorded, ti, times_of
 
@@ -486,6 +492,90 @@ class TruncatingBroker:
         take = tuple(self.insts[self.sent:self.sent + min(max_n, 4)])
         self.sent += len(take)
         return Batch(instructions=take)
+
+
+class CountingBroker(SequenceBroker):
+    def __init__(self, insts):
+        super().__init__(insts)
+        self.calls = 0
+
+    def fetch_batch(self, max_n):
+        self.calls += 1
+        return super().fetch_batch(max_n)
+
+
+def test_stream_is_fetched_once_per_batch_not_once_per_cycle(model):
+    insts = [ti(s, "add", writes=[s % 8]) for s in range(1000)]
+    broker = CountingBroker(insts)
+    pipe = Pipeline(model)
+    assert pipe.run_until_starved(broker, batch_size=64).finished
+    assert pipe.instructions_retired == 1000
+    assert pipe.total_cycles > 500  # one ALU: far more cycles than fetches
+    assert broker.calls <= math.ceil(1000 / 64) + 2
+
+
+class TrickleThenStallBroker:
+    """Serves its instructions at most max_n per call, then stalls forever.
+
+    Records each request's size against the pipeline's free entry slots.
+    """
+
+    def __init__(self, insts, pipe):
+        self.insts = list(insts)
+        self.pipe = pipe
+        self.sent = 0
+        self.requests = []
+
+    def fetch_batch(self, max_n):
+        free = self.pipe.entry_capacity - len(self.pipe.entry)
+        self.requests.append((max_n, free))
+        if self.sent >= len(self.insts):
+            return Batch(stalled=True)
+        take = tuple(self.insts[self.sent:self.sent + max_n])
+        self.sent += len(take)
+        return Batch(instructions=take)
+
+
+def test_staged_instructions_retire_before_a_stall_suspends(model):
+    insts = [ti(s, "add", writes=[s % 4]) for s in range(10)]
+    pipe = Pipeline(model, entry_capacity=4)
+    recorder = TimelineRecorder().attach(pipe)
+    broker = TrickleThenStallBroker(insts, pipe)
+    outcome = pipe.run_until_starved(broker)
+    assert outcome.suspended and not outcome.finished
+    # some batch outgrew the free slots, so part of it waited in staging
+    assert any(max_n > free for max_n, free in broker.requests)
+    assert pipe.instructions_retired == 10
+    _, ref_times = refsim.simulate(model, insts, AliasPolicy.METADATA)
+    rows = sorted(recorder.rows, key=lambda r: r.seq_id)
+    assert times_of(rows) == ref_times
+
+    # The next call picks up at the preserved cycle: d c, i c+1, x c+1, r c+2.
+    cycle = pipe.cycle
+    second = pipe.run_trace([ti(10, "add", reads=[1], writes=[2])])
+    assert second.finished
+    assert pipe.instructions_retired == 11
+    assert times_of(recorder.rows[-1:]) == [(cycle, cycle + 1, cycle + 1,
+                                             cycle + 2)]
+    assert pipe.total_cycles == cycle + 3
+
+
+def test_reports_are_byte_identical_across_batch_sizes():
+    # A 64-entry ROB that fills behind a memory-heavy trace: with the entry
+    # buffer full before every cycle, peak_live reaches the ROB plus the
+    # whole buffer, so a refill that let the buffer run low would show in
+    # the pool stats even where cycles stay the same.
+    rng = random.Random(0)
+    model = gen.wide_model(rng)
+    assert model.reorder_buffer_size == 64
+    insts = gen.random_trace(rng, 600, gen.MEMORY_WEIGHTS)
+    reports = {
+        batch: analyze(model, SequenceBroker(insts), batch_size=batch).to_json()
+        for batch in (1, 7, None)
+    }
+    assert reports[1] == reports[7] == reports[None]
+    pool = json.loads(reports[None])["pool"]
+    assert pool["peak_live"] == 256 + model.reorder_buffer_size
 
 
 def test_truncated_stream_drains_and_flags(model):
