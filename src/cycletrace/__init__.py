@@ -31,10 +31,8 @@ from .diff import (
 )
 from .engine import (
     InstrRecord,
-    InstrState,
     Pipeline,
     PoolStats,
-    RecyclePool,
     RunOutcome,
 )
 from .errors import (
@@ -63,7 +61,6 @@ from .trace import (
     MemoryAccess,
     TraceInstruction,
     from_wire,
-    iter_trace_text,
     parse_trace,
     parse_trace_line,
     render_instruction,
@@ -95,7 +92,6 @@ __all__ = [
     "FileBroker",
     "InstrClass",
     "InstrRecord",
-    "InstrState",
     "MachineModel",
     "MemQueues",
     "MemoryAccess",
@@ -104,7 +100,6 @@ __all__ = [
     "PoolStats",
     "ProgramError",
     "ProtocolError",
-    "RecyclePool",
     "RegionSpec",
     "RegionStats",
     "ResourceDesc",
@@ -128,7 +123,6 @@ __all__ = [
     "export_browser_trace",
     "from_wire",
     "geometric_mean",
-    "iter_trace_text",
     "load_model",
     "measured_delta_from_pairs",
     "parse_ground_truth",

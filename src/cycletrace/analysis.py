@@ -206,7 +206,6 @@ def analyze(
     alias_policy: AliasPolicy = AliasPolicy.METADATA,
     regions: RegionSpec | None = None,
     recorder: TimelineRecorder | None = None,
-    batch_size: int | None = None,
     entry_capacity: int = 256,
 ) -> AnalysisReport:
     """Run a full analysis over a broker's stream and build the report."""
@@ -216,18 +215,13 @@ def analyze(
         recorder.attach(pipe)
 
     if regions is None:
-        truncated = False
-        while True:
-            outcome = pipe.run_until_starved(hashing, batch_size)
-            if outcome.finished:
-                truncated = outcome.truncated
-                break
-            # Suspended on a quiet producer: poll until the stream ends.
+        # A quiet producer returns control here: ask again until it ends.
+        while not (outcome := pipe.run_until_starved(hashing)).finished:
+            pass
+        truncated = outcome.truncated
         region_stats = None
     else:
-        truncated, region_stats = _analyze_regions(
-            pipe, hashing, regions, batch_size or entry_capacity
-        )
+        truncated, region_stats = _analyze_regions(pipe, hashing, regions)
 
     return AnalysisReport(
         model_name=model.name,
@@ -243,11 +237,12 @@ def analyze(
 
 
 def _feed_one(pipe: Pipeline, inst):
+    # As in run_until_starved, a cycle runs only on a full entry buffer.
     while pipe.feed((inst,)) == 0:
         pipe.run_cycle()
 
 
-def _analyze_regions(pipe, broker, regions, batch_size):
+def _analyze_regions(pipe, broker, regions):
     in_region = False
     visit = -1
     visit_instructions = 0
@@ -259,7 +254,7 @@ def _analyze_regions(pipe, broker, regions, batch_size):
     eos = False
     while not eos:
         try:
-            batch = broker.fetch_batch(batch_size)
+            batch = broker.fetch_batch(pipe.entry_capacity)
         except TruncatedTraceError:
             truncated = True
             break
@@ -280,10 +275,7 @@ def _analyze_regions(pipe, broker, regions, batch_size):
                     (visit_instructions, pipe.total_cycles - cycles_base)
                 )
                 in_region = False
-        if batch.end_of_stream:
-            eos = True
-        elif batch.stalled and pipe.has_work():
-            pipe.run_cycle()
+        eos = batch.end_of_stream
 
     pipe.drain()
     if in_region:

@@ -94,7 +94,7 @@ class SocketBroker:
     validates frames, and hands instruction lists to the consumer through
     an ordered queue.  fetch_batch never blocks longer than poll_timeout;
     with nothing buffered and the stream still open it answers a stalled
-    batch so the pipeline can decide to suspend.
+    batch, and the pipeline pauses until the producer sends more.
     """
 
     def __init__(self, sock: socket.socket, poll_timeout: float = 0.05):
@@ -144,46 +144,49 @@ class SocketBroker:
     def _receive(self):
         q = self._queue
         try:
-            rfile = self._sock.makefile("r", encoding="utf-8", newline="\n")
-            line = rfile.readline()
-            hello = self._decode_frame(line, expect="hello")
-            version = hello.get("version")
-            if version != 1:
-                raise ProtocolError(f"unsupported protocol version {version!r}")
-            hint = hello.get("model_hint")
-            self.model_hint = hint if isinstance(hint, str) else None
-            self._sock.sendall(b'{"t": "ok"}\n')
-
-            last_seq = -1
-            while True:
+            with self._sock.makefile("r", encoding="utf-8",
+                                     newline="\n") as rfile:
                 line = rfile.readline()
-                if not line:
-                    raise TruncatedTraceError(
-                        "producer disconnected before end of stream"
-                    )
-                frame = self._decode_frame(line)
-                kind = frame["t"]
-                if kind == "insts":
-                    batch = frame.get("batch")
-                    if not isinstance(batch, list):
-                        raise ProtocolError("'insts' frame without a batch list")
-                    insts = []
-                    for obj in batch:
-                        inst = from_wire(obj)
-                        if inst.seq_id <= last_seq:
+                hello = self._decode_frame(line, expect="hello")
+                version = hello.get("version")
+                if version != 1:
+                    raise ProtocolError(
+                        f"unsupported protocol version {version!r}")
+                hint = hello.get("model_hint")
+                self.model_hint = hint if isinstance(hint, str) else None
+                self._sock.sendall(b'{"t": "ok"}\n')
+
+                last_seq = -1
+                while True:
+                    line = rfile.readline()
+                    if not line:
+                        raise TruncatedTraceError(
+                            "producer disconnected before end of stream"
+                        )
+                    frame = self._decode_frame(line)
+                    kind = frame["t"]
+                    if kind == "insts":
+                        batch = frame.get("batch")
+                        if not isinstance(batch, list):
                             raise ProtocolError(
-                                f"sequence id {inst.seq_id} not greater "
-                                f"than previous {last_seq}"
-                            )
-                        last_seq = inst.seq_id
-                        insts.append(inst)
-                    if insts:
-                        q.put(("insts", insts))
-                elif kind == "end":
-                    q.put(("end", None))
-                    return
-                else:
-                    raise ProtocolError(f"unexpected frame type '{kind}'")
+                                "'insts' frame without a batch list")
+                        insts = []
+                        for obj in batch:
+                            inst = from_wire(obj)
+                            if inst.seq_id <= last_seq:
+                                raise ProtocolError(
+                                    f"sequence id {inst.seq_id} not greater "
+                                    f"than previous {last_seq}"
+                                )
+                            last_seq = inst.seq_id
+                            insts.append(inst)
+                        if insts:
+                            q.put(("insts", insts))
+                    elif kind == "end":
+                        q.put(("end", None))
+                        return
+                    else:
+                        raise ProtocolError(f"unexpected frame type '{kind}'")
         except (ProtocolError, TruncatedTraceError) as e:
             q.put(("error", e))
         except OSError as e:
@@ -280,8 +283,8 @@ def stream_to_socket(
         raise ValueError("batch_size must be >= 1")
     hello = {"t": "hello", "version": 1, "model_hint": model_hint}
     sock.sendall((json.dumps(hello) + "\n").encode("utf-8"))
-    rfile = sock.makefile("r", encoding="utf-8", newline="\n")
-    reply = rfile.readline()
+    with sock.makefile("r", encoding="utf-8", newline="\n") as rfile:
+        reply = rfile.readline()
     try:
         ok = json.loads(reply) if reply else None
     except json.JSONDecodeError:

@@ -215,13 +215,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (TraceParseError, ModelError, ProgramError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except TruncatedTraceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (TraceParseError, ModelError, ProgramError, TruncatedTraceError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ProtocolError as e:

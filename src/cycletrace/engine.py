@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from enum import IntEnum
 from heapq import heappush, heappop
 from typing import Callable
 
@@ -53,31 +52,15 @@ from .model import InstrClass, MachineModel, effective_latency
 from .trace import AccessKind
 
 
-class InstrState(IntEnum):
-    DISPATCHED = 0   # in the ROB, operands not ready
-    READY = 1        # operands ready, waiting on resources or admission
-    EXECUTING = 2
-    EXECUTED = 3
-    RETIRED = 4
-
-
-_DISPATCHED = int(InstrState.DISPATCHED)
-_READY = int(InstrState.READY)
-_EXECUTING = int(InstrState.EXECUTING)
-_EXECUTED = int(InstrState.EXECUTED)
-_RETIRED = int(InstrState.RETIRED)
-
-
 @dataclass(slots=True)
 class InstrRecord:
     """Mutable per-instruction pipeline state; pooled and recycled."""
 
     seq_id: int = -1
     cls: InstrClass | None = None
-    state: int = _DISPATCHED
     dispatched_at: int = -1
     issued_at: int = -1
-    executed_at: int = -1
+    executed_at: int = -1      # >= 0 once executed
     retired_at: int = -1
     effective_latency: int = 1
     uops: int = 1
@@ -130,10 +113,10 @@ class RecyclePool:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """How a streamed run ended."""
+    """How a streamed run ended: finished once the stream has ended and
+    drained, not finished when the producer went quiet first."""
 
     finished: bool
-    suspended: bool = False
     truncated: bool = False
 
 
@@ -151,7 +134,6 @@ class Pipeline:
         self.entry_capacity = entry_capacity
 
         self.cycle = 0
-        self.suspended = False
         self.entry: deque[InstrRecord] = deque()
         self.rob: deque[InstrRecord] = deque()
         self.live: dict[int, InstrRecord] = {}
@@ -169,6 +151,12 @@ class Pipeline:
         self.busy: dict[str, list[int]] = {
             r.name: [-1] * r.units for r in model.resources
         }
+        # class name -> (resource name, busy list, occupancy cycles) claims
+        self.claims: dict[str, tuple] = {
+            c.name: tuple((rname, self.busy[rname], cycles)
+                          for rname, cycles in c.resource_usage)
+            for c in model.classes
+        }
         self.queues = MemQueues(model.load_queue_size, model.store_queue_size)
         self.pool = RecyclePool()
 
@@ -182,7 +170,6 @@ class Pipeline:
         self._last_seq = -1
         self._last_retire_cycle = -1
         self._dispatch_busy_until = -1
-        self._claims_cache: dict[str, tuple] = {}
 
     # -- input -------------------------------------------------------------
 
@@ -200,6 +187,7 @@ class Pipeline:
         model = self.model
         entry = self.entry
         pool = self.pool
+        claims = self.claims
         for inst in instructions:
             if accepted >= space:
                 break
@@ -254,7 +242,6 @@ class Pipeline:
             rec = pool.acquire()
             rec.seq_id = seq
             rec.cls = cls
-            rec.state = _DISPATCHED
             rec.dispatched_at = -1
             rec.issued_at = -1
             rec.executed_at = -1
@@ -263,26 +250,14 @@ class Pipeline:
             rec.uops = cls.num_uops
             rec.reads = inst.reads
             rec.writes = inst.writes
-            rec.claims = self._claims_for(cls)
+            rec.claims = claims[cls.name]
             rec.loads = tuple(loads)
             rec.stores = tuple(stores)
 
             entry.append(rec)
             self._last_seq = seq
             accepted += 1
-        if accepted:
-            self.suspended = False
         return accepted
-
-    def _claims_for(self, cls: InstrClass) -> tuple:
-        claims = self._claims_cache.get(cls.name)
-        if claims is None:
-            claims = tuple(
-                (rname, self.busy[rname], cycles)
-                for rname, cycles in cls.resource_usage
-            )
-            self._claims_cache[cls.name] = claims
-        return claims
 
     # -- simulation --------------------------------------------------------
 
@@ -295,16 +270,15 @@ class Pipeline:
 
         # 1. retire from the ROB head, in order
         rob = self.rob
-        if rob and rob[0].state == _EXECUTED:
+        if rob and rob[0].executed_at >= 0:
             budget = self.model.retire_width
             scoreboard = self.scoreboard
             queues = self.queues
             pool = self.pool
             sink = self.retire_sink
-            while budget > 0 and rob and rob[0].state == _EXECUTED:
+            while budget > 0 and rob and rob[0].executed_at >= 0:
                 rec = rob.popleft()
                 seq = rec.seq_id
-                rec.state = _RETIRED
                 rec.retired_at = cycle
                 del live[seq]
                 for reg in rec.writes:
@@ -325,7 +299,6 @@ class Pipeline:
         while executing and executing[0][0] <= cycle:
             _, seq = heappop(executing)
             rec = live[seq]
-            rec.state = _EXECUTED
             rec.executed_at = cycle
             if rec.loads or rec.stores:
                 self.queues.mark_executed(seq)
@@ -401,13 +374,11 @@ class Pipeline:
                 rec.issued_at = cycle
                 lat = rec.effective_latency
                 if lat == 1:
-                    rec.state = _EXECUTED
                     rec.executed_at = cycle
                     if loads or stores:
                         queues.mark_executed(seq)
                     self._wake(seq)
                 else:
-                    rec.state = _EXECUTING
                     heappush(executing, (cycle + lat - 1, seq))
 
         # 4. dispatch from the entry buffer while width and space allow
@@ -454,7 +425,6 @@ class Pipeline:
                 pending.discard(producer_seq)
                 if pending:
                     continue
-                rec.state = _READY
             heappush(ready, rec.seq_id)
 
     def _queue_space(self, rec: InstrRecord) -> bool:
@@ -475,7 +445,7 @@ class Pipeline:
             producer = scoreboard.get(reg)
             if producer is not None and producer not in waiting:
                 prec = live[producer]
-                if prec.state < _EXECUTED:
+                if prec.executed_at < 0:
                     waiting.add(producer)
                     lst = consumers.get(producer)
                     if lst is None:
@@ -486,36 +456,32 @@ class Pipeline:
             scoreboard[reg] = seq
         if rec.loads or rec.stores:
             self.queues.insert(seq, rec.loads, rec.stores)
-        if waiting:
-            rec.state = _DISPATCHED
-        else:
-            rec.state = _READY
+        if not waiting:
             heappush(self.ready, seq)
 
     # -- driving -----------------------------------------------------------
 
-    def run_until_starved(self, broker, batch_size: int | None = None) -> RunOutcome:
+    def run_until_starved(self, broker) -> RunOutcome:
         """Pump the broker through the pipeline until it runs dry.
 
-        Keeps the entry buffer topped up before every cycle, so cycle
-        counts depend only on the stream contents, never on how the
-        producer batched them.  With the stream exhausted the pipeline
-        drains fully; on a stalled producer it drains whatever is in
-        flight, then suspends with all state preserved for a later call.
+        A cycle runs only when the entry buffer is full or the stream has
+        ended, so cycle counts, timestamps and pool stats depend only on
+        the stream contents, never on how the producer batched or paced
+        them.  A stalled producer returns RunOutcome(finished=False) at
+        once, without simulating a cycle, with all state preserved for a
+        later call; once the stream ends (or is truncated) the pipeline
+        drains fully.
 
-        The broker is asked for batch_size instructions at a time (at
-        most, and by default, entry_capacity), and a batch is staged
-        here until the entry buffer has taken all of it; the broker is
-        asked again only once the staged batch is used up.  So a stream
-        costs one fetch per batch rather than one per cycle, and staging
-        holds at most entry_capacity instructions beyond the buffer.
-        Stalls, end of stream and truncation can only be seen with
-        nothing staged, so suspending never drops an instruction.
+        The broker is asked for entry_capacity instructions at a time, and
+        a batch is staged here until the entry buffer has taken all of it;
+        the broker is asked again only once the staged batch is used up.
+        So a stream costs one fetch per batch rather than one per cycle,
+        and staging holds at most entry_capacity instructions beyond the
+        buffer.  Stalls, end of stream and truncation can only be seen
+        with nothing staged, so returning never drops an instruction.
         """
-        self.suspended = False
         capacity = self.entry_capacity
         entry = self.entry
-        batch = capacity if batch_size is None else min(batch_size, capacity)
         staged: tuple = ()
         pos = 0
         eos = False
@@ -529,7 +495,7 @@ class Pipeline:
                 if eos:
                     break
                 try:
-                    got = broker.fetch_batch(batch)
+                    got = broker.fetch_batch(capacity)
                 except TruncatedTraceError:
                     truncated = True
                     eos = True
@@ -538,20 +504,17 @@ class Pipeline:
                 pos = 0
                 if got.end_of_stream:
                     eos = True
-                elif got.stalled or not staged:
-                    break
+                elif not staged:
+                    return RunOutcome(finished=False)
             if not entry and not self.rob:
-                if eos:
-                    return RunOutcome(finished=True, truncated=truncated)
-                self.suspended = True
-                return RunOutcome(finished=False, suspended=True)
+                return RunOutcome(finished=True, truncated=truncated)
             self.run_cycle()
 
-    def run_trace(self, instructions, batch_size: int | None = None) -> RunOutcome:
+    def run_trace(self, instructions) -> RunOutcome:
         """Convenience: run a fully materialized instruction sequence."""
         from .brokers import SequenceBroker
 
-        return self.run_until_starved(SequenceBroker(instructions), batch_size)
+        return self.run_until_starved(SequenceBroker(instructions))
 
     def drain(self):
         """Run cycles until everything in flight has retired."""

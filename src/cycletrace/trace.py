@@ -165,13 +165,8 @@ def iter_trace_lines(lines: Iterable[str]) -> Iterator[TraceInstruction]:
         yield inst
 
 
-def iter_trace_text(text: str) -> Iterator[TraceInstruction]:
-    """Yield instructions from trace text, enforcing seq_id monotonicity."""
-    return iter_trace_lines(text.splitlines())
-
-
 def parse_trace(text: str) -> list[TraceInstruction]:
-    return list(iter_trace_text(text))
+    return list(iter_trace_lines(text.splitlines()))
 
 
 def _render_regs(regs: tuple[int, ...]) -> str:

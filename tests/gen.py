@@ -12,11 +12,13 @@ import random
 from cycletrace import (
     AccessKind,
     AliasPolicy,
+    Batch,
     InstrClass,
     MachineModel,
     MemoryAccess,
     Pipeline,
     ResourceDesc,
+    SequenceBroker,
     TimelineRecorder,
     TraceInstruction,
 )
@@ -116,13 +118,41 @@ def simple_model(**overrides) -> MachineModel:
     return make_model(classes, **defaults)
 
 
-def run_recorded(model, insts, *, policy=AliasPolicy.METADATA, batch=None):
+def run_recorded(model, insts, *, policy=AliasPolicy.METADATA):
     """Run a trace to completion; return (pipeline, rows sorted by seq)."""
     pipe = Pipeline(model, policy)
     recorder = TimelineRecorder().attach(pipe)
-    outcome = pipe.run_trace(insts, batch)
+    outcome = pipe.run_trace(insts)
     assert outcome.finished
     return pipe, sorted(recorder.rows, key=lambda r: r.seq_id)
+
+
+class ChunkedBroker:
+    """Serves a trace at most k instructions per fetch, as a producer batches.
+
+    With stall set, a stalled batch comes before every batch of
+    instructions, as from a producer that pauses between sends.
+    """
+
+    def __init__(self, instructions, k, *, stall=False):
+        self._inner = SequenceBroker(instructions)
+        self.k = k
+        self.stall = stall
+        self._stalled = False
+
+    def fetch_batch(self, max_n):
+        if self.stall and not self._stalled:
+            self._stalled = True
+            return Batch(stalled=True)
+        self._stalled = False
+        return self._inner.fetch_batch(min(max_n, self.k))
+
+
+def run_to_end(pipe, broker):
+    """Drive a pipeline through a broker's stalls until the stream ends."""
+    while not (outcome := pipe.run_until_starved(broker)).finished:
+        pass
+    return outcome
 
 
 def times_of(rows):

@@ -42,15 +42,21 @@ from gen import make_class, make_model, ti
 
 
 def run_with_times(model, insts, batch=None, policy=AliasPolicy.METADATA):
-    """Total cycles plus every per-instruction timestamp, seq-ordered."""
+    """Total cycles plus every per-instruction timestamp, seq-ordered.
+
+    With batch set, the trace comes at most batch instructions per fetch
+    from a producer that stalls before every batch.
+    """
     pipe = Pipeline(model, policy)
     times = []
     pipe.retire_sink = lambda rec, _it: times.append(
         (rec.seq_id, rec.dispatched_at, rec.issued_at,
          rec.executed_at, rec.retired_at)
     )
-    outcome = pipe.run_trace(insts, batch)
-    assert outcome.finished
+    if batch is None:
+        assert pipe.run_trace(insts).finished
+    else:
+        gen.run_to_end(pipe, gen.ChunkedBroker(insts, batch, stall=True))
     times.sort()
     return pipe.total_cycles, times
 
@@ -80,7 +86,7 @@ def test_streaming_batch_size_invariance():
     for n in lengths:
         model = gen.random_model(rng)
         insts = gen.random_trace(rng, n)
-        baseline = run_with_times(model, insts, batch=len(insts))
+        baseline = run_with_times(model, insts)
         for batch in (1, 7, 64):
             assert run_with_times(model, insts, batch=batch) == baseline, (
                 f"batch size {batch} diverged on a {n}-instruction trace"
@@ -174,7 +180,7 @@ def test_record_recycling_bounds_memory_by_window_not_trace_length(model):
     def pool_of(n):
         pipe = Pipeline(model)
         started = time.perf_counter()
-        outcome = pipe.run_until_starved(SequenceBroker(synthetic(n)), 64)
+        outcome = pipe.run_until_starved(gen.ChunkedBroker(synthetic(n), 64))
         elapsed = time.perf_counter() - started
         assert outcome.finished
         return pipe.pool_stats(), elapsed
@@ -192,7 +198,7 @@ def test_record_recycling_bounds_memory_by_window_not_trace_length(model):
 def test_million_instruction_trace_within_time_budget(model):
     pipe = Pipeline(model)
     started = time.perf_counter()
-    outcome = pipe.run_until_starved(SequenceBroker(synthetic(10 ** 6)), 256)
+    outcome = pipe.run_until_starved(SequenceBroker(synthetic(10 ** 6)))
     elapsed = time.perf_counter() - started
     assert outcome.finished
     assert pipe.instructions_retired == 10 ** 6
@@ -442,24 +448,22 @@ def test_socket_stream_report_matches_file_report(tmp_path):
 
     trace_path = tmp_path / "loop.trace"
     trace_path.write_text(render_trace(trace))
-    by_file = analyze(model, FileBroker(str(trace_path)),
-                      batch_size=8, entry_capacity=8)
+    file_broker = FileBroker(str(trace_path))
+    by_file = analyze(model, file_broker, entry_capacity=8)
+    file_broker.close()
 
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
 
-    sent = threading.Event()
     result = {}
 
     def consume():
+        # Analyzes while the producer is still sending: a quiet producer
+        # pauses the simulation, so its timing cannot change the report.
         broker = SocketBroker.listen(port, accept_timeout=10)
-        # wait for the whole stream to land so the run is deterministic
-        sent.wait(10)
-        time.sleep(0.2)
-        result["report"] = analyze(model, broker,
-                                   batch_size=8, entry_capacity=8)
+        result["report"] = analyze(model, broker, entry_capacity=8)
         broker.close()
 
     consumer = threading.Thread(target=consume)
@@ -472,7 +476,6 @@ def test_socket_stream_report_matches_file_report(tmp_path):
         except OSError:
             assert time.monotonic() < deadline, "producer never connected"
             time.sleep(0.02)
-    sent.set()
     consumer.join(30)
     by_socket = result["report"]
 

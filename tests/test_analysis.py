@@ -1,6 +1,7 @@
 """Whole-trace analysis: regions, digests, and report serialization."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -120,12 +121,35 @@ def test_analyze_matches_a_direct_run(model):
 
 def test_analyze_is_batch_size_invariant(model):
     insts = mixed_trace()
-    reports = [
-        analyze(model, SequenceBroker(insts), batch_size=bs)
-        for bs in (1, 7, None)
+    reports = [analyze(model, SequenceBroker(insts))] + [
+        analyze(model, gen.ChunkedBroker(insts, k)) for k in (1, 7)
     ]
     assert len({r.summary.total_cycles for r in reports}) == 1
     assert len({r.digest for r in reports}) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("loop", ["plain", "regions"])
+def test_stalling_producer_leaves_the_report_unchanged(k, loop):
+    # A producer that pauses before every batch of k instructions: no
+    # cycle may run on a part-filled entry buffer while it is quiet, so
+    # the cycles and the pool stats match the unstalled run.
+    model = gen.random_model(random.Random(3))
+    insts = gen.random_trace(random.Random(1), 400)
+    regions = None
+    if loop == "regions":
+        # two visits, with a gap between them: seqs 0-149 and 200-399
+        base = 0x400000
+        regions = RegionSpec.from_ranges([
+            (base, base + 4 * 150, None),
+            (base + 4 * 200, base + 4 * 400, None),
+        ])
+
+    def report(broker):
+        return analyze(model, broker, regions=regions).to_json()
+
+    assert report(gen.ChunkedBroker(insts, k, stall=True)) == \
+        report(SequenceBroker(insts))
 
 
 def test_digest_is_the_hash_of_the_rendered_trace(model):
