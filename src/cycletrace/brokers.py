@@ -13,17 +13,18 @@ The wire protocol is newline-delimited JSON, one frame per line:
     {"t": "insts", "batch": [<instruction objects>]}   (repeated)
     {"t": "end"}
 
-Sequence ids must increase across the whole stream.  A malformed frame
-or a non-monotonic sequence id aborts with ProtocolError; a disconnect
-before the end frame is reported as a truncated trace.
+Sequence ids must increase across the whole stream.  A malformed frame,
+a non-monotonic sequence id or a line longer than MAX_FRAME_BYTES (4 MiB)
+aborts with ProtocolError; a disconnect before the end frame is reported
+as a truncated trace.  The socket broker reads only when it has nothing
+left to hand out, so a producer faster than the consumer is held back by
+TCP flow control.
 """
 
 from __future__ import annotations
 
 import json
-import queue
 import socket
-import threading
 from typing import Iterable, Iterator
 
 from .errors import ProtocolError, TruncatedTraceError
@@ -37,6 +38,11 @@ from .trace import (
 
 _END_BATCH = Batch(end_of_stream=True)
 _STALLED_BATCH = Batch(stalled=True)
+
+# A line still without its newline past this many bytes is refused; a
+# 64-instruction frame is a few kilobytes.
+MAX_FRAME_BYTES = 4 << 20
+_RECV_BYTES = 1 << 16
 
 
 class SequenceBroker:
@@ -88,26 +94,43 @@ class FileBroker(SequenceBroker):
 
 
 class SocketBroker:
-    """Receives a trace stream over a socket.
+    """Receives a trace stream over a socket, with no thread of its own.
 
-    A background thread owns the socket: it completes the handshake,
-    validates frames, and hands instruction lists to the consumer through
-    an ordered queue.  fetch_batch never blocks longer than poll_timeout;
-    with nothing buffered and the stream still open it answers a stalled
-    batch, and the pipeline pauses until the producer sends more.
+    The constructor reads the hello frame, sets model_hint and replies
+    ok before it returns, waiting as long as the socket's own timeout
+    allows; if the handshake fails it closes the socket.  fetch_batch
+    reads the socket only once every decoded instruction is handed out,
+    so at most one frame is decoded ahead and TCP flow control holds back
+    a producer that outruns the consumer; each batch comes from one
+    frame.  With nothing decoded it waits up to poll_timeout for data,
+    then answers a stalled batch and the pipeline pauses.  A line longer
+    than MAX_FRAME_BYTES is a ProtocolError.
     """
 
     def __init__(self, sock: socket.socket, poll_timeout: float = 0.05):
         self._sock = sock
-        self.poll_timeout = poll_timeout
         self.model_hint: str | None = None
-        self._queue: queue.Queue = queue.Queue()
-        self._pending: list[TraceInstruction] = []
-        self._pending_pos = 0
+        self._buf = bytearray()  # received bytes not yet split into lines
+        self._pending: tuple[TraceInstruction, ...] = ()
+        self._pos = 0
+        self._last_seq = -1
         self._eos = False
-        self._error: Exception | None = None
-        self._thread = threading.Thread(target=self._receive, daemon=True)
-        self._thread.start()
+        try:
+            line = self._next_line()
+            if not line:
+                raise ProtocolError("no hello frame from the producer")
+            hello = self._decode_frame(line, expect="hello")
+            version = hello.get("version")
+            if version != 1:
+                raise ProtocolError(
+                    f"unsupported protocol version {version!r}")
+            hint = hello.get("model_hint")
+            self.model_hint = hint if isinstance(hint, str) else None
+            sock.sendall(b'{"t": "ok"}\n')
+            sock.settimeout(poll_timeout)
+        except BaseException:
+            sock.close()
+            raise
 
     # Construction helpers -------------------------------------------------
 
@@ -139,70 +162,42 @@ class SocketBroker:
         sock = socket.create_connection((host, port))
         return cls(sock, poll_timeout)
 
-    # Receiver thread -------------------------------------------------------
+    # Reading ---------------------------------------------------------------
 
-    def _receive(self):
-        q = self._queue
-        try:
-            with self._sock.makefile("r", encoding="utf-8",
-                                     newline="\n") as rfile:
-                line = rfile.readline()
-                hello = self._decode_frame(line, expect="hello")
-                version = hello.get("version")
-                if version != 1:
-                    raise ProtocolError(
-                        f"unsupported protocol version {version!r}")
-                hint = hello.get("model_hint")
-                self.model_hint = hint if isinstance(hint, str) else None
-                self._sock.sendall(b'{"t": "ok"}\n')
+    def _next_line(self) -> bytes | None:
+        """The next line with its newline, or None if the socket timed out.
 
-                last_seq = -1
-                while True:
-                    line = rfile.readline()
-                    if not line:
-                        raise TruncatedTraceError(
-                            "producer disconnected before end of stream"
-                        )
-                    frame = self._decode_frame(line)
-                    kind = frame["t"]
-                    if kind == "insts":
-                        batch = frame.get("batch")
-                        if not isinstance(batch, list):
-                            raise ProtocolError(
-                                "'insts' frame without a batch list")
-                        insts = []
-                        for obj in batch:
-                            inst = from_wire(obj)
-                            if inst.seq_id <= last_seq:
-                                raise ProtocolError(
-                                    f"sequence id {inst.seq_id} not greater "
-                                    f"than previous {last_seq}"
-                                )
-                            last_seq = inst.seq_id
-                            insts.append(inst)
-                        if insts:
-                            q.put(("insts", insts))
-                    elif kind == "end":
-                        q.put(("end", None))
-                        return
-                    else:
-                        raise ProtocolError(f"unexpected frame type '{kind}'")
-        except (ProtocolError, TruncatedTraceError) as e:
-            q.put(("error", e))
-        except OSError as e:
-            q.put(("error", TruncatedTraceError(f"stream failed: {e}")))
-        finally:
+        Once the producer has closed its end this returns what is left
+        without a newline, then b"".
+        """
+        buf = self._buf
+        while True:
+            end = buf.find(b"\n") + 1
+            if end:
+                line = buf[:end]
+                del buf[:end]
+                return line
+            if len(buf) > MAX_FRAME_BYTES:
+                raise ProtocolError(
+                    f"frame longer than {MAX_FRAME_BYTES} bytes")
             try:
-                self._sock.close()
-            except OSError:
-                pass
+                chunk = self._sock.recv(_RECV_BYTES)
+            except (TimeoutError, BlockingIOError):
+                return None
+            except OSError as e:
+                raise TruncatedTraceError(f"stream failed: {e}") from None
+            if not chunk:
+                line = bytes(buf)
+                buf.clear()
+                return line
+            buf += chunk
 
     @staticmethod
-    def _decode_frame(line: str, expect: str | None = None) -> dict:
-        if not line:
-            raise ProtocolError("connection closed before handshake")
+    def _decode_frame(line: bytes, expect: str | None = None) -> dict:
         try:
-            frame = json.loads(line)
+            frame = json.loads(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ProtocolError("bad frame: not UTF-8") from None
         except json.JSONDecodeError as e:
             raise ProtocolError(f"bad frame: {e.msg}") from None
         if not isinstance(frame, dict) or "t" not in frame:
@@ -215,47 +210,45 @@ class SocketBroker:
 
     # Consumer side ----------------------------------------------------------
 
-    def _drain_queue(self, block: bool):
-        q = self._queue
-        first = block
-        while not self._eos and self._error is None:
-            try:
-                kind, payload = q.get(timeout=self.poll_timeout) if first \
-                    else q.get_nowait()
-            except queue.Empty:
-                return
-            first = False
-            if kind == "insts":
-                self._pending.extend(payload)
-            elif kind == "end":
-                self._eos = True
-            else:
-                self._error = payload
-
     def fetch_batch(self, max_n: int) -> Batch:
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
-        pending = self._pending
-        pos = self._pending_pos
-        have = len(pending) - pos
-        if have < max_n:
-            self._drain_queue(block=(have == 0))
-            have = len(pending) - pos
-        if have:
-            take = min(have, max_n)
-            out = tuple(pending[pos:pos + take])
-            pos += take
-            if pos >= len(pending):
-                pending.clear()
-                pos = 0
-            self._pending_pos = pos
-            exhausted = pos == 0 and not pending
-            return Batch(out, end_of_stream=self._eos and exhausted)
-        if self._error is not None:
-            raise self._error
-        if self._eos:
-            return _END_BATCH
-        return _STALLED_BATCH
+        pending, pos = self._pending, self._pos
+        while pos == len(pending):
+            if self._eos:
+                return _END_BATCH
+            line = self._next_line()
+            if line is None:
+                return _STALLED_BATCH
+            if not line:
+                raise TruncatedTraceError(
+                    "producer disconnected before end of stream")
+            frame = self._decode_frame(line)
+            kind = frame["t"]
+            if kind == "end":
+                self._eos = True
+                continue
+            if kind != "insts":
+                raise ProtocolError(f"unexpected frame type '{kind}'")
+            batch = frame.get("batch")
+            if not isinstance(batch, list):
+                raise ProtocolError("'insts' frame without a batch list")
+            insts = []
+            last_seq = self._last_seq
+            for obj in batch:
+                inst = from_wire(obj)
+                if inst.seq_id <= last_seq:
+                    raise ProtocolError(
+                        f"sequence id {inst.seq_id} not greater "
+                        f"than previous {last_seq}"
+                    )
+                last_seq = inst.seq_id
+                insts.append(inst)
+            self._last_seq = last_seq
+            pending, pos = tuple(insts), 0
+        end = min(pos + max_n, len(pending))
+        self._pending, self._pos = pending, end
+        return Batch(pending[pos:end])
 
     def close(self):
         try:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -105,7 +106,7 @@ def test_missing_model_file_is_an_input_error(capsys):
 # -- trace --------------------------------------------------------------------
 
 def test_trace_writes_a_parseable_trace(trace_file):
-    insts = parse_trace(open(trace_file).read())
+    insts = parse_trace(Path(trace_file).read_text())
     assert len(insts) == PROGRAM_INSTRUCTIONS
     assert [i.seq_id for i in insts] == list(range(PROGRAM_INSTRUCTIONS))
 
@@ -248,9 +249,9 @@ def test_diff_reports(report_pair, capsys):
 def test_diff_with_ground_truth(tmp_path, report_pair, capsys):
     base, cand = report_pair
     base_cycles = AnalysisReport.from_json(
-        open(base).read()).summary.total_cycles
+        Path(base).read_text()).summary.total_cycles
     cand_cycles = AnalysisReport.from_json(
-        open(cand).read()).summary.total_cycles
+        Path(cand).read_text()).summary.total_cycles
     ground = tmp_path / "ground.txt"
     ground.write_text(f"G {base_cycles} {cand_cycles}\n")
     capsys.readouterr()
@@ -262,7 +263,7 @@ def test_diff_with_ground_truth(tmp_path, report_pair, capsys):
 
 def test_diff_mismatched_models(tmp_path, report_pair, capsys):
     base, _ = report_pair
-    other = json.loads(open(base).read())
+    other = json.loads(Path(base).read_text())
     other["model"] = "different"
     cand = tmp_path / "other.json"
     cand.write_text(json.dumps(other))
