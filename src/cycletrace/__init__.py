@@ -33,7 +33,6 @@ from .engine import (
     InstrRecord,
     Pipeline,
     PoolStats,
-    RunOutcome,
 )
 from .errors import (
     AnalysisError,
@@ -103,7 +102,6 @@ __all__ = [
     "RegionSpec",
     "RegionStats",
     "ResourceDesc",
-    "RunOutcome",
     "SequenceBroker",
     "SocketBroker",
     "SummaryStats",

@@ -215,10 +215,7 @@ def analyze(
         recorder.attach(pipe)
 
     if regions is None:
-        # A quiet producer returns control here: ask again until it ends.
-        while not (outcome := pipe.run_until_starved(hashing)).finished:
-            pass
-        truncated = outcome.truncated
+        truncated = pipe.run_until_starved(hashing)
         region_stats = None
     else:
         truncated, region_stats = _analyze_regions(pipe, hashing, regions)

@@ -3,8 +3,9 @@
 A broker exposes one method, fetch_batch(max_n) -> Batch, returning at
 most max_n instructions.  The final instructions may arrive together
 with end_of_stream; after that the broker keeps answering end_of_stream.
-A socket broker can also answer a stalled batch, meaning "nothing yet,
-ask again", which is distinct from the stream being over.
+A broker may block in fetch_batch until it has instructions; an empty
+batch without end_of_stream means "nothing yet" and is simply fetched
+again.
 
 The wire protocol is newline-delimited JSON, one frame per line:
 
@@ -37,7 +38,6 @@ from .trace import (
 )
 
 _END_BATCH = Batch(end_of_stream=True)
-_STALLED_BATCH = Batch(stalled=True)
 
 # A line still without its newline past this many bytes is refused; a
 # 64-instruction frame is a few kilobytes.
@@ -97,17 +97,19 @@ class SocketBroker:
     """Receives a trace stream over a socket, with no thread of its own.
 
     The constructor reads the hello frame, sets model_hint and replies
-    ok before it returns, waiting as long as the socket's own timeout
-    allows; if the handshake fails it closes the socket.  fetch_batch
-    reads the socket only once every decoded instruction is handed out,
-    so at most one frame is decoded ahead and TCP flow control holds back
-    a producer that outruns the consumer; each batch comes from one
-    frame.  With nothing decoded it waits up to poll_timeout for data,
-    then answers a stalled batch and the pipeline pauses.  A line longer
-    than MAX_FRAME_BYTES is a ProtocolError.
+    ok before it returns; if the handshake fails it closes the socket.
+    fetch_batch reads the socket only once every decoded instruction is
+    handed out, so at most one frame is decoded ahead and TCP flow
+    control holds back a producer that outruns the consumer; each batch
+    comes from one frame.  With nothing decoded it blocks until the
+    producer sends, so the pipeline simply waits for a quiet producer.
+    The broker never sets the socket's timeout: listen and connect hand
+    it a blocking socket, and a read that times out on a timeout the
+    caller set is reported as a truncated trace.  A line longer than
+    MAX_FRAME_BYTES is a ProtocolError.
     """
 
-    def __init__(self, sock: socket.socket, poll_timeout: float = 0.05):
+    def __init__(self, sock: socket.socket):
         self._sock = sock
         self.model_hint: str | None = None
         self._buf = bytearray()  # received bytes not yet split into lines
@@ -127,7 +129,6 @@ class SocketBroker:
             hint = hello.get("model_hint")
             self.model_hint = hint if isinstance(hint, str) else None
             sock.sendall(b'{"t": "ok"}\n')
-            sock.settimeout(poll_timeout)
         except BaseException:
             sock.close()
             raise
@@ -139,7 +140,6 @@ class SocketBroker:
         cls,
         port: int,
         host: str = "127.0.0.1",
-        poll_timeout: float = 0.05,
         accept_timeout: float | None = None,
     ) -> "SocketBroker":
         """Wait for one producer connection on host:port."""
@@ -152,20 +152,17 @@ class SocketBroker:
             conn, _ = server.accept()
         finally:
             server.close()
-        return cls(conn, poll_timeout)
+        return cls(conn)
 
     @classmethod
-    def connect(
-        cls, host: str, port: int, poll_timeout: float = 0.05
-    ) -> "SocketBroker":
+    def connect(cls, host: str, port: int) -> "SocketBroker":
         """Dial a producer that serves the trace stream."""
-        sock = socket.create_connection((host, port))
-        return cls(sock, poll_timeout)
+        return cls(socket.create_connection((host, port)))
 
     # Reading ---------------------------------------------------------------
 
-    def _next_line(self) -> bytes | None:
-        """The next line with its newline, or None if the socket timed out.
+    def _next_line(self) -> bytes:
+        """The next line with its newline, waiting for the producer.
 
         Once the producer has closed its end this returns what is left
         without a newline, then b"".
@@ -182,8 +179,6 @@ class SocketBroker:
                     f"frame longer than {MAX_FRAME_BYTES} bytes")
             try:
                 chunk = self._sock.recv(_RECV_BYTES)
-            except (TimeoutError, BlockingIOError):
-                return None
             except OSError as e:
                 raise TruncatedTraceError(f"stream failed: {e}") from None
             if not chunk:
@@ -218,8 +213,6 @@ class SocketBroker:
             if self._eos:
                 return _END_BATCH
             line = self._next_line()
-            if line is None:
-                return _STALLED_BATCH
             if not line:
                 raise TruncatedTraceError(
                     "producer disconnected before end of stream")

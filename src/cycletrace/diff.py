@@ -98,11 +98,14 @@ def parse_ground_truth(text: str) -> list[tuple[float, float]]:
         if len(fields) != 3 or fields[0] != "G":
             raise TraceParseError(f"bad ground-truth line: '{body}'", lineno)
         try:
-            pairs.append((float(fields[1]), float(fields[2])))
+            pair = (float(fields[1]), float(fields[2]))
+            if not all(map(math.isfinite, pair)):
+                raise ValueError
         except ValueError:
             raise TraceParseError(
                 f"bad cycle count in ground-truth line: '{body}'", lineno
             ) from None
+        pairs.append(pair)
     if not pairs:
         raise TraceParseError("ground-truth file has no measurements")
     return pairs

@@ -111,15 +111,6 @@ class RecyclePool:
                          self.peak_live)
 
 
-@dataclass(frozen=True)
-class RunOutcome:
-    """How a streamed run ended: finished once the stream has ended and
-    drained, not finished when the producer went quiet first."""
-
-    finished: bool
-    truncated: bool = False
-
-
 class Pipeline:
     def __init__(
         self,
@@ -461,24 +452,26 @@ class Pipeline:
 
     # -- driving -----------------------------------------------------------
 
-    def run_until_starved(self, broker) -> RunOutcome:
-        """Pump the broker through the pipeline until it runs dry.
+    def run_until_starved(self, broker) -> bool:
+        """Pump the broker through the pipeline until the stream ends.
+
+        Returns only once the stream has ended or been truncated and the
+        pipeline has drained; the result is whether it was truncated.  A
+        broker may block until it has instructions, and an empty batch
+        that has not ended is simply fetched again.
 
         A cycle runs only when the entry buffer is full or the stream has
         ended, so cycle counts, timestamps and pool stats depend only on
         the stream contents, never on how the producer batched or paced
-        them.  A stalled producer returns RunOutcome(finished=False) at
-        once, without simulating a cycle, with all state preserved for a
-        later call; once the stream ends (or is truncated) the pipeline
-        drains fully.
+        them.
 
         The broker is asked for entry_capacity instructions at a time, and
         a batch is staged here until the entry buffer has taken all of it;
         the broker is asked again only once the staged batch is used up.
         So a stream costs one fetch per batch rather than one per cycle,
         and staging holds at most entry_capacity instructions beyond the
-        buffer.  Stalls, end of stream and truncation can only be seen
-        with nothing staged, so returning never drops an instruction.
+        buffer.  End of stream and truncation can only be seen with
+        nothing staged, so no instruction is dropped.
         """
         capacity = self.entry_capacity
         entry = self.entry
@@ -497,20 +490,16 @@ class Pipeline:
                 try:
                     got = broker.fetch_batch(capacity)
                 except TruncatedTraceError:
-                    truncated = True
-                    eos = True
+                    truncated = eos = True
                     break
                 staged = got.instructions
                 pos = 0
-                if got.end_of_stream:
-                    eos = True
-                elif not staged:
-                    return RunOutcome(finished=False)
+                eos = got.end_of_stream
             if not entry and not self.rob:
-                return RunOutcome(finished=True, truncated=truncated)
+                return truncated
             self.run_cycle()
 
-    def run_trace(self, instructions) -> RunOutcome:
+    def run_trace(self, instructions) -> bool:
         """Convenience: run a fully materialized instruction sequence."""
         from .brokers import SequenceBroker
 

@@ -47,10 +47,11 @@ class TraceInstruction:
 class Batch:
     """A slice of the instruction stream handed to the consumer.
 
-    An empty batch is meaningful only in two distinguished states: the
-    stream is over (end_of_stream) or the producer has nothing ready yet
-    (stalled).  The final instructions of a stream may share a batch with
-    the end_of_stream flag.
+    The final instructions of a stream may share a batch with the
+    end_of_stream flag.  An empty batch that has not ended means "nothing
+    yet" and the driver simply fetches again.  stalled may mark such a
+    batch for a caller that counts them; no library broker sets it and
+    the driver never reads it.
     """
 
     instructions: tuple[TraceInstruction, ...] = ()
@@ -251,8 +252,11 @@ def from_wire(obj: dict) -> TraceInstruction:
     if not isinstance(cname, str) or not cname:
         raise ProtocolError("instruction field 'class' must be a string")
 
+    entries = obj.get("mem", [])
+    if not isinstance(entries, list):
+        raise ProtocolError("instruction field 'mem' must be a list")
     mem: list[MemoryAccess] = []
-    for entry in obj.get("mem", []):
+    for entry in entries:
         if not isinstance(entry, dict):
             raise ProtocolError("memory entry must be an object")
         kind = entry.get("kind")

@@ -122,8 +122,7 @@ def run_recorded(model, insts, *, policy=AliasPolicy.METADATA):
     """Run a trace to completion; return (pipeline, rows sorted by seq)."""
     pipe = Pipeline(model, policy)
     recorder = TimelineRecorder().attach(pipe)
-    outcome = pipe.run_trace(insts)
-    assert outcome.finished
+    assert not pipe.run_trace(insts)
     return pipe, sorted(recorder.rows, key=lambda r: r.seq_id)
 
 
@@ -146,13 +145,6 @@ class ChunkedBroker:
             return Batch(stalled=True)
         self._stalled = False
         return self._inner.fetch_batch(min(max_n, self.k))
-
-
-def run_to_end(pipe, broker):
-    """Drive a pipeline through a broker's stalls until the stream ends."""
-    while not (outcome := pipe.run_until_starved(broker)).finished:
-        pass
-    return outcome
 
 
 def times_of(rows):

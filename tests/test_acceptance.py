@@ -54,9 +54,10 @@ def run_with_times(model, insts, batch=None, policy=AliasPolicy.METADATA):
          rec.executed_at, rec.retired_at)
     )
     if batch is None:
-        assert pipe.run_trace(insts).finished
+        assert not pipe.run_trace(insts)
     else:
-        gen.run_to_end(pipe, gen.ChunkedBroker(insts, batch, stall=True))
+        broker = gen.ChunkedBroker(insts, batch, stall=True)
+        assert not pipe.run_until_starved(broker)
     times.sort()
     return pipe.total_cycles, times
 
@@ -180,9 +181,9 @@ def test_record_recycling_bounds_memory_by_window_not_trace_length(model):
     def pool_of(n):
         pipe = Pipeline(model)
         started = time.perf_counter()
-        outcome = pipe.run_until_starved(gen.ChunkedBroker(synthetic(n), 64))
+        truncated = pipe.run_until_starved(gen.ChunkedBroker(synthetic(n), 64))
         elapsed = time.perf_counter() - started
-        assert outcome.finished
+        assert not truncated
         return pipe.pool_stats(), elapsed
 
     small, _ = pool_of(10 ** 3)
@@ -198,9 +199,9 @@ def test_record_recycling_bounds_memory_by_window_not_trace_length(model):
 def test_million_instruction_trace_within_time_budget(model):
     pipe = Pipeline(model)
     started = time.perf_counter()
-    outcome = pipe.run_until_starved(SequenceBroker(synthetic(10 ** 6)))
+    truncated = pipe.run_until_starved(SequenceBroker(synthetic(10 ** 6)))
     elapsed = time.perf_counter() - started
-    assert outcome.finished
+    assert not truncated
     assert pipe.instructions_retired == 10 ** 6
     assert elapsed <= 30, f"took {elapsed:.1f}s"
 
@@ -360,7 +361,7 @@ def test_windowed_timeline_glyphs_reconcile_and_render_golden(model):
     ]
     pipe = Pipeline(model)
     recorder = TimelineRecorder(window=(0, 6)).attach(pipe)
-    assert pipe.run_trace(insts).finished
+    assert not pipe.run_trace(insts)
     rows = recorder.rows
     assert len(rows) == 7
 
@@ -397,7 +398,7 @@ def test_browser_trace_export_is_valid_and_complete(model):
     insts = list(synthetic(100))
     pipe = Pipeline(model)
     recorder = TimelineRecorder().attach(pipe)
-    assert pipe.run_trace(insts).finished
+    assert not pipe.run_trace(insts)
     sink = io.StringIO()
     export_browser_trace(recorder.rows, sink)
 

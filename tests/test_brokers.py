@@ -24,6 +24,7 @@ from cycletrace import (
     render_trace,
     send_trace,
     stream_to_socket,
+    to_wire,
 )
 from cycletrace.brokers import MAX_FRAME_BYTES
 from gen import ti
@@ -101,7 +102,11 @@ HELLO = b'{"t": "hello", "version": 1}\n'
 
 
 def loopback_sockets():
-    """A connected (producer_sock, consumer_sock) pair on the loopback."""
+    """A connected (producer_sock, consumer_sock) pair on the loopback.
+
+    The broker blocks until the producer sends, so the consumer socket
+    gets a timeout: a regression fails the test instead of hanging it.
+    """
     server = socket.socket()
     server.bind(("127.0.0.1", 0))
     server.listen(1)
@@ -109,6 +114,7 @@ def loopback_sockets():
     client = socket.create_connection(("127.0.0.1", port))
     conn, _ = server.accept()
     server.close()
+    conn.settimeout(10)
     return client, conn
 
 
@@ -120,7 +126,7 @@ def loopback_pair():
     """
     producer, conn = loopback_sockets()
     producer.sendall(HELLO)
-    broker = SocketBroker(conn, poll_timeout=0.01)
+    broker = SocketBroker(conn)
     assert producer.recv(64) == b'{"t": "ok"}\n'
     return producer, broker
 
@@ -131,7 +137,7 @@ def streaming_pair(produce):
     producer, conn = loopback_sockets()
     thread = threading.Thread(target=produce, args=(producer,))
     thread.start()
-    return producer, SocketBroker(conn, poll_timeout=0.01), thread
+    return producer, SocketBroker(conn), thread
 
 
 def test_socket_round_trip():
@@ -195,8 +201,6 @@ def test_socket_holds_back_a_producer_that_outruns_the_consumer(monkeypatch):
         sock, (inst(s) for s in range(n))))
     try:
         batch = broker.fetch_batch(8)
-        while batch.stalled:
-            batch = broker.fetch_batch(8)
         assert batch.instructions == tuple(inst(s) for s in range(8))
         time.sleep(0.5)
         assert decoded <= 64  # one frame of stream_to_socket's default
@@ -280,12 +284,40 @@ def test_socket_truncation_raises():
     assert got == insts  # everything sent before the cut is delivered
 
 
-def test_socket_stalls_while_producer_quiet():
+def test_socket_fetch_waits_for_a_quiet_producer():
+    insts = [ti(s, "add", writes=[s]) for s in range(3)]
     producer, broker = loopback_pair()
-    batch = broker.fetch_batch(8)
-    assert batch.stalled and not batch.instructions
-    producer.close()
-    broker.close()
+
+    def produce():
+        time.sleep(0.2)
+        frame = {"t": "insts", "batch": [to_wire(i) for i in insts]}
+        producer.sendall((json.dumps(frame) + "\n").encode())
+
+    sender = threading.Thread(target=produce)
+    sender.start()
+    try:
+        batch = broker.fetch_batch(8)
+        assert batch.instructions == tuple(insts)
+        assert not batch.end_of_stream
+    finally:
+        sender.join(5)
+        producer.close()
+        broker.close()
+    assert not sender.is_alive()
+
+
+def test_socket_read_past_a_caller_set_timeout_is_a_truncated_trace():
+    # The broker keeps whatever timeout its caller gave the socket.
+    producer, conn = loopback_sockets()
+    conn.settimeout(0.1)
+    producer.sendall(HELLO)
+    broker = SocketBroker(conn)
+    try:
+        with pytest.raises(TruncatedTraceError, match="timed out"):
+            broker.fetch_batch(8)
+    finally:
+        producer.close()
+        broker.close()
 
 
 @pytest.mark.parametrize("first_frame,match", [
@@ -318,24 +350,26 @@ def test_socket_rejects_seq_regression():
 
 
 def test_pipeline_suspends_on_quiet_socket_then_finishes(model):
+    inst = ti(0, "add", writes=[1])
     producer, broker = loopback_pair()
+
+    def produce():
+        frame = {"t": "insts", "batch": [to_wire(inst)]}
+        producer.sendall((json.dumps(frame) + "\n").encode())
+        time.sleep(0.2)  # quiet: the pipeline waits inside fetch_batch
+        producer.sendall(b'{"t": "end"}\n')
+
+    sender = threading.Thread(target=produce)
+    sender.start()
     pipe = Pipeline(model)
     try:
-        frame = {"t": "insts", "batch": [
-            {"seq": 0, "addr": 0, "class": "add", "writes": [1]},
-        ]}
-        producer.sendall((json.dumps(frame) + "\n").encode())
-        # While the producer is quiet nothing is simulated, whether or not
-        # its first frame has landed yet.
-        outcome = pipe.run_until_starved(broker)
-        assert not outcome.finished
-        assert pipe.cycle == 0
-        assert pipe.instructions_retired == 0
-
-        producer.sendall(b'{"t": "end"}\n')
-        outcome = gen.run_to_end(pipe, broker)
-        assert not outcome.truncated
+        assert not pipe.run_until_starved(broker)
         assert pipe.instructions_retired == 1
+        # the pause left the cycles of the unpaced run
+        unpaced, _ = gen.run_recorded(model, [inst])
+        assert pipe.total_cycles == unpaced.total_cycles
     finally:
+        sender.join(5)
         producer.close()
         broker.close()
+    assert not sender.is_alive()

@@ -155,6 +155,9 @@ def test_parse_ground_truth():
     ("G 1\n", "bad ground-truth line"),
     ("G 1 2 3\n", "bad ground-truth line"),
     ("G one two\n", "bad cycle count"),
+    ("G nan 5\n", "bad cycle count"),
+    ("G 10 inf\n", "bad cycle count"),
+    ("G 1 2\nG -inf 2\n", "line 2: bad cycle count"),
     ("", "no measurements"),
 ])
 def test_parse_ground_truth_rejects(text, match):

@@ -418,8 +418,7 @@ def test_counters_and_summary_inputs(model):
 
 def test_empty_trace_finishes_at_zero_cycles(model):
     pipe = Pipeline(model)
-    outcome = pipe.run_trace([])
-    assert outcome.finished and not outcome.truncated
+    assert not pipe.run_trace([])
     assert pipe.total_cycles == 0
 
 
@@ -439,7 +438,7 @@ def test_peak_live_independent_of_trace_length(model):
         insts = (ti(s, "mul", reads=[(s - 1) % 4], writes=[s % 4])
                  for s in range(n))
         pipe = Pipeline(model, entry_capacity=32)
-        assert pipe.run_until_starved(SequenceBroker(insts)).finished
+        assert not pipe.run_until_starved(SequenceBroker(insts))
         return pipe.pool_stats().peak_live
 
     assert peak(1_000) == peak(5_000)
@@ -447,34 +446,50 @@ def test_peak_live_independent_of_trace_length(model):
 
 # -- streaming control flow ---------------------------------------------------
 
-class StallingBroker:
-    """Delivers one batch, then reports a stalled producer forever."""
+class ScriptedBroker:
+    """Answers its script in order, then ends the stream: a list is a
+    batch of instructions, None an empty stalled batch.
 
-    def __init__(self, insts):
-        self.insts = tuple(insts)
-        self.sent = False
+    Records each request's size against the pipeline's free entry slots,
+    and the cycle and entry buffer length at every stalled answer.  On a
+    stalled answer it also checks that nothing staged was dropped: each
+    instruction sent so far has retired or waits in the ROB or the entry
+    buffer.
+    """
+
+    def __init__(self, script, pipe):
+        self.script = list(script)
+        self.pipe = pipe
+        self.sent = 0
+        self.requests = []
+        self.stalls = []  # (cycle, entry buffer length)
 
     def fetch_batch(self, max_n):
-        from cycletrace import Batch
+        pipe = self.pipe
+        self.requests.append((max_n, pipe.entry_capacity - len(pipe.entry)))
+        if not self.script:
+            return Batch(end_of_stream=True)
+        step = self.script.pop(0)
+        if step is None:
+            held = pipe.instructions_retired + len(pipe.rob) + len(pipe.entry)
+            assert held == self.sent
+            self.stalls.append((pipe.cycle, len(pipe.entry)))
+            return Batch(stalled=True)
+        assert len(step) <= max_n
+        self.sent += len(step)
+        return Batch(instructions=tuple(step))
 
-        if not self.sent:
-            self.sent = True
-            return Batch(instructions=self.insts)
-        return Batch(stalled=True)
 
-
-def test_stalled_producer_suspends_then_resumes(model):
+def test_stalled_fetches_run_no_cycle(model):
     pipe = Pipeline(model)
-    first = pipe.run_until_starved(StallingBroker([ti(0, "add", writes=[1])]))
-    assert not first.finished
-    # A quiet producer pauses the simulation: I0 waits in the entry buffer.
-    assert pipe.cycle == 0
-    assert pipe.instructions_retired == 0
-
-    # Producer comes back and ends the stream; the run is the unstalled
-    # one: I0 d0 i1 x1 r2, I1 d0 i2 x2 r3.
-    second = pipe.run_trace([ti(1, "add", reads=[1], writes=[2])])
-    assert second.finished
+    i0 = ti(0, "add", writes=[1])
+    i1 = ti(1, "add", reads=[1], writes=[2])
+    broker = ScriptedBroker([None, [i0], None, None, [i1], None], pipe)
+    assert not pipe.run_until_starved(broker)
+    # A quiet producer pauses the simulation: the driver asks again
+    # without running a cycle on the part-filled entry buffer.
+    assert [cycle for cycle, _ in broker.stalls] == [0, 0, 0, 0]
+    # The run is the unstalled one: I0 d0 i1 x1 r2, I1 d0 i2 x2 r3.
     assert pipe.instructions_retired == 2
     assert pipe.total_cycles == 4
 
@@ -509,51 +524,27 @@ def test_stream_is_fetched_once_per_batch_not_once_per_cycle(model):
     insts = [ti(s, "add", writes=[s % 8]) for s in range(1000)]
     broker = CountingBroker(insts)
     pipe = Pipeline(model, entry_capacity=64)
-    assert pipe.run_until_starved(broker).finished
+    assert not pipe.run_until_starved(broker)
     assert pipe.instructions_retired == 1000
     assert pipe.total_cycles > 500  # one ALU: far more cycles than fetches
     assert broker.calls <= math.ceil(1000 / 64) + 2
 
 
-class TrickleThenStallBroker:
-    """Serves its instructions at most max_n per call, then stalls until
-    told the stream is over.
-
-    Records each request's size against the pipeline's free entry slots.
-    """
-
-    def __init__(self, insts, pipe):
-        self.insts = list(insts)
-        self.pipe = pipe
-        self.sent = 0
-        self.ended = False
-        self.requests = []
-
-    def fetch_batch(self, max_n):
-        free = self.pipe.entry_capacity - len(self.pipe.entry)
-        self.requests.append((max_n, free))
-        if self.sent >= len(self.insts):
-            return Batch(end_of_stream=self.ended, stalled=not self.ended)
-        take = tuple(self.insts[self.sent:self.sent + max_n])
-        self.sent += len(take)
-        return Batch(instructions=take)
-
-
-def test_staged_instructions_retire_before_a_stall_suspends(model):
+def test_stalled_fetches_drop_no_staged_instruction(model):
     insts = [ti(s, "add", writes=[s % 4]) for s in range(10)]
     pipe = Pipeline(model, entry_capacity=4)
     recorder = TimelineRecorder().attach(pipe)
-    broker = TrickleThenStallBroker(insts, pipe)
-    outcome = pipe.run_until_starved(broker)
-    assert not outcome.finished
+    # batches of 4 with a stall after each, then two more stalls
+    script = []
+    for s in range(0, 10, 4):
+        script += [insts[s:s + 4], None]
+    broker = ScriptedBroker(script + [None, None], pipe)
+    assert not pipe.run_until_starved(broker)
+    assert len(broker.stalls) == 5 and not broker.script
     # some batch outgrew the free slots, so part of it waited in staging
     assert any(max_n > free for max_n, free in broker.requests)
-    # nothing staged was dropped: the last ones wait in the buffer
-    assert pipe.instructions_retired + len(pipe.rob) + len(pipe.entry) == 10
-    assert 0 < len(pipe.entry) < pipe.entry_capacity
-
-    broker.ended = True
-    assert pipe.run_until_starved(broker).finished
+    # stalls were answered while a part-filled buffer waited, not drained
+    assert any(0 < n < pipe.entry_capacity for _, n in broker.stalls)
     assert pipe.instructions_retired == 10
     _, ref_times = refsim.simulate(model, insts, AliasPolicy.METADATA)
     rows = sorted(recorder.rows, key=lambda r: r.seq_id)
@@ -582,8 +573,7 @@ def test_reports_are_byte_identical_across_batch_sizes():
 def test_truncated_stream_drains_and_flags(model):
     insts = [ti(s, "add", writes=[s % 4]) for s in range(16)]
     pipe = Pipeline(model)
-    outcome = pipe.run_until_starved(TruncatingBroker(insts, after=8))
-    assert outcome.finished and outcome.truncated
+    assert pipe.run_until_starved(TruncatingBroker(insts, after=8))
     assert pipe.instructions_retired == 8
     assert not pipe.has_work()
 

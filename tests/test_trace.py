@@ -126,6 +126,9 @@ def test_wire_stringifies_context_value():
     ({"seq": 0, "addr": 0, "class": "a", "mem": [{"kind": "X"}]},
      "bad memory kind"),
     ({"seq": 0, "addr": 0, "class": "a", "ctx": ["k"]}, "pair of strings"),
+    ({"seq": 0, "addr": 0, "class": "a", "mem": 5}, "'mem' must be a list"),
+    ({"seq": 0, "addr": 0, "class": "a", "mem": None},
+     "'mem' must be a list"),
 ])
 def test_from_wire_rejects(obj, message):
     with pytest.raises(ProtocolError, match=message):
