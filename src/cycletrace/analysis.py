@@ -23,7 +23,7 @@ from .engine import Pipeline, PoolStats
 from .errors import TraceParseError, TruncatedTraceError
 from .lsunit import AliasPolicy
 from .model import MachineModel
-from .trace import render_instruction
+from .trace import render_trace
 from .views import SummaryStats, TimelineRecorder, summarize
 
 
@@ -189,9 +189,7 @@ class _HashingBroker:
 
     def fetch_batch(self, max_n: int):
         batch = self.inner.fetch_batch(max_n)
-        for inst in batch.instructions:
-            self._sha.update(render_instruction(inst).encode("utf-8"))
-            self._sha.update(b"\n")
+        self._sha.update(render_trace(batch.instructions).encode("utf-8"))
         return batch
 
     def hexdigest(self) -> str:

@@ -99,7 +99,7 @@ def parse_ground_truth(text: str) -> list[tuple[float, float]]:
             raise TraceParseError(f"bad ground-truth line: '{body}'", lineno)
         try:
             pair = (float(fields[1]), float(fields[2]))
-            if not all(map(math.isfinite, pair)):
+            if not all(math.isfinite(c) and c > 0 for c in pair):
                 raise ValueError
         except ValueError:
             raise TraceParseError(

@@ -176,6 +176,7 @@ class Pipeline:
             return 0
         accepted = 0
         model = self.model
+        class_index = model._class_index
         entry = self.entry
         pool = self.pool
         claims = self.claims
@@ -188,38 +189,43 @@ class Pipeline:
                     f"instruction {seq}: sequence id not increasing "
                     f"(previous {self._last_seq})"
                 )
-            cls = model.class_named(inst.class_name)
+            cls = class_index.get(inst.class_name)
             if cls is None:
                 raise AnalysisError(
                     f"instruction {seq}: unknown class '{inst.class_name}'"
                 )
 
-            loads: list = []
-            stores: list = []
-            for acc in inst.mem:
-                if acc.kind is AccessKind.LOAD:
-                    if not cls.may_load:
-                        raise AnalysisError(
-                            f"instruction {seq}: class '{cls.name}' "
-                            "may not load"
-                        )
-                    loads.append(acc)
-                else:
-                    if not cls.may_store:
-                        raise AnalysisError(
-                            f"instruction {seq}: class '{cls.name}' "
-                            "may not store"
-                        )
-                    stores.append(acc)
-            missing = False
-            if cls.may_load and not loads:
-                loads.append(None)
-                missing = True
-            if cls.may_store and not stores:
-                stores.append(None)
-                missing = True
-            if missing:
-                self.missing_metadata += 1
+            if inst.mem or cls.may_load or cls.may_store:
+                loads: list = []
+                stores: list = []
+                for acc in inst.mem:
+                    if acc.kind is AccessKind.LOAD:
+                        if not cls.may_load:
+                            raise AnalysisError(
+                                f"instruction {seq}: class '{cls.name}' "
+                                "may not load"
+                            )
+                        loads.append(acc)
+                    else:
+                        if not cls.may_store:
+                            raise AnalysisError(
+                                f"instruction {seq}: class '{cls.name}' "
+                                "may not store"
+                            )
+                        stores.append(acc)
+                missing = False
+                if cls.may_load and not loads:
+                    loads.append(None)
+                    missing = True
+                if cls.may_store and not stores:
+                    stores.append(None)
+                    missing = True
+                if missing:
+                    self.missing_metadata += 1
+                load_accs = tuple(loads)
+                store_accs = tuple(stores)
+            else:
+                load_accs = store_accs = ()
 
             context = inst.context
             if context is not None and context[0] == cls.context_latency_key:
@@ -242,8 +248,8 @@ class Pipeline:
             rec.reads = inst.reads
             rec.writes = inst.writes
             rec.claims = claims[cls.name]
-            rec.loads = tuple(loads)
-            rec.stores = tuple(stores)
+            rec.loads = load_accs
+            rec.stores = store_accs
 
             entry.append(rec)
             self._last_seq = seq

@@ -5,8 +5,14 @@ One trace line per dynamically executed instruction:
     I <seq> <hex-addr> <class> R:<regs> W:<regs> [L:<addr>:<size>]...
         [S:<addr>:<size>]... [C:<key>=<value>]
 
-Register lists are comma separated; '-' means empty.  '#' starts a
-comment.  The wire encoding mirrors the same fields as a JSON object.
+Register lists are comma separated; '-' means empty.  A register number
+may carry a letter prefix (r13, x2).  '#' starts a comment.  The wire
+encoding mirrors the same fields as a JSON object.
+
+Parsed register lists are interned by their field text: a static
+instruction re-executes with the same registers, so most fields repeat.
+The table is cleared whenever it reaches a fixed number of entries, so
+its memory stays bounded on any input.
 """
 
 from __future__ import annotations
@@ -78,10 +84,23 @@ def _parse_reg(token: str, line: int | None) -> int:
     return int(body)
 
 
+# Register-list field text (prefix stripped) -> parsed tuple.  A miss
+# parses as usual, so a bad list always raises with its own line number;
+# only successful parses are stored.
+_REG_LISTS: dict[str, tuple[int, ...]] = {}
+_REG_LISTS_MAX = 4096
+
+
 def _parse_reg_list(f: str, line: int | None) -> tuple[int, ...]:
+    """Parse a list missing from _REG_LISTS, then intern it."""
     if f == "-" or f == "":
-        return ()
-    return tuple(_parse_reg(tok, line) for tok in f.split(","))
+        regs = ()
+    else:
+        regs = tuple(_parse_reg(tok, line) for tok in f.split(","))
+    if len(_REG_LISTS) >= _REG_LISTS_MAX:
+        _REG_LISTS.clear()
+    _REG_LISTS[f] = regs
+    return regs
 
 
 def _parse_int(token: str, line: int | None, what: str) -> int:
@@ -93,10 +112,11 @@ def _parse_int(token: str, line: int | None, what: str) -> int:
 
 def parse_trace_line(text: str, line: int | None = None) -> TraceInstruction | None:
     """Parse one line; returns None for blanks and comments."""
-    body = text.split("#", 1)[0].strip()
-    if not body:
+    if "#" in text:
+        text = text.split("#", 1)[0]
+    fields = text.split()
+    if not fields:
         return None
-    fields = body.split()
     if fields[0] != "I":
         raise TraceParseError(f"expected 'I' record, got '{fields[0]}'", line)
     if len(fields) < 6:
@@ -107,11 +127,16 @@ def parse_trace_line(text: str, line: int | None = None) -> TraceInstruction | N
     addr = _parse_int(fields[2], line, "address")
     if not 0 <= addr < U64_LIMIT:
         raise TraceParseError(f"address {addr:#x} out of range", line)
-    class_name = fields[3]
-    if not fields[4].startswith("R:") or not fields[5].startswith("W:"):
+    r_field = fields[4]
+    w_field = fields[5]
+    if not r_field.startswith("R:") or not w_field.startswith("W:"):
         raise TraceParseError("expected R: and W: register lists", line)
-    reads = _parse_reg_list(fields[4][2:], line)
-    writes = _parse_reg_list(fields[5][2:], line)
+    reads = _REG_LISTS.get(r_field[2:])
+    if reads is None:
+        reads = _parse_reg_list(r_field[2:], line)
+    writes = _REG_LISTS.get(w_field[2:])
+    if writes is None:
+        writes = _parse_reg_list(w_field[2:], line)
 
     mem: list[MemoryAccess] = []
     context: tuple[str, str] | None = None
@@ -136,13 +161,7 @@ def parse_trace_line(text: str, line: int | None = None) -> TraceInstruction | N
             raise TraceParseError(f"unrecognized token '{tok}'", line)
 
     return TraceInstruction(
-        seq_id=seq,
-        address=addr,
-        class_name=class_name,
-        reads=reads,
-        writes=writes,
-        mem=tuple(mem),
-        context=context,
+        seq, addr, fields[3], reads, writes, tuple(mem), context
     )
 
 
@@ -171,24 +190,20 @@ def parse_trace(text: str) -> list[TraceInstruction]:
 
 
 def _render_regs(regs: tuple[int, ...]) -> str:
-    return ",".join(str(r) for r in regs) if regs else "-"
+    return ",".join(map(str, regs)) if regs else "-"
 
 
 def render_instruction(inst: TraceInstruction) -> str:
-    parts = [
-        "I",
-        str(inst.seq_id),
-        f"{inst.address:#x}",
-        inst.class_name,
-        "R:" + _render_regs(inst.reads),
-        "W:" + _render_regs(inst.writes),
-    ]
+    line = (
+        f"I {inst.seq_id} {inst.address:#x} {inst.class_name} "
+        f"R:{_render_regs(inst.reads)} W:{_render_regs(inst.writes)}"
+    )
     for acc in inst.mem:
         tag = "L" if acc.kind is AccessKind.LOAD else "S"
-        parts.append(f"{tag}:{acc.address:#x}:{acc.size}")
+        line += f" {tag}:{acc.address:#x}:{acc.size}"
     if inst.context is not None:
-        parts.append(f"C:{inst.context[0]}={inst.context[1]}")
-    return " ".join(parts)
+        line += f" C:{inst.context[0]}={inst.context[1]}"
+    return line
 
 
 def render_trace(instructions: Iterable[TraceInstruction]) -> str:

@@ -3,6 +3,13 @@ import random
 import pytest
 
 import gen
+from cycletrace import trace
+
+
+@pytest.fixture(autouse=True)
+def fresh_register_list_table():
+    """Start each test with no interned register lists, whatever ran first."""
+    trace._REG_LISTS.clear()
 
 
 @pytest.fixture

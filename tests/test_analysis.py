@@ -152,9 +152,29 @@ def test_stalling_producer_leaves_the_report_unchanged(k, loop):
         report(SequenceBroker(insts))
 
 
-def test_digest_is_the_hash_of_the_rendered_trace(model):
-    insts = mixed_trace(10)
-    report = analyze(model, SequenceBroker(insts))
+def context_trace(n):
+    """mixed_trace with a context token on every third instruction."""
+    insts = mixed_trace(n)
+    for inst in insts[::3]:
+        inst.context = ("sz", str(inst.seq_id % 8))
+    return insts
+
+
+@pytest.mark.parametrize("make_broker", [
+    pytest.param(SequenceBroker, id="sequence"),
+    pytest.param(lambda insts: gen.ChunkedBroker(insts, 1), id="chunked1"),
+    pytest.param(lambda insts: gen.ChunkedBroker(insts, 7), id="chunked7"),
+    pytest.param(lambda insts: gen.ChunkedBroker(insts, 7, stall=True),
+                 id="chunked7-stall"),
+])
+@pytest.mark.parametrize("insts", [
+    pytest.param(mixed_trace(10), id="short"),
+    # Longer than the entry buffer, with loads, stores and contexts.
+    pytest.param(context_trace(600), id="long"),
+])
+def test_digest_is_the_hash_of_the_rendered_trace(model, make_broker, insts):
+    report = analyze(model, make_broker(insts))
+    assert report.summary.instructions == len(insts)
     expect = hashlib.sha256(render_trace(insts).encode("utf-8")).hexdigest()
     assert report.digest == expect
 

@@ -261,6 +261,16 @@ def test_diff_with_ground_truth(tmp_path, report_pair, capsys):
     assert "Prediction Error:  0.0000" in out
 
 
+def test_diff_rejects_zero_ground_truth_count(tmp_path, report_pair, capsys):
+    base, cand = report_pair
+    ground = tmp_path / "ground.txt"
+    ground.write_text("G 100 110\nG 0 5\n")
+    capsys.readouterr()
+    assert main(["diff", "--base", base, "--cand", cand,
+                 "--ground", str(ground)]) == 2
+    assert "line 2: bad cycle count" in capsys.readouterr().err
+
+
 def test_diff_mismatched_models(tmp_path, report_pair, capsys):
     base, _ = report_pair
     other = json.loads(Path(base).read_text())

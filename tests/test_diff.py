@@ -159,6 +159,9 @@ def test_parse_ground_truth():
     ("G 10 inf\n", "bad cycle count"),
     ("G 1 2\nG -inf 2\n", "line 2: bad cycle count"),
     ("", "no measurements"),
+    ("G 0 5\n", "bad cycle count"),
+    ("G 4 -1\n", "bad cycle count"),
+    ("G 1 2\nG 3 0\n", "line 2: bad cycle count"),
 ])
 def test_parse_ground_truth_rejects(text, match):
     with pytest.raises(TraceParseError, match=match):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cycletrace import trace
 from cycletrace import (
     AccessKind,
     MemoryAccess,
@@ -45,6 +46,28 @@ def test_parse_letter_prefixed_registers():
     inst = parse_trace_line("I 0 0x400000 add R:r1,x2 W:r3")
     assert inst.reads == (1, 2)
     assert inst.writes == (3,)
+
+
+def test_interned_list_does_not_hide_a_bad_one():
+    with pytest.raises(TraceParseError,
+                       match="line 2: bad register token '3a'"):
+        parse_trace("I 0 0x0 nop R:3 W:-\nI 1 0x4 nop R:3a W:-\n")
+
+
+def test_prefixed_and_bare_lists_parse_alike():
+    insts = parse_trace("I 0 0x0 add R:r1,x2 W:-\nI 1 0x4 add R:1,2 W:-\n")
+    assert insts[0].reads == insts[1].reads == (1, 2)
+
+
+def test_register_list_table_stays_bounded():
+    bound = trace._REG_LISTS_MAX
+    parse_trace("".join(
+        f"I {i} 0x0 add R:{i} W:-\n" for i in range(bound + 10)
+    ))
+    assert len(trace._REG_LISTS) <= bound
+    late = parse_trace_line(f"I 0 0x0 add R:{bound + 5},7 W:x9", 1)
+    assert late.reads == (bound + 5, 7)
+    assert late.writes == (9,)
 
 
 def test_comments_and_blanks_skipped():
