@@ -227,20 +227,24 @@ class SocketBroker:
             if not isinstance(batch, list):
                 raise ProtocolError("'insts' frame without a batch list")
             insts = []
+            append = insts.append
             last_seq = self._last_seq
             for obj in batch:
                 inst = from_wire(obj)
-                if inst.seq_id <= last_seq:
+                seq = inst.seq_id
+                if seq <= last_seq:
                     raise ProtocolError(
-                        f"sequence id {inst.seq_id} not greater "
+                        f"sequence id {seq} not greater "
                         f"than previous {last_seq}"
                     )
-                last_seq = inst.seq_id
-                insts.append(inst)
+                last_seq = seq
+                append(inst)
             self._last_seq = last_seq
             pending, pos = tuple(insts), 0
         end = min(pos + max_n, len(pending))
         self._pending, self._pos = pending, end
+        # Slicing a whole tuple returns the tuple itself, so a frame that
+        # fits in max_n is handed out without a copy.
         return Batch(pending[pos:end])
 
     def close(self):

@@ -275,14 +275,24 @@ def validate_model(model: MachineModel):
         seen.add(c.name)
         _expect(c.latency >= 1, f"{where}: latency must be >= 1")
         _expect(c.num_uops >= 1, f"{where}: uops must be >= 1")
+        names = [rname for rname, _ in c.resource_usage]
         for rname, cycles in c.resource_usage:
+            res = model.resource_named(rname)
             _expect(
-                model.resource_named(rname) is not None,
+                res is not None,
                 f"{where}: uses undeclared resource '{rname}'",
             )
             _expect(
                 cycles >= 1,
                 f"{where}: occupancy on '{rname}' must be >= 1",
+            )
+            # Each claim holds its own unit, so one more claim than
+            # units could never issue.
+            claims = names.count(rname)
+            _expect(
+                claims <= res.units,
+                f"{where}: claims resource '{rname}' {claims} times but "
+                f"it has {res.units} unit(s), so it could never issue",
             )
         if c.context_latency_key is not None:
             _expect(

@@ -107,7 +107,13 @@ def _parse_int(token: str, line: int | None, what: str) -> int:
     try:
         return int(token, 0)
     except ValueError:
-        raise TraceParseError(f"bad {what} '{token}'", line) from None
+        pass
+    # int(token, 0) refuses a zero-padded decimal such as 007; read one
+    # here, off the common path, so every form it takes still parses.
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if digits.isascii() and digits.isdigit():
+        return int(token, 10)
+    raise TraceParseError(f"bad {what} '{token}'", line)
 
 
 def parse_trace_line(text: str, line: int | None = None) -> TraceInstruction | None:
@@ -254,58 +260,103 @@ def _wire_regs(obj: dict, key: str) -> tuple[int, ...]:
     return tuple(v)
 
 
+def _wire_reg_list(obj: dict, key: str) -> tuple[int, ...]:
+    v = obj.get(key)
+    if type(v) is list:
+        for r in v:
+            if type(r) is not int:
+                return _wire_regs(obj, key)
+        return tuple(v)
+    return _wire_regs(obj, key)
+
+
+def _wire_access(a: int, s: int):
+    """Raise the ProtocolError for an access that failed the range test."""
+    try:
+        _check_access(a, s)
+    except TraceParseError as e:
+        raise ProtocolError(str(e)) from None
+
+
+def _wire_ctx(ctx) -> tuple[str, str]:
+    if (
+        not isinstance(ctx, list) or len(ctx) != 2
+        or not all(isinstance(x, str) for x in ctx)
+    ):
+        raise ProtocolError("instruction field 'ctx' must be a pair of "
+                            "strings")
+    return (ctx[0], ctx[1])
+
+
+_LOAD = AccessKind.LOAD
+_STORE = AccessKind.STORE
+_ABSENT = object()  # an omitted 'mem'; 'mem': null is refused
+
+
 def from_wire(obj: dict) -> TraceInstruction:
+    """Decode one wire instruction object, checking every field.
+
+    Integer, register-list and context fields are first tested for the
+    exact types json.loads produces (int, list, str); only a value that
+    fails that test goes through the general checks (_wire_int,
+    _wire_regs, _wire_ctx), which accept subclasses such as an int
+    subclass, refuse bool, and raise the field's ProtocolError.  Fields
+    are checked in a fixed order, so an object with several faults always
+    reports the same one.
+    """
     if not isinstance(obj, dict):
         raise ProtocolError("instruction frame entry must be an object")
-    seq = _wire_int(obj, "seq")
+    get = obj.get
+    seq = get("seq")
+    if type(seq) is not int:
+        seq = _wire_int(obj, "seq")
     if seq < 0:
         raise ProtocolError(f"negative sequence id {seq}")
-    addr = _wire_int(obj, "addr")
+    addr = get("addr")
+    if type(addr) is not int:
+        addr = _wire_int(obj, "addr")
     if not 0 <= addr < U64_LIMIT:
         raise ProtocolError(f"address {addr:#x} out of range")
-    cname = obj.get("class")
+    cname = get("class")
     if not isinstance(cname, str) or not cname:
         raise ProtocolError("instruction field 'class' must be a string")
 
-    entries = obj.get("mem", [])
-    if not isinstance(entries, list):
-        raise ProtocolError("instruction field 'mem' must be a list")
-    mem: list[MemoryAccess] = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise ProtocolError("memory entry must be an object")
-        kind = entry.get("kind")
-        if kind == "L":
-            k = AccessKind.LOAD
-        elif kind == "S":
-            k = AccessKind.STORE
-        else:
-            raise ProtocolError(f"bad memory kind {kind!r}")
-        a = _wire_int(entry, "addr")
-        s = _wire_int(entry, "size")
-        try:
-            _check_access(a, s)
-        except TraceParseError as e:
-            raise ProtocolError(str(e)) from None
-        mem.append(MemoryAccess(k, a, s))
+    entries = get("mem", _ABSENT)
+    if entries is _ABSENT:
+        mem = ()
+    else:
+        if not isinstance(entries, list):
+            raise ProtocolError("instruction field 'mem' must be a list")
+        mem = []
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise ProtocolError("memory entry must be an object")
+            kind = entry.get("kind")
+            if kind == "L":
+                k = _LOAD
+            elif kind == "S":
+                k = _STORE
+            else:
+                raise ProtocolError(f"bad memory kind {kind!r}")
+            a = entry.get("addr")
+            if type(a) is not int:
+                a = _wire_int(entry, "addr")
+            s = entry.get("size")
+            if type(s) is not int:
+                s = _wire_int(entry, "size")
+            if a < 0 or s < 1 or a + s > U64_LIMIT:
+                _wire_access(a, s)
+            mem.append(MemoryAccess(k, a, s))
+        mem = tuple(mem)
 
-    context = None
-    ctx = obj.get("ctx")
-    if ctx is not None:
-        if (
-            not isinstance(ctx, list) or len(ctx) != 2
-            or not all(isinstance(x, str) for x in ctx)
-        ):
-            raise ProtocolError("instruction field 'ctx' must be a pair of "
-                                "strings")
+    ctx = get("ctx")
+    if ctx is None:
+        context = None
+    elif (type(ctx) is list and len(ctx) == 2 and type(ctx[0]) is str
+          and type(ctx[1]) is str):
         context = (ctx[0], ctx[1])
+    else:
+        context = _wire_ctx(ctx)
 
-    return TraceInstruction(
-        seq_id=seq,
-        address=addr,
-        class_name=cname,
-        reads=_wire_regs(obj, "reads"),
-        writes=_wire_regs(obj, "writes"),
-        mem=tuple(mem),
-        context=context,
-    )
+    return TraceInstruction(seq, addr, cname, _wire_reg_list(obj, "reads"),
+                            _wire_reg_list(obj, "writes"), mem, context)

@@ -306,6 +306,48 @@ def test_socket_fetch_waits_for_a_quiet_producer():
     assert not sender.is_alive()
 
 
+def _frame_of(insts):
+    return (json.dumps({"t": "insts", "batch": [to_wire(i) for i in insts]})
+            + "\n").encode()
+
+
+@pytest.mark.parametrize("max_n", [64, 65, 256])
+def test_socket_hands_out_a_frame_that_fits_whole(max_n):
+    insts = [ti(s, "load", writes=[s % 8], loads=[(8 * s, 8)])
+             for s in range(64)]
+    producer, broker = loopback_pair()
+    try:
+        producer.sendall(_frame_of(insts))
+        batch = broker.fetch_batch(max_n)
+        assert batch.instructions == tuple(insts)
+        assert not batch.end_of_stream
+        producer.sendall(b'{"t": "end"}\n')
+        assert broker.fetch_batch(max_n) == Batch(end_of_stream=True)
+    finally:
+        producer.close()
+        broker.close()
+
+
+def test_socket_splits_a_frame_larger_than_max_n_in_order():
+    insts = [ti(s, "add", writes=[s % 8]) for s in range(64)]
+    producer, broker = loopback_pair()
+    try:
+        producer.sendall(_frame_of(insts))
+        sizes, got = [], []
+        while len(got) < 64:
+            batch = broker.fetch_batch(10)
+            assert not batch.end_of_stream  # the end frame is not sent yet
+            sizes.append(len(batch.instructions))
+            got.extend(batch.instructions)
+        assert sizes == [10, 10, 10, 10, 10, 10, 4]
+        assert got == insts
+        producer.sendall(b'{"t": "end"}\n')
+        assert broker.fetch_batch(10) == Batch(end_of_stream=True)
+    finally:
+        producer.close()
+        broker.close()
+
+
 def test_socket_read_past_a_caller_set_timeout_is_a_truncated_trace():
     # The broker keeps whatever timeout its caller gave the socket.
     producer, conn = loopback_sockets()

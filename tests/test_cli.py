@@ -91,6 +91,20 @@ def test_model_check_rejects_invalid_model(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_model_check_rejects_an_overclaimed_resource(tmp_path, capsys):
+    p = tmp_path / "overclaimed.json"
+    p.write_text(json.dumps({
+        "name": "m", "dispatch_width": 1, "rob_size": 4,
+        "resources": [{"name": "ALU", "units": 1}],
+        "classes": [{"name": "pair", "latency": 1,
+                     "uses": [{"resource": "ALU"}, {"resource": "ALU"}]}],
+    }))
+    assert main(["model-check", "--model", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "class 'pair': claims resource 'ALU' 2 times" in err
+    assert "1 unit(s)" in err
+
+
 def test_model_check_rejects_bad_json(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{oops")

@@ -6,6 +6,7 @@ import gen
 from cycletrace import (
     AnalysisError,
     ModelError,
+    Pipeline,
     effective_latency,
     load_model,
     render_model,
@@ -124,6 +125,30 @@ def test_validate_bad_latency_and_occupancy():
     )
     with pytest.raises(ModelError, match="occupancy"):
         validate_model(m)
+
+
+def test_validate_rejects_more_claims_than_units():
+    m = gen.make_model(
+        [gen.make_class("pair", 1, uses=[("ALU", 1), ("ALU", 1)])],
+        resources=[("ALU", 1)],
+    )
+    with pytest.raises(
+        ModelError,
+        match=r"class 'pair': claims resource 'ALU' 2 times but it has "
+              r"1 unit\(s\)",
+    ):
+        validate_model(m)
+
+
+def test_validate_allows_as_many_claims_as_units():
+    m = gen.make_model(
+        [gen.make_class("pair", 1, uses=[("ALU", 1), ("ALU", 2)])],
+        resources=[("ALU", 2)],
+    )
+    validate_model(m)
+    pipe = Pipeline(m)
+    assert not pipe.run_trace([gen.ti(s, "pair") for s in range(4)])
+    assert pipe.instructions_retired == 4
 
 
 def test_validate_context_key_needs_table():

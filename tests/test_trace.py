@@ -1,12 +1,18 @@
 """Trace text parsing, rendering, and the JSON wire encoding."""
 
+import json
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cycletrace import trace
 from cycletrace import (
     AccessKind,
     MemoryAccess,
     ProtocolError,
+    TraceInstruction,
     TraceParseError,
     from_wire,
     parse_trace,
@@ -70,6 +76,31 @@ def test_register_list_table_stays_bounded():
     assert late.writes == (9,)
 
 
+def test_parse_zero_padded_decimals():
+    inst = parse_trace_line("I 007 0x0 load R:- W:- L:0x10:08 S:016:+04")
+    assert inst.seq_id == 7
+    assert inst.mem == (
+        MemoryAccess(AccessKind.LOAD, 0x10, 8),
+        MemoryAccess(AccessKind.STORE, 16, 4),
+    )
+    assert parse_trace_line("I 0 00400000 nop R:- W:-").address == 400000
+
+
+@pytest.mark.parametrize("token,value", [
+    ("0", 0), ("00", 0), ("0_0", 0), ("1_000", 1000), ("+7", 7),
+    ("0x1f", 31), ("0x_1f", 31), ("0o17", 15), ("0b101", 5), ("0009", 9),
+])
+def test_parse_int_forms(token, value):
+    assert trace._parse_int(token, 1, "size") == value
+
+
+@pytest.mark.parametrize(
+    "token", ["0_7", "08x", "--07", "0x", "", "\u0660\u0667"])
+def test_parse_int_still_refuses(token):
+    with pytest.raises(TraceParseError, match="line 4: bad size"):
+        trace._parse_int(token, 4, "size")
+
+
 def test_comments_and_blanks_skipped():
     insts = parse_trace("""
 # header comment
@@ -98,6 +129,7 @@ def test_seq_must_increase():
     ("I 0 0x0 nop R:- W:- C:=x", "bad context token"),
     ("I 0 0x0 nop R:- W:- C:a=1 C:b=2", "multiple context"),
     ("I 0 0x0 nop R:- W:- whatever", "unrecognized token"),
+    ("I -007 0x0 nop R:- W:-", "negative sequence id -7"),
 ])
 def test_parse_rejects(line, message):
     with pytest.raises(TraceParseError, match=message):
@@ -139,6 +171,14 @@ def test_wire_stringifies_context_value():
     assert to_wire(inst)["ctx"] == ["sz", "4"]
 
 
+def _wire(**fields):
+    return {"seq": 0, "addr": 0, "class": "a", **fields}
+
+
+def _entry(**fields):
+    return {"kind": "L", "addr": 16, "size": 8, **fields}
+
+
 @pytest.mark.parametrize("obj,message", [
     ("nope", "must be an object"),
     ({"seq": "0", "addr": 0, "class": "a"}, "'seq' must be an integer"),
@@ -152,10 +192,76 @@ def test_wire_stringifies_context_value():
     ({"seq": 0, "addr": 0, "class": "a", "mem": 5}, "'mem' must be a list"),
     ({"seq": 0, "addr": 0, "class": "a", "mem": None},
      "'mem' must be a list"),
+    # Cases an exact-type fast path could get wrong, with full messages.
+    ({"seq": True, "addr": 0, "class": "a"},
+     "instruction field 'seq' must be an integer"),
+    ({"seq": 0, "addr": True, "class": "a"},
+     "instruction field 'addr' must be an integer"),
+    (_wire(mem=[_entry(addr=True)]),
+     "instruction field 'addr' must be an integer"),
+    (_wire(mem=[_entry(addr=False)]),
+     "instruction field 'addr' must be an integer"),
+    (_wire(mem=[_entry(size=True)]),
+     "instruction field 'size' must be an integer"),
+    (_wire(mem=[_entry(size=False)]),
+     "instruction field 'size' must be an integer"),
+    (_wire(writes=[1, False]),
+     "instruction field 'writes' must be a list of integers"),
+    (_wire(reads="1,2"),
+     "instruction field 'reads' must be a list of integers"),
+    (_wire(reads={"r": 1}),
+     "instruction field 'reads' must be a list of integers"),
+    (_wire(writes=7),
+     "instruction field 'writes' must be a list of integers"),
+    (_wire(mem=[5]), "memory entry must be an object"),
+    (_wire(mem=[_entry(kind=["L"])]), "bad memory kind ['L']"),
+    (_wire(mem=[_entry(size=0)]), "access size 0 must be >= 1"),
+    (_wire(mem=[_entry(addr=(1 << 64) - 4, size=8)]),
+     "access at 0xfffffffffffffffc size 8 wraps past 2^64"),
+    ({"seq": 0, "addr": 0, "class": 5},
+     "instruction field 'class' must be a string"),
+    (_wire(ctx=["sz", 4]),
+     "instruction field 'ctx' must be a pair of strings"),
 ])
 def test_from_wire_rejects(obj, message):
-    with pytest.raises(ProtocolError, match=message):
+    with pytest.raises(ProtocolError, match=re.escape(message)):
         from_wire(obj)
+
+
+def test_from_wire_accepts_int_subclasses():
+    class Reg(int):
+        pass
+
+    inst = from_wire(
+        _wire(seq=Reg(3), reads=[Reg(1)], mem=[_entry(size=Reg(4))]))
+    assert (inst.seq_id, inst.reads) == (3, (1,))
+    assert inst.mem == (MemoryAccess(AccessKind.LOAD, 16, 4),)
+
+
+_regs = st.lists(st.integers(0, 63), max_size=3).map(tuple)
+_accesses = st.builds(
+    MemoryAccess,
+    st.sampled_from(AccessKind),
+    st.integers(0, (1 << 64) - 64),
+    st.integers(1, 64),
+)
+_instructions = st.builds(
+    TraceInstruction,
+    st.integers(0, 1 << 40),
+    st.integers(0, (1 << 64) - 1),
+    st.sampled_from(["add", "load", "store", "x.y"]),
+    _regs,
+    _regs,
+    st.lists(_accesses, max_size=3).map(tuple),
+    st.none() | st.tuples(st.text(min_size=1, max_size=3), st.text()),
+)
+
+
+@given(_instructions)
+def test_wire_round_trip_property(inst):
+    decoded = from_wire(json.loads(json.dumps(to_wire(inst))))
+    assert decoded == inst
+    assert from_wire(to_wire(inst)) == inst
 
 
 def test_render_uses_hex_addresses():
