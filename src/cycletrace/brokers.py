@@ -227,18 +227,16 @@ class SocketBroker:
             if not isinstance(batch, list):
                 raise ProtocolError("'insts' frame without a batch list")
             insts = []
-            append = insts.append
             last_seq = self._last_seq
             for obj in batch:
                 inst = from_wire(obj)
-                seq = inst.seq_id
-                if seq <= last_seq:
+                if inst.seq_id <= last_seq:
                     raise ProtocolError(
-                        f"sequence id {seq} not greater "
+                        f"sequence id {inst.seq_id} not greater "
                         f"than previous {last_seq}"
                     )
-                last_seq = seq
-                append(inst)
+                last_seq = inst.seq_id
+                insts.append(inst)
             self._last_seq = last_seq
             pending, pos = tuple(insts), 0
         end = min(pos + max_n, len(pending))

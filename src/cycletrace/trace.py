@@ -112,7 +112,10 @@ def _parse_int(token: str, line: int | None, what: str) -> int:
     # here, off the common path, so every form it takes still parses.
     digits = token[1:] if token[:1] in ("+", "-") else token
     if digits.isascii() and digits.isdigit():
-        return int(token, 10)
+        try:
+            return int(token, 10)
+        except ValueError:  # over the interpreter's digit limit
+            pass
     raise TraceParseError(f"bad {what} '{token}'", line)
 
 
@@ -252,40 +255,16 @@ def _wire_int(obj: dict, key: str) -> int:
 
 def _wire_regs(obj: dict, key: str) -> tuple[int, ...]:
     v = obj.get(key, [])
-    if not isinstance(v, list) or any(
-        not isinstance(r, int) or isinstance(r, bool) for r in v
-    ):
-        raise ProtocolError(f"instruction field '{key}' must be a list of "
-                            "integers")
-    return tuple(v)
-
-
-def _wire_reg_list(obj: dict, key: str) -> tuple[int, ...]:
-    v = obj.get(key)
-    if type(v) is list:
+    if isinstance(v, list):
         for r in v:
-            if type(r) is not int:
-                return _wire_regs(obj, key)
-        return tuple(v)
-    return _wire_regs(obj, key)
-
-
-def _wire_access(a: int, s: int):
-    """Raise the ProtocolError for an access that failed the range test."""
-    try:
-        _check_access(a, s)
-    except TraceParseError as e:
-        raise ProtocolError(str(e)) from None
-
-
-def _wire_ctx(ctx) -> tuple[str, str]:
-    if (
-        not isinstance(ctx, list) or len(ctx) != 2
-        or not all(isinstance(x, str) for x in ctx)
-    ):
-        raise ProtocolError("instruction field 'ctx' must be a pair of "
-                            "strings")
-    return (ctx[0], ctx[1])
+            if type(r) is not int and (
+                not isinstance(r, int) or isinstance(r, bool)
+            ):
+                break
+        else:
+            return tuple(v)
+    raise ProtocolError(f"instruction field '{key}' must be a list of "
+                        "integers")
 
 
 _LOAD = AccessKind.LOAD
@@ -296,13 +275,12 @@ _ABSENT = object()  # an omitted 'mem'; 'mem': null is refused
 def from_wire(obj: dict) -> TraceInstruction:
     """Decode one wire instruction object, checking every field.
 
-    Integer, register-list and context fields are first tested for the
-    exact types json.loads produces (int, list, str); only a value that
-    fails that test goes through the general checks (_wire_int,
-    _wire_regs, _wire_ctx), which accept subclasses such as an int
-    subclass, refuse bool, and raise the field's ProtocolError.  Fields
-    are checked in a fixed order, so an object with several faults always
-    reports the same one.
+    Integer fields, and the registers in _wire_regs, are first tested for
+    the exact int that json.loads produces; only a value that fails that
+    test goes through the general check, which accepts an int subclass,
+    refuses bool and raises the field's ProtocolError.  Fields are checked
+    in a fixed order, so an object with several faults always reports the
+    same one.
     """
     if not isinstance(obj, dict):
         raise ProtocolError("instruction frame entry must be an object")
@@ -345,18 +323,22 @@ def from_wire(obj: dict) -> TraceInstruction:
             if type(s) is not int:
                 s = _wire_int(entry, "size")
             if a < 0 or s < 1 or a + s > U64_LIMIT:
-                _wire_access(a, s)
+                try:
+                    _check_access(a, s)
+                except TraceParseError as e:
+                    raise ProtocolError(str(e)) from None
             mem.append(MemoryAccess(k, a, s))
         mem = tuple(mem)
 
     ctx = get("ctx")
     if ctx is None:
         context = None
-    elif (type(ctx) is list and len(ctx) == 2 and type(ctx[0]) is str
-          and type(ctx[1]) is str):
+    elif (isinstance(ctx, list) and len(ctx) == 2
+          and isinstance(ctx[0], str) and isinstance(ctx[1], str)):
         context = (ctx[0], ctx[1])
     else:
-        context = _wire_ctx(ctx)
+        raise ProtocolError("instruction field 'ctx' must be a pair of "
+                            "strings")
 
-    return TraceInstruction(seq, addr, cname, _wire_reg_list(obj, "reads"),
-                            _wire_reg_list(obj, "writes"), mem, context)
+    return TraceInstruction(seq, addr, cname, _wire_regs(obj, "reads"),
+                            _wire_regs(obj, "writes"), mem, context)

@@ -94,8 +94,13 @@ def test_parse_int_forms(token, value):
     assert trace._parse_int(token, 1, "size") == value
 
 
-@pytest.mark.parametrize(
-    "token", ["0_7", "08x", "--07", "0x", "", "\u0660\u0667"])
+@pytest.mark.parametrize("token", [
+    "0_7", "08x", "--07", "0x", "", "\u0660\u0667",
+    # Digit strings past the interpreter's int conversion limit (4300
+    # digits by default) make int() raise ValueError.
+    pytest.param("1" * 5000, id="5000-digits"),
+    pytest.param("0" + "1" * 5000, id="padded-5000-digits"),
+])
 def test_parse_int_still_refuses(token):
     with pytest.raises(TraceParseError, match="line 4: bad size"):
         trace._parse_int(token, 4, "size")
@@ -130,6 +135,8 @@ def test_seq_must_increase():
     ("I 0 0x0 nop R:- W:- C:a=1 C:b=2", "multiple context"),
     ("I 0 0x0 nop R:- W:- whatever", "unrecognized token"),
     ("I -007 0x0 nop R:- W:-", "negative sequence id -7"),
+    pytest.param(f"I {'1' * 5000} 0x0 nop R:- W:-", "bad sequence id",
+                 id="5000-digit-seq"),
 ])
 def test_parse_rejects(line, message):
     with pytest.raises(TraceParseError, match=message):
