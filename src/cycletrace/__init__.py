@@ -43,7 +43,7 @@ from .errors import (
     TruncatedTraceError,
     UndefinedRatioError,
 )
-from .lsunit import AliasPolicy, MemQueues, ranges_overlap
+from .lsunit import AliasPolicy, MemQueues
 from .model import (
     InstrClass,
     MachineModel,

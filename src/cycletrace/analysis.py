@@ -23,7 +23,7 @@ from .engine import Pipeline, PoolStats
 from .errors import TraceParseError, TruncatedTraceError
 from .lsunit import AliasPolicy
 from .model import MachineModel
-from .trace import render_trace
+from .trace import read_int, render_trace
 from .views import SummaryStats, TimelineRecorder, summarize
 
 
@@ -72,11 +72,13 @@ def parse_regions(text: str) -> RegionSpec:
         fields = body.split()
         try:
             if fields[0] == "R" and len(fields) == 3:
-                entries.append((int(fields[1], 0), int(fields[2], 0), None))
+                entries.append(
+                    (read_int(fields[1]), read_int(fields[2]), None)
+                )
                 continue
             if fields[0] == "S" and len(fields) == 4:
                 entries.append(
-                    (int(fields[2], 0), int(fields[3], 0), fields[1])
+                    (read_int(fields[2]), read_int(fields[3]), fields[1])
                 )
                 continue
         except ValueError:

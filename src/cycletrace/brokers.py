@@ -1,11 +1,11 @@
 """Instruction brokers: uniform batched access to a trace source.
 
 A broker exposes one method, fetch_batch(max_n) -> Batch, returning at
-most max_n instructions.  The final instructions may arrive together
-with end_of_stream; after that the broker keeps answering end_of_stream.
-A broker may block in fetch_batch until it has instructions; an empty
-batch without end_of_stream means "nothing yet" and is simply fetched
-again.
+most max_n instructions.  end_of_stream may arrive together with the
+final instructions or in an empty batch after them; after that the
+broker keeps answering end_of_stream.  A broker may block in
+fetch_batch until it has instructions; an empty batch without
+end_of_stream means "nothing yet" and is simply fetched again.
 
 The wire protocol is newline-delimited JSON, one frame per line:
 
@@ -15,17 +15,18 @@ The wire protocol is newline-delimited JSON, one frame per line:
     {"t": "end"}
 
 Sequence ids must increase across the whole stream.  A malformed frame,
-a non-monotonic sequence id or a line longer than MAX_FRAME_BYTES (4 MiB)
-aborts with ProtocolError; a disconnect before the end frame is reported
-as a truncated trace.  The socket broker reads only when it has nothing
-left to hand out, so a producer faster than the consumer is held back by
-TCP flow control.
+a non-monotonic sequence id or a frame line with more than
+MAX_FRAME_BYTES (4 MiB) before its newline aborts with ProtocolError; a
+disconnect before the end frame is reported as a truncated trace.  The
+socket broker reads only when it has nothing left to hand out, so a
+producer faster than the consumer is held back by TCP flow control.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import ProtocolError, TruncatedTraceError
@@ -39,46 +40,31 @@ from .trace import (
 
 _END_BATCH = Batch(end_of_stream=True)
 
-# A line still without its newline past this many bytes is refused; a
-# 64-instruction frame is a few kilobytes.
+# A frame line with more than this many bytes before its newline is
+# refused; a 64-instruction frame is a few kilobytes.
 MAX_FRAME_BYTES = 4 << 20
-_RECV_BYTES = 1 << 16
+_RECV_BYTES = 1 << 16  # buffer size of the socket's line reader
 
 
 class SequenceBroker:
-    """Serves instructions from any in-memory iterable or generator."""
+    """Serves instructions from any in-memory iterable or generator.
+
+    A batch shorter than max_n ends the stream, so a stream whose length
+    is a multiple of max_n ends with an empty batch.
+    """
 
     def __init__(self, instructions: Iterable[TraceInstruction]):
-        self._it: Iterator[TraceInstruction] | None = iter(instructions)
-        self._lookahead: TraceInstruction | None = None
+        self._it: Iterator[TraceInstruction] = iter(instructions)
 
     def fetch_batch(self, max_n: int) -> Batch:
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
-        if self._it is None:
-            return _END_BATCH
-        out = []
-        if self._lookahead is not None:
-            out.append(self._lookahead)
-            self._lookahead = None
-        it = self._it
-        while len(out) < max_n:
-            try:
-                out.append(next(it))
-            except StopIteration:
-                self._it = None
-                return Batch(tuple(out), end_of_stream=True)
-        # Peek one ahead so the last real batch carries end_of_stream.
-        try:
-            self._lookahead = next(it)
-        except StopIteration:
-            self._it = None
-            return Batch(tuple(out), end_of_stream=True)
-        return Batch(tuple(out))
+        batch = tuple(islice(self._it, max_n))
+        # A short batch, empty included, means the iterable is used up.
+        return Batch(batch, end_of_stream=len(batch) < max_n)
 
     def close(self):
-        self._it = None
-        self._lookahead = None
+        self._it = iter(())
 
 
 class FileBroker(SequenceBroker):
@@ -96,23 +82,25 @@ class FileBroker(SequenceBroker):
 class SocketBroker:
     """Receives a trace stream over a socket, with no thread of its own.
 
+    Frames are read as lines through a buffered reader over the socket.
     The constructor reads the hello frame, sets model_hint and replies
-    ok before it returns; if the handshake fails it closes the socket.
-    fetch_batch reads the socket only once every decoded instruction is
-    handed out, so at most one frame is decoded ahead and TCP flow
-    control holds back a producer that outruns the consumer; each batch
-    comes from one frame.  With nothing decoded it blocks until the
-    producer sends, so the pipeline simply waits for a quiet producer.
+    ok before it returns; if the handshake fails it closes the reader
+    and the socket.  fetch_batch reads only once every decoded
+    instruction is handed out, so at most one frame is decoded ahead and
+    TCP flow control holds back a producer that outruns the consumer;
+    each batch comes from one frame.  With nothing decoded it blocks
+    until the producer sends, so the pipeline simply waits for a quiet
+    producer.
     The broker never sets the socket's timeout: listen and connect hand
     it a blocking socket, and a read that times out on a timeout the
-    caller set is reported as a truncated trace.  A line longer than
-    MAX_FRAME_BYTES is a ProtocolError.
+    caller set is reported as a truncated trace.  A frame line with more
+    than MAX_FRAME_BYTES before its newline is a ProtocolError.
     """
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
+        self._rfile = sock.makefile("rb", buffering=_RECV_BYTES)
         self.model_hint: str | None = None
-        self._buf = bytearray()  # received bytes not yet split into lines
         self._pending: tuple[TraceInstruction, ...] = ()
         self._pos = 0
         self._last_seq = -1
@@ -130,7 +118,7 @@ class SocketBroker:
             self.model_hint = hint if isinstance(hint, str) else None
             sock.sendall(b'{"t": "ok"}\n')
         except BaseException:
-            sock.close()
+            self.close()
             raise
 
     # Construction helpers -------------------------------------------------
@@ -167,25 +155,13 @@ class SocketBroker:
         Once the producer has closed its end this returns what is left
         without a newline, then b"".
         """
-        buf = self._buf
-        while True:
-            end = buf.find(b"\n") + 1
-            if end:
-                line = buf[:end]
-                del buf[:end]
-                return line
-            if len(buf) > MAX_FRAME_BYTES:
-                raise ProtocolError(
-                    f"frame longer than {MAX_FRAME_BYTES} bytes")
-            try:
-                chunk = self._sock.recv(_RECV_BYTES)
-            except OSError as e:
-                raise TruncatedTraceError(f"stream failed: {e}") from None
-            if not chunk:
-                line = bytes(buf)
-                buf.clear()
-                return line
-            buf += chunk
+        try:
+            line = self._rfile.readline(MAX_FRAME_BYTES + 1)
+        except OSError as e:
+            raise TruncatedTraceError(f"stream failed: {e}") from None
+        if len(line) > MAX_FRAME_BYTES and line[-1:] != b"\n":
+            raise ProtocolError(f"frame longer than {MAX_FRAME_BYTES} bytes")
+        return line
 
     @staticmethod
     def _decode_frame(line: bytes, expect: str | None = None) -> dict:
@@ -246,6 +222,7 @@ class SocketBroker:
         return Batch(pending[pos:end])
 
     def close(self):
+        self._rfile.close()
         try:
             self._sock.close()
         except OSError:

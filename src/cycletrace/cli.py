@@ -33,7 +33,7 @@ from .errors import (
 from .lsunit import AliasPolicy
 from .model import load_model
 from .toyisa import ProgramError, execute, parse_program
-from .trace import render_trace
+from .trace import read_int, render_trace
 from .views import TimelineRecorder, render_summary, render_timeline
 
 
@@ -50,7 +50,7 @@ def _window(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ValueError("expected FIRST..LAST")
-    first, last = int(lo, 0), int(hi, 0)
+    first, last = read_int(lo), read_int(hi)
     if last < first:
         raise ValueError("window end precedes start")
     return first, last

@@ -118,8 +118,12 @@ class Pipeline:
         alias_policy: AliasPolicy = AliasPolicy.METADATA,
         entry_capacity: int = 256,
     ):
-        if entry_capacity < 1:
-            raise ValueError("entry_capacity must be >= 1")
+        # A smaller buffer would cap dispatch below its width and change
+        # the cycles, which no report records.
+        if entry_capacity < model.dispatch_width:
+            raise ValueError(
+                f"entry_capacity {entry_capacity} is below the model's "
+                f"dispatch_width {model.dispatch_width}")
         self.model = model
         self.policy = alias_policy
         self.entry_capacity = entry_capacity

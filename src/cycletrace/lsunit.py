@@ -33,11 +33,6 @@ class AliasPolicy(Enum):
     METADATA = "metadata"
 
 
-def ranges_overlap(a_start: int, a_size: int, b_start: int, b_size: int) -> bool:
-    """True when the half-open byte intervals intersect."""
-    return not (a_start + a_size <= b_start or b_start + b_size <= a_start)
-
-
 @dataclass
 class MemQueues:
     """In-flight memory operations, ordered by sequence id.
@@ -114,7 +109,8 @@ def _first_conflict(pending: dict, policy: AliasPolicy, seq: int,
             return None  # insertion is in seq order; the rest are younger
         for b in theirs:
             for a in mine:
-                # Untraced addresses (None) conflict with every access.
+                # Untraced addresses (None) conflict with every access;
+                # byte ranges are half-open, so touching ones do not.
                 if (a is None or b is None
                         or (a.address < b.address + b.size
                             and b.address < a.address + a.size)):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CycleTraceError, TraceParseError, TruncatedTraceError
-from .trace import AccessKind, MemoryAccess, TraceInstruction
+from .trace import AccessKind, MemoryAccess, TraceInstruction, read_int
 
 U64 = 1 << 64
 BASE_ADDRESS = 0x400000
@@ -80,7 +80,7 @@ def _parse_reg(token: str, line: int) -> int:
 
 def _parse_imm(token: str, line: int) -> int:
     try:
-        return int(token, 0)
+        return read_int(token)
     except ValueError:
         raise TraceParseError(f"bad immediate '{token}'", line) from None
 

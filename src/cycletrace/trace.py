@@ -103,20 +103,31 @@ def _parse_reg_list(f: str, line: int | None) -> tuple[int, ...]:
     return regs
 
 
-def _parse_int(token: str, line: int | None, what: str) -> int:
+def read_int(token: str) -> int:
+    """Read a number as every text input does, or raise ValueError.
+
+    Takes every form int(token, 0) takes (0x1f, 0o17, 0b101, 1_000, -3)
+    and also a zero-padded decimal such as 007 or +04, which int(token,
+    0) refuses.
+    """
     try:
         return int(token, 0)
     except ValueError:
+        digits = token[1:] if token[:1] in ("+", "-") else token
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    return int(token, 10)  # ValueError past the interpreter's digit limit
+
+
+def _parse_int(token: str, line: int | None, what: str) -> int:
+    try:
+        return int(token, 0)  # the common forms, without a call
+    except ValueError:
         pass
-    # int(token, 0) refuses a zero-padded decimal such as 007; read one
-    # here, off the common path, so every form it takes still parses.
-    digits = token[1:] if token[:1] in ("+", "-") else token
-    if digits.isascii() and digits.isdigit():
-        try:
-            return int(token, 10)
-        except ValueError:  # over the interpreter's digit limit
-            pass
-    raise TraceParseError(f"bad {what} '{token}'", line)
+    try:
+        return read_int(token)
+    except ValueError:
+        raise TraceParseError(f"bad {what} '{token}'", line) from None
 
 
 def parse_trace_line(text: str, line: int | None = None) -> TraceInstruction | None:

@@ -53,6 +53,11 @@ def test_parse_regions_accepts_both_line_forms():
     assert spec.ranges == ((0x1000, 0x1010), (0x2000, 0x2040))
 
 
+def test_region_bounds_read_numbers_as_the_trace_does():
+    spec = parse_regions("R 0010 0x20\nS f +0040 00050\n")
+    assert spec.entries == ((10, 0x20, None), (40, 50, "f"))
+
+
 def test_overlapping_ranges_merge():
     spec = parse_regions("R 0x10 0x20\nR 0x18 0x30\nR 0x40 0x50\n")
     assert spec.ranges == ((0x10, 0x30), (0x40, 0x50))
@@ -294,12 +299,22 @@ def test_no_region_hits_mean_zero_visits(model):
 
 
 def test_whole_program_region_is_one_visit(model):
-    trace, spec = loop_case()
+    # The visit is longer than the 8-entry buffer, so the region loop
+    # finds the buffer full and runs cycles while it feeds.
+    trace, _ = loop_case()
+    assert len(trace) > 8
     everything = RegionSpec.from_ranges([(0x400000, 0x500000, None)])
-    report = analyze(model, SequenceBroker(trace), regions=everything)
+    plain_rec, region_rec = TimelineRecorder(), TimelineRecorder()
+    plain = analyze(model, SequenceBroker(trace), recorder=plain_rec,
+                    entry_capacity=8)
+    report = analyze(model, SequenceBroker(trace), regions=everything,
+                     recorder=region_rec, entry_capacity=8)
     assert report.regions.visits == 1
     assert report.regions.instructions == len(trace)
-    del spec
+    assert report.summary == plain.summary
+    assert report.pool == plain.pool
+    assert report.regions.cycles == report.summary.total_cycles
+    assert region_rec.rows == plain_rec.rows
 
 
 # -- report serialization -----------------------------------------------------

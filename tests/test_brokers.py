@@ -51,6 +51,16 @@ def test_sequence_broker_marks_final_batch():
     assert len(second.instructions) == 2 and second.end_of_stream
 
 
+def test_sequence_broker_ends_whole_batches_with_an_empty_one():
+    insts = [ti(s, "add") for s in range(6)]
+    broker = SequenceBroker(insts)
+    batches = [broker.fetch_batch(3) for _ in range(3)]
+    assert [b.instructions for b in batches] == [
+        tuple(insts[:3]), tuple(insts[3:]), ()]
+    assert [b.end_of_stream for b in batches] == [False, False, True]
+    assert broker.fetch_batch(3) == Batch(end_of_stream=True)
+
+
 def test_sequence_broker_end_is_idempotent():
     broker = SequenceBroker([ti(0, "add")])
     assert broker.fetch_batch(8).end_of_stream
@@ -237,6 +247,46 @@ def test_socket_refuses_a_line_longer_than_the_frame_cap():
         broker.close()
 
 
+def _padded(frame: bytes, size: int) -> bytes:
+    """frame padded with JSON whitespace to size bytes, then a newline."""
+    return frame.ljust(size) + b"\n"
+
+
+def test_socket_accepts_a_frame_of_exactly_the_cap():
+    inst = ti(0, "add", writes=[1])
+
+    def produce(sock):
+        stream_to_socket(sock, [], send_end=False)
+        sock.sendall(_padded(_frame_of([inst])[:-1], MAX_FRAME_BYTES))
+        sock.sendall(b'{"t": "end"}\n')
+
+    producer, broker, sender = streaming_pair(produce)
+    try:
+        assert drain_broker(broker) == [inst]
+        sender.join(5)
+        assert not sender.is_alive()
+    finally:
+        producer.close()
+        broker.close()
+
+
+def test_socket_refuses_a_frame_one_byte_over_the_cap():
+    def produce(sock):
+        stream_to_socket(sock, [], send_end=False)
+        sock.sendall(_padded(b'{"t": "end"}', MAX_FRAME_BYTES + 1))
+
+    producer, broker, sender = streaming_pair(produce)
+    try:
+        with pytest.raises(ProtocolError, match=(
+                f"^frame longer than {MAX_FRAME_BYTES} bytes$")):
+            drain_broker(broker)
+        sender.join(5)
+        assert not sender.is_alive()
+    finally:
+        producer.close()
+        broker.close()
+
+
 def test_socket_listen_connect_round_trip():
     insts = [ti(s, "add") for s in range(7)]
     result = {}
@@ -376,6 +426,62 @@ def test_socket_bad_handshake(first_frame, match):
         with pytest.raises(ProtocolError, match=match):
             SocketBroker(conn)
     assert conn.fileno() == -1  # the constructor closed it
+
+
+def test_socket_end_before_the_hello_closes_the_socket():
+    producer, conn = loopback_sockets()
+    producer.close()
+    with pytest.raises(ProtocolError,
+                       match="^no hello frame from the producer$"):
+        SocketBroker(conn)
+    assert conn.fileno() == -1
+
+
+@pytest.mark.parametrize("frame,message", [
+    (b'{"t": "bogus"}', "unexpected frame type 'bogus'"),
+    (b'{"t": "insts"}', "'insts' frame without a batch list"),
+    (b'{"t": "insts", "batch": 5}', "'insts' frame without a batch list"),
+], ids=["unknown-type", "no-batch", "batch-not-a-list"])
+def test_socket_rejects_bad_stream_frames(frame, message):
+    producer, broker = loopback_pair()
+    try:
+        producer.sendall(frame + b"\n")
+        with pytest.raises(ProtocolError, match=f"^{message}$"):
+            broker.fetch_batch(8)
+    finally:
+        producer.close()
+        broker.close()
+
+
+def test_batches_of_zero_are_refused():
+    with pytest.raises(ValueError, match="max_n must be >= 1"):
+        SequenceBroker([ti(0, "add")]).fetch_batch(0)
+    producer, broker = loopback_pair()
+    try:
+        with pytest.raises(ValueError, match="max_n must be >= 1"):
+            broker.fetch_batch(0)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            stream_to_socket(producer, [], batch_size=0)
+    finally:
+        producer.close()
+        broker.close()
+
+
+@pytest.mark.parametrize("reply", [
+    b'{"t": "nope"}\n', b'["ok"]\n', b"not json\n", b"",
+], ids=["other-type", "not-an-object", "not-json", "closed"])
+def test_producer_refuses_a_receiver_that_does_not_say_ok(reply):
+    producer, receiver = loopback_sockets()
+    producer.settimeout(10)
+    try:
+        receiver.sendall(reply)
+        receiver.shutdown(socket.SHUT_WR)
+        with pytest.raises(ProtocolError, match=(
+                "^receiver did not acknowledge the handshake$")):
+            stream_to_socket(producer, [ti(0, "add")])
+    finally:
+        producer.close()
+        receiver.close()
 
 
 def test_socket_rejects_seq_regression():

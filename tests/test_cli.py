@@ -189,6 +189,18 @@ def test_analyze_with_timeline(model_file, trace_file, capsys):
     assert all(line.startswith("[0,") and "D" in line for line in lines)
 
 
+def test_timeline_bounds_read_numbers_as_the_trace_does(
+        model_file, trace_file, capsys):
+    argv = ["analyze", "--model", model_file, "--trace", trace_file,
+            "--timeline"]
+    assert main(argv + ["1..3"]) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["01..0x3"]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(argv + ["01..3z"]) == 1
+    assert "invalid _window value: '01..3z'" in capsys.readouterr().err
+
+
 def test_alias_policy_changes_timing(tmp_path, model_file, capsys):
     # the store waits on a mul chain; the load may hoist past it only
     # when the policy says the addresses cannot alias

@@ -433,6 +433,25 @@ def test_pool_allocates_only_at_peak(model):
     assert stats.peak_live <= pipe.entry_capacity + model.reorder_buffer_size
 
 
+def test_entry_buffer_below_dispatch_width_is_refused():
+    # Such a buffer caps dispatch below its width and changes the cycles.
+    model = gen.wide_model(random.Random(0))
+    width = model.dispatch_width
+    assert width > 1
+    for capacity in (0, 1, width - 1):
+        with pytest.raises(ValueError, match=(
+                f"^entry_capacity {capacity} is below the model's "
+                f"dispatch_width {width}$")):
+            Pipeline(model, entry_capacity=capacity)
+    trace = gen.random_trace(random.Random(1), 400)
+    cycles = set()
+    for capacity in (width, width + 2, 256):
+        pipe = Pipeline(model, entry_capacity=capacity)
+        assert not pipe.run_trace(trace)
+        cycles.add(pipe.total_cycles)
+    assert len(cycles) == 1
+
+
 def test_peak_live_independent_of_trace_length(model):
     def peak(n):
         insts = (ti(s, "mul", reads=[(s - 1) % 4], writes=[s % 4])
@@ -556,18 +575,21 @@ def test_reports_are_byte_identical_across_batch_sizes():
     # buffer full before every cycle, peak_live reaches the ROB plus the
     # whole buffer, so a refill that let the buffer run low would show in
     # the pool stats even where cycles stay the same.
+    # 512 instructions are two whole batches of the 256 the driver asks
+    # for, so SequenceBroker ends that stream with an empty batch.
     rng = random.Random(0)
     model = gen.wide_model(rng)
     assert model.reorder_buffer_size == 64
-    insts = gen.random_trace(rng, 600, gen.MEMORY_WEIGHTS)
-    reports = {
-        batch: analyze(model, gen.ChunkedBroker(insts, batch)).to_json()
-        for batch in (1, 7)
-    }
-    reports[None] = analyze(model, SequenceBroker(insts)).to_json()
-    assert reports[1] == reports[7] == reports[None]
-    pool = json.loads(reports[None])["pool"]
-    assert pool["peak_live"] == 256 + model.reorder_buffer_size
+    for n in (600, 512):
+        insts = gen.random_trace(rng, n, gen.MEMORY_WEIGHTS)
+        reports = {
+            batch: analyze(model, gen.ChunkedBroker(insts, batch)).to_json()
+            for batch in (1, 7)
+        }
+        reports[None] = analyze(model, SequenceBroker(insts)).to_json()
+        assert reports[1] == reports[7] == reports[None]
+        pool = json.loads(reports[None])["pool"]
+        assert pool["peak_live"] == 256 + model.reorder_buffer_size
 
 
 def test_truncated_stream_drains_and_flags(model):

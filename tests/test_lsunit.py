@@ -1,38 +1,47 @@
-"""Alias policies, range overlap, and memory queue blocking rules."""
+"""Alias policies, memory queue blocking rules, and byte-range overlap."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cycletrace import AccessKind, AliasPolicy, MemQueues, MemoryAccess, ranges_overlap
+from cycletrace import AccessKind, AliasPolicy, MemQueues, MemoryAccess
 
 L = lambda a, s: MemoryAccess(AccessKind.LOAD, a, s)
 S = lambda a, s: MemoryAccess(AccessKind.STORE, a, s)
 
 
+def store_blocks_load(a, sa, b, sb):
+    """Whether an older store of [a, a+sa) blocks a younger load of
+    [b, b+sb) under METADATA."""
+    q = queues()
+    q.insert(1, (), (S(a, sa),))
+    q.insert(2, (L(b, sb),), ())
+    return q.find_blocker(AliasPolicy.METADATA, 2, (L(b, sb),), ()) is not None
+
+
 def test_overlap_basics():
-    assert ranges_overlap(0, 8, 4, 8)
-    assert ranges_overlap(4, 8, 0, 8)
-    assert ranges_overlap(0, 8, 0, 1)
-    assert not ranges_overlap(0, 8, 8, 8)   # half-open: touching is disjoint
-    assert not ranges_overlap(8, 8, 0, 8)
+    assert store_blocks_load(0, 8, 4, 8)
+    assert store_blocks_load(4, 8, 0, 8)
+    assert store_blocks_load(0, 8, 0, 1)
+    assert not store_blocks_load(0, 8, 8, 8)   # half-open: touching is disjoint
+    assert not store_blocks_load(8, 8, 0, 8)
 
 
 @given(st.integers(0, 100), st.integers(1, 16),
        st.integers(0, 100), st.integers(1, 16))
 def test_overlap_symmetric(a, sa, b, sb):
-    assert ranges_overlap(a, sa, b, sb) == ranges_overlap(b, sb, a, sa)
+    assert store_blocks_load(a, sa, b, sb) == store_blocks_load(b, sb, a, sa)
 
 
 @given(st.integers(0, 100), st.integers(1, 16))
 def test_overlap_reflexive(a, s):
-    assert ranges_overlap(a, s, a, s)
+    assert store_blocks_load(a, s, a, s)
 
 
 @given(st.integers(0, 100), st.integers(1, 16),
        st.integers(0, 100), st.integers(1, 16))
 def test_overlap_matches_interval_arithmetic(a, sa, b, sb):
     expected = len(set(range(a, a + sa)) & set(range(b, b + sb))) > 0
-    assert ranges_overlap(a, sa, b, sb) == expected
+    assert store_blocks_load(a, sa, b, sb) == expected
 
 
 def queues(lq=16, sq=16):

@@ -43,6 +43,14 @@ def test_parse_full_program():
     assert prog.label_address("top") == 0x400004
 
 
+@pytest.mark.parametrize("imm,value", [
+    ("007", 7), ("-010", -10), ("0x10", 16), ("1_000", 1000),
+])
+def test_immediates_read_numbers_as_the_trace_does(imm, value):
+    prog = parse_program(f"const r1, {imm}\nhalt\n")
+    assert prog.instructions[0].imm == value
+
+
 def test_entry_defaults_to_first_instruction():
     prog = parse_program("add r1, r0, r0\nhalt\n")
     assert prog.entry == 0
