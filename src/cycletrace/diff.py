@@ -64,11 +64,29 @@ def diff_reports(
     candidate: AnalysisReport,
     measured_delta: float | None = None,
 ) -> DiffReport:
+    """Compare two reports of the same-named model, baseline first.
+
+    Reports from different models, from different alias policies, or of
+    a truncated stream are refused: their cycle counts do not measure
+    the same thing.
+    """
     if base.model_name != candidate.model_name:
         raise AnalysisError(
             "cannot compare runs from different models: "
             f"'{base.model_name}' vs '{candidate.model_name}'"
         )
+    if base.alias_policy != candidate.alias_policy:
+        raise AnalysisError(
+            "cannot compare runs under different alias policies: "
+            f"alias_policy '{base.alias_policy}' vs "
+            f"'{candidate.alias_policy}'"
+        )
+    for role, report in (("baseline", base), ("candidate", candidate)):
+        if report.truncated:
+            raise AnalysisError(
+                f"cannot compare a truncated run: the {role} report has "
+                "truncated: true"
+            )
     delta = differential_throughput(
         base.summary.total_cycles, candidate.summary.total_cycles
     )

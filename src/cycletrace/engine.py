@@ -22,17 +22,33 @@ what changes, not the size of the window:
   * blocked by an older LSQ entry: parked on that entry's seq and put
     back in the ready heap when the entry executes, in the complete stage
     or on a single-cycle issue earlier in the same pass;
-  * short of resource units: kept in a heap per class.  Every record of
-    a class claims the same units, and within a pass units only get
-    busier, so once one record of a class fails the rest of the class
-    would fail too; each cycle only the oldest record of each class is
-    tried, and the next one follows only after it gets past the units;
+  * short of resource units: kept in a heap shared by the classes that
+    claim the same units the same number of times, until their next-free
+    cycle (unit_free_at), set whenever one of them fails to claim or
+    issues.  Claiming a resource k times needs k of its units free at
+    once, so not before the k-th smallest busy_until + 1; the latest of
+    these over the resources stays a lower bound, as units only get
+    busier.  Until then a ready record of those classes goes straight to
+    the heap; from then on the heap's oldest returns each cycle, and the
+    next follows whenever one gets past the units;
   * inside a multi-uop dispatch span: retried every cycle (deferred).
 
-This is exact: every attempt skipped would have failed, and a failed
-attempt has no side effects, since partial unit claims are rolled back.
-Memory blocking only ever clears, because entries enter the queues in
-seq order, so no older entry can appear after a record was refused.
+A cycle ends quiet when nothing is ready or deferred, the ROB head has
+not executed, and dispatch is held by ROB or LSQ space, a dispatch span
+or an empty entry buffer.  No stage can then act before the next
+completion, the span's end or the next-free cycle of a heap with
+waiters; until then (_quiet_until, which a driver-side skip over idle
+cycles or a bulk count of stall cycles would read) run_cycle only
+advances the clock.  Feeding an empty entry buffer ends the window.
+
+All of this is exact.  Records sharing a heap need the same free units,
+so within a pass, as units only get busier, once one fails all would.  A
+skipped attempt would have failed, and a failed one has no side effects.
+Memory blocking only ever clears, because entries enter the queues in seq
+order, so no older entry can appear after a record was refused.  A quiet
+cycle would have retired, completed, issued and dispatched nothing, and
+with a cycle run only on a full entry buffer or an ended stream, fetch
+pacing cannot matter.
 
 Records live in a recycle pool: the pipeline allocates a new record only
 when the free list is empty, so memory stays bounded by the ROB plus the
@@ -52,6 +68,18 @@ from .model import InstrClass, MachineModel, effective_latency
 from .trace import AccessKind
 
 
+def _free_from(claims) -> int:
+    """First cycle at which each claimed resource has a unit per claim."""
+    return 1 + max(sorted(units)[sum(u is units for u, _ in claims) - 1]
+                   for units, _ in claims)
+
+
+class _UnitWaits(list):
+    """Heap of ready seq ids short of units, with their next-free cycle."""
+
+    unit_free_at = 0
+
+
 @dataclass(slots=True)
 class InstrRecord:
     """Mutable per-instruction pipeline state; pooled and recycled."""
@@ -67,7 +95,7 @@ class InstrRecord:
     reads: tuple[int, ...] = ()
     writes: tuple[int, ...] = ()
     waiting_on: set[int] = field(default_factory=set)
-    claims: tuple = ()          # (resource name, busy list, occupancy cycles)
+    claims: tuple = ()          # (busy list, occupancy cycles) per claim
     loads: tuple = ()           # MemoryAccess or None (metadata missing)
     stores: tuple = ()
 
@@ -84,31 +112,19 @@ class RecyclePool:
 
     def __init__(self):
         self._free: list[InstrRecord] = []
-        self._live = 0
         self.total_allocated = 0
         self.total_recycled = 0
-        self.peak_live = 0
 
     def acquire(self) -> InstrRecord:
         if self._free:
-            rec = self._free.pop()
-        else:
-            rec = InstrRecord()
-            self.total_allocated += 1
-        self._live += 1
-        if self._live > self.peak_live:
-            self.peak_live = self._live
-        return rec
+            return self._free.pop()
+        self.total_allocated += 1
+        return InstrRecord()
 
     def release(self, rec: InstrRecord):
         rec.waiting_on.clear()
         self._free.append(rec)
         self.total_recycled += 1
-        self._live -= 1
-
-    def stats(self) -> PoolStats:
-        return PoolStats(self.total_allocated, self.total_recycled,
-                         self.peak_live)
 
 
 class Pipeline:
@@ -138,17 +154,19 @@ class Pipeline:
         self.consumers: dict[int, list[InstrRecord]] = {}
         self.ready: list[int] = []                # heap of ready seq ids
         self.deferred: list[int] = []             # in a dispatch span; next cycle
-        # class name -> heap of ready seq ids that found its units busy
-        self.unit_waits: dict[str, list[int]] = {
-            c.name: [] for c in model.classes if c.resource_usage
-        }
+        # class name -> its _UnitWaits, shared by the classes that claim
+        # the same resources the same number of times
+        groups: dict[tuple, _UnitWaits] = {}
+        self.unit_waits: dict[str, _UnitWaits] = {
+            c.name: groups.setdefault(
+                tuple(sorted(r for r, _ in c.resource_usage)), _UnitWaits())
+            for c in model.classes if c.resource_usage}
+        self._unit_groups = list(groups.values())
         self.executing: list[tuple[int, int]] = []  # heap (completes_at, seq)
-        self.busy: dict[str, list[int]] = {
-            r.name: [-1] * r.units for r in model.resources
-        }
-        # class name -> (resource name, busy list, occupancy cycles) claims
+        busy = {r.name: [-1] * r.units for r in model.resources}
+        # class name -> (busy list, occupancy cycles) per claim
         self.claims: dict[str, tuple] = {
-            c.name: tuple((rname, self.busy[rname], cycles)
+            c.name: tuple((busy[rname], cycles)
                           for rname, cycles in c.resource_usage)
             for c in model.classes
         }
@@ -157,7 +175,7 @@ class Pipeline:
 
         self.instructions_retired = 0
         self.uops_retired = 0
-        self.resource_claimed: dict[str, int] = {r.name: 0 for r in model.resources}
+        self.resource_claimed: dict[str, int] = dict.fromkeys(busy, 0)
         self.missing_metadata = 0
         self.iteration = 0
         self.retire_sink: Callable[[InstrRecord, int], None] | None = None
@@ -165,6 +183,7 @@ class Pipeline:
         self._last_seq = -1
         self._last_retire_cycle = -1
         self._dispatch_busy_until = -1
+        self._quiet_until = 0
 
     # -- input -------------------------------------------------------------
 
@@ -178,6 +197,8 @@ class Pipeline:
         space = self.entry_capacity - len(self.entry)
         if space <= 0:
             return 0
+        if space == self.entry_capacity:
+            self._quiet_until = 0  # dispatch may act again
         accepted = 0
         model = self.model
         class_index = model._class_index
@@ -191,43 +212,29 @@ class Pipeline:
             if seq <= self._last_seq:
                 raise AnalysisError(
                     f"instruction {seq}: sequence id not increasing "
-                    f"(previous {self._last_seq})"
-                )
+                    f"(previous {self._last_seq})")
             cls = class_index.get(inst.class_name)
             if cls is None:
                 raise AnalysisError(
-                    f"instruction {seq}: unknown class '{inst.class_name}'"
-                )
+                    f"instruction {seq}: unknown class '{inst.class_name}'")
 
             if inst.mem or cls.may_load or cls.may_store:
                 loads: list = []
                 stores: list = []
                 for acc in inst.mem:
-                    if acc.kind is AccessKind.LOAD:
-                        if not cls.may_load:
-                            raise AnalysisError(
-                                f"instruction {seq}: class '{cls.name}' "
-                                "may not load"
-                            )
-                        loads.append(acc)
-                    else:
-                        if not cls.may_store:
-                            raise AnalysisError(
-                                f"instruction {seq}: class '{cls.name}' "
-                                "may not store"
-                            )
-                        stores.append(acc)
-                missing = False
-                if cls.may_load and not loads:
-                    loads.append(None)
-                    missing = True
-                if cls.may_store and not stores:
-                    stores.append(None)
-                    missing = True
-                if missing:
+                    is_load = acc.kind is AccessKind.LOAD
+                    if not (cls.may_load if is_load else cls.may_store):
+                        raise AnalysisError(
+                            f"instruction {seq}: class '{cls.name}' may not "
+                            f"{'load' if is_load else 'store'}")
+                    (loads if is_load else stores).append(acc)
+                # An access the producer did not trace is None.
+                no_load = cls.may_load and not loads
+                no_store = cls.may_store and not stores
+                if no_load or no_store:
                     self.missing_metadata += 1
-                load_accs = tuple(loads)
-                store_accs = tuple(stores)
+                load_accs = (None,) if no_load else tuple(loads)
+                store_accs = (None,) if no_store else tuple(stores)
             else:
                 load_accs = store_accs = ()
 
@@ -243,9 +250,7 @@ class Pipeline:
             rec = pool.acquire()
             rec.seq_id = seq
             rec.cls = cls
-            rec.dispatched_at = -1
-            rec.issued_at = -1
-            rec.executed_at = -1
+            rec.dispatched_at = rec.issued_at = rec.executed_at = -1
             rec.retired_at = -1
             rec.effective_latency = lat
             rec.uops = cls.num_uops
@@ -267,6 +272,9 @@ class Pipeline:
 
     def run_cycle(self):
         cycle = self.cycle
+        if cycle < self._quiet_until:
+            self.cycle = cycle + 1
+            return
         live = self.live
 
         # 1. retire from the ROB head, in order
@@ -308,70 +316,66 @@ class Pipeline:
         # 3. issue ready records oldest-first; a producer completing here
         #    (single-cycle latency) can wake and issue its consumers within
         #    the same pass, which keeps issue order equal to seq order.
-        #    A record that cannot issue waits where it is blocked; of the
-        #    records blocked on their class's units, only the oldest of
-        #    each class comes back each cycle.
+        #    Of the records short of units, only the oldest of each heap
+        #    whose next-free cycle has come returns.
         ready = self.ready
         deferred = self.deferred
-        if deferred:
-            for seq in deferred:
-                heappush(ready, seq)
-            deferred.clear()
+        for seq in deferred:
+            heappush(ready, seq)
+        deferred.clear()
         unit_waits = self.unit_waits
-        for waiting in unit_waits.values():
-            if waiting:
+        groups = self._unit_groups
+        for waiting in groups:
+            if waiting and waiting.unit_free_at <= cycle:
                 heappush(ready, heappop(waiting))
         if ready:
             policy = self.policy
             queues = self.queues
             consumers = self.consumers
             claimed = self.resource_claimed
-            full: set[str] = set()   # classes whose units ran out this pass
             while ready:
                 seq = heappop(ready)
                 rec = live[seq]
                 if rec.dispatched_at >= cycle:
                     deferred.append(seq)
                     continue
-                name = rec.cls.name
-                waiting = unit_waits.get(name)
-                if name in full:
-                    heappush(waiting, seq)
-                    continue
-                if waiting:
-                    # The next oldest of the class tries after this one;
-                    # if this one runs out of units, it goes straight back.
-                    heappush(ready, heappop(waiting))
+                claims = rec.claims
+                if claims:
+                    waiting = unit_waits[rec.cls.name]
+                    if waiting.unit_free_at > cycle:
+                        heappush(waiting, seq)
+                        continue
                 loads = rec.loads
                 stores = rec.stores
                 if loads or stores:
                     blocker = queues.find_blocker(policy, seq, loads, stores)
                     if blocker is not None:
                         consumers.setdefault(blocker, []).append(rec)
+                        if claims and waiting:
+                            heappush(ready, heappop(waiting))
                         continue
-                claims = rec.claims
                 if claims:
-                    granted = []
-                    ok = True
-                    for rname, units, occ in claims:
-                        idx = -1
-                        for i, busy_until in enumerate(units):
-                            if busy_until < cycle:
-                                idx = i
-                                break
-                        if idx < 0:
-                            ok = False
-                            break
-                        granted.append((units, idx, units[idx]))
-                        units[idx] = cycle + occ - 1
-                    if not ok:
-                        for units, idx, old in granted:
-                            units[idx] = old
-                        full.add(name)
+                    # Units free before this cycle are alike for every
+                    # later one, so any of them will do.
+                    if len(claims) == 1:
+                        units, occ = claims[0]
+                        low = min(units)
+                        if low < cycle:
+                            units[units.index(low)] = cycle + occ - 1
+                        waiting.unit_free_at = min(units) + 1
+                    else:
+                        low = _free_from(claims) - 1
+                        if low < cycle:
+                            for units, occ in claims:
+                                units[units.index(min(units))] = cycle + occ - 1
+                        waiting.unit_free_at = _free_from(claims)
+                    if low >= cycle:
                         heappush(waiting, seq)
                         continue
-                    for rname, units, occ in claims:
+                    for rname, occ in rec.cls.resource_usage:
                         claimed[rname] += occ
+                    if waiting and waiting.unit_free_at <= cycle:
+                        heappush(ready, heappop(waiting))
                 rec.issued_at = cycle
                 lat = rec.effective_latency
                 if lat == 1:
@@ -382,34 +386,45 @@ class Pipeline:
                 else:
                     heappush(executing, (cycle + lat - 1, seq))
 
-        # 4. dispatch from the entry buffer while width and space allow
+        # 4. dispatch from the entry buffer while width and space allow;
+        #    held is whether ROB or LSQ space stopped it
         entry = self.entry
+        held = False
         if entry and cycle > self._dispatch_busy_until:
             width = self.model.dispatch_width
             rob_size = self.model.reorder_buffer_size
+            queues = self.queues
             budget = width
             while entry and budget > 0:
                 rec = entry[0]
                 uops = rec.uops
+                if budget < width if uops > width else uops > budget:
+                    break
+                held = len(rob) >= rob_size or (
+                    (rec.loads or rec.stores)
+                    and not queues.can_insert(len(rec.loads), len(rec.stores)))
+                if held:
+                    break
+                entry.popleft()
                 if uops > width:
                     # Wider than the machine: takes dispatch for whole
                     # cycles, and only starts on a fresh cycle.
-                    if budget < width:
-                        break
-                    if len(rob) >= rob_size or not self._queue_space(rec):
-                        break
-                    entry.popleft()
-                    span = -(-uops // width)
-                    self._dispatch_busy_until = cycle + span - 1
-                    self._enter_rob(rec, cycle + span - 1)
+                    self._dispatch_busy_until = cycle - 1 - (-uops // width)
+                    self._enter_rob(rec, self._dispatch_busy_until)
                     break
-                if uops > budget:
-                    break
-                if len(rob) >= rob_size or not self._queue_space(rec):
-                    break
-                entry.popleft()
                 self._enter_rob(rec, cycle)
                 budget -= uops
+
+        # 5. if no stage can act next cycle, note when one next can
+        if not (ready or deferred or rob and rob[0].executed_at >= 0):
+            until = executing[0][0] if executing else float("inf")
+            if entry and not held:
+                until = min(until, self._dispatch_busy_until + 1)
+            if until > cycle + 1:
+                for waiting in groups:
+                    if waiting and waiting.unit_free_at < until:
+                        until = waiting.unit_free_at
+                self._quiet_until = until
 
         self.cycle = cycle + 1
 
@@ -428,31 +443,21 @@ class Pipeline:
                     continue
             heappush(ready, rec.seq_id)
 
-    def _queue_space(self, rec: InstrRecord) -> bool:
-        if not rec.loads and not rec.stores:
-            return True
-        return self.queues.can_insert(len(rec.loads), len(rec.stores))
-
     def _enter_rob(self, rec: InstrRecord, dispatched_at: int):
         seq = rec.seq_id
         rec.dispatched_at = dispatched_at
         self.rob.append(rec)
-        self.live[seq] = rec
+        live = self.live
+        live[seq] = rec
         scoreboard = self.scoreboard
         waiting = rec.waiting_on
         consumers = self.consumers
-        live = self.live
         for reg in rec.reads:
             producer = scoreboard.get(reg)
-            if producer is not None and producer not in waiting:
-                prec = live[producer]
-                if prec.executed_at < 0:
-                    waiting.add(producer)
-                    lst = consumers.get(producer)
-                    if lst is None:
-                        consumers[producer] = [rec]
-                    else:
-                        lst.append(rec)
+            if (producer is not None and producer not in waiting
+                    and live[producer].executed_at < 0):
+                waiting.add(producer)
+                consumers.setdefault(producer, []).append(rec)
         for reg in rec.writes:
             scoreboard[reg] = seq
         if rec.loads or rec.stores:
@@ -465,23 +470,18 @@ class Pipeline:
     def run_until_starved(self, broker) -> bool:
         """Pump the broker through the pipeline until the stream ends.
 
-        Returns only once the stream has ended or been truncated and the
+        Returns once the stream has ended or been truncated and the
         pipeline has drained; the result is whether it was truncated.  A
-        broker may block until it has instructions, and an empty batch
-        that has not ended is simply fetched again.
+        broker may block, and an empty batch that has not ended is simply
+        fetched again.  A cycle runs only when the entry buffer is full or
+        the stream has ended, so cycle counts, timestamps and pool stats
+        depend only on the stream contents, never on its batching or pace.
 
-        A cycle runs only when the entry buffer is full or the stream has
-        ended, so cycle counts, timestamps and pool stats depend only on
-        the stream contents, never on how the producer batched or paced
-        them.
-
-        The broker is asked for entry_capacity instructions at a time, and
-        a batch is staged here until the entry buffer has taken all of it;
-        the broker is asked again only once the staged batch is used up.
-        So a stream costs one fetch per batch rather than one per cycle,
-        and staging holds at most entry_capacity instructions beyond the
-        buffer.  End of stream and truncation can only be seen with
-        nothing staged, so no instruction is dropped.
+        Each fetch asks for entry_capacity instructions, and the batch is
+        staged here until the entry buffer has taken all of it: one fetch
+        per batch, not per cycle, and at most entry_capacity instructions
+        staged beyond the buffer.  End of stream and truncation can only
+        be seen with nothing staged, so no instruction is dropped.
         """
         capacity = self.entry_capacity
         entry = self.entry
@@ -502,9 +502,7 @@ class Pipeline:
                 except TruncatedTraceError:
                     truncated = eos = True
                     break
-                staged = got.instructions
-                pos = 0
-                eos = got.end_of_stream
+                staged, pos, eos = got.instructions, 0, got.end_of_stream
             if not entry and not self.rob:
                 return truncated
             self.run_cycle()
@@ -528,4 +526,6 @@ class Pipeline:
         return self._last_retire_cycle + 1
 
     def pool_stats(self) -> PoolStats:
-        return self.pool.stats()
+        pool = self.pool  # allocates only once every record is live
+        return PoolStats(pool.total_allocated, pool.total_recycled,
+                         pool.total_allocated)

@@ -6,10 +6,12 @@ import random
 import pytest
 
 import gen
+import refsim
 from cycletrace import (
     AliasPolicy,
     AnalysisReport,
     Batch,
+    Pipeline,
     RegionSpec,
     SequenceBroker,
     TimelineRecorder,
@@ -21,7 +23,7 @@ from cycletrace import (
     parse_regions,
     render_trace,
 )
-from gen import ti
+from gen import make_class, make_model, ti
 
 
 class TruncatingBroker:
@@ -250,6 +252,51 @@ def test_region_visits_segment_the_loop(model):
     assert r.cycles == sum(c for _, c in r.per_visit)
     # out-of-region instructions never reach the pipeline
     assert report.summary.instructions == 6
+
+
+def test_visits_ending_in_a_long_op_time_like_separate_runs(monkeypatch):
+    # Each visit ends in a long-latency op, so its drain ends inside a
+    # quiet window, which the next visit's first instruction must end.
+    # Occupancy never exceeds latency, so every unit is free at each
+    # drain and a visit times as its instructions alone.
+    m = make_model(
+        [
+            make_class("alu", 1, uses=[("A", 1)]),
+            make_class("div", 24, uses=[("D", 6)]),
+            make_class("ld", 4, may_load=True, uses=[("A", 1), ("A", 2)]),
+            make_class("out", 1),
+        ],
+        resources=[("A", 2), ("D", 1)],
+    )
+    rng = random.Random(11)
+    trace, visits = [], []
+    for _ in range(8):
+        body = []
+        for i in range(rng.randint(0, 12)):
+            cls = rng.choice(["alu", "div", "ld"])
+            body.append(ti(
+                len(trace) + i, cls,
+                reads=[rng.randrange(4)], writes=[rng.randrange(4)],
+                loads=[(0x100, 8)] if cls == "ld" else (),
+                address=0x1000 + 4 * i))
+        body.append(ti(len(trace) + len(body), "div", reads=[0],
+                       address=0x1000 + 4 * len(body)))
+        trace += body + [ti(len(trace) + len(body), "out", address=0x9000)]
+        visits.append(body)
+    spec = RegionSpec.from_ranges([(0x1000, 0x2000, None)])
+    run_cycle = Pipeline.run_cycle
+    calls = 0
+
+    def bounded(pipe):  # fail rather than hang if a drain never ends
+        nonlocal calls
+        calls += 1
+        assert calls < 10_000
+        run_cycle(pipe)
+
+    monkeypatch.setattr(Pipeline, "run_cycle", bounded)
+    report = analyze(m, SequenceBroker(trace), regions=spec)
+    assert report.regions.per_visit == tuple(
+        (len(body), refsim.simulate(m, body)[0]) for body in visits)
 
 
 def test_region_visits_tag_timeline_iterations(model):

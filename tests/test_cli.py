@@ -307,6 +307,22 @@ def test_diff_mismatched_models(tmp_path, report_pair, capsys):
     assert "different models" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("alias_policy", "none", "alias_policy 'metadata' vs 'none'"),
+    ("truncated", True, "the candidate report has truncated: true"),
+])
+def test_diff_refuses_incomparable_reports(tmp_path, report_pair, capsys,
+                                           field, value, message):
+    base, _ = report_pair
+    other = json.loads(Path(base).read_text())
+    other[field] = value
+    cand = tmp_path / "other.json"
+    cand.write_text(json.dumps(other))
+    capsys.readouterr()
+    assert main(["diff", "--base", base, "--cand", str(cand)]) == 4
+    assert message in capsys.readouterr().err
+
+
 def test_diff_rejects_non_report_json(tmp_path, report_pair, capsys):
     base, _ = report_pair
     bogus = tmp_path / "bogus.json"

@@ -1,10 +1,12 @@
 """Differential throughput math and diff reports."""
 
+import dataclasses
 import math
 
 import pytest
 
 from cycletrace import (
+    AliasPolicy,
     AnalysisError,
     SequenceBroker,
     TraceParseError,
@@ -135,6 +137,25 @@ def test_diff_rejects_mismatched_models(model):
     b = analyze(other, SequenceBroker([ti(0, "add")]))
     with pytest.raises(AnalysisError, match="different models"):
         diff_reports(a, b)
+
+
+def test_diff_rejects_mixed_alias_policies(model):
+    insts = [ti(0, "store", stores=[(0x10, 8)]), ti(1, "load", loads=[(0, 8)])]
+    a = analyze(model, SequenceBroker(insts))
+    b = analyze(model, SequenceBroker(insts), alias_policy=AliasPolicy.ALL)
+    with pytest.raises(AnalysisError,
+                       match="alias_policy 'metadata' vs 'all'"):
+        diff_reports(a, b)
+
+
+def test_diff_rejects_a_truncated_report_on_either_side(model):
+    whole = analyze(model, SequenceBroker([ti(0, "add")]))
+    cut = dataclasses.replace(whole, truncated=True)
+    for role, (base, cand) in (("baseline", (cut, whole)),
+                               ("candidate", (whole, cut))):
+        with pytest.raises(AnalysisError,
+                           match=f"the {role} report has truncated: true"):
+            diff_reports(base, cand)
 
 
 # -- ground truth files -------------------------------------------------------

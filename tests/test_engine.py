@@ -333,8 +333,9 @@ def test_failed_multi_claim_blocks_its_class_but_frees_the_port():
     insts = [ti(0, "holdq"), ti(1, "both"), ti(2, "both"),
              ti(3, "p_only"), ti(4, "p_only")]
     pipe, recorder = _stepped(m, insts, 2)
-    # At cycle 1 the first "both" wins a P unit, loses Q and gives P back;
-    # the second "both" is not tried, and both p_only records take P.
+    # At cycle 1 the first "both" finds Q busy and claims nothing, so P
+    # stays free; the second "both" is not tried, and both p_only records
+    # take P.
     assert sorted(pipe.unit_waits["both"]) == [1, 2]
     assert pipe.ready == [] and pipe.deferred == []
     t = _finish_like_reference(pipe, recorder, m, insts)
@@ -353,6 +354,30 @@ def test_record_in_dispatch_span_waits_for_its_last_slot():
     assert pipe.deferred == []
     t = _finish_like_reference(pipe, recorder, m, insts)
     assert t[0][:2] == (2, 3)
+
+
+def test_latency_bound_chain_takes_the_quiet_path():
+    # A serial chain of latency-30 ops: between a completion and the next
+    # one no stage can act, so those cycles only advance the clock.
+    m = make_model([make_class("slow", 30, uses=[("P", 1)])],
+                   resources=[("P", 1)], rob=16)
+    insts = [ti(s, "slow", reads=[1], writes=[1]) for s in range(2000)]
+    pipe = Pipeline(m)
+    recorder = TimelineRecorder().attach(pipe)
+    run_cycle = pipe.run_cycle
+    quiet = 0
+
+    def observed():
+        nonlocal quiet
+        quiet += pipe.cycle < pipe._quiet_until
+        run_cycle()
+
+    pipe.run_cycle = observed
+    assert not pipe.run_trace(insts)
+    rows = sorted(recorder.rows, key=lambda r: r.seq_id)
+    assert (pipe.total_cycles, times_of(rows)) == refsim.simulate(m, insts)
+    assert pipe.total_cycles == 30 + 29 * 1999 + 2
+    assert quiet > 0.9 * pipe.total_cycles
 
 
 def test_independent_stream_total_cycles():

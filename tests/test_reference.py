@@ -14,6 +14,7 @@ import pytest
 import gen
 import refsim
 from cycletrace import AliasPolicy
+from gen import make_class, make_model
 
 
 def both(model, insts, policy=AliasPolicy.METADATA):
@@ -44,6 +45,60 @@ def test_wide_windows_match_reference():
         # Log-uniform lengths keep the slow oracle's share of the run small.
         n = int(math.exp(rng.uniform(math.log(50), math.log(400))))
         insts = gen.random_trace(rng, n, weights)
+        ref, eng = both(model, insts, policies[case % len(policies)])
+        assert eng == ref, f"case {case}"
+
+
+def repeat_claim_model(rng):
+    """Claims gen's models never make: one resource claimed twice, so two
+    of its units must be free at once, and claims on two resources with
+    different occupancies."""
+    width = rng.choice([1, 2, 4])
+    classes = [
+        make_class("p2", rng.randint(1, 6),
+                   uses=[("P", rng.randint(1, 4)), ("P", rng.randint(1, 4))]),
+        make_class("pq", rng.randint(1, 6),
+                   uses=[("P", rng.randint(1, 2)), ("Q", rng.randint(3, 7))]),
+        make_class("q2", rng.randint(2, 8),
+                   uses=[("Q", 1), ("Q", rng.randint(2, 5))]),
+        make_class("p", rng.randint(1, 3), uses=[("P", rng.randint(1, 3))]),
+        make_class("ld", rng.randint(2, 8), may_load=True,
+                   uses=[("Q", 1), ("M", rng.randint(1, 3))]),
+        make_class("st", rng.randint(1, 3), may_store=True,
+                   uses=[("M", 1), ("M", 2)]),
+        make_class("wide", rng.randint(1, 3), uops=width + rng.randint(1, 4),
+                   uses=[("P", 2), ("P", 1)]),
+        make_class("skip", 1),
+    ]
+    return make_model(
+        classes,
+        name=f"claims-w{width}",
+        width=width,
+        retire=rng.choice([1, 2, 4]),
+        rob=rng.choice([8, 32, 128]),
+        lq=rng.choice([2, 8]),
+        sq=rng.choice([2, 8]),
+        resources=[("P", rng.randint(2, 3)), ("Q", rng.randint(2, 3)),
+                   ("M", 2)],
+    )
+
+
+REPEAT_CLAIM_WEIGHTS = [
+    ("p2", 3), ("pq", 3), ("q2", 2), ("p", 3), ("ld", 3), ("st", 3),
+    ("wide", 1), ("skip", 1),
+]
+
+
+def test_repeated_and_mixed_claims_match_reference():
+    # A class's next-free cycle is the k-th smallest busy_until + 1 of a
+    # resource it claims k times, the latest over its resources; these
+    # models make k = 2 and unequal occupancies common.
+    rng = random.Random(0x2C1A)
+    policies = list(AliasPolicy)
+    for case in range(200):
+        model = repeat_claim_model(rng)
+        insts = gen.random_trace(rng, rng.randint(5, 150),
+                                 REPEAT_CLAIM_WEIGHTS)
         ref, eng = both(model, insts, policies[case % len(policies)])
         assert eng == ref, f"case {case}"
 
