@@ -5,11 +5,14 @@ name, where the trace came from and a digest of its content, the summary
 statistics, allocator behavior, and optional per-region accounting.
 Reports serialize to JSON so a later diff never needs the trace again.
 
-Region filtering works on instruction addresses.  Instructions outside
-every region range are dropped before they reach the pipeline; each
-maximal run of in-region instructions is one visit.  Leaving the region
-drains the pipeline, so visits are timed independently, and the visit
-number becomes the timeline iteration tag.
+Region filtering works on instruction addresses.  A region run streams
+the broker just as a plain run does, and groups the stream by whether
+each instruction lies in a region range; instructions outside every
+range are dropped before they reach the pipeline (the digest still covers
+them).  Each maximal run of in-region instructions is one visit: it
+starts on a drained pipeline and is drained at its end, so visits are
+timed independently, and the visit number becomes the timeline iteration
+tag.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ import hashlib
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, groupby
 
+from .brokers import BrokerStream
 from .engine import Pipeline, PoolStats
-from .errors import TraceParseError, TruncatedTraceError
+from .errors import TraceParseError
 from .lsunit import AliasPolicy
 from .model import MachineModel
 from .trace import read_int, render_trace
@@ -233,54 +238,27 @@ def analyze(
     )
 
 
-def _feed_one(pipe: Pipeline, inst):
-    # As in run_until_starved, a cycle runs only on a full entry buffer.
-    while pipe.feed((inst,)) == 0:
-        pipe.run_cycle()
-
-
 def _analyze_regions(pipe, broker, regions):
-    in_region = False
-    visit = -1
-    visit_instructions = 0
-    analyzed = 0
-    cycles_base = 0
+    stream = BrokerStream(broker, pipe.entry_capacity)
+    contains, push = regions.contains, pipe.push
     per_visit: list[tuple[int, int]] = []
-    truncated = False
-
-    eos = False
-    while not eos:
-        try:
-            batch = broker.fetch_batch(pipe.entry_capacity)
-        except TruncatedTraceError:
-            truncated = True
-            break
-        for inst in batch.instructions:
-            if regions.contains(inst.address):
-                if not in_region:
-                    in_region = True
-                    visit += 1
-                    pipe.iteration = visit
-                    visit_instructions = 0
-                    cycles_base = pipe.total_cycles
-                _feed_one(pipe, inst)
-                visit_instructions += 1
-                analyzed += 1
-            elif in_region:
-                pipe.drain()
-                per_visit.append(
-                    (visit_instructions, pipe.total_cycles - cycles_base)
-                )
-                in_region = False
-        eos = batch.end_of_stream
-
-    pipe.drain()
-    if in_region:
-        per_visit.append((visit_instructions, pipe.total_cycles - cycles_base))
+    for inside, visit in groupby(chain.from_iterable(stream),
+                                 key=lambda inst: contains(inst.address)):
+        if not inside:
+            continue
+        pipe.iteration = len(per_visit)
+        retired, cycles = pipe.instructions_retired, pipe.total_cycles
+        # One instruction per push: a visit is never built into a list,
+        # since a region covering the whole program is one visit.
+        for inst in visit:
+            push((inst,))
+        pipe.drain()
+        per_visit.append((pipe.instructions_retired - retired,
+                          pipe.total_cycles - cycles))
     stats = RegionStats(
-        visits=visit + 1,
-        instructions=analyzed,
+        visits=len(per_visit),
+        instructions=sum(n for n, _ in per_visit),
         cycles=sum(c for _, c in per_visit),
         per_visit=tuple(per_visit),
     )
-    return truncated, stats
+    return stream.truncated, stats

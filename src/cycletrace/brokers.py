@@ -46,6 +46,32 @@ MAX_FRAME_BYTES = 4 << 20
 _RECV_BYTES = 1 << 16  # buffer size of the socket's line reader
 
 
+class BrokerStream:
+    """Iterates a broker's batches, asking for max_n instructions each.
+
+    Yields each batch's instructions, which may be none, until end of
+    stream or a TruncatedTraceError; once the iteration stops, truncated
+    says which of the two ended it.
+    """
+
+    def __init__(self, broker, max_n: int):
+        self.broker = broker
+        self.max_n = max_n
+        self.truncated = False
+
+    def __iter__(self) -> Iterator[tuple[TraceInstruction, ...]]:
+        fetch, max_n = self.broker.fetch_batch, self.max_n
+        while True:
+            try:
+                batch = fetch(max_n)
+            except TruncatedTraceError:
+                self.truncated = True
+                return
+            yield batch.instructions
+            if batch.end_of_stream:
+                return
+
+
 class SequenceBroker:
     """Serves instructions from any in-memory iterable or generator.
 

@@ -47,8 +47,8 @@ skipped attempt would have failed, and a failed one has no side effects.
 Memory blocking only ever clears, because entries enter the queues in seq
 order, so no older entry can appear after a record was refused.  A quiet
 cycle would have retired, completed, issued and dispatched nothing, and
-with a cycle run only on a full entry buffer or an ended stream, fetch
-pacing cannot matter.
+with a cycle run only on a full entry buffer (push) or an ended input
+(drain), fetch pacing cannot matter.
 
 Records live in a recycle pool: the pipeline allocates a new record only
 when the free list is empty, so memory stays bounded by the ROB plus the
@@ -62,9 +62,10 @@ from dataclasses import dataclass, field
 from heapq import heappush, heappop
 from typing import Callable
 
-from .errors import AnalysisError, TruncatedTraceError
+from .brokers import BrokerStream, SequenceBroker
+from .errors import AnalysisError
 from .lsunit import AliasPolicy, MemQueues
-from .model import InstrClass, MachineModel, effective_latency
+from .model import InstrClass, MachineModel, effective_latency, validate_model
 from .trace import AccessKind
 
 
@@ -113,7 +114,6 @@ class RecyclePool:
     def __init__(self):
         self._free: list[InstrRecord] = []
         self.total_allocated = 0
-        self.total_recycled = 0
 
     def acquire(self) -> InstrRecord:
         if self._free:
@@ -124,7 +124,6 @@ class RecyclePool:
     def release(self, rec: InstrRecord):
         rec.waiting_on.clear()
         self._free.append(rec)
-        self.total_recycled += 1
 
 
 class Pipeline:
@@ -134,6 +133,7 @@ class Pipeline:
         alias_policy: AliasPolicy = AliasPolicy.METADATA,
         entry_capacity: int = 256,
     ):
+        validate_model(model)
         # A smaller buffer would cap dispatch below its width and change
         # the cycles, which no report records.
         if entry_capacity < model.dispatch_width:
@@ -195,8 +195,6 @@ class Pipeline:
         all happen here so later stages never fail.
         """
         space = self.entry_capacity - len(self.entry)
-        if space <= 0:
-            return 0
         if space == self.entry_capacity:
             self._quiet_until = 0  # dispatch may act again
         accepted = 0
@@ -467,50 +465,42 @@ class Pipeline:
 
     # -- driving -----------------------------------------------------------
 
-    def run_until_starved(self, broker) -> bool:
-        """Pump the broker through the pipeline until the stream ends.
+    def push(self, instructions):
+        """Feed instructions in order, running a cycle whenever the entry
+        buffer is full; returns once all are in and it is no longer full.
 
-        Returns once the stream has ended or been truncated and the
-        pipeline has drained; the result is whether it was truncated.  A
-        broker may block, and an empty batch that has not ended is simply
-        fetched again.  A cycle runs only when the entry buffer is full or
-        the stream has ended, so cycle counts, timestamps and pool stats
-        depend only on the stream contents, never on its batching or pace.
-
-        Each fetch asks for entry_capacity instructions, and the batch is
-        staged here until the entry buffer has taken all of it: one fetch
-        per batch, not per cycle, and at most entry_capacity instructions
-        staged beyond the buffer.  End of stream and truncation can only
-        be seen with nothing staged, so no instruction is dropped.
+        push runs a cycle only on a full buffer, and drain only once the
+        input has ended, so cycle counts, timestamps and pool stats depend
+        only on the order of the instructions, never on their batching.
         """
         capacity = self.entry_capacity
         entry = self.entry
-        staged: tuple = ()
+        n = len(instructions)
         pos = 0
-        eos = False
-        truncated = False
         while True:
-            while len(entry) < capacity:
-                if pos < len(staged):
-                    space = capacity - len(entry)
-                    pos += self.feed(staged[pos:pos + space])
-                    continue
-                if eos:
-                    break
-                try:
-                    got = broker.fetch_batch(capacity)
-                except TruncatedTraceError:
-                    truncated = eos = True
-                    break
-                staged, pos, eos = got.instructions, 0, got.end_of_stream
-            if not entry and not self.rob:
-                return truncated
-            self.run_cycle()
+            free = capacity - len(entry)
+            if not free:
+                self.run_cycle()
+            elif pos < n:
+                pos += self.feed(instructions[pos:pos + free])
+            else:
+                return
+
+    def run_until_starved(self, broker) -> bool:
+        """Push each batch of the broker's stream, then drain.
+
+        Each fetch asks for entry_capacity instructions; the result is
+        whether the stream was truncated.  A broker may block, and an
+        empty batch that has not ended is simply fetched again.
+        """
+        stream = BrokerStream(broker, self.entry_capacity)
+        for batch in stream:
+            self.push(batch)
+        self.drain()
+        return stream.truncated
 
     def run_trace(self, instructions) -> bool:
         """Convenience: run a fully materialized instruction sequence."""
-        from .brokers import SequenceBroker
-
         return self.run_until_starved(SequenceBroker(instructions))
 
     def drain(self):
@@ -526,6 +516,7 @@ class Pipeline:
         return self._last_retire_cycle + 1
 
     def pool_stats(self) -> PoolStats:
-        pool = self.pool  # allocates only once every record is live
-        return PoolStats(pool.total_allocated, pool.total_recycled,
-                         pool.total_allocated)
+        # The pool allocates only once every record is live (peak_live),
+        # and releases every retired record and no other (total_recycled).
+        allocated = self.pool.total_allocated
+        return PoolStats(allocated, self.instructions_retired, allocated)

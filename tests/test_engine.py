@@ -18,6 +18,7 @@ from cycletrace import (
     AliasPolicy,
     AnalysisError,
     Batch,
+    ModelError,
     Pipeline,
     SequenceBroker,
     TimelineRecorder,
@@ -458,6 +459,15 @@ def test_pool_allocates_only_at_peak(model):
     assert stats.peak_live <= pipe.entry_capacity + model.reorder_buffer_size
 
 
+def test_directly_built_model_is_validated():
+    # Two claims on a one-unit resource could never issue; a pipeline that
+    # took this model unchecked failed with an IndexError at first issue.
+    m = make_model([make_class("pair", 1, uses=[("P", 1), ("P", 1)])],
+                   resources=[("P", 1)])
+    with pytest.raises(ModelError, match="class 'pair': claims resource 'P'"):
+        Pipeline(m)
+
+
 def test_entry_buffer_below_dispatch_width_is_refused():
     # Such a buffer caps dispatch below its width and changes the cycles.
     model = gen.wide_model(random.Random(0))
@@ -615,6 +625,47 @@ def test_reports_are_byte_identical_across_batch_sizes():
         assert reports[1] == reports[7] == reports[None]
         pool = json.loads(reports[None])["pool"]
         assert pool["peak_live"] == 256 + model.reorder_buffer_size
+
+
+@pytest.mark.parametrize("seed,factory,weights,small", [
+    (1, gen.random_model, gen.CLASS_WEIGHTS, False),
+    (2, gen.random_model, gen.MEMORY_WEIGHTS, True),
+    (3, gen.wide_model, gen.CLASS_WEIGHTS, False),
+    (4, gen.wide_model, gen.MEMORY_WEIGHTS, True),
+])
+def test_pushing_one_instruction_at_a_time_matches_run_trace(
+        seed, factory, weights, small):
+    # A region visit is pushed one instruction per call, then drained.
+    rng = random.Random(seed)
+    model = factory(rng)
+    capacity = model.dispatch_width if small else 256
+    insts = gen.random_trace(rng, 400, weights)
+
+    def run(drive):
+        pipe = Pipeline(model, entry_capacity=capacity)
+        recorder = TimelineRecorder().attach(pipe)
+        drive(pipe)
+        return recorder.rows, pipe.total_cycles, pipe.pool_stats()
+
+    def one_at_a_time(pipe):
+        for inst in insts:
+            pipe.push((inst,))
+        pipe.drain()
+
+    assert run(one_at_a_time) == run(lambda pipe: pipe.run_trace(insts))
+
+
+def test_feed_takes_no_more_than_the_free_space(model):
+    insts = [ti(s, "add", writes=[s % 4]) for s in range(10)]
+    pipe = Pipeline(model, entry_capacity=4)
+    recorder = TimelineRecorder().attach(pipe)
+    assert pipe.feed(insts) == 4
+    assert pipe.feed(insts[4:]) == 0
+    pipe.push(insts[4:])  # the rest, offered again
+    pipe.drain()
+    _, ref_times = refsim.simulate(model, insts, AliasPolicy.METADATA)
+    rows = sorted(recorder.rows, key=lambda r: r.seq_id)
+    assert times_of(rows) == ref_times
 
 
 def test_truncated_stream_drains_and_flags(model):

@@ -85,6 +85,17 @@ def test_unknown_field_rejected():
                    '"classes": [], "speed": 9000}')
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"name": "m", "dispatch_width": 1, "rob_size": 4, '
+     '"classes": [{"name": "a"}]}', "class 'a': missing field 'latency'"),
+    ('{"name": "m", "dispatch_width": 1, "rob_size": 4, "classes": [], '
+     '"resources": [{"units": 1}]}', "resource: missing field 'name'"),
+])
+def test_missing_required_field_rejected(text, message):
+    with pytest.raises(ModelError, match=message):
+        load_model(text)
+
+
 @pytest.mark.parametrize("mutation,message", [
     (dict(width=0), "dispatch_width"),
     (dict(retire=0), "retire_width"),

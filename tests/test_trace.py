@@ -131,6 +131,9 @@ def test_seq_must_increase():
     ("I 0 0x0 nop R:1a W:-", "bad register token"),
     ("I 0 0x0 nop R:- W:- L:0x10", "bad memory token"),
     ("I 0 0x0 nop R:- W:- L:0x10:0", "size 0 must be >= 1"),
+    ("I 1 0x10000000000000000 nop R:- W:-",
+     "line 3: address 0x10000000000000000 out of range"),
+    ("I 0 0x0 nop R:- W:- L:-1:8", "address -0x1 out of range"),
     ("I 0 0x0 nop R:- W:- C:=x", "bad context token"),
     ("I 0 0x0 nop R:- W:- C:a=1 C:b=2", "multiple context"),
     ("I 0 0x0 nop R:- W:- whatever", "unrecognized token"),
