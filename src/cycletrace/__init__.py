@@ -8,7 +8,6 @@ counts, summaries, timelines, and differential comparisons between runs.
 from .analysis import (
     AnalysisReport,
     RegionSpec,
-    RegionStats,
     analyze,
     parse_regions,
 )
@@ -20,7 +19,6 @@ from .brokers import (
     stream_to_socket,
 )
 from .diff import (
-    DiffReport,
     diff_reports,
     differential_throughput,
     geometric_mean,
@@ -48,12 +46,11 @@ from .model import (
     InstrClass,
     MachineModel,
     ResourceDesc,
-    effective_latency,
     load_model,
     render_model,
     validate_model,
 )
-from .toyisa import ProgramError, ToyOp, ToyProgram, execute, parse_program
+from .toyisa import ProgramError, execute, parse_program
 from .trace import (
     AccessKind,
     Batch,
@@ -73,7 +70,6 @@ from .views import (
     export_browser_trace,
     render_summary,
     render_timeline,
-    render_trace_events,
     summarize,
     timeline_trace_events,
 )
@@ -87,7 +83,6 @@ __all__ = [
     "AnalysisReport",
     "Batch",
     "CycleTraceError",
-    "DiffReport",
     "FileBroker",
     "InstrClass",
     "InstrRecord",
@@ -100,15 +95,12 @@ __all__ = [
     "ProgramError",
     "ProtocolError",
     "RegionSpec",
-    "RegionStats",
     "ResourceDesc",
     "SequenceBroker",
     "SocketBroker",
     "SummaryStats",
     "TimelineRecorder",
     "TimelineRow",
-    "ToyOp",
-    "ToyProgram",
     "TraceInstruction",
     "TraceParseError",
     "TruncatedTraceError",
@@ -116,7 +108,6 @@ __all__ = [
     "analyze",
     "diff_reports",
     "differential_throughput",
-    "effective_latency",
     "execute",
     "export_browser_trace",
     "from_wire",
@@ -135,7 +126,6 @@ __all__ = [
     "render_summary",
     "render_timeline",
     "render_trace",
-    "render_trace_events",
     "send_trace",
     "stream_to_socket",
     "summarize",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, groupby
 
 from .brokers import BrokerStream
@@ -45,10 +45,7 @@ class RegionSpec:
         cls, entries: list[tuple[int, int, str | None]]
     ) -> "RegionSpec":
         for start, end, _ in entries:
-            if start < 0 or end <= start:
-                raise TraceParseError(
-                    f"bad region range {start:#x}..{end:#x}"
-                )
+            _check_range(start, end)
         merged: list[list[int]] = []
         for start, end, _ in sorted(entries):
             if merged and start < merged[-1][1]:
@@ -67,6 +64,11 @@ class RegionSpec:
         return idx >= 0 and address < self.ranges[idx][1]
 
 
+def _check_range(start: int, end: int, line: int | None = None):
+    if start < 0 or end <= start:
+        raise TraceParseError(f"bad region range {start:#x}..{end:#x}", line)
+
+
 def parse_regions(text: str) -> RegionSpec:
     """Parse a region file: 'R <start> <end>' or 'S <symbol> <start> <end>'."""
     entries: list[tuple[int, int, str | None]] = []
@@ -75,22 +77,20 @@ def parse_regions(text: str) -> RegionSpec:
         if not body:
             continue
         fields = body.split()
+        if fields[0] == "R" and len(fields) == 3:
+            name, bounds = None, fields[1:]
+        elif fields[0] == "S" and len(fields) == 4:
+            name, bounds = fields[1], fields[2:]
+        else:
+            raise TraceParseError(f"bad region line: '{body}'", lineno)
         try:
-            if fields[0] == "R" and len(fields) == 3:
-                entries.append(
-                    (read_int(fields[1]), read_int(fields[2]), None)
-                )
-                continue
-            if fields[0] == "S" and len(fields) == 4:
-                entries.append(
-                    (read_int(fields[2]), read_int(fields[3]), fields[1])
-                )
-                continue
+            start, end = read_int(bounds[0]), read_int(bounds[1])
         except ValueError:
             raise TraceParseError(
                 f"bad address in region line: '{body}'", lineno
             ) from None
-        raise TraceParseError(f"bad region line: '{body}'", lineno)
+        _check_range(start, end, lineno)
+        entries.append((start, end, name))
     if not entries:
         raise TraceParseError("region file declares no ranges")
     return RegionSpec.from_ranges(entries)
@@ -124,20 +124,8 @@ class AnalysisReport:
             "digest": self.digest,
             "alias_policy": self.alias_policy,
             "truncated": self.truncated,
-            "summary": {
-                "instructions": self.summary.instructions,
-                "total_cycles": self.summary.total_cycles,
-                "total_uops": self.summary.total_uops,
-                "dispatch_width": self.summary.dispatch_width,
-                "uops_per_cycle": self.summary.uops_per_cycle,
-                "ipc": self.summary.ipc,
-                "block_rthroughput": self.summary.block_rthroughput,
-            },
-            "pool": {
-                "total_allocated": self.pool.total_allocated,
-                "total_recycled": self.pool.total_recycled,
-                "peak_live": self.pool.peak_live,
-            },
+            "summary": asdict(self.summary),
+            "pool": asdict(self.pool),
             "missing_metadata": self.missing_metadata,
             "regions": None if self.regions is None else {
                 "visits": self.regions.visits,

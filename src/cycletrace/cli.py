@@ -34,7 +34,12 @@ from .lsunit import AliasPolicy
 from .model import load_model
 from .toyisa import ProgramError, execute, parse_program
 from .trace import read_int, render_trace
-from .views import TimelineRecorder, render_summary, render_timeline
+from .views import (
+    TimelineRecorder,
+    render_fields,
+    render_summary,
+    render_timeline,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,11 +61,18 @@ def _window(text: str) -> tuple[int, int]:
     return first, last
 
 
+def _port(text: str) -> int:
+    port = int(text)
+    if not 1 <= port <= 65535:
+        raise ValueError("port must be 1..65535")
+    return port
+
+
 def _endpoint(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise ValueError("expected HOST:PORT")
-    return host, int(port)
+    return host, _port(port)
 
 
 def build_parser() -> _Parser:
@@ -73,7 +85,7 @@ def build_parser() -> _Parser:
     src.add_argument("--trace", help="trace file to analyze")
     src.add_argument("--connect", type=_endpoint, metavar="HOST:PORT",
                      help="pull the trace from a producer at HOST:PORT")
-    src.add_argument("--listen", type=int, metavar="PORT",
+    src.add_argument("--listen", type=_port, metavar="PORT",
                      help="accept one producer connection on PORT")
     p.add_argument("--alias-policy", choices=[p.value for p in AliasPolicy],
                    default=AliasPolicy.METADATA.value,
@@ -158,11 +170,11 @@ def _cmd_analyze(args) -> int:
 
 def render_summary_block(report: AnalysisReport) -> str:
     out = render_summary(report.summary)
-    if report.regions is not None:
-        r = report.regions
-        out += f"{'Region Visits:':<18} {r.visits}\n"
-        out += f"{'Region Instrs:':<18} {r.instructions}\n"
-        out += f"{'Region Cycles:':<18} {r.cycles}\n"
+    r = report.regions
+    if r is not None:
+        out += render_fields([("Region Visits", r.visits),
+                              ("Region Instrs", r.instructions),
+                              ("Region Cycles", r.cycles)])
     return out
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .analysis import AnalysisReport
 from .errors import AnalysisError, TraceParseError, UndefinedRatioError
+from .views import render_fields
 
 
 def differential_throughput(base_cycles: float, candidate_cycles: float) -> float:
@@ -137,16 +138,13 @@ def measured_delta_from_pairs(pairs) -> float:
 
 
 def render_diff(report: DiffReport) -> str:
-    lines = []
-
-    def put(label: str, value) -> None:
-        lines.append(f"{label + ':':<18} {value}")
-
-    put("Model", report.model_name)
-    put("Baseline", f"{report.base_source or '-'} ({report.base_cycles} cycles)")
-    put("Candidate", f"{report.cand_source or '-'} ({report.cand_cycles} cycles)")
-    put("Delta", f"{report.delta:.4f}")
+    fields = [
+        ("Model", report.model_name),
+        ("Baseline", f"{report.base_source or '-'} ({report.base_cycles} cycles)"),
+        ("Candidate", f"{report.cand_source or '-'} ({report.cand_cycles} cycles)"),
+        ("Delta", f"{report.delta:.4f}"),
+    ]
     if report.measured_delta is not None:
-        put("Measured Delta", f"{report.measured_delta:.4f}")
-        put("Prediction Error", f"{report.error:.4f}")
-    return "\n".join(lines) + "\n"
+        fields.append(("Measured Delta", f"{report.measured_delta:.4f}"))
+        fields.append(("Prediction Error", f"{report.error:.4f}"))
+    return render_fields(fields)

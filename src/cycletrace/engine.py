@@ -65,7 +65,7 @@ from typing import Callable
 from .brokers import BrokerStream, SequenceBroker
 from .errors import AnalysisError
 from .lsunit import AliasPolicy, MemQueues
-from .model import InstrClass, MachineModel, effective_latency, validate_model
+from .model import InstrClass, MachineModel, validate_model
 from .trace import AccessKind
 
 
@@ -91,7 +91,7 @@ class InstrRecord:
     issued_at: int = -1
     executed_at: int = -1      # >= 0 once executed
     retired_at: int = -1
-    effective_latency: int = 1
+    latency: int = 1           # the class latency or its context override
     uops: int = 1
     reads: tuple[int, ...] = ()
     writes: tuple[int, ...] = ()
@@ -238,10 +238,12 @@ class Pipeline:
 
             context = inst.context
             if context is not None and context[0] == cls.context_latency_key:
-                try:
-                    lat = effective_latency(model, cls, context[1])
-                except AnalysisError as e:
-                    raise AnalysisError(f"instruction {seq}: {e}") from None
+                key, value = context
+                lat = model.context_latency_tables[key].get(str(value))
+                if lat is None:
+                    raise AnalysisError(
+                        f"instruction {seq}: class '{cls.name}': no latency "
+                        f"for context {key}={value}")
             else:
                 lat = cls.latency
 
@@ -250,7 +252,7 @@ class Pipeline:
             rec.cls = cls
             rec.dispatched_at = rec.issued_at = rec.executed_at = -1
             rec.retired_at = -1
-            rec.effective_latency = lat
+            rec.latency = lat
             rec.uops = cls.num_uops
             rec.reads = inst.reads
             rec.writes = inst.writes
@@ -375,7 +377,7 @@ class Pipeline:
                     if waiting and waiting.unit_free_at <= cycle:
                         heappush(ready, heappop(waiting))
                 rec.issued_at = cycle
-                lat = rec.effective_latency
+                lat = rec.latency
                 if lat == 1:
                     rec.executed_at = cycle
                     if loads or stores:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import AnalysisError, ModelError
+from .errors import ModelError
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,9 @@ class InstrClass:
     resource_usage lists (resource name, occupancy cycles) claims; each
     claim holds one unit of that resource busy for the given cycles.
     context_latency_key, when set, selects a latency table that overrides
-    the static latency for instructions carrying matching context.
+    the static latency for instructions carrying context under that key.
+    Context values compare as text, and a value absent from the table is
+    an error: guessing a latency would silently skew results.
     """
 
     name: str
@@ -56,49 +58,14 @@ class MachineModel:
     _class_index: dict[str, InstrClass] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    _resource_index: dict[str, ResourceDesc] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self):
         object.__setattr__(
             self, "_class_index", {c.name: c for c in self.classes}
         )
-        object.__setattr__(
-            self, "_resource_index", {r.name: r for r in self.resources}
-        )
 
     def class_named(self, name: str) -> InstrClass | None:
         return self._class_index.get(name)
-
-    def resource_named(self, name: str) -> ResourceDesc | None:
-        return self._resource_index.get(name)
-
-
-def effective_latency(
-    model: MachineModel, cls: InstrClass, context=None
-) -> int:
-    """Latency of one instruction of cls, honoring a context override.
-
-    context is the raw context value (compared as text against the class's
-    latency table).  No context, or a class without a context key, falls
-    back to the static class latency.  A context value absent from the
-    table is an error: guessing a latency would silently skew results.
-    """
-    if context is None:
-        return cls.latency
-    key = cls.context_latency_key
-    if key is None:
-        raise AnalysisError(
-            f"class '{cls.name}' does not take a latency context"
-        )
-    table = model.context_latency_tables.get(key, {})
-    value = str(context)
-    if value not in table:
-        raise AnalysisError(
-            f"class '{cls.name}': no latency for context {key}={value}"
-        )
-    return table[value]
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +227,12 @@ def validate_model(model: MachineModel):
     _expect(model.load_queue_size >= 1, "model: lq_size must be >= 1")
     _expect(model.store_queue_size >= 1, "model: sq_size must be >= 1")
 
-    seen = set()
+    units: dict[str, int] = {}
     for r in model.resources:
         _expect(
-            r.name not in seen, f"resource '{r.name}': duplicate resource name"
+            r.name not in units, f"resource '{r.name}': duplicate resource name"
         )
-        seen.add(r.name)
+        units[r.name] = r.units
         _expect(r.units >= 1, f"resource '{r.name}': units must be >= 1")
 
     seen = set()
@@ -277,9 +244,8 @@ def validate_model(model: MachineModel):
         _expect(c.num_uops >= 1, f"{where}: uops must be >= 1")
         names = [rname for rname, _ in c.resource_usage]
         for rname, cycles in c.resource_usage:
-            res = model.resource_named(rname)
             _expect(
-                res is not None,
+                rname in units,
                 f"{where}: uses undeclared resource '{rname}'",
             )
             _expect(
@@ -290,9 +256,9 @@ def validate_model(model: MachineModel):
             # units could never issue.
             claims = names.count(rname)
             _expect(
-                claims <= res.units,
+                claims <= units[rname],
                 f"{where}: claims resource '{rname}' {claims} times but "
-                f"it has {res.units} unit(s), so it could never issue",
+                f"it has {units[rname]} unit(s), so it could never issue",
             )
         if c.context_latency_key is not None:
             _expect(

@@ -63,9 +63,12 @@ class ToyProgram:
         return self.address_of(self.labels[label])
 
 
-_OPCODES = {
-    "const", "add", "mul", "cmp", "load", "store",
-    "ble", "jump", "halt", "setctx",
+# Each opcode's operands, left to right: r a register, i an immediate,
+# k a key=value pair; a trailing l is a target label, always the last token.
+_OPERANDS = {
+    "const": "ri", "add": "rrr", "mul": "rrr", "cmp": "rrr",
+    "load": "rr", "store": "rr", "ble": "rrl", "jump": "l",
+    "halt": "", "setctx": "k",
 }
 
 
@@ -99,7 +102,7 @@ def parse_program(text: str) -> ToyProgram:
             parts = body.split()
             if len(parts) != 3:
                 raise TraceParseError(".map takes an opcode and a class", lineno)
-            if parts[1] not in _OPCODES:
+            if parts[1] not in _OPERANDS:
                 raise TraceParseError(f"unknown opcode '{parts[1]}' in .map", lineno)
             class_map[parts[1]] = parts[2]
             continue
@@ -126,15 +129,14 @@ def parse_program(text: str) -> ToyProgram:
 
         tokens = body.replace(",", " ").split()
         opcode = tokens[0]
-        if opcode not in _OPCODES:
+        if opcode not in _OPERANDS:
             raise TraceParseError(f"unknown opcode '{opcode}'", lineno)
         target_label: str | None = None
         operands = tokens[1:]
-        if opcode in ("ble", "jump"):
+        if _OPERANDS[opcode].endswith("l"):
             if not operands:
                 raise TraceParseError(f"'{opcode}' needs a target label", lineno)
-            target_label = operands[-1]
-            operands = operands[:-1]
+            target_label = operands.pop()
         pending.append((lineno, opcode, operands, target_label))
 
     ops: list[ToyOp] = []
@@ -147,52 +149,26 @@ def parse_program(text: str) -> ToyProgram:
                 )
             target = labels[target_label]
 
-        def want(n: int):
-            if len(operands) != n:
-                raise TraceParseError(
-                    f"'{opcode}' takes {n} operand(s), got {len(operands)}",
-                    lineno,
-                )
-
-        if opcode == "const":
-            want(2)
-            ops.append(ToyOp(
-                opcode, regs=(_parse_reg(operands[0], lineno),),
-                imm=_parse_imm(operands[1], lineno), line=lineno,
-            ))
-        elif opcode in ("add", "mul", "cmp"):
-            want(3)
-            ops.append(ToyOp(
-                opcode,
-                regs=tuple(_parse_reg(t, lineno) for t in operands),
-                line=lineno,
-            ))
-        elif opcode in ("load", "store"):
-            want(2)
-            ops.append(ToyOp(
-                opcode,
-                regs=tuple(_parse_reg(t, lineno) for t in operands),
-                line=lineno,
-            ))
-        elif opcode == "ble":
-            want(2)
-            ops.append(ToyOp(
-                opcode,
-                regs=tuple(_parse_reg(t, lineno) for t in operands),
-                target=target, line=lineno,
-            ))
-        elif opcode == "jump":
-            want(0)
-            ops.append(ToyOp(opcode, target=target, line=lineno))
-        elif opcode == "halt":
-            want(0)
-            ops.append(ToyOp(opcode, line=lineno))
-        elif opcode == "setctx":
-            want(1)
-            kv = operands[0].split("=", 1)
-            if len(kv) != 2 or not kv[0]:
-                raise TraceParseError("setctx takes key=value", lineno)
-            ops.append(ToyOp(opcode, key=kv[0], value=kv[1], line=lineno))
+        kinds = _OPERANDS[opcode].rstrip("l")
+        if len(operands) != len(kinds):
+            raise TraceParseError(
+                f"'{opcode}' takes {len(kinds)} operand(s), "
+                f"got {len(operands)}",
+                lineno,
+            )
+        regs: list[int] = []
+        imm = key = value = None
+        for kind, token in zip(kinds, operands):
+            if kind == "r":
+                regs.append(_parse_reg(token, lineno))
+            elif kind == "i":
+                imm = _parse_imm(token, lineno)
+            else:
+                key, sep, value = token.partition("=")
+                if not sep or not key:
+                    raise TraceParseError("setctx takes key=value", lineno)
+        ops.append(ToyOp(opcode, regs=tuple(regs), imm=imm, target=target,
+                         key=key, value=value, line=lineno))
 
     if not ops:
         raise TraceParseError("program has no instructions")
@@ -300,10 +276,6 @@ def execute(program: ToyProgram, max_steps: int = 100_000) -> list[TraceInstruct
                 next_pc = op.target
         elif opcode == "jump":
             next_pc = op.target
-        elif opcode == "halt":
-            pass
-        elif opcode == "setctx":
-            pass
 
         trace.append(TraceInstruction(
             seq_id=seq,

@@ -67,8 +67,13 @@ def _decimal_str(value: float, places: int) -> str:
     return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
+def render_fields(pairs) -> str:
+    """One 'Label:  value' line per (label, value) pair, values aligned."""
+    return "".join(f"{label + ':':<18} {value}\n" for label, value in pairs)
+
+
 def render_summary(stats: SummaryStats) -> str:
-    fields = [
+    return render_fields([
         ("Instructions", str(stats.instructions)),
         ("Total Cycles", str(stats.total_cycles)),
         ("Total uOps", str(stats.total_uops)),
@@ -76,8 +81,7 @@ def render_summary(stats: SummaryStats) -> str:
         ("uOps Per Cycle", _decimal_str(stats.uops_per_cycle, 2)),
         ("IPC", _decimal_str(stats.ipc, 2)),
         ("Block RThroughput", _decimal_str(stats.block_rthroughput, 1)),
-    ]
-    return "".join(f"{label + ':':<18} {value}\n" for label, value in fields)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +196,6 @@ def timeline_trace_events(rows: list[TimelineRow]) -> list[dict]:
     ]
 
 
-def render_trace_events(rows: list[TimelineRow]) -> str:
-    return json.dumps(timeline_trace_events(rows), indent=1) + "\n"
-
-
 def export_browser_trace(rows: list[TimelineRow], sink) -> None:
     """Write the trace-event document (top-level array form) to a sink."""
-    sink.write(render_trace_events(rows))
+    sink.write(json.dumps(timeline_trace_events(rows), indent=1) + "\n")

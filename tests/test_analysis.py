@@ -87,6 +87,7 @@ def test_contains_after_merge():
     ("R 0x20 0x10\n", "bad region range"),
     ("", "declares no ranges"),
     ("# nothing\n", "declares no ranges"),
+    ("R 0x10 0x20\nR 0x30 0x20\n", "line 2: bad region range"),
 ])
 def test_parse_regions_rejects(text, match):
     with pytest.raises(TraceParseError, match=match):

@@ -344,6 +344,9 @@ def test_diff_rejects_non_report_json(tmp_path, report_pair, capsys):
     ["analyze", "--model", "m", "--connect", "no-port"],
     ["trace", "--program", "p"],
     ["diff", "--base", "b"],
+    ["analyze", "--model", "m", "--listen", "70000"],
+    ["analyze", "--model", "m", "--connect", "127.0.0.1:70000"],
+    ["trace", "--program", "p", "--connect", "127.0.0.1:70000"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
     assert main(argv) == 1

@@ -402,6 +402,13 @@ def test_context_latency_override(model):
     # Context under a different key does not select the table.
     _, rows = run_recorded(m, [ti(0, "mulx", context=("mode", "8"))])
     assert times_of(rows) == [(0, 1, 2, 3)]
+    # Context values compare as text, so an int selects the table too.
+    _, rows = run_recorded(m, [ti(0, "mulx", context=("sz", 8))])
+    assert times_of(rows) == [(0, 1, 6, 7)]
+    # A class without a context key keeps its static latency.
+    plain = gen.simple_model(tables={"sz": {"8": 6}})
+    _, rows = run_recorded(plain, [ti(0, "add", context=("sz", "8"))])
+    assert times_of(rows) == [(0, 1, 1, 2)]
 
 
 def test_unknown_context_value_names_instruction():

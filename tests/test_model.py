@@ -1,13 +1,11 @@
-"""Machine model loading, validation, rendering, latency lookup."""
+"""Machine model loading, validation, rendering."""
 
 import pytest
 
 import gen
 from cycletrace import (
-    AnalysisError,
     ModelError,
     Pipeline,
-    effective_latency,
     load_model,
     render_model,
     validate_model,
@@ -193,24 +191,3 @@ def test_render_round_trips():
     }
     """)
     assert load_model(render_model(m)) == m
-
-
-def test_effective_latency_static_and_table(model):
-    ctx = gen.make_class("c", 2, context_key="sz")
-    m = gen.make_model([ctx], tables={"sz": {"4": 7}})
-    assert effective_latency(m, ctx) == 2
-    assert effective_latency(m, ctx, "4") == 7
-    assert effective_latency(m, ctx, 4) == 7  # values compare as text
-
-
-def test_effective_latency_unknown_value():
-    ctx = gen.make_class("c", 2, context_key="sz")
-    m = gen.make_model([ctx], tables={"sz": {"4": 7}})
-    with pytest.raises(AnalysisError, match="no latency for context sz=5"):
-        effective_latency(m, ctx, 5)
-
-
-def test_effective_latency_context_on_plain_class(model):
-    plain = model.class_named("add")
-    with pytest.raises(AnalysisError, match="does not take a latency context"):
-        effective_latency(model, plain, "4")
