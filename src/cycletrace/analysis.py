@@ -22,13 +22,14 @@ import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import chain, groupby
+from typing import get_type_hints
 
 from .brokers import BrokerStream
 from .engine import Pipeline, PoolStats
 from .errors import TraceParseError
 from .lsunit import AliasPolicy
 from .model import MachineModel
-from .trace import read_int, render_trace
+from .trace import canonical_text, read_int, render_trace
 from .views import SummaryStats, TimelineRecorder, summarize
 
 
@@ -141,42 +142,91 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
+        """Read a report, checking that every field has its JSON type."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise TraceParseError(f"report is not valid JSON: {e.msg}") from None
         if not isinstance(doc, dict) or doc.get("report_version") != 1:
             raise TraceParseError("not an analysis report (missing version)")
-        try:
-            summary = SummaryStats(**doc["summary"])
-            pool = PoolStats(**doc["pool"])
-            raw_regions = doc["regions"]
-            regions = None if raw_regions is None else RegionStats(
-                visits=raw_regions["visits"],
-                instructions=raw_regions["instructions"],
-                cycles=raw_regions["cycles"],
-                per_visit=tuple(
-                    (v["instructions"], v["cycles"])
-                    for v in raw_regions["per_visit"]
-                ),
-            )
-            return cls(
-                model_name=doc["model"],
-                source=doc["source"],
-                digest=doc["digest"],
-                alias_policy=doc["alias_policy"],
-                truncated=doc["truncated"],
-                summary=summary,
-                pool=pool,
-                missing_metadata=doc["missing_metadata"],
-                regions=regions,
-            )
-        except (KeyError, TypeError) as e:
-            raise TraceParseError(f"malformed analysis report: {e}") from None
+        f = _fields(doc, _REPORT_KINDS, "", exact=False)
+        regions = None
+        if f["regions"] is not None:
+            r = _fields(f["regions"], _REGION_KINDS, "regions.")
+            per_visit = []
+            for i, v in enumerate(r["per_visit"]):
+                where = f"regions.per_visit[{i}]"
+                visit = _fields(_typed(v, dict, where), _VISIT_KINDS,
+                                where + ".")
+                per_visit.append((visit["instructions"], visit["cycles"]))
+            regions = RegionStats(r["visits"], r["instructions"],
+                                  r["cycles"], tuple(per_visit))
+        return cls(
+            model_name=f["model"],
+            source=f["source"],
+            digest=f["digest"],
+            alias_policy=f["alias_policy"],
+            truncated=f["truncated"],
+            summary=SummaryStats(**_fields(
+                f["summary"], get_type_hints(SummaryStats), "summary.")),
+            pool=PoolStats(**_fields(
+                f["pool"], get_type_hints(PoolStats), "pool.")),
+            missing_metadata=f["missing_metadata"],
+            regions=regions,
+        )
+
+
+# The JSON type of each report field; summary and pool take theirs from
+# their dataclasses' annotations.
+_REPORT_KINDS = {"model": str, "source": str, "digest": str,
+                 "alias_policy": str, "truncated": bool, "summary": dict,
+                 "pool": dict, "missing_metadata": int,
+                 "regions": (dict, type(None))}
+_REGION_KINDS = {"visits": int, "instructions": int, "cycles": int,
+                 "per_visit": list}
+_VISIT_KINDS = {"instructions": int, "cycles": int}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "true or false", list: "a list", dict: "an object",
+               (dict, type(None)): "an object or null"}
+
+
+def _malformed(what: str) -> TraceParseError:
+    return TraceParseError(f"malformed analysis report: {what}")
+
+
+def _typed(v, kind, name: str):
+    """v, refused unless it has kind's JSON type.
+
+    A bool never passes for an int or a number, nor a number for a bool;
+    an int passes for a number and is read as a float.
+    """
+    if not (isinstance(v, (int, float) if kind is float else kind)
+            and isinstance(v, bool) == (kind is bool)):
+        raise _malformed(f"'{name}' must be {_KIND_NAMES[kind]}, "
+                         f"got {json.dumps(v)}")
+    return float(v) if kind is float else v
+
+
+def _fields(obj: dict, kinds: dict, where: str, exact: bool = True) -> dict:
+    """obj's fields named in kinds, each checked by _typed; with exact
+    set, obj may hold no other field."""
+    for key in kinds:
+        if key not in obj:
+            raise _malformed(f"missing field '{where}{key}'")
+    if exact:
+        for key in obj:
+            if key not in kinds:
+                raise _malformed(f"unknown field '{where}{key}'")
+    return {k: _typed(obj[k], kind, where + k) for k, kind in kinds.items()}
 
 
 class _HashingBroker:
-    """Passes batches through while hashing the canonical trace text."""
+    """Passes batches through while hashing the canonical trace text.
+
+    A batch whose source lines are all canonical is hashed as read;
+    any other batch is rendered.  Either way the bytes hashed are
+    render_trace of the batch's instructions.
+    """
 
     def __init__(self, inner):
         self.inner = inner
@@ -184,7 +234,10 @@ class _HashingBroker:
 
     def fetch_batch(self, max_n: int):
         batch = self.inner.fetch_batch(max_n)
-        self._sha.update(render_trace(batch.instructions).encode("utf-8"))
+        text = None if batch.lines is None else canonical_text(batch.lines)
+        if text is None:
+            text = render_trace(batch.instructions)
+        self._sha.update(text.encode("utf-8"))
         return batch
 
     def hexdigest(self) -> str:

@@ -68,6 +68,13 @@ def _port(text: str) -> int:
     return port
 
 
+def _steps(text: str) -> int:
+    steps = int(text)
+    if steps < 1:
+        raise ValueError("step budget must be at least 1")
+    return steps
+
+
 def _endpoint(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
@@ -108,7 +115,7 @@ def build_parser() -> _Parser:
     dst.add_argument("--out", help="trace file to write ('-' for stdout)")
     dst.add_argument("--connect", type=_endpoint, metavar="HOST:PORT",
                      help="stream the trace to an analyzer at HOST:PORT")
-    p.add_argument("--max-steps", type=int, default=100_000,
+    p.add_argument("--max-steps", type=_steps, default=100_000,
                    help="execution step budget (default: 100000)")
     p.set_defaults(func=_cmd_trace)
 

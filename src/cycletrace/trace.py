@@ -7,7 +7,8 @@ One trace line per dynamically executed instruction:
 
 Register lists are comma separated; '-' means empty.  A register number
 may carry a letter prefix (r13, x2).  '#' starts a comment.  The wire
-encoding mirrors the same fields as a JSON object.
+encoding mirrors the same fields as a JSON object.  A line spelled
+exactly as render_instruction writes it is canonical (canonical_text).
 
 Parsed register lists are interned by their field text: a static
 instruction re-executes with the same registers, so most fields repeat.
@@ -17,9 +18,10 @@ its memory stays bounded on any input.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ProtocolError, TraceParseError
 
@@ -31,8 +33,10 @@ class AccessKind(Enum):
     STORE = "store"
 
 
-@dataclass(frozen=True, slots=True)
-class MemoryAccess:
+class MemoryAccess(NamedTuple):
+    # A named tuple is immutable and is built without one
+    # object.__setattr__ call per field, as a frozen dataclass would be;
+    # the text parser, from_wire and the toy ISA build one per access.
     kind: AccessKind
     address: int
     size: int
@@ -58,11 +62,17 @@ class Batch:
     yet" and the driver simply fetches again.  stalled may mark such a
     batch for a caller that counts them; no library broker sets it and
     the driver never reads it.
+
+    lines, when set, holds the text line each instruction was parsed
+    from, newline included, in the same order; the digest hashes them
+    as read when all are canonical (see canonical_text).  FileBroker
+    sets it; any other source leaves it None.
     """
 
     instructions: tuple[TraceInstruction, ...] = ()
     end_of_stream: bool = False
     stalled: bool = False
+    lines: tuple[str, ...] | None = None
 
 
 def _check_access(address: int, size: int, line: int | None = None):
@@ -228,6 +238,32 @@ def render_instruction(inst: TraceInstruction) -> str:
 
 def render_trace(instructions: Iterable[TraceInstruction]) -> str:
     return "".join(render_instruction(i) + "\n" for i in instructions)
+
+
+# A line exactly as render_instruction writes it, plus its newline:
+# unsigned decimals and lowercase 0x hex without leading zeros, bare
+# register numbers, accesses before the context.  Only the spelling is
+# checked; the parser checks ranges.  \s is what str.split() splits on.
+_NUM = r"(?:0|[1-9][0-9]*)"
+_HEX = r"0x(?:0|[1-9a-f][0-9a-f]*)"
+_REGS = rf"(?:-|{_NUM}(?:,{_NUM})*)"
+_CANONICAL_LINE = re.compile(
+    rf"I {_NUM} {_HEX} [^\s#]+ R:{_REGS} W:{_REGS}"
+    rf"(?: [LS]:{_HEX}:[1-9][0-9]*)*(?: C:[^\s#=]+=[^\s#]*)?\n"
+)
+
+
+def canonical_text(lines: Sequence[str]) -> str | None:
+    """The lines joined, if each is in canonical form, else None.
+
+    A canonical line that parses renders back to itself, so for the
+    lines a trace's instructions were parsed from this equals
+    render_trace of those instructions.  Lines are matched one at a
+    time and the first miss stops the scan.
+    """
+    if all(map(_CANONICAL_LINE.fullmatch, lines)):
+        return "".join(lines)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from cycletrace import (
     AccessKind,
     AliasPolicy,
@@ -276,3 +278,41 @@ def random_trace(rng: random.Random, n: int,
             context=context,
         ))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis strategy for single instructions whose rendering is canonical
+
+U64 = 1 << 64
+# Tokens free of whitespace (str.split's), '#' and '='; no surrogates,
+# which a UTF-8 file cannot hold.
+_TOKEN = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp"),
+                  blacklist_characters="#="),
+    min_size=1, max_size=4,
+)
+_ADDRESS = st.sampled_from([0, 1, U64 - 1]) | st.integers(0, U64 - 1)
+
+
+@st.composite
+def _access(draw):
+    """(address, size) fitting below 2^64, often right at the top."""
+    size = draw(st.integers(1, 64))
+    address = draw(st.integers(0, 1 << 20)
+                   | st.integers(U64 - (1 << 20), U64 - size))
+    return address, size
+
+
+_REGS = st.lists(st.integers(0, 300), max_size=3)
+instructions = st.builds(
+    ti,
+    st.integers(0, 1 << 40),
+    _TOKEN,
+    reads=_REGS,
+    writes=_REGS,
+    loads=st.lists(_access(), max_size=3),
+    stores=st.lists(_access(), max_size=3),
+    address=_ADDRESS,
+    context=st.none() | st.tuples(_TOKEN,
+                                  _TOKEN | st.sampled_from(["", "a=b"])),
+)

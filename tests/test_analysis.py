@@ -1,7 +1,9 @@
 """Whole-trace analysis: regions, digests, and report serialization."""
 
 import hashlib
+import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,6 +13,7 @@ from cycletrace import (
     AliasPolicy,
     AnalysisReport,
     Batch,
+    FileBroker,
     Pipeline,
     RegionSpec,
     SequenceBroker,
@@ -21,8 +24,10 @@ from cycletrace import (
     execute,
     parse_program,
     parse_regions,
+    parse_trace,
     render_trace,
 )
+from cycletrace import analysis
 from gen import make_class, make_model, ti
 
 
@@ -191,6 +196,113 @@ def test_different_traces_get_different_digests(model):
     a = analyze(model, SequenceBroker(mixed_trace(10)))
     b = analyze(model, SequenceBroker(mixed_trace(11)))
     assert a.digest != b.digest
+
+
+# -- digest of file input -------------------------------------------------------
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Batch sizes the digest had to render, in order."""
+    sizes = []
+
+    def counting(instructions):
+        sizes.append(len(instructions))
+        return render_trace(instructions)
+
+    monkeypatch.setattr(analysis, "render_trace", counting)
+    return sizes
+
+
+def sha256_of_rendering(insts):
+    return hashlib.sha256(render_trace(insts).encode("utf-8")).hexdigest()
+
+
+def file_digest(model, path):
+    broker = FileBroker(str(path))
+    try:
+        return analyze(model, broker).digest
+    finally:
+        broker.close()
+
+
+FILE_HEAD = (
+    "I 0 0x400000 add R:1,2 W:3\n"
+    "I 1 0x400004 load R:3 W:4 L:0x1000:8 C:sz=8\n"
+)
+FILE_TAIL = "I 3 0x40000c store R:4 W:- S:0x1000:8\n"
+
+
+def test_canonical_file_is_hashed_as_read(model, tmp_path, renders):
+    text = FILE_HEAD + "I 2 0x400008 add R:- W:2\n" + FILE_TAIL
+    path = tmp_path / "t.trace"
+    path.write_text(text)
+    assert file_digest(model, path) == sha256_of_rendering(parse_trace(text))
+    assert renders == []
+
+
+@pytest.mark.parametrize("text, rendered", [
+    (FILE_HEAD + "I 02 0x400008 add R:1 W:2\n" + FILE_TAIL, True),
+    (FILE_HEAD + "I 2 0X400008 add R:1 W:2\n" + FILE_TAIL, True),
+    (FILE_HEAD + "I 2 0x40000A add R:1 W:2\n" + FILE_TAIL, True),
+    (FILE_HEAD + "I 2 0x400008 add R:r1 W:2\n" + FILE_TAIL, True),
+    (FILE_HEAD + "I 2  0x400008 add R:1 W:2\n" + FILE_TAIL, True),
+    (FILE_HEAD + "I 2\t0x400008 add R:1 W:2\n" + FILE_TAIL, True),
+    (FILE_HEAD + "I 2 0x400008 add R:1 W:2 \n" + FILE_TAIL, True),
+    (FILE_HEAD + "I 2 0x400008 add R:1 W:2 # comment\n" + FILE_TAIL, True),
+    (FILE_HEAD + "I 2 0x400008 load R:1 W:2 C:sz=8 L:0x1000:8\n" + FILE_TAIL,
+     True),
+    (FILE_HEAD + "I 2 0x400008 add R: W:2\n" + FILE_TAIL, True),
+    (FILE_HEAD + " I 2 0x400008 add R:1 W:2\n" + FILE_TAIL, True),
+    (FILE_HEAD + "I 2 0x400008 add R:1 W:2\n" + FILE_TAIL.rstrip("\n"),
+     True),
+    # Lines that hold no instruction are not hashed either way, so the
+    # instructions' own lines still hash as read.
+    (FILE_HEAD + "\nI 2 0x400008 add R:1 W:2\n" + FILE_TAIL, False),
+    (FILE_HEAD + "# note\nI 2 0x400008 add R:1 W:2\n" + FILE_TAIL, False),
+], ids=[
+    "zero-padded-seq", "0X-prefix", "upper-case-hex", "r-register",
+    "double-space", "tab", "trailing-space", "trailing-comment",
+    "context-before-load", "empty-R", "indented", "no-final-newline",
+    "blank-line", "comment-line",
+])
+def test_near_miss_spellings_digest_as_rendered(model, tmp_path, renders,
+                                                text, rendered):
+    path = tmp_path / "t.trace"
+    path.write_text(text)
+    insts = parse_trace(text)
+    digest = file_digest(model, path)
+    assert bool(renders) == rendered
+    assert digest == sha256_of_rendering(insts)
+    assert digest == analyze(model, SequenceBroker(insts)).digest
+
+
+def test_only_non_canonical_batches_are_rendered(model, tmp_path, renders):
+    lines = render_trace(context_trace(600)).splitlines(keepends=True)
+    lines[300] = lines[300].replace("R:", "R:r", 1)
+    text = "".join(lines)
+    path = tmp_path / "t.trace"
+    path.write_text(text)
+    assert file_digest(model, path) == sha256_of_rendering(parse_trace(text))
+    assert renders == [256]  # the second of three 256-instruction batches
+
+
+def test_file_broker_does_not_hold_a_run_of_comments(tmp_path):
+    path = tmp_path / "t.trace"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("I 0 0x0 nop R:- W:-\n")
+        f.write("# a comment line between two instructions\n" * 200_000)
+        f.write("I 1 0x4 nop R:- W:-\n")
+    broker = FileBroker(str(path))
+    tracemalloc.start()
+    try:
+        batch = broker.fetch_batch(256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        broker.close()
+    assert batch.end_of_stream
+    assert batch.lines == ("I 0 0x0 nop R:- W:-\n", "I 1 0x4 nop R:- W:-\n")
+    assert peak < 256 * 1024  # holding the comments would take ~20 MB
 
 
 def test_analyze_counts_missing_metadata(model):
@@ -384,7 +496,42 @@ def test_report_without_regions_round_trips(model):
     assert AnalysisReport.from_json(report.to_json()) == report
 
 
+def report_doc(**changes):
+    """A valid report's JSON text with some top-level fields replaced."""
+    doc = {
+        "report_version": 1, "model": "m", "source": "", "digest": "",
+        "alias_policy": "all", "truncated": False,
+        "summary": {"instructions": 1, "total_cycles": 3, "total_uops": 1,
+                    "dispatch_width": 2, "uops_per_cycle": 0.5, "ipc": 0.5,
+                    "block_rthroughput": 0.5},
+        "pool": {"total_allocated": 1, "total_recycled": 1, "peak_live": 1},
+        "missing_metadata": 0,
+        "regions": {"visits": 1, "instructions": 1, "cycles": 3,
+                    "per_visit": [{"instructions": 1, "cycles": 3}]},
+    }
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def test_report_doc_is_valid():
+    report = AnalysisReport.from_json(report_doc())
+    assert report.regions.per_visit == ((1, 3),)
+    assert report.summary.ipc == 0.5
+
+
 @pytest.mark.parametrize("text,match", [
+    (report_doc(truncated=0), "'truncated' must be true or false, got 0"),
+    (report_doc(missing_metadata=False),
+     "'missing_metadata' must be an integer, got false"),
+    (report_doc(model=7), "'model' must be a string, got 7"),
+    (report_doc(pool=[]), "'pool' must be an object, got \\[\\]"),
+    (report_doc(regions={"visits": 1, "instructions": 1, "cycles": 3,
+                         "per_visit": [[1, 3]]}),
+     "'regions.per_visit\\[0\\]' must be an object"),
+    (report_doc(regions={"visits": 1, "instructions": 1, "cycles": 3,
+                         "per_visit": [{"instructions": 1, "cycles": 2.0}]}),
+     "'regions.per_visit\\[0\\].cycles' must be an integer, got 2.0"),
+    (report_doc(regions="none"), "'regions' must be an object or null"),
     ("not json", "not valid JSON"),
     ("[]", "missing version"),
     ('{"report_version": 2}', "missing version"),

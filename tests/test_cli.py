@@ -330,6 +330,26 @@ def test_diff_rejects_non_report_json(tmp_path, report_pair, capsys):
     assert main(["diff", "--base", base, "--cand", str(bogus)]) == 2
 
 
+@pytest.mark.parametrize("value, message", [
+    # A string once crashed diff with a TypeError traceback, and true
+    # was read as one cycle.
+    ("35", "'summary.total_cycles' must be an integer, got \"35\""),
+    (True, "'summary.total_cycles' must be an integer, got true"),
+])
+def test_diff_rejects_mistyped_report_fields(tmp_path, report_pair, capsys,
+                                             value, message):
+    base, _ = report_pair
+    other = json.loads(Path(base).read_text())
+    other["summary"]["total_cycles"] = value
+    cand = tmp_path / "other.json"
+    cand.write_text(json.dumps(other))
+    capsys.readouterr()
+    assert main(["diff", "--base", base, "--cand", str(cand)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: malformed analysis report: {message}" in err
+    assert "Traceback" not in err
+
+
 # -- usage errors -------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
@@ -347,6 +367,8 @@ def test_diff_rejects_non_report_json(tmp_path, report_pair, capsys):
     ["analyze", "--model", "m", "--listen", "70000"],
     ["analyze", "--model", "m", "--connect", "127.0.0.1:70000"],
     ["trace", "--program", "p", "--connect", "127.0.0.1:70000"],
+    ["trace", "--program", "p", "--out", "x.trace", "--max-steps", "0"],
+    ["trace", "--program", "p", "--out", "x.trace", "--max-steps", "-3"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
     assert main(argv) == 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gen
 from cycletrace import trace
 from cycletrace import (
     AccessKind,
@@ -277,3 +278,60 @@ def test_wire_round_trip_property(inst):
 def test_render_uses_hex_addresses():
     inst = parse_trace_line("I 0 4194304 nop R:- W:-")
     assert render_instruction(inst).split()[2] == "0x400000"
+
+
+# -- canonical lines ------------------------------------------------------------
+
+@given(gen.instructions)
+def test_rendered_lines_are_canonical(inst):
+    line = render_instruction(inst) + "\n"
+    assert trace.canonical_text([line]) == line
+    assert parse_trace_line(line) == inst
+
+
+@given(st.from_regex(trace._CANONICAL_LINE, fullmatch=True))
+def test_every_canonical_line_renders_back_to_itself(line):
+    try:
+        inst = parse_trace_line(line)
+    except TraceParseError:
+        return  # out of range: the parser refuses it before any digest
+    assert render_instruction(inst) + "\n" == line
+
+
+@pytest.mark.parametrize("line", [
+    "I 03 0x40 add R:1 W:2\n",
+    "I 3 0X40 add R:1 W:2\n",
+    "I 3 0x4A add R:1 W:2\n",
+    "I 3 0x040 add R:1 W:2\n",
+    "I 3 64 add R:1 W:2\n",
+    "I 3 0x40 add R:r1 W:2\n",
+    "I 3 0x40 add R:01 W:2\n",
+    "I 3 0x40 add R:\u0661 W:2\n",
+    "I 3  0x40 add R:1 W:2\n",
+    "I 3\t0x40 add R:1 W:2\n",
+    "I 3 0x40 add R:1 W:2 \n",
+    " I 3 0x40 add R:1 W:2\n",
+    "I 3 0x40 add R:1 W:2 # c\n",
+    "I 3 0x40 add R:1 W:2 C:k=v#c\n",
+    "\n",
+    "# c\n",
+    "I 3 0x40 ld R:1 W:2 C:sz=8 L:0x10:8\n",
+    "I 3 0x40 ld R:1 W:2 L:0x10:08\n",
+    "I 3 0x40 ld R:1 W:2 L:0x10:0\n",
+    "I 3 0x40 add R: W:2\n",
+    "I 3 0x40 add R:1 W:2",
+    "I 3 0x40 add R:1 W:2\r\n",
+])
+def test_near_miss_spellings_are_not_canonical(line):
+    assert trace.canonical_text(["I 0 0x0 nop R:- W:-\n", line]) is None
+
+
+def test_memory_access_is_an_immutable_value():
+    a = MemoryAccess(AccessKind.LOAD, 0x10, 8)
+    assert a == MemoryAccess(AccessKind.LOAD, 0x10, 8)
+    assert a != MemoryAccess(AccessKind.STORE, 0x10, 8)
+    assert len({a, MemoryAccess(AccessKind.LOAD, 0x10, 8)}) == 1
+    assert repr(a) == (
+        "MemoryAccess(kind=<AccessKind.LOAD: 'load'>, address=16, size=8)")
+    with pytest.raises(AttributeError):
+        a.size = 4
