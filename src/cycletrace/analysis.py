@@ -29,7 +29,7 @@ from .engine import Pipeline, PoolStats
 from .errors import TraceParseError
 from .lsunit import AliasPolicy
 from .model import MachineModel
-from .trace import canonical_text, read_int, render_trace
+from .trace import read_int, render_trace
 from .views import SummaryStats, TimelineRecorder, summarize
 
 
@@ -198,12 +198,15 @@ def _typed(v, kind, name: str):
     """v, refused unless it has kind's JSON type.
 
     A bool never passes for an int or a number, nor a number for a bool;
-    an int passes for a number and is read as a float.
+    an int passes for a number and is read as a float.  Every integer
+    field of a report is a count, so a negative integer is refused.
     """
     if not (isinstance(v, (int, float) if kind is float else kind)
             and isinstance(v, bool) == (kind is bool)):
         raise _malformed(f"'{name}' must be {_KIND_NAMES[kind]}, "
                          f"got {json.dumps(v)}")
+    if kind is int and v < 0:
+        raise _malformed(f"'{name}' must not be negative, got {v}")
     return float(v) if kind is float else v
 
 
@@ -223,8 +226,8 @@ def _fields(obj: dict, kinds: dict, where: str, exact: bool = True) -> dict:
 class _HashingBroker:
     """Passes batches through while hashing the canonical trace text.
 
-    A batch whose source lines are all canonical is hashed as read;
-    any other batch is rendered.  Either way the bytes hashed are
+    A batch that carries its canonical text (Batch.text) is hashed as
+    read; any other batch is rendered.  Either way the bytes hashed are
     render_trace of the batch's instructions.
     """
 
@@ -234,7 +237,7 @@ class _HashingBroker:
 
     def fetch_batch(self, max_n: int):
         batch = self.inner.fetch_batch(max_n)
-        text = None if batch.lines is None else canonical_text(batch.lines)
+        text = batch.text
         if text is None:
             text = render_trace(batch.instructions)
         self._sha.update(text.encode("utf-8"))

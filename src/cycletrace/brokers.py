@@ -68,8 +68,8 @@ class BrokerStream:
                 self.truncated = True
                 return
             # Let go of the batch before the next fetch, so that its
-            # source lines (Batch.lines) are not held while the next
-            # batch's are read.
+            # source text (Batch.text) is not held while the next
+            # batch's is read.
             instructions, ended = batch.instructions, batch.end_of_stream
             del batch
             yield instructions
@@ -101,18 +101,17 @@ class SequenceBroker:
 class FileBroker(SequenceBroker):
     """Streams a trace file lazily, enforcing sequence id monotonicity.
 
-    Each batch also carries the line each of its instructions was
-    parsed from (Batch.lines), or None when that is unknown.  Only lines
-    that start with "I" are kept: each one parses to exactly one
-    instruction or raises, so a fetch keeps at most max_n lines however
-    many blank or comment lines it reads, and the kept lines belong to
-    the batch's instructions one to one exactly when their counts match.
+    A batch whose instructions were all read from canonical lines also
+    carries those lines joined (Batch.text).  The parser keeps only the
+    canonical lines, each of which is one instruction, so a fetch holds
+    at most max_n of them however many other lines it reads, and they
+    are the batch's lines exactly when their count matches.
     """
 
     def __init__(self, path: str):
         self._fh = open(path, "r", encoding="utf-8")
         self._kept: list[str] = []
-        super().__init__(iter_trace_lines(_keep_records(self._fh, self._kept)))
+        super().__init__(iter_trace_lines(self._fh, self._kept))
 
     def fetch_batch(self, max_n: int) -> Batch:
         kept = self._kept
@@ -121,21 +120,11 @@ class FileBroker(SequenceBroker):
         if len(kept) != len(batch.instructions):
             return batch
         return Batch(batch.instructions, batch.end_of_stream,
-                     lines=tuple(kept))
+                     text="".join(kept))
 
     def close(self):
         super().close()
         self._fh.close()
-
-
-def _keep_records(lines: Iterable[str], kept: list[str]) -> Iterator[str]:
-    """Pass a file's lines through, appending each that starts with "I"
-    to kept.  A line read from a file is never empty."""
-    append = kept.append
-    for line in lines:
-        if line[0] == "I":
-            append(line)
-        yield line
 
 
 class SocketBroker:

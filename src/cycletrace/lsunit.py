@@ -33,6 +33,14 @@ class AliasPolicy(Enum):
     METADATA = "metadata"
 
 
+# Reading a member off an Enum class goes through the Enum machinery
+# (about 150 ns), so the admission test, run per memory instruction at
+# issue, compares with these.
+_ALL = AliasPolicy.ALL
+_NONE = AliasPolicy.NONE
+_INF = float("inf")
+
+
 @dataclass
 class MemQueues:
     """In-flight memory operations, ordered by sequence id.
@@ -87,7 +95,7 @@ class MemQueues:
         Stores are scanned before loads, each queue oldest first, and the
         first conflict found is returned.
         """
-        if policy is AliasPolicy.NONE:
+        if policy is _NONE:
             return None
         # Loads wait on conflicting older stores; stores wait on
         # conflicting older stores and older loads.
@@ -100,19 +108,34 @@ class MemQueues:
 
 def _first_conflict(pending: dict, policy: AliasPolicy, seq: int,
                     mine: tuple) -> int | None:
-    """Oldest entry of pending, older than seq, that conflicts with mine."""
-    if policy is AliasPolicy.ALL:
-        oldest = next(iter(pending), None)
-        return oldest if oldest is not None and oldest < seq else None
-    for other, theirs in pending.items():
-        if other >= seq:
-            return None  # insertion is in seq order; the rest are younger
-        for b in theirs:
-            for a in mine:
-                # Untraced addresses (None) conflict with every access;
-                # byte ranges are half-open, so touching ones do not.
-                if (a is None or b is None
-                        or (a.address < b.address + b.size
-                            and b.address < a.address + a.size)):
-                    return other
-    return None
+    """Oldest entry of pending, older than seq, that conflicts with mine.
+
+    Each of mine is read once and scanned for on its own; each scan stops
+    at the oldest blocker found so far, and the oldest found is returned.
+    """
+    if not pending:
+        return None
+    if policy is _ALL:
+        oldest = next(iter(pending))
+        return oldest if oldest < seq else None
+    blocker = seq  # insertion is in seq order; younger entries never block
+    for a in mine:
+        # Untraced addresses (None) conflict with every access; byte
+        # ranges are half-open, so touching ones do not.
+        if a is None:
+            start, end = -_INF, _INF
+        else:
+            start = a.address
+            end = start + a.size
+        for other, theirs in pending.items():
+            if other >= blocker:
+                break
+            for b in theirs:
+                if b is None or (start < b.address + b.size
+                                 and b.address < end):
+                    break
+            else:
+                continue
+            blocker = other
+            break
+    return blocker if blocker < seq else None

@@ -73,7 +73,8 @@ _OPERANDS = {
 
 
 def _parse_reg(token: str, line: int) -> int:
-    if len(token) < 2 or token[0] != "r" or not token[1:].isdigit():
+    if (len(token) < 2 or token[0] != "r" or not token.isascii()
+            or not token[1:].isdigit()):
         raise TraceParseError(f"expected register, got '{token}'", line)
     n = int(token[1:])
     if n > 31:

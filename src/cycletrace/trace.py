@@ -6,14 +6,19 @@ One trace line per dynamically executed instruction:
         [S:<addr>:<size>]... [C:<key>=<value>]
 
 Register lists are comma separated; '-' means empty.  A register number
-may carry a letter prefix (r13, x2).  '#' starts a comment.  The wire
-encoding mirrors the same fields as a JSON object.  A line spelled
-exactly as render_instruction writes it is canonical (canonical_text).
+may carry a letter prefix (r13, x2).  '#' starts a comment.  Numbers are
+ASCII.  The wire encoding mirrors the same fields as a JSON object.
 
-Parsed register lists are interned by their field text: a static
-instruction re-executes with the same registers, so most fields repeat.
-The table is cleared whenever it reaches a fixed number of entries, so
-its memory stays bounded on any input.
+A line spelled exactly as render_trace writes it, newline included, is
+canonical.  parse_trace_line reads such a line from a single regular
+expression match and reports it as canonical; every other line is parsed
+field by field.
+
+Parsed register lists are interned by their field text, and rendered
+register lists by their tuple: a static instruction re-executes with the
+same registers, so most lists repeat.  Each table is cleared whenever it
+reaches a fixed number of entries, so its memory stays bounded on any
+input.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ProtocolError, TraceParseError
 
@@ -31,6 +36,10 @@ U64_LIMIT = 1 << 64
 class AccessKind(Enum):
     LOAD = "load"
     STORE = "store"
+
+
+_LOAD = AccessKind.LOAD
+_STORE = AccessKind.STORE
 
 
 class MemoryAccess(NamedTuple):
@@ -63,16 +72,16 @@ class Batch:
     batch for a caller that counts them; no library broker sets it and
     the driver never reads it.
 
-    lines, when set, holds the text line each instruction was parsed
-    from, newline included, in the same order; the digest hashes them
-    as read when all are canonical (see canonical_text).  FileBroker
-    sets it; any other source leaves it None.
+    text, when set, is the batch's canonical text, render_trace of its
+    instructions, as read from the source; the digest hashes it without
+    rendering.  FileBroker sets it when every instruction of the batch
+    was read from a canonical line; any other source leaves it None.
     """
 
     instructions: tuple[TraceInstruction, ...] = ()
     end_of_stream: bool = False
     stalled: bool = False
-    lines: tuple[str, ...] | None = None
+    text: str | None = None
 
 
 def _check_access(address: int, size: int, line: int | None = None):
@@ -88,10 +97,13 @@ def _check_access(address: int, size: int, line: int | None = None):
 
 def _parse_reg(token: str, line: int | None) -> int:
     # Producers may prefix register numbers with a letter (r13, x2).
-    body = token[1:] if token and token[0].isalpha() else token
-    if not body.isdigit():
-        raise TraceParseError(f"bad register token '{token}'", line)
-    return int(body)
+    body = token[1:] if token[:1].isalpha() else token
+    if token.isascii() and body.isdigit():
+        try:
+            return int(body)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise TraceParseError(f"bad register token '{token}'", line)
 
 
 # Register-list field text (prefix stripped) -> parsed tuple.  A miss
@@ -118,30 +130,92 @@ def read_int(token: str) -> int:
 
     Takes every form int(token, 0) takes (0x1f, 0o17, 0b101, 1_000, -3)
     and also a zero-padded decimal such as 007 or +04, which int(token,
-    0) refuses.
+    0) refuses.  Only ASCII is read: int() would also take other
+    scripts' digits.
     """
+    if not token.isascii():
+        raise ValueError(f"non-ASCII number {token!r}")
     try:
         return int(token, 0)
     except ValueError:
         digits = token[1:] if token[:1] in ("+", "-") else token
-        if not (digits.isascii() and digits.isdigit()):
+        if not digits.isdigit():
             raise
     return int(token, 10)  # ValueError past the interpreter's digit limit
 
 
 def _parse_int(token: str, line: int | None, what: str) -> int:
     try:
-        return int(token, 0)  # the common forms, without a call
-    except ValueError:
-        pass
-    try:
         return read_int(token)
     except ValueError:
         raise TraceParseError(f"bad {what} '{token}'", line) from None
 
 
-def parse_trace_line(text: str, line: int | None = None) -> TraceInstruction | None:
-    """Parse one line; returns None for blanks and comments."""
+# A line exactly as render_trace writes it, newline included: unsigned
+# decimals and lowercase 0x hex without leading zeros, bare register
+# numbers, accesses before the context.  \s is what str.split() splits
+# on.  The groups are the fields parse_trace_line reads from a match:
+# sequence id, address, class, reads, writes, every access as one
+# string, context key and context value.
+_NUM = r"(?:0|[1-9][0-9]*)"
+_HEX = r"0x(?:0|[1-9a-f][0-9a-f]*)"
+_REGS = rf"(?:-|{_NUM}(?:,{_NUM})*)"
+_CANONICAL_LINE = re.compile(
+    rf"I ({_NUM}) ({_HEX}) ([^\s#]+) R:({_REGS}) W:({_REGS})"
+    rf"((?: [LS]:{_HEX}:[1-9][0-9]*)*)(?: C:([^\s#=]+)=([^\s#]*))?\n"
+)
+
+
+def parse_trace_line(
+    text: str, line: int | None = None, kept: list[str] | None = None
+) -> TraceInstruction | None:
+    """Parse one line; returns None for blanks and comments.
+
+    A canonical line is read from its _CANONICAL_LINE match and, if kept
+    is given, appended to it.  Any other line, and a canonical one whose
+    numbers are out of range, is parsed field by field (_parse_fields),
+    which raises the error the format calls for.
+    """
+    m = _CANONICAL_LINE.fullmatch(text)
+    if m is not None:
+        seq, addr, cname, r_field, w_field, accesses, key, value = m.groups()
+        try:
+            seq = int(seq)  # ValueError past the interpreter's digit limit
+            addr = int(addr, 16)
+            if addr >= U64_LIMIT:
+                raise ValueError
+            # With the sequence id and address read, a bad register here
+            # is also the field-by-field parse's first error.
+            reads = _REG_LISTS.get(r_field)
+            if reads is None:
+                reads = _parse_reg_list(r_field, line)
+            writes = _REG_LISTS.get(w_field)
+            if writes is None:
+                writes = _parse_reg_list(w_field, line)
+            mem = ()
+            if accesses:
+                mem = []
+                for tok in accesses.split():
+                    a, s = tok[2:].split(":")
+                    a = int(a, 16)
+                    s = int(s)
+                    if a + s > U64_LIMIT:
+                        raise ValueError
+                    mem.append(MemoryAccess(
+                        _LOAD if tok[0] == "L" else _STORE, a, s))
+                mem = tuple(mem)
+        except ValueError:
+            pass  # out of range: _parse_fields raises
+        else:
+            if kept is not None:
+                kept.append(text)
+            return TraceInstruction(seq, addr, cname, reads, writes, mem,
+                                    None if key is None else (key, value))
+    return _parse_fields(text, line)
+
+
+def _parse_fields(text: str, line: int | None) -> TraceInstruction | None:
+    """parse_trace_line for a line in any spelling, field by field."""
     if "#" in text:
         text = text.split("#", 1)[0]
     fields = text.split()
@@ -172,7 +246,7 @@ def parse_trace_line(text: str, line: int | None = None) -> TraceInstruction | N
     context: tuple[str, str] | None = None
     for tok in fields[6:]:
         if tok.startswith("L:") or tok.startswith("S:"):
-            kind = AccessKind.LOAD if tok[0] == "L" else AccessKind.STORE
+            kind = _LOAD if tok[0] == "L" else _STORE
             parts = tok[2:].split(":")
             if len(parts) != 2:
                 raise TraceParseError(f"bad memory token '{tok}'", line)
@@ -195,15 +269,18 @@ def parse_trace_line(text: str, line: int | None = None) -> TraceInstruction | N
     )
 
 
-def iter_trace_lines(lines: Iterable[str]) -> Iterator[TraceInstruction]:
+def iter_trace_lines(
+    lines: Iterable[str], kept: list[str] | None = None
+) -> Iterator[TraceInstruction]:
     """Yield instructions from trace lines, enforcing seq_id monotonicity.
 
     Takes any iterable of lines, such as an open file, so a trace can be
-    parsed lazily; errors carry 1-based line numbers.
+    parsed lazily; errors carry 1-based line numbers.  Each canonical
+    line is appended to kept, if given (see parse_trace_line).
     """
     last_seq = -1
     for lineno, raw in enumerate(lines, start=1):
-        inst = parse_trace_line(raw, lineno)
+        inst = parse_trace_line(raw, lineno, kept)
         if inst is None:
             continue
         if inst.seq_id <= last_seq:
@@ -216,54 +293,46 @@ def iter_trace_lines(lines: Iterable[str]) -> Iterator[TraceInstruction]:
 
 
 def parse_trace(text: str) -> list[TraceInstruction]:
-    return list(iter_trace_lines(text.splitlines()))
+    return list(iter_trace_lines(text.splitlines(keepends=True)))
+
+
+# Register tuple -> its text in a rendered line.  Like _REG_LISTS it is
+# cleared whenever it reaches a fixed number of entries.
+_REG_TEXT: dict[tuple[int, ...], str] = {}
+_REG_TEXT_MAX = 4096
 
 
 def _render_regs(regs: tuple[int, ...]) -> str:
-    return ",".join(map(str, regs)) if regs else "-"
-
-
-def render_instruction(inst: TraceInstruction) -> str:
-    line = (
-        f"I {inst.seq_id} {inst.address:#x} {inst.class_name} "
-        f"R:{_render_regs(inst.reads)} W:{_render_regs(inst.writes)}"
-    )
-    for acc in inst.mem:
-        tag = "L" if acc.kind is AccessKind.LOAD else "S"
-        line += f" {tag}:{acc.address:#x}:{acc.size}"
-    if inst.context is not None:
-        line += f" C:{inst.context[0]}={inst.context[1]}"
-    return line
+    """Render a tuple missing from _REG_TEXT, then store it."""
+    text = ",".join(map(str, regs)) if regs else "-"
+    if len(_REG_TEXT) >= _REG_TEXT_MAX:
+        _REG_TEXT.clear()
+    _REG_TEXT[regs] = text
+    return text
 
 
 def render_trace(instructions: Iterable[TraceInstruction]) -> str:
-    return "".join(render_instruction(i) + "\n" for i in instructions)
+    """The canonical text of instructions: one line each, newline ended."""
+    reg_text = _REG_TEXT.get
+    out: list[str] = []
+    append = out.append
+    for inst in instructions:
+        reads, writes = inst.reads, inst.writes
+        line = (f"I {inst.seq_id} {inst.address:#x} {inst.class_name} "
+                f"R:{reg_text(reads) or _render_regs(reads)} "
+                f"W:{reg_text(writes) or _render_regs(writes)}")
+        for acc in inst.mem:
+            line += (f" {'L' if acc.kind is _LOAD else 'S'}:"
+                     f"{acc.address:#x}:{acc.size}")
+        if inst.context is not None:
+            line += f" C:{inst.context[0]}={inst.context[1]}"
+        append(line)
+    append("")  # the last line's newline
+    return "\n".join(out)
 
 
-# A line exactly as render_instruction writes it, plus its newline:
-# unsigned decimals and lowercase 0x hex without leading zeros, bare
-# register numbers, accesses before the context.  Only the spelling is
-# checked; the parser checks ranges.  \s is what str.split() splits on.
-_NUM = r"(?:0|[1-9][0-9]*)"
-_HEX = r"0x(?:0|[1-9a-f][0-9a-f]*)"
-_REGS = rf"(?:-|{_NUM}(?:,{_NUM})*)"
-_CANONICAL_LINE = re.compile(
-    rf"I {_NUM} {_HEX} [^\s#]+ R:{_REGS} W:{_REGS}"
-    rf"(?: [LS]:{_HEX}:[1-9][0-9]*)*(?: C:[^\s#=]+=[^\s#]*)?\n"
-)
-
-
-def canonical_text(lines: Sequence[str]) -> str | None:
-    """The lines joined, if each is in canonical form, else None.
-
-    A canonical line that parses renders back to itself, so for the
-    lines a trace's instructions were parsed from this equals
-    render_trace of those instructions.  Lines are matched one at a
-    time and the first miss stops the scan.
-    """
-    if all(map(_CANONICAL_LINE.fullmatch, lines)):
-        return "".join(lines)
-    return None
+def render_instruction(inst: TraceInstruction) -> str:
+    return render_trace((inst,))[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +383,6 @@ def _wire_regs(obj: dict, key: str) -> tuple[int, ...]:
                         "integers")
 
 
-_LOAD = AccessKind.LOAD
-_STORE = AccessKind.STORE
 _ABSENT = object()  # an omitted 'mem'; 'mem': null is refused
 
 

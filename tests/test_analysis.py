@@ -65,6 +65,15 @@ def test_region_bounds_read_numbers_as_the_trace_does():
     assert spec.entries == ((10, 0x20, None), (40, 50, "f"))
 
 
+@pytest.mark.parametrize("text", [
+    "R \u0661 0x20\n", "S f 0x10 \u0662\u0660\n", "R 0x10 0x\u0662\n",
+])
+def test_region_bounds_refuse_non_ascii_digits(text):
+    with pytest.raises(TraceParseError,
+                       match="line 1: bad address in region line"):
+        parse_regions(text)
+
+
 def test_overlapping_ranges_merge():
     spec = parse_regions("R 0x10 0x20\nR 0x18 0x30\nR 0x40 0x50\n")
     assert spec.ranges == ((0x10, 0x30), (0x40, 0x50))
@@ -301,7 +310,7 @@ def test_file_broker_does_not_hold_a_run_of_comments(tmp_path):
         tracemalloc.stop()
         broker.close()
     assert batch.end_of_stream
-    assert batch.lines == ("I 0 0x0 nop R:- W:-\n", "I 1 0x4 nop R:- W:-\n")
+    assert batch.text == "I 0 0x0 nop R:- W:-\nI 1 0x4 nop R:- W:-\n"
     assert peak < 256 * 1024  # holding the comments would take ~20 MB
 
 

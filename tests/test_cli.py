@@ -350,6 +350,55 @@ def test_diff_rejects_mistyped_report_fields(tmp_path, report_pair, capsys,
     assert "Traceback" not in err
 
 
+# Report count fields, each by its name in error messages and its path.
+COUNT_FIELDS = {
+    "summary.instructions": ("summary", "instructions"),
+    "summary.total_cycles": ("summary", "total_cycles"),
+    "pool.peak_live": ("pool", "peak_live"),
+    "missing_metadata": ("missing_metadata",),
+    "regions.cycles": ("regions", "cycles"),
+    "regions.per_visit[0].instructions":
+        ("regions", "per_visit", 0, "instructions"),
+}
+
+
+@pytest.mark.parametrize("name", COUNT_FIELDS)
+def test_diff_rejects_negative_report_counts(tmp_path, report_pair, capsys,
+                                            name):
+    path = COUNT_FIELDS[name]
+    base, _ = report_pair
+    other = json.loads(Path(base).read_text())
+    other["regions"] = {"visits": 1, "instructions": 5, "cycles": 9,
+                        "per_visit": [{"instructions": 5, "cycles": 9}]}
+    obj = other
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = -3
+    cand = tmp_path / "other.json"
+    cand.write_text(json.dumps(other))
+    capsys.readouterr()
+    assert main(["diff", "--base", base, "--cand", str(cand)]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: malformed analysis report: '{name}' must not be "
+            "negative, got -3") in err
+
+
+def test_diff_reads_a_zero_cycle_report(tmp_path, report_pair, model_file,
+                                        capsys):
+    base, _ = report_pair
+    empty_trace = tmp_path / "empty.trace"
+    empty_trace.write_text("")
+    empty = tmp_path / "empty.json"
+    assert main(["analyze", "--model", model_file, "--trace",
+                 str(empty_trace), "--out", str(empty)]) == 0
+    capsys.readouterr()
+    # Read as a report, then refused by diff: no ratio to a 0-cycle run.
+    assert main(["diff", "--base", base, "--cand", str(empty)]) == 4
+    err = capsys.readouterr().err
+    assert "candidate cycle count must be positive, got 0" in err
+    assert "malformed" not in err
+
+
 # -- usage errors -------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [

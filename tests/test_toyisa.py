@@ -51,6 +51,17 @@ def test_immediates_read_numbers_as_the_trace_does(imm, value):
     assert prog.instructions[0].imm == value
 
 
+@pytest.mark.parametrize("text,match", [
+    ("const r1, \u0661\nhalt\n", "line 1: bad immediate '\u0661'"),
+    ("const r1, 0x\u0661\nhalt\n", "line 1: bad immediate"),
+    ("const r\u0661, 5\nhalt\n", "line 1: expected register"),
+    ("const r\u00b2, 5\nhalt\n", "line 1: expected register"),
+], ids=["immediate", "hex-immediate", "register", "superscript-register"])
+def test_non_ascii_digits_are_refused(text, match):
+    with pytest.raises(TraceParseError, match=match):
+        parse_program(text)
+
+
 def test_entry_defaults_to_first_instruction():
     prog = parse_program("add r1, r0, r0\nhalt\n")
     assert prog.entry == 0

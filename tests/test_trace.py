@@ -282,10 +282,20 @@ def test_render_uses_hex_addresses():
 
 # -- canonical lines ------------------------------------------------------------
 
+def kept_by_parse(line):
+    """The lines parse_trace_line reports as canonical for line."""
+    kept = []
+    try:
+        parse_trace_line(line, 1, kept)
+    except TraceParseError:
+        pass
+    return kept
+
+
 @given(gen.instructions)
 def test_rendered_lines_are_canonical(inst):
     line = render_instruction(inst) + "\n"
-    assert trace.canonical_text([line]) == line
+    assert kept_by_parse(line) == [line]
     assert parse_trace_line(line) == inst
 
 
@@ -323,7 +333,80 @@ def test_every_canonical_line_renders_back_to_itself(line):
     "I 3 0x40 add R:1 W:2\r\n",
 ])
 def test_near_miss_spellings_are_not_canonical(line):
-    assert trace.canonical_text(["I 0 0x0 nop R:- W:-\n", line]) is None
+    assert kept_by_parse(line) == []
+
+
+def parsed_or_error(parse, line):
+    try:
+        return parse(line, 5)
+    except TraceParseError as e:
+        return str(e), e.line
+
+
+@given(st.from_regex(trace._CANONICAL_LINE, fullmatch=True))
+def test_matched_canonical_lines_parse_as_the_general_path_does(line):
+    assert (parsed_or_error(parse_trace_line, line)
+            == parsed_or_error(trace._parse_fields, line))
+
+
+@given(gen.instructions)
+def test_matched_rendered_lines_parse_as_the_general_path_does(inst):
+    line = render_instruction(inst) + "\n"
+    assert parse_trace_line(line, 5) == trace._parse_fields(line, 5) == inst
+
+
+@pytest.mark.parametrize("line,message", [
+    ("I 0 0x10000000000000000 nop R:- W:-\n", "address 0x1"),
+    ("I 0 0x0 ld R:- W:- L:0xfffffffffffffff8:9\n", r"wraps past 2\^64"),
+    ("I 0 0x0 ld R:- W:- L:0x10000000000000000:1\n", "out of range"),
+    ("I 0 0x0 ld R:- W:- L:0x10:8 S:0xffffffffffffffff:2\n", "wraps"),
+    ("I " + "1" * 5000 + " 0x0 nop R:- W:-\n", "bad sequence id"),
+    ("I 0 0x0 ld R:- W:- L:0x10:" + "1" * 5000 + "\n", "bad memory size"),
+    ("I 0 0x0 nop R:" + "1" * 5000 + " W:-\n", "bad register token"),
+], ids=["address", "wrap", "access-address", "second-access", "long-seq",
+        "long-size", "long-register"])
+def test_out_of_range_canonical_lines_raise_as_the_general_path_does(
+        line, message):
+    kept = []
+    with pytest.raises(TraceParseError, match=message) as matched:
+        parse_trace_line(line, 5, kept)
+    with pytest.raises(TraceParseError) as general:
+        trace._parse_fields(line, 5)
+    assert (str(matched.value), matched.value.line) == (
+        str(general.value), general.value.line)
+    assert matched.value.line == 5
+    assert kept == []
+
+
+def test_render_table_stays_bounded():
+    bound = trace._REG_TEXT_MAX
+    insts = [TraceInstruction(i, 4 * i, "add", (i,), (i, 7))
+             for i in range(bound + 10)]
+    expect = "".join(f"I {i} {4 * i:#x} add R:{i} W:{i},7\n"
+                     for i in range(bound + 10))
+    assert render_trace(insts) == expect
+    assert len(trace._REG_TEXT) <= bound
+    assert render_trace(insts) == expect
+    assert render_instruction(insts[-1]) == expect.splitlines()[-1]
+
+
+@pytest.mark.parametrize("line,message", [
+    ("I \u0661 0x0 add R:\u0661,\u0663 W:-", "bad sequence id '\u0661'"),
+    ("I 1 0x\u0661 add R:- W:-", "bad address"),
+    ("I 1 0x0 add R:\u0661,\u0663 W:-", "bad register token '\u0661'"),
+    ("I 1 0x0 add R:r\u0661 W:-", "bad register token 'r\u0661'"),
+    ("I 1 0x0 add R:\u00b2 W:-", "bad register token"),
+    ("I 1 0x0 ld R:- W:- L:0x10:\uff18", "bad memory size"),
+], ids=["seq", "address", "register", "prefixed-register", "superscript",
+        "fullwidth-size"])
+def test_non_ascii_digits_are_refused(line, message):
+    with pytest.raises(TraceParseError, match=f"line 3: {message}"):
+        parse_trace_line(line, 3)
+
+
+def test_read_int_refuses_non_ascii_digits():
+    with pytest.raises(ValueError):
+        trace.read_int("\u0661\u0662")
 
 
 def test_memory_access_is_an_immutable_value():
