@@ -541,6 +541,11 @@ def test_report_doc_is_valid():
                          "per_visit": [{"instructions": 1, "cycles": 2.0}]}),
      "'regions.per_visit\\[0\\].cycles' must be an integer, got 2.0"),
     (report_doc(regions="none"), "'regions' must be an object or null"),
+    (report_doc(summary={"instructions": 1, "total_cycles": 3,
+                         "total_uops": 1, "dispatch_width": 2,
+                         "uops_per_cycle": 0.5, "ipc": 0.5,
+                         "block_rthroughput": 0.5, "bogus": 1}),
+     "unknown field 'summary.bogus'"),
     ("not json", "not valid JSON"),
     ("[]", "missing version"),
     ('{"report_version": 2}', "missing version"),

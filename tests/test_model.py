@@ -1,5 +1,8 @@
 """Machine model loading, validation, rendering."""
 
+import json
+import re
+
 import pytest
 
 import gen
@@ -91,6 +94,45 @@ def test_unknown_field_rejected():
 ])
 def test_missing_required_field_rejected(text, message):
     with pytest.raises(ModelError, match=message):
+        load_model(text)
+
+
+def _model_text(**changes):
+    """A valid model's JSON text with some top-level fields replaced."""
+    doc = {"name": "m", "dispatch_width": 1, "rob_size": 4,
+           "resources": [{"name": "P0", "units": 1}],
+           "classes": [{"name": "a", "latency": 1}]}
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def _class_text(**changes):
+    return _model_text(classes=[{"name": "a", "latency": 1, **changes}])
+
+
+@pytest.mark.parametrize("text,message", [
+    (_model_text(dispatch_width=True),
+     "model: field 'dispatch_width' must be an integer"),
+    (_class_text(latency="1"),
+     "class 'a': field 'latency' must be an integer"),
+    (_class_text(may_load=1), "class 'a': field 'may_load' must be a boolean"),
+    (_class_text(uses={}), "'uses' must be a list"),
+    (_class_text(uses=[5]), "class 'a' resource use: expected an object"),
+    (_model_text(resources=[{"name": "P0", "units": 2.0}]),
+     "resource 'P0': field 'units' must be an integer"),
+    (_model_text(name=5), "model: field 'name' must be a string"),
+    (_model_text(classes=5), "'classes' must be a list"),
+    (_model_text(classes=[7]), "class: expected an object"),
+    ("[]", "model: expected an object"),
+    (_model_text(context_tables=[]), "'context_tables' must be an object"),
+    (_model_text(context_tables={"k": 3}),
+     "context table 'k': must be an object"),
+    (_model_text(context_tables={"k": {"1": True}}),
+     "context table 'k': latency for '1' must be an integer"),
+    (_class_text(context_key=5), "'context_key' must be a string or null"),
+])
+def test_wrong_json_type_rejected(text, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
         load_model(text)
 
 
