@@ -50,9 +50,10 @@ cycle would have retired, completed, issued and dispatched nothing, and
 with a cycle run only on a full entry buffer (push) or an ended input
 (drain), fetch pacing cannot matter.
 
-Records live in a recycle pool: the pipeline allocates a new record only
-when the free list is empty, so memory stays bounded by the ROB plus the
-entry buffer no matter how long the stream runs.
+Retired records go on a free list, and feed builds a new record only
+when that list is empty, so memory stays bounded by the ROB plus the
+entry buffer no matter how long the stream runs.  A record retires only
+once it has executed, so it waits on no producer any more.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .brokers import BrokerStream, SequenceBroker
 from .errors import AnalysisError
 from .lsunit import AliasPolicy, MemQueues
 from .model import InstrClass, MachineModel, validate_model
-from .trace import AccessKind
+from .trace import _LOAD
 
 
 def _free_from(claims) -> int:
@@ -106,24 +107,6 @@ class PoolStats:
     total_allocated: int
     total_recycled: int
     peak_live: int
-
-
-class RecyclePool:
-    """Free list of InstrRecords with allocation counters."""
-
-    def __init__(self):
-        self._free: list[InstrRecord] = []
-        self.total_allocated = 0
-
-    def acquire(self) -> InstrRecord:
-        if self._free:
-            return self._free.pop()
-        self.total_allocated += 1
-        return InstrRecord()
-
-    def release(self, rec: InstrRecord):
-        rec.waiting_on.clear()
-        self._free.append(rec)
 
 
 class Pipeline:
@@ -171,7 +154,7 @@ class Pipeline:
             for c in model.classes
         }
         self.queues = MemQueues(model.load_queue_size, model.store_queue_size)
-        self.pool = RecyclePool()
+        self.free: list[InstrRecord] = []       # retired records, for reuse
 
         self.instructions_retired = 0
         self.uops_retired = 0
@@ -201,7 +184,7 @@ class Pipeline:
         model = self.model
         class_index = model._class_index
         entry = self.entry
-        pool = self.pool
+        free = self.free
         claims = self.claims
         for inst in instructions:
             if accepted >= space:
@@ -220,7 +203,7 @@ class Pipeline:
                 loads: list = []
                 stores: list = []
                 for acc in inst.mem:
-                    is_load = acc.kind is AccessKind.LOAD
+                    is_load = acc.kind is _LOAD
                     if not (cls.may_load if is_load else cls.may_store):
                         raise AnalysisError(
                             f"instruction {seq}: class '{cls.name}' may not "
@@ -247,7 +230,7 @@ class Pipeline:
             else:
                 lat = cls.latency
 
-            rec = pool.acquire()
+            rec = free.pop() if free else InstrRecord()
             rec.seq_id = seq
             rec.cls = cls
             rec.dispatched_at = rec.issued_at = rec.executed_at = -1
@@ -283,7 +266,7 @@ class Pipeline:
             budget = self.model.retire_width
             scoreboard = self.scoreboard
             queues = self.queues
-            pool = self.pool
+            free = self.free
             sink = self.retire_sink
             while budget > 0 and rob and rob[0].executed_at >= 0:
                 rec = rob.popleft()
@@ -294,13 +277,13 @@ class Pipeline:
                     if scoreboard.get(reg) == seq:
                         del scoreboard[reg]
                 if rec.loads or rec.stores:
-                    queues.remove(seq)
+                    queues.remove(rec.loads, rec.stores)
                 self.instructions_retired += 1
                 self.uops_retired += rec.uops
                 self._last_retire_cycle = cycle
                 if sink is not None:
                     sink(rec, self.iteration)
-                pool.release(rec)
+                free.append(rec)
                 budget -= 1
 
         # 2. complete executions elapsing this cycle
@@ -518,7 +501,8 @@ class Pipeline:
         return self._last_retire_cycle + 1
 
     def pool_stats(self) -> PoolStats:
-        # The pool allocates only once every record is live (peak_live),
-        # and releases every retired record and no other (total_recycled).
-        allocated = self.pool.total_allocated
+        # Every record is free, in the entry buffer or in the ROB, and a
+        # new one is built only once every record is live (peak_live);
+        # every retired record, and no other, is freed (total_recycled).
+        allocated = len(self.free) + len(self.entry) + len(self.rob)
         return PoolStats(allocated, self.instructions_retired, allocated)

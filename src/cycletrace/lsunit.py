@@ -23,7 +23,6 @@ inserted in sequence order, so no new older blocker can appear later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -41,7 +40,6 @@ _NONE = AliasPolicy.NONE
 _INF = float("inf")
 
 
-@dataclass
 class MemQueues:
     """In-flight memory operations, ordered by sequence id.
 
@@ -50,13 +48,13 @@ class MemQueues:
     the only ones that can block.
     """
 
-    lq_size: int
-    sq_size: int
-    _slots: dict[int, tuple[int, int]] = field(default_factory=dict)
-    _pending_loads: dict[int, tuple] = field(default_factory=dict)
-    _pending_stores: dict[int, tuple] = field(default_factory=dict)
-    _lq_used: int = 0
-    _sq_used: int = 0
+    def __init__(self, lq_size: int, sq_size: int):
+        self.lq_size = lq_size
+        self.sq_size = sq_size
+        self._pending_loads: dict[int, tuple] = {}
+        self._pending_stores: dict[int, tuple] = {}
+        self._lq_used = 0
+        self._sq_used = 0
 
     def can_insert(self, n_loads: int, n_stores: int) -> bool:
         return (
@@ -65,7 +63,6 @@ class MemQueues:
         )
 
     def insert(self, seq: int, loads: tuple, stores: tuple):
-        self._slots[seq] = (len(loads), len(stores))
         self._lq_used += len(loads)
         self._sq_used += len(stores)
         if loads:
@@ -77,11 +74,10 @@ class MemQueues:
         self._pending_loads.pop(seq, None)
         self._pending_stores.pop(seq, None)
 
-    def remove(self, seq: int):
-        n_loads, n_stores = self._slots.pop(seq)
-        self._lq_used -= n_loads
-        self._sq_used -= n_stores
-        self.mark_executed(seq)
+    def remove(self, loads: tuple, stores: tuple):
+        """Free the slots of a retiring entry, which has executed."""
+        self._lq_used -= len(loads)
+        self._sq_used -= len(stores)
 
     def find_blocker(
         self,

@@ -9,7 +9,7 @@ changing timing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ModelError
 
@@ -71,16 +71,51 @@ class MachineModel:
 # ---------------------------------------------------------------------------
 # JSON load / render
 
-_TOP_FIELDS = {
-    "name", "dispatch_width", "retire_width", "rob_size",
-    "lq_size", "sq_size", "resources", "classes", "context_tables",
+_REQUIRED = object()
+
+
+def _resource(obj, where: str) -> ResourceDesc:
+    return ResourceDesc(**_read(obj, _RESOURCE, "resource"))
+
+
+def _use(obj, where: str) -> tuple[str, int]:
+    return tuple(_read(obj, _USE, f"{where} resource use").values())
+
+
+def _instr_class(obj, where: str) -> InstrClass:
+    return InstrClass(**_read(obj, _CLASS, "class"))
+
+
+# Each table maps the JSON keys of one kind of object to the attribute a
+# key fills, its JSON type and its default (_REQUIRED when it has none).
+# A list of objects has for its type the function that reads one entry.
+_RESOURCE = {"name": ("name", str, _REQUIRED),
+             "units": ("units", int, _REQUIRED)}
+_USE = {"resource": (0, str, _REQUIRED), "cycles": (1, int, 1)}  # a pair
+_CLASS = {
+    "name": ("name", str, _REQUIRED),
+    "latency": ("latency", int, _REQUIRED),
+    "uops": ("num_uops", int, 1),
+    "uses": ("resource_usage", _use, ()),
+    "may_load": ("may_load", bool, False),
+    "may_store": ("may_store", bool, False),
+    "is_branch": ("is_branch", bool, False),
+    "context_key": ("context_latency_key", (str, type(None)), None),
 }
-_RESOURCE_FIELDS = {"name", "units"}
-_CLASS_FIELDS = {
-    "name", "latency", "uops", "uses",
-    "may_load", "may_store", "is_branch", "context_key",
+_MODEL = {
+    "name": ("name", str, _REQUIRED),
+    "dispatch_width": ("dispatch_width", int, _REQUIRED),
+    "retire_width": ("retire_width", int, None),  # None: dispatch_width
+    "rob_size": ("reorder_buffer_size", int, _REQUIRED),
+    "lq_size": ("load_queue_size", int, 16),
+    "sq_size": ("store_queue_size", int, 16),
+    "resources": ("resources", _resource, ()),
+    "classes": ("classes", _instr_class, ()),
+    "context_tables": ("context_latency_tables", dict, {}),
 }
-_USE_FIELDS = {"resource", "cycles"}
+_ENTRIES = {_resource: _RESOURCE, _use: _USE, _instr_class: _CLASS}
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean",
+               dict: "an object", (str, type(None)): "a string or null"}
 
 
 def _expect(cond: bool, message: str):
@@ -88,40 +123,37 @@ def _expect(cond: bool, message: str):
         raise ModelError(message)
 
 
-def _check_fields(obj: dict, allowed: set[str], where: str):
-    _expect(isinstance(obj, dict), f"{where}: expected an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ModelError(
-            f"{where}: unknown field(s) {', '.join(sorted(unknown))}"
-        )
+def _is(v, kind) -> bool:
+    """Whether v has kind's JSON type; a bool is never an integer."""
+    return isinstance(v, kind) and isinstance(v, bool) == (kind is bool)
 
 
-def _get_int(obj: dict, key: str, where: str, default=None) -> int:
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ModelError(f"{where}: missing field '{key}'")
-    v = obj[key]
-    _expect(
-        isinstance(v, int) and not isinstance(v, bool),
-        f"{where}: field '{key}' must be an integer",
-    )
-    return v
-
-
-def _get_str(obj: dict, key: str, where: str) -> str:
-    if key not in obj:
-        raise ModelError(f"{where}: missing field '{key}'")
-    v = obj[key]
-    _expect(isinstance(v, str), f"{where}: field '{key}' must be a string")
-    return v
-
-
-def _get_bool(obj: dict, key: str, where: str) -> bool:
-    v = obj.get(key, False)
-    _expect(isinstance(v, bool), f"{where}: field '{key}' must be a boolean")
-    return v
+def _read(obj, keys: dict, what: str) -> dict:
+    """obj's fields by attribute, each checked and defaulted by keys;
+    messages call obj what, and a list entry by its name once read."""
+    _expect(isinstance(obj, dict), f"{what}: expected an object")
+    unknown = sorted(obj.keys() - keys)
+    _expect(not unknown, f"{what}: unknown field(s) {', '.join(unknown)}")
+    where = what
+    fields = {}
+    for key, (attr, kind, default) in keys.items():
+        if key not in obj:
+            _expect(default is not _REQUIRED,
+                    f"{where}: missing field '{key}'")
+            fields[attr] = default
+            continue
+        v = obj[key]
+        if kind in _ENTRIES:
+            _expect(isinstance(v, list),
+                    f"{where}: field '{key}' must be a list")
+            v = tuple(kind(entry, where) for entry in v)
+        else:
+            _expect(_is(v, kind),
+                    f"{where}: field '{key}' must be {_TYPE_NAMES[kind]}")
+        fields[attr] = v
+        if key == "name" and what != "model":
+            where = f"{what} '{v}'"
+    return fields
 
 
 def load_model(text: str) -> MachineModel:
@@ -132,86 +164,18 @@ def load_model(text: str) -> MachineModel:
         raise ModelError(
             f"model parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
-    _check_fields(raw, _TOP_FIELDS, "model")
-
-    name = _get_str(raw, "name", "model")
-    dispatch_width = _get_int(raw, "dispatch_width", "model")
-    retire_width = _get_int(raw, "retire_width", "model", default=dispatch_width)
-    rob_size = _get_int(raw, "rob_size", "model")
-    lq_size = _get_int(raw, "lq_size", "model", default=16)
-    sq_size = _get_int(raw, "sq_size", "model", default=16)
-
-    resources = []
-    res_raw = raw.get("resources", [])
-    _expect(isinstance(res_raw, list), "model: 'resources' must be a list")
-    for entry in res_raw:
-        _check_fields(entry, _RESOURCE_FIELDS, "resource")
-        rname = _get_str(entry, "name", "resource")
-        units = _get_int(entry, "units", f"resource '{rname}'")
-        resources.append(ResourceDesc(rname, units))
-
-    classes = []
-    cls_raw = raw.get("classes", [])
-    _expect(isinstance(cls_raw, list), "model: 'classes' must be a list")
-    for entry in cls_raw:
-        _check_fields(entry, _CLASS_FIELDS, "class")
-        cname = _get_str(entry, "name", "class")
-        where = f"class '{cname}'"
-        latency = _get_int(entry, "latency", where)
-        uops = _get_int(entry, "uops", where, default=1)
-        uses = []
-        uses_raw = entry.get("uses", [])
-        _expect(isinstance(uses_raw, list), f"{where}: 'uses' must be a list")
-        for use in uses_raw:
-            _check_fields(use, _USE_FIELDS, f"{where} resource use")
-            uses.append((
-                _get_str(use, "resource", f"{where} resource use"),
-                _get_int(use, "cycles", f"{where} resource use", default=1),
-            ))
-        ckey = entry.get("context_key")
-        _expect(
-            ckey is None or isinstance(ckey, str),
-            f"{where}: 'context_key' must be a string or null",
-        )
-        classes.append(InstrClass(
-            name=cname,
-            latency=latency,
-            num_uops=uops,
-            resource_usage=tuple(uses),
-            may_load=_get_bool(entry, "may_load", where),
-            may_store=_get_bool(entry, "may_store", where),
-            is_branch=_get_bool(entry, "is_branch", where),
-            context_latency_key=ckey,
-        ))
-
-    tables_raw = raw.get("context_tables", {})
-    _expect(
-        isinstance(tables_raw, dict), "model: 'context_tables' must be an object"
-    )
-    tables: dict[str, dict[str, int]] = {}
-    for key, table in tables_raw.items():
+    model = MachineModel(**_read(raw, _MODEL, "model"))
+    # A copy, so that no two models share the default {}.
+    tables = dict(model.context_latency_tables)
+    for key, table in tables.items():
         where = f"context table '{key}'"
         _expect(isinstance(table, dict), f"{where}: must be an object")
-        entries = {}
         for value, lat in table.items():
-            _expect(
-                isinstance(lat, int) and not isinstance(lat, bool),
-                f"{where}: latency for '{value}' must be an integer",
-            )
-            entries[str(value)] = lat
-        tables[key] = entries
-
-    model = MachineModel(
-        name=name,
-        dispatch_width=dispatch_width,
-        retire_width=retire_width,
-        reorder_buffer_size=rob_size,
-        load_queue_size=lq_size,
-        store_queue_size=sq_size,
-        resources=tuple(resources),
-        classes=tuple(classes),
-        context_latency_tables=tables,
-    )
+            _expect(_is(lat, int),
+                    f"{where}: latency for '{value}' must be an integer")
+    width = model.retire_width
+    model = replace(model, context_latency_tables=tables, retire_width=(
+        model.dispatch_width if width is None else width))
     validate_model(model)
     return model
 
@@ -275,34 +239,19 @@ def validate_model(model: MachineModel):
             )
 
 
+def _doc(obj, keys: dict) -> dict:
+    """obj as the JSON object keys describes, entries of lists included."""
+    if isinstance(obj, tuple):  # a resource use
+        return dict(zip(keys, obj))
+    doc = {}
+    for key, (attr, kind, _) in keys.items():
+        v = getattr(obj, attr)
+        if kind in _ENTRIES:
+            v = [_doc(entry, _ENTRIES[kind]) for entry in v]
+        doc[key] = v
+    return doc
+
+
 def render_model(model: MachineModel) -> str:
     """Serialize a model to JSON text; load_model inverts this exactly."""
-    doc = {
-        "name": model.name,
-        "dispatch_width": model.dispatch_width,
-        "retire_width": model.retire_width,
-        "rob_size": model.reorder_buffer_size,
-        "lq_size": model.load_queue_size,
-        "sq_size": model.store_queue_size,
-        "resources": [
-            {"name": r.name, "units": r.units} for r in model.resources
-        ],
-        "classes": [
-            {
-                "name": c.name,
-                "latency": c.latency,
-                "uops": c.num_uops,
-                "uses": [
-                    {"resource": rname, "cycles": cycles}
-                    for rname, cycles in c.resource_usage
-                ],
-                "may_load": c.may_load,
-                "may_store": c.may_store,
-                "is_branch": c.is_branch,
-                "context_key": c.context_latency_key,
-            }
-            for c in model.classes
-        ],
-        "context_tables": model.context_latency_tables,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_doc(model, _MODEL), indent=2) + "\n"

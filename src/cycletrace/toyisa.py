@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CycleTraceError, TraceParseError, TruncatedTraceError
-from .trace import AccessKind, MemoryAccess, TraceInstruction, read_int
+from .trace import _LOAD, _STORE, MemoryAccess, TraceInstruction, read_int
 
 U64 = 1 << 64
 BASE_ADDRESS = 0x400000
@@ -256,7 +256,7 @@ def execute(program: ToyProgram, max_steps: int = 100_000) -> list[TraceInstruct
             regs[d] = value
             reads = (a,)
             writes = (d,)
-            accesses = (MemoryAccess(AccessKind.LOAD, addr, ACCESS_SIZE),)
+            accesses = (MemoryAccess(_LOAD, addr, ACCESS_SIZE),)
         elif opcode == "store":
             v, a = op.regs
             addr = regs[a]
@@ -269,7 +269,7 @@ def execute(program: ToyProgram, max_steps: int = 100_000) -> list[TraceInstruct
             for i in range(ACCESS_SIZE):
                 mem[addr + i] = (value >> (8 * i)) & 0xFF
             reads = (v, a)
-            accesses = (MemoryAccess(AccessKind.STORE, addr, ACCESS_SIZE),)
+            accesses = (MemoryAccess(_STORE, addr, ACCESS_SIZE),)
         elif opcode == "ble":
             a, b = op.regs
             reads = (a, b)

@@ -349,7 +349,7 @@ def to_wire(inst: TraceInstruction) -> dict:
     if inst.mem:
         obj["mem"] = [
             {
-                "kind": "L" if a.kind is AccessKind.LOAD else "S",
+                "kind": "L" if a.kind is _LOAD else "S",
                 "addr": a.address,
                 "size": a.size,
             }

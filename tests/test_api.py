@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import cycletrace
+from cycletrace import model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,3 +18,14 @@ def test_every_public_name_is_used_or_documented():
     unused = [name for name in cycletrace.__all__
               if not re.search(rf"\b{re.escape(name)}\b", text)]
     assert unused == []
+
+
+def test_readme_names_every_model_key():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = text.split("**Machine model**", 1)[1].split("\n\n", 1)[0]
+    keys = set()
+    for table in (model._MODEL, model._RESOURCE, model._CLASS, model._USE):
+        keys.update(table)
+    missing = [key for key in sorted(keys)
+               if not re.search(rf"\b{key}\b", paragraph)]
+    assert missing == []

@@ -109,5 +109,5 @@ def test_capacity_counts_slots_per_access():
     assert q.can_insert(0, 1)
     q.insert(2, (), (S(0x0, 1),))
     assert not q.can_insert(0, 1)
-    q.remove(1)
+    q.remove((L(0x0, 1), L(0x8, 1)), ())
     assert q.can_insert(2, 0)
