@@ -289,6 +289,7 @@ def _analyze_regions(pipe, broker, regions):
     for inside, visit in groupby(chain.from_iterable(stream),
                                  key=lambda inst: contains(inst.address)):
         if not inside:
+            pipe.skip(visit)
             continue
         pipe.iteration = len(per_visit)
         retired, cycles = pipe.instructions_retired, pipe.total_cycles

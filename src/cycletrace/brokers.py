@@ -159,7 +159,8 @@ class SocketBroker:
                 raise ProtocolError("no hello frame from the producer")
             hello = self._decode_frame(line, expect="hello")
             version = hello.get("version")
-            if version != 1:
+            # True and 1.0 equal 1, but only the integer is version 1.
+            if type(version) is not int or version != 1:
                 raise ProtocolError(
                     f"unsupported protocol version {version!r}")
             hint = hello.get("model_hint")
@@ -285,12 +286,14 @@ def stream_to_socket(
     instructions: Iterable[TraceInstruction],
     model_hint: str = "",
     batch_size: int = 64,
-    send_end: bool = True,
 ):
     """Send a trace over an open socket using the wire protocol.
 
-    With send_end false the connection is closed without an end frame,
-    which the receiver reports as a truncated trace.
+    instructions may be a generator that produces the trace as it is
+    sent.  The end frame follows only once it is used up: if iterating
+    it raises, the instructions it produced are still sent and the
+    exception propagates without an end frame, which the receiver
+    reports as a truncated trace.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -305,18 +308,22 @@ def stream_to_socket(
     if not isinstance(ok, dict) or ok.get("t") != "ok":
         raise ProtocolError("receiver did not acknowledge the handshake")
 
-    chunk: list[dict] = []
-    for inst in instructions:
-        chunk.append(to_wire(inst))
-        if len(chunk) >= batch_size:
-            frame = {"t": "insts", "batch": chunk}
-            sock.sendall((json.dumps(frame) + "\n").encode("utf-8"))
-            chunk = []
-    if chunk:
-        frame = {"t": "insts", "batch": chunk}
+    def send(batch):
+        frame = {"t": "insts", "batch": batch}
         sock.sendall((json.dumps(frame) + "\n").encode("utf-8"))
-    if send_end:
-        sock.sendall(b'{"t": "end"}\n')
+
+    chunk: list[dict] = []
+    try:
+        for inst in instructions:
+            chunk.append(to_wire(inst))
+            if len(chunk) >= batch_size:
+                # Emptied before the send, so a failed send is not retried.
+                batch, chunk = chunk, []
+                send(batch)
+    finally:
+        if chunk:
+            send(chunk)
+    sock.sendall(b'{"t": "end"}\n')
 
 
 def send_trace(
@@ -325,8 +332,7 @@ def send_trace(
     instructions: Iterable[TraceInstruction],
     model_hint: str = "",
     batch_size: int = 64,
-    send_end: bool = True,
 ):
     """Connect to a listening analyzer and stream a trace to it."""
     with socket.create_connection((host, port)) as sock:
-        stream_to_socket(sock, instructions, model_hint, batch_size, send_end)
+        stream_to_socket(sock, instructions, model_hint, batch_size)

@@ -197,26 +197,24 @@ def _cmd_diff(args) -> int:
 
 def _cmd_trace(args) -> int:
     program = parse_program(_read(args.program))
-    truncated = False
+    # Each instruction is written or sent as it executes.  A run cut
+    # short by the step budget or a program error keeps what it produced,
+    # and a stream it cuts short ends without the end frame, so the
+    # analyzer records the truncation too.
+    instructions = execute(program, max_steps=args.max_steps)
     try:
-        instructions = execute(program, max_steps=args.max_steps)
+        if args.connect:
+            host, port = args.connect
+            send_trace(host, port, instructions, model_hint=args.program)
+        elif args.out == "-":
+            sys.stdout.writelines(render_trace((i,)) for i in instructions)
+        else:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.writelines(render_trace((i,)) for i in instructions)
     except TruncatedTraceError as e:
-        instructions = e.partial
-        truncated = True
         print(f"warning: {e}", file=sys.stderr)
-
-    if args.connect:
-        host, port = args.connect
-        # A truncated run ends the stream without the end frame so the
-        # analyzer records the truncation too.
-        send_trace(host, port, instructions,
-                   model_hint=args.program, send_end=not truncated)
-    elif args.out == "-":
-        sys.stdout.write(render_trace(instructions))
-    else:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(render_trace(instructions))
-    return 4 if truncated else 0
+        return 4
+    return 0
 
 
 def _cmd_model_check(args) -> int:

@@ -109,6 +109,11 @@ class PoolStats:
     peak_live: int
 
 
+def _order_error(seq: int, last: int) -> AnalysisError:
+    return AnalysisError(
+        f"instruction {seq}: sequence id not increasing (previous {last})")
+
+
 class Pipeline:
     def __init__(
         self,
@@ -117,15 +122,11 @@ class Pipeline:
         entry_capacity: int = 256,
     ):
         validate_model(model)
-        # A smaller buffer would cap dispatch below its width and change
-        # the cycles, which no report records.
-        if entry_capacity < model.dispatch_width:
-            raise ValueError(
-                f"entry_capacity {entry_capacity} is below the model's "
-                f"dispatch_width {model.dispatch_width}")
         self.model = model
         self.policy = alias_policy
-        self.entry_capacity = entry_capacity
+        # A buffer that holds one dispatch width gives the same cycles
+        # as any larger one; a smaller one would cap dispatch.
+        self.entry_capacity = max(entry_capacity, model.dispatch_width)
 
         self.cycle = 0
         self.entry: deque[InstrRecord] = deque()
@@ -191,9 +192,7 @@ class Pipeline:
                 break
             seq = inst.seq_id
             if seq <= self._last_seq:
-                raise AnalysisError(
-                    f"instruction {seq}: sequence id not increasing "
-                    f"(previous {self._last_seq})")
+                raise _order_error(seq, self._last_seq)
             cls = class_index.get(inst.class_name)
             if cls is None:
                 raise AnalysisError(
@@ -247,6 +246,17 @@ class Pipeline:
             self._last_seq = seq
             accepted += 1
         return accepted
+
+    def skip(self, instructions):
+        """Pass over instructions that are not simulated, holding them to
+        feed's rule that sequence ids increase."""
+        last = self._last_seq
+        for inst in instructions:
+            seq = inst.seq_id
+            if seq <= last:
+                raise _order_error(seq, last)
+            last = seq
+        self._last_seq = last
 
     # -- simulation --------------------------------------------------------
 

@@ -40,13 +40,8 @@ class TruncatedTraceError(CycleTraceError):
     """The instruction stream ended before its natural end.
 
     Raised when a producer disconnects without an end-of-stream frame or
-    when the toy interpreter exhausts its step budget.  partial carries
-    whatever instructions were produced before the cut.
+    when the toy interpreter exhausts its step budget.
     """
-
-    def __init__(self, message: str, partial: list | None = None):
-        super().__init__(message)
-        self.partial = partial if partial is not None else []
 
 
 class AnalysisError(CycleTraceError):

@@ -24,6 +24,7 @@ Execution is pure: the same program always yields the same trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import CycleTraceError, TraceParseError, TruncatedTraceError
 from .trace import _LOAD, _STORE, MemoryAccess, TraceInstruction, read_int
@@ -194,11 +195,13 @@ def _signed(v: int) -> int:
     return v - U64 if v >= (U64 >> 1) else v
 
 
-def execute(program: ToyProgram, max_steps: int = 100_000) -> list[TraceInstruction]:
-    """Run a program, returning the trace of executed instructions.
+def execute(
+    program: ToyProgram, max_steps: int = 100_000
+) -> Iterator[TraceInstruction]:
+    """Run a program, yielding each instruction as it executes.
 
-    Raises TruncatedTraceError carrying the partial trace when the step
-    budget runs out before halt.
+    Raises TruncatedTraceError once it has yielded max_steps
+    instructions without reaching halt.
     """
     regs = [0] * 32
     mem: dict[int, int] = {}
@@ -206,14 +209,8 @@ def execute(program: ToyProgram, max_steps: int = 100_000) -> list[TraceInstruct
     pc = program.entry
     ops = program.instructions
     class_map = program.class_map
-    trace: list[TraceInstruction] = []
 
-    while True:
-        if len(trace) >= max_steps:
-            raise TruncatedTraceError(
-                f"step budget of {max_steps} exhausted before halt",
-                partial=trace,
-            )
+    for seq in range(max_steps):
         if not 0 <= pc < len(ops):
             raise ProgramError(
                 f"execution ran past the program (pc={pc})"
@@ -221,7 +218,6 @@ def execute(program: ToyProgram, max_steps: int = 100_000) -> list[TraceInstruct
         op = ops[pc]
         address = program.address_of(pc)
         cname = class_map.get(op.opcode, op.opcode)
-        seq = len(trace)
         next_pc = pc + 1
         reads: tuple[int, ...] = ()
         writes: tuple[int, ...] = ()
@@ -278,7 +274,7 @@ def execute(program: ToyProgram, max_steps: int = 100_000) -> list[TraceInstruct
         elif opcode == "jump":
             next_pc = op.target
 
-        trace.append(TraceInstruction(
+        yield TraceInstruction(
             seq_id=seq,
             address=address,
             class_name=cname,
@@ -286,10 +282,12 @@ def execute(program: ToyProgram, max_steps: int = 100_000) -> list[TraceInstruct
             writes=writes,
             mem=accesses,
             context=context,
-        ))
+        )
 
         if opcode == "setctx":
             context = (op.key, op.value)
         if opcode == "halt":
-            return trace
+            return
         pc = next_pc
+    raise TruncatedTraceError(
+        f"step budget of {max_steps} exhausted before halt")

@@ -160,9 +160,12 @@ def _parse_int(token: str, line: int | None, what: str) -> int:
 _NUM = r"(?:0|[1-9][0-9]*)"
 _HEX = r"0x(?:0|[1-9a-f][0-9a-f]*)"
 _REGS = rf"(?:-|{_NUM}(?:,{_NUM})*)"
+_CLASS = r"[^\s#]+"
+_CTX_KEY = r"[^\s#=]+"
+_CTX_VALUE = r"[^\s#]*"
 _CANONICAL_LINE = re.compile(
-    rf"I ({_NUM}) ({_HEX}) ([^\s#]+) R:({_REGS}) W:({_REGS})"
-    rf"((?: [LS]:{_HEX}:[1-9][0-9]*)*)(?: C:([^\s#=]+)=([^\s#]*))?\n"
+    rf"I ({_NUM}) ({_HEX}) ({_CLASS}) R:({_REGS}) W:({_REGS})"
+    rf"((?: [LS]:{_HEX}:[1-9][0-9]*)*)(?: C:({_CTX_KEY})=({_CTX_VALUE}))?\n"
 )
 
 
@@ -385,6 +388,22 @@ def _wire_regs(obj: dict, key: str) -> tuple[int, ...]:
 
 _ABSENT = object()  # an omitted 'mem'; 'mem': null is refused
 
+# Class names and (key, value) contexts from the wire that a canonical
+# line can carry, so that no wire stream renders to the text, and the
+# digest, of another.  A hit skips the regular expressions; like
+# _REG_LISTS the set is cleared whenever it reaches a fixed size.
+_WIRE_NAMES: set[str | tuple[str, str]] = set()
+_WIRE_NAMES_MAX = 4096
+_IS_CLASS = re.compile(_CLASS).fullmatch
+_IS_CTX_KEY = re.compile(_CTX_KEY).fullmatch
+_IS_CTX_VALUE = re.compile(_CTX_VALUE).fullmatch
+
+
+def _accept_name(name) -> None:
+    if len(_WIRE_NAMES) >= _WIRE_NAMES_MAX:
+        _WIRE_NAMES.clear()
+    _WIRE_NAMES.add(name)
+
 
 def from_wire(obj: dict) -> TraceInstruction:
     """Decode one wire instruction object, checking every field.
@@ -410,8 +429,13 @@ def from_wire(obj: dict) -> TraceInstruction:
     if not 0 <= addr < U64_LIMIT:
         raise ProtocolError(f"address {addr:#x} out of range")
     cname = get("class")
-    if not isinstance(cname, str) or not cname:
-        raise ProtocolError("instruction field 'class' must be a string")
+    if type(cname) is not str or cname not in _WIRE_NAMES:
+        if not isinstance(cname, str) or not cname:
+            raise ProtocolError("instruction field 'class' must be a string")
+        if not _IS_CLASS(cname):
+            raise ProtocolError("instruction field 'class' may contain no "
+                                "whitespace and no '#'")
+        _accept_name(cname)
 
     entries = get("mem", _ABSENT)
     if entries is _ABSENT:
@@ -450,6 +474,16 @@ def from_wire(obj: dict) -> TraceInstruction:
     elif (isinstance(ctx, list) and len(ctx) == 2
           and isinstance(ctx[0], str) and isinstance(ctx[1], str)):
         context = (ctx[0], ctx[1])
+        if context not in _WIRE_NAMES:
+            if not _IS_CTX_KEY(context[0]):
+                raise ProtocolError(
+                    "instruction field 'ctx' key must be non-empty, with no "
+                    "whitespace, no '#' and no '='")
+            if not _IS_CTX_VALUE(context[1]):
+                raise ProtocolError(
+                    "instruction field 'ctx' value may contain no "
+                    "whitespace and no '#'")
+            _accept_name(context)
     else:
         raise ProtocolError("instruction field 'ctx' must be a pair of "
                             "strings")

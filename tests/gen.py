@@ -23,6 +23,7 @@ from cycletrace import (
     SequenceBroker,
     TimelineRecorder,
     TraceInstruction,
+    TruncatedTraceError,
 )
 
 
@@ -147,6 +148,12 @@ class ChunkedBroker:
             return Batch(stalled=True)
         self._stalled = False
         return self._inner.fetch_batch(min(max_n, self.k))
+
+
+def cut_short(instructions):
+    """Yields the instructions, then fails as a producer cut short does."""
+    yield from instructions
+    raise TruncatedTraceError("step budget exhausted before halt")
 
 
 def times_of(rows):

@@ -441,7 +441,7 @@ L0:
 
 def test_socket_stream_report_matches_file_report(tmp_path):
     model = contention_model()
-    trace = execute(parse_program(LOOP_HEAVY_PROGRAM))
+    trace = list(execute(parse_program(LOOP_HEAVY_PROGRAM)))
     # every iteration runs the branch block after the loop block
     names = [t.class_name for t in trace[3:10]]
     assert names == ["vmulps", "vhaddps", "vhaddps", "cmp", "jle",

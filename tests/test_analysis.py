@@ -11,6 +11,7 @@ import gen
 import refsim
 from cycletrace import (
     AliasPolicy,
+    AnalysisError,
     AnalysisReport,
     Batch,
     FileBroker,
@@ -355,7 +356,7 @@ halt
 
 def loop_case():
     prog = parse_program(LOOP_TEXT)
-    trace = execute(prog)
+    trace = list(execute(prog))
     body = prog.label_address("loop")
     # cover add and mul only; cmp/ble break each visit
     spec = RegionSpec.from_ranges([(body, body + 8, None)])
@@ -454,6 +455,22 @@ def test_region_analysis_survives_truncation(model):
     assert report.truncated
     assert report.regions.visits == 1
     assert report.regions.instructions == 2
+
+
+@pytest.mark.parametrize("stream", [
+    [(0, 0x10), (5, 0x100), (3, 0x104), (6, 0x14)],  # both outside
+    [(5, 0x10), (3, 0x100)],                         # outside after inside
+    [(5, 0x100), (3, 0x10)],                         # inside after outside
+])
+@pytest.mark.parametrize("regions", [None, "R 0x10 0x20\n"])
+def test_region_runs_keep_the_sequence_order_rule(model, stream, regions):
+    # A SequenceBroker stream meets the rule only in the pipeline, which
+    # never sees the instructions outside every region.
+    insts = [ti(seq, "add", address=address) for seq, address in stream]
+    spec = parse_regions(regions) if regions else None
+    with pytest.raises(AnalysisError, match=(
+            r"^instruction 3: sequence id not increasing \(previous 5\)$")):
+        analyze(model, SequenceBroker(insts), regions=spec)
 
 
 def test_no_region_hits_mean_zero_visits(model):

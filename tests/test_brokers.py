@@ -141,6 +141,12 @@ def loopback_pair():
     return producer, broker
 
 
+def handshake(sock):
+    """Send the hello and read the ok, as a producer opens a stream."""
+    sock.sendall(HELLO)
+    assert sock.recv(64) == b'{"t": "ok"}\n'
+
+
 def streaming_pair(produce):
     """(producer_sock, broker, thread) with produce(producer_sock) running
     on a thread started before the broker is built."""
@@ -232,7 +238,7 @@ def test_socket_holds_back_a_producer_that_outruns_the_consumer(monkeypatch):
 
 def test_socket_refuses_a_line_longer_than_the_frame_cap():
     def produce(sock):
-        stream_to_socket(sock, [], send_end=False)
+        handshake(sock)
         sock.sendall(b"x" * (MAX_FRAME_BYTES + 1))
         sock.shutdown(socket.SHUT_WR)  # without the cap: a bad last frame
 
@@ -256,7 +262,7 @@ def test_socket_accepts_a_frame_of_exactly_the_cap():
     inst = ti(0, "add", writes=[1])
 
     def produce(sock):
-        stream_to_socket(sock, [], send_end=False)
+        handshake(sock)
         sock.sendall(_padded(_frame_of([inst])[:-1], MAX_FRAME_BYTES))
         sock.sendall(b'{"t": "end"}\n')
 
@@ -272,7 +278,7 @@ def test_socket_accepts_a_frame_of_exactly_the_cap():
 
 def test_socket_refuses_a_frame_one_byte_over_the_cap():
     def produce(sock):
-        stream_to_socket(sock, [], send_end=False)
+        handshake(sock)
         sock.sendall(_padded(b'{"t": "end"}', MAX_FRAME_BYTES + 1))
 
     producer, broker, sender = streaming_pair(produce)
@@ -316,10 +322,16 @@ def test_socket_listen_connect_round_trip():
 
 def test_socket_truncation_raises():
     insts = [ti(s, "add") for s in range(10)]
+    raised = []
 
     def produce(sock):
-        stream_to_socket(sock, insts, send_end=False)
-        sock.close()  # vanish without the end frame
+        # The source fails after its instructions: they are sent, and
+        # the stream ends without the end frame.
+        try:
+            stream_to_socket(sock, gen.cut_short(insts), batch_size=4)
+        except TruncatedTraceError as e:
+            raised.append(e)
+        sock.close()
 
     producer, broker, t = streaming_pair(produce)
     got = []
@@ -331,6 +343,7 @@ def test_socket_truncation_raises():
                 break
     t.join(5)
     broker.close()
+    assert len(raised) == 1  # the source's error reaches the caller
     assert got == insts  # everything sent before the cut is delivered
 
 
@@ -415,6 +428,9 @@ def test_socket_read_past_a_caller_set_timeout_is_a_truncated_trace():
 @pytest.mark.parametrize("first_frame,match", [
     (b'{"t": "insts", "batch": []}', "hello"),
     (b'{"t": "hello", "version": 2}', "version"),
+    # Both equal 1, but neither is the integer 1.
+    (b'{"t": "hello", "version": true}', "^unsupported protocol version True$"),
+    (b'{"t": "hello", "version": 1.0}', "^unsupported protocol version 1.0$"),
     (b"not json at all", "frame"),
     (b'{"no_t": 1}', "frame"),
     (b'{"t": "hello", "version": 1, "model_hint": "\xff"}', "UTF-8"),

@@ -1,11 +1,13 @@
 """Command-line flows and exit codes, driven through main(argv)."""
 
+import hashlib
 import json
 import socket
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 import gen
 from cycletrace import (
     AnalysisReport,
+    TruncatedTraceError,
     parse_trace,
     render_model,
     render_trace,
@@ -140,6 +143,29 @@ def test_trace_step_budget_exhaustion(tmp_path, program_file, capsys):
     assert len(parse_trace(p.read_text())) == 5
 
 
+def test_trace_memory_does_not_grow_with_the_step_budget(tmp_path, capsys):
+    # Each instruction is written as it executes, so a budget four times
+    # larger needs no more memory.
+    program = tmp_path / "spin.toy"
+    program.write_text("loop:\nadd r1, r1, r2\nmul r3, r1, r1\n"
+                       "cmp r4, r3, r1\njump loop\n")
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            assert main(["trace", "--program", str(program),
+                         "--out", str(tmp_path / "spin.trace"),
+                         "--max-steps", str(steps)]) == 4
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # fills the renderer's register-text table
+    small, large = peak(10_000), peak(40_000)
+    assert large < 1.25 * small, (small, large)
+    assert len((tmp_path / "spin.trace").read_text().splitlines()) == 40_000
+
+
 def test_trace_rejects_bad_programs(tmp_path, capsys):
     p = tmp_path / "bad.toy"
     p.write_text("frobnicate r1\n")
@@ -228,6 +254,19 @@ def test_analyze_unknown_class_is_an_analysis_error(
     rc = main(["analyze", "--model", model_file, "--trace", str(p)])
     assert rc == 4
     assert "analysis error" in capsys.readouterr().err
+
+
+def test_analyze_a_model_wider_than_the_entry_buffer(
+    tmp_path, trace_file, capsys
+):
+    # 300 is above analyze's default entry_capacity of 256.
+    wide = tmp_path / "wide.json"
+    wide.write_text(render_model(gen.simple_model(width=300, rob=300)))
+    assert main(["model-check", "--model", str(wide)]) == 0
+    assert main(["analyze", "--model", str(wide), "--trace", trace_file]) == 0
+    out = capsys.readouterr().out
+    assert f"Instructions:      {PROGRAM_INSTRUCTIONS}\n" in out
+    assert "Dispatch Width:    300\n" in out
 
 
 def test_analyze_missing_trace_file(model_file, capsys):
@@ -426,6 +465,38 @@ def test_usage_errors_exit_one(argv, capsys):
 
 # -- sockets ------------------------------------------------------------------
 
+def trace_into_listener(model_file, program, report, port, capsys, *args):
+    """Exit statuses of trace --connect into analyze --listen on port.
+
+    The analyzer runs on a thread; trace is retried until the analyzer
+    takes the connection.  Returns (trace, analyze, analyzer stderr).
+    """
+    rc = {}
+
+    def analyzer():
+        rc["analyze"] = main([
+            "analyze", "--model", model_file, "--listen", str(port),
+            "--out", str(report),
+        ])
+
+    t = threading.Thread(target=analyzer)
+    t.start()
+    deadline = time.monotonic() + 10
+    errs = []
+    while True:
+        code = main(["trace", "--program", program,
+                     "--connect", f"127.0.0.1:{port}", *args])
+        errs.append(capsys.readouterr().err)
+        if "Connection refused" not in errs[-1]:
+            break
+        assert time.monotonic() < deadline, "producer never connected"
+        time.sleep(0.02)
+    t.join(10)
+    assert not t.is_alive()
+    errs.append(capsys.readouterr().err)
+    return code, rc["analyze"], "".join(errs)
+
+
 def test_stream_between_cli_processes(
     tmp_path, model_file, program_file, trace_file, capsys
 ):
@@ -436,33 +507,56 @@ def test_stream_between_cli_processes(
 
     port = free_port()
     socket_report = tmp_path / "socket.json"
-    rc = {}
-
-    def analyzer():
-        rc["analyze"] = main([
-            "analyze", "--model", model_file, "--listen", str(port),
-            "--out", str(socket_report),
-        ])
-
-    t = threading.Thread(target=analyzer)
-    t.start()
-    deadline = time.monotonic() + 10
-    while True:
-        code = main(["trace", "--program", program_file,
-                     "--connect", f"127.0.0.1:{port}"])
-        if code == 0:
-            break
-        assert time.monotonic() < deadline, "producer never connected"
-        time.sleep(0.02)
-    t.join(10)
-    assert rc["analyze"] == 0
-    assert "listening on" in capsys.readouterr().err
+    codes = trace_into_listener(model_file, program_file, socket_report, port,
+                                capsys)
+    assert codes[:2] == (0, 0)
+    assert "listening on" in codes[2]
 
     by_file = AnalysisReport.from_json(file_report.read_text())
     by_socket = AnalysisReport.from_json(socket_report.read_text())
     assert by_socket.digest == by_file.digest
     assert by_socket.summary == by_file.summary
     assert by_socket.source == f"listen:{port}"
+
+
+def test_truncated_trace_over_a_socket_exits_four_on_both_sides(
+    tmp_path, model_file, program_file, capsys
+):
+    report = tmp_path / "cut.json"
+    trace_rc, analyze_rc, err = trace_into_listener(
+        model_file, program_file, report, free_port(), capsys,
+        "--max-steps", "10")
+    assert (trace_rc, analyze_rc) == (4, 4)
+    assert "warning: step budget of 10 exhausted before halt" in err
+    assert "without an end-of-stream marker" in err
+    cut = AnalysisReport.from_json(report.read_text())
+    assert cut.truncated
+    assert cut.summary.instructions == 10
+
+
+def test_program_error_over_a_socket_leaves_a_truncated_stream(
+    tmp_path, model_file, capsys
+):
+    # Three instructions, then execution runs past the program.
+    program = tmp_path / "runaway.toy"
+    program.write_text(".map const nop\nconst r1, 3\n"
+                       "add r2, r1, r1\nmul r3, r2, r1\n")
+    written = tmp_path / "runaway.trace"
+    assert main(["trace", "--program", str(program),
+                 "--out", str(written)]) == 2
+    assert "ran past the program" in capsys.readouterr().err
+    assert [i.seq_id for i in parse_trace(written.read_text())] == [0, 1, 2]
+
+    report = tmp_path / "runaway.json"
+    trace_rc, analyze_rc, err = trace_into_listener(
+        model_file, str(program), report, free_port(), capsys)
+    assert (trace_rc, analyze_rc) == (2, 4)
+    assert "ran past the program" in err
+    cut = AnalysisReport.from_json(report.read_text())
+    assert cut.truncated
+    assert cut.summary.instructions == 3
+    assert cut.digest == hashlib.sha256(
+        written.read_text().encode("utf-8")).hexdigest()
 
 
 def test_protocol_violation_exits_three(model_file, capsys):
@@ -495,11 +589,15 @@ def test_truncated_stream_exits_four_with_a_partial_report(
     server.listen(1)
     port = server.getsockname()[1]
     insts = [ti(s, "add", writes=[s % 4]) for s in range(6)]
+    raised = []
 
     def producer():
         conn, _ = server.accept()
         with conn:
-            stream_to_socket(conn, insts, send_end=False)
+            try:
+                stream_to_socket(conn, gen.cut_short(insts))
+            except TruncatedTraceError as e:
+                raised.append(e)
 
     t = threading.Thread(target=producer)
     t.start()
@@ -509,6 +607,7 @@ def test_truncated_stream_exits_four_with_a_partial_report(
     t.join(5)
     server.close()
     assert not t.is_alive()
+    assert len(raised) == 1
     assert rc == 4
     out, err = capsys.readouterr()
     assert "without an end-of-stream marker" in err

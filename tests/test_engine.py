@@ -475,16 +475,14 @@ def test_directly_built_model_is_validated():
         Pipeline(m)
 
 
-def test_entry_buffer_below_dispatch_width_is_refused():
-    # Such a buffer caps dispatch below its width and changes the cycles.
+def test_entry_buffer_below_dispatch_width_is_widened():
+    # A buffer below the width would cap dispatch and change the cycles;
+    # one dispatch width gives the cycles of any larger buffer.
     model = gen.wide_model(random.Random(0))
     width = model.dispatch_width
     assert width > 1
     for capacity in (0, 1, width - 1):
-        with pytest.raises(ValueError, match=(
-                f"^entry_capacity {capacity} is below the model's "
-                f"dispatch_width {width}$")):
-            Pipeline(model, entry_capacity=capacity)
+        assert Pipeline(model, entry_capacity=capacity).entry_capacity == width
     trace = gen.random_trace(random.Random(1), 400)
     cycles = set()
     for capacity in (width, width + 2, 256):

@@ -15,7 +15,7 @@ U64 = 1 << 64
 
 
 def run(text, **kw):
-    return execute(parse_program(text), **kw)
+    return list(execute(parse_program(text), **kw))
 
 
 # -- parsing ------------------------------------------------------------------
@@ -134,7 +134,7 @@ def assert_reg(setup, reg, expected):
         "eq: halt\n"
     )
     prog = parse_program(text)
-    trace = execute(prog)
+    trace = list(execute(prog))
     assert trace[-1].address == prog.label_address("eq"), (
         f"{reg} != {expected} after:\n{setup}"
     )
@@ -310,11 +310,13 @@ def test_setctx_applies_to_subsequent_instructions_only():
 
 
 def test_step_budget_raises_with_partial_trace():
-    with pytest.raises(TruncatedTraceError) as e:
-        run("loop: jump loop\n", max_steps=10)
-    assert len(e.value.partial) == 10
-    assert all(t.class_name == "jump" for t in e.value.partial)
-    assert [t.seq_id for t in e.value.partial] == list(range(10))
+    partial = []
+    with pytest.raises(TruncatedTraceError):
+        for inst in execute(parse_program("loop: jump loop\n"), max_steps=10):
+            partial.append(inst)
+    assert len(partial) == 10
+    assert all(t.class_name == "jump" for t in partial)
+    assert [t.seq_id for t in partial] == list(range(10))
 
 
 def test_execution_is_deterministic():

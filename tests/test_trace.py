@@ -233,10 +233,44 @@ def _entry(**fields):
      "instruction field 'class' must be a string"),
     (_wire(ctx=["sz", 4]),
      "instruction field 'ctx' must be a pair of strings"),
+    (_wire(**{"class": ["a"]}), "instruction field 'class' must be a string"),
+    # Names and contexts no trace line can carry.  The last class renders
+    # to the canonical text of a two-instruction trace, digest included.
+    (_wire(**{"class": "a b"}),
+     "instruction field 'class' may contain no whitespace and no '#'"),
+    (_wire(**{"class": "a#b"}),
+     "instruction field 'class' may contain no whitespace and no '#'"),
+    (_wire(**{"class": "a\u2028b"}),
+     "instruction field 'class' may contain no whitespace and no '#'"),
+    (_wire(**{"class": "add R:- W:-\nI 1 0x4 add"}),
+     "instruction field 'class' may contain no whitespace and no '#'"),
+    (_wire(ctx=["", "x"]), "instruction field 'ctx' key must be non-empty, "
+     "with no whitespace, no '#' and no '='"),
+    (_wire(ctx=["a=b", "x"]), "instruction field 'ctx' key must be non-empty"),
+    (_wire(ctx=["a b", "x"]), "instruction field 'ctx' key must be non-empty"),
+    (_wire(ctx=["a#", "x"]), "instruction field 'ctx' key must be non-empty"),
+    (_wire(ctx=["k", "x y"]),
+     "instruction field 'ctx' value may contain no whitespace and no '#'"),
+    (_wire(ctx=["k", "x#"]),
+     "instruction field 'ctx' value may contain no whitespace and no '#'"),
 ])
 def test_from_wire_rejects(obj, message):
     with pytest.raises(ProtocolError, match=re.escape(message)):
         from_wire(obj)
+
+
+def test_from_wire_checks_names_it_has_not_accepted():
+    # Accepted names and contexts are remembered in a bounded set; a
+    # refused one is refused every time.
+    for _ in range(2):
+        with pytest.raises(ProtocolError, match="'class'"):
+            from_wire(_wire(**{"class": "a b"}))
+        with pytest.raises(ProtocolError, match="'ctx'"):
+            from_wire(_wire(ctx=["k", "x y"]))
+    for n in range(2 * trace._WIRE_NAMES_MAX):
+        assert from_wire(_wire(**{"class": f"c{n}"}, ctx=["k", str(n)]))
+        assert len(trace._WIRE_NAMES) <= trace._WIRE_NAMES_MAX
+    assert from_wire(_wire(ctx=["k", "="])).context == ("k", "=")
 
 
 def test_from_wire_accepts_int_subclasses():
@@ -268,8 +302,20 @@ _instructions = st.builds(
 )
 
 
+def _text_carries(inst):
+    try:
+        return parse_trace(render_trace([inst])) == [inst]
+    except TraceParseError:
+        return False
+
+
 @given(_instructions)
 def test_wire_round_trip_property(inst):
+    # The wire takes exactly the instructions a trace line carries.
+    if not _text_carries(inst):
+        with pytest.raises(ProtocolError, match="'ctx'"):
+            from_wire(to_wire(inst))
+        return
     decoded = from_wire(json.loads(json.dumps(to_wire(inst))))
     assert decoded == inst
     assert from_wire(to_wire(inst)) == inst
