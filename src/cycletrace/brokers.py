@@ -24,6 +24,7 @@ producer faster than the consumer is held back by TCP flow control.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 from itertools import islice
@@ -290,9 +291,8 @@ def stream_to_socket(
     """Send a trace over an open socket using the wire protocol.
 
     instructions may be a generator that produces the trace as it is
-    sent.  The end frame follows only once it is used up: if iterating
-    it raises, the instructions it produced are still sent and the
-    exception propagates without an end frame, which the receiver
+    sent.  If iterating it raises, what it produced is still sent and
+    the error propagates without the end frame, which the receiver
     reports as a truncated trace.
     """
     if batch_size < 1:
@@ -309,8 +309,9 @@ def stream_to_socket(
         raise ProtocolError("receiver did not acknowledge the handshake")
 
     def send(batch):
-        frame = {"t": "insts", "batch": batch}
-        sock.sendall((json.dumps(frame) + "\n").encode("utf-8"))
+        if batch:
+            frame = {"t": "insts", "batch": batch}
+            sock.sendall((json.dumps(frame) + "\n").encode("utf-8"))
 
     chunk: list[dict] = []
     try:
@@ -320,9 +321,12 @@ def stream_to_socket(
                 # Emptied before the send, so a failed send is not retried.
                 batch, chunk = chunk, []
                 send(batch)
-    finally:
-        if chunk:
+    except BaseException:
+        # A receiver that has gone must not hide the source's own error.
+        with contextlib.suppress(OSError):
             send(chunk)
+        raise
+    send(chunk)
     sock.sendall(b'{"t": "end"}\n')
 
 

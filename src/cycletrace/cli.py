@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 input or parse error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .analysis import AnalysisReport, analyze, parse_regions
@@ -197,17 +198,23 @@ def _cmd_diff(args) -> int:
 
 def _cmd_trace(args) -> int:
     program = parse_program(_read(args.program))
-    # Each instruction is written or sent as it executes.  A run cut
-    # short by the step budget or a program error keeps what it produced,
-    # and a stream it cuts short ends without the end frame, so the
-    # analyzer records the truncation too.
+    # Each instruction is written or sent as it executes, so a run cut
+    # short keeps what it produced; a stream it cuts short ends without
+    # the end frame, and the analyzer records the truncation too.
     instructions = execute(program, max_steps=args.max_steps)
     try:
         if args.connect:
             host, port = args.connect
             send_trace(host, port, instructions, model_hint=args.program)
         elif args.out == "-":
-            sys.stdout.writelines(render_trace((i,)) for i in instructions)
+            try:
+                sys.stdout.writelines(render_trace((i,)) for i in instructions)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # The reader stopped early (`trace --out - | head`); what is
+                # still buffered goes to devnull, not to a failing exit flush.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return 0
         else:
             with open(args.out, "w", encoding="utf-8") as f:
                 f.writelines(render_trace((i,)) for i in instructions)

@@ -388,21 +388,12 @@ def _wire_regs(obj: dict, key: str) -> tuple[int, ...]:
 
 _ABSENT = object()  # an omitted 'mem'; 'mem': null is refused
 
-# Class names and (key, value) contexts from the wire that a canonical
-# line can carry, so that no wire stream renders to the text, and the
-# digest, of another.  A hit skips the regular expressions; like
-# _REG_LISTS the set is cleared whenever it reaches a fixed size.
-_WIRE_NAMES: set[str | tuple[str, str]] = set()
-_WIRE_NAMES_MAX = 4096
+# The wire takes only class names and contexts a canonical line can
+# carry, so that no wire stream renders to the text, and the digest, of
+# another.
 _IS_CLASS = re.compile(_CLASS).fullmatch
 _IS_CTX_KEY = re.compile(_CTX_KEY).fullmatch
 _IS_CTX_VALUE = re.compile(_CTX_VALUE).fullmatch
-
-
-def _accept_name(name) -> None:
-    if len(_WIRE_NAMES) >= _WIRE_NAMES_MAX:
-        _WIRE_NAMES.clear()
-    _WIRE_NAMES.add(name)
 
 
 def from_wire(obj: dict) -> TraceInstruction:
@@ -429,13 +420,11 @@ def from_wire(obj: dict) -> TraceInstruction:
     if not 0 <= addr < U64_LIMIT:
         raise ProtocolError(f"address {addr:#x} out of range")
     cname = get("class")
-    if type(cname) is not str or cname not in _WIRE_NAMES:
-        if not isinstance(cname, str) or not cname:
-            raise ProtocolError("instruction field 'class' must be a string")
-        if not _IS_CLASS(cname):
-            raise ProtocolError("instruction field 'class' may contain no "
-                                "whitespace and no '#'")
-        _accept_name(cname)
+    if not isinstance(cname, str) or not cname:
+        raise ProtocolError("instruction field 'class' must be a string")
+    if not _IS_CLASS(cname):
+        raise ProtocolError("instruction field 'class' may contain no "
+                            "whitespace and no '#'")
 
     entries = get("mem", _ABSENT)
     if entries is _ABSENT:
@@ -473,17 +462,15 @@ def from_wire(obj: dict) -> TraceInstruction:
         context = None
     elif (isinstance(ctx, list) and len(ctx) == 2
           and isinstance(ctx[0], str) and isinstance(ctx[1], str)):
+        if not _IS_CTX_KEY(ctx[0]):
+            raise ProtocolError(
+                "instruction field 'ctx' key must be non-empty, with no "
+                "whitespace, no '#' and no '='")
+        if not _IS_CTX_VALUE(ctx[1]):
+            raise ProtocolError(
+                "instruction field 'ctx' value may contain no whitespace "
+                "and no '#'")
         context = (ctx[0], ctx[1])
-        if context not in _WIRE_NAMES:
-            if not _IS_CTX_KEY(context[0]):
-                raise ProtocolError(
-                    "instruction field 'ctx' key must be non-empty, with no "
-                    "whitespace, no '#' and no '='")
-            if not _IS_CTX_VALUE(context[1]):
-                raise ProtocolError(
-                    "instruction field 'ctx' value may contain no "
-                    "whitespace and no '#'")
-            _accept_name(context)
     else:
         raise ProtocolError("instruction field 'ctx' must be a pair of "
                             "strings")

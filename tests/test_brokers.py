@@ -347,6 +347,21 @@ def test_socket_truncation_raises():
     assert got == insts  # everything sent before the cut is delivered
 
 
+def test_source_error_wins_over_a_receiver_that_has_gone():
+    # The receiver closes before the source fails, so flushing the
+    # part-filled frame fails too; the source's error reaches the caller.
+    sock, peer = socket.socketpair()
+    peer.sendall(b'{"t": "ok"}\n')
+
+    def source():
+        peer.close()
+        yield ti(0, "add")
+        raise TruncatedTraceError("step budget exhausted before halt")
+
+    with sock, pytest.raises(TruncatedTraceError):
+        stream_to_socket(sock, source())
+
+
 def test_socket_fetch_waits_for_a_quiet_producer():
     insts = [ti(s, "add", writes=[s]) for s in range(3)]
     producer, broker = loopback_pair()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -164,6 +165,37 @@ def test_trace_memory_does_not_grow_with_the_step_budget(tmp_path, capsys):
     small, large = peak(10_000), peak(40_000)
     assert large < 1.25 * small, (small, large)
     assert len((tmp_path / "spin.trace").read_text().splitlines()) == 40_000
+
+
+def test_trace_to_a_reader_that_stops_early(tmp_path, capsys, monkeypatch):
+    # A closed pipe ends the run quietly instead of as an input error.
+    program = tmp_path / "spin.toy"
+    program.write_text("loop:\nadd r1, r1, r2\njump loop\n")
+    r, w = os.pipe()
+    os.close(r)
+    with os.fdopen(w, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["trace", "--program", str(program), "--out", "-",
+                     "--max-steps", "1000"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_trace_piped_into_head(tmp_path):
+    # `cycletrace trace --out - | head -1`, interpreter exit included.
+    program = tmp_path / "spin.toy"
+    program.write_text("loop:\nadd r1, r1, r2\njump loop\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cycletrace.cli", "trace", "--program",
+         str(program), "--out", "-", "--max-steps", "1000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == ""
+    assert len(parse_trace(first)) == 1
 
 
 def test_trace_rejects_bad_programs(tmp_path, capsys):
