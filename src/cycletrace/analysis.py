@@ -147,7 +147,9 @@ class AnalysisReport:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise TraceParseError(f"report is not valid JSON: {e.msg}") from None
-        if not isinstance(doc, dict) or doc.get("report_version") != 1:
+        # True and 1.0 equal 1, but only the integer is version 1.
+        version = doc.get("report_version") if isinstance(doc, dict) else None
+        if type(version) is not int or version != 1:
             raise TraceParseError("not an analysis report (missing version)")
         f = _fields(doc, _REPORT_KINDS, "", exact=False)
         regions = None
@@ -284,7 +286,7 @@ def analyze(
 
 def _analyze_regions(pipe, broker, regions):
     stream = BrokerStream(broker, pipe.entry_capacity)
-    contains, push = regions.contains, pipe.push
+    contains, feed = regions.contains, pipe.feed
     per_visit: list[tuple[int, int]] = []
     for inside, visit in groupby(chain.from_iterable(stream),
                                  key=lambda inst: contains(inst.address)):
@@ -293,10 +295,10 @@ def _analyze_regions(pipe, broker, regions):
             continue
         pipe.iteration = len(per_visit)
         retired, cycles = pipe.instructions_retired, pipe.total_cycles
-        # One instruction per push: a visit is never built into a list,
+        # One instruction per feed: a visit is never built into a list,
         # since a region covering the whole program is one visit.
         for inst in visit:
-            push((inst,))
+            feed((inst,))
         pipe.drain()
         per_visit.append((pipe.instructions_retired - retired,
                           pipe.total_cycles - cycles))

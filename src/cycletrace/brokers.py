@@ -282,11 +282,13 @@ class SocketBroker:
 # ---------------------------------------------------------------------------
 # Producer side
 
+FRAME_INSTRUCTIONS = 64  # instructions per full 'insts' frame
+
+
 def stream_to_socket(
     sock: socket.socket,
     instructions: Iterable[TraceInstruction],
     model_hint: str = "",
-    batch_size: int = 64,
 ):
     """Send a trace over an open socket using the wire protocol.
 
@@ -295,8 +297,6 @@ def stream_to_socket(
     the error propagates without the end frame, which the receiver
     reports as a truncated trace.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     hello = {"t": "hello", "version": 1, "model_hint": model_hint}
     sock.sendall((json.dumps(hello) + "\n").encode("utf-8"))
     with sock.makefile("r", encoding="utf-8", newline="\n") as rfile:
@@ -317,7 +317,7 @@ def stream_to_socket(
     try:
         for inst in instructions:
             chunk.append(to_wire(inst))
-            if len(chunk) >= batch_size:
+            if len(chunk) == FRAME_INSTRUCTIONS:
                 # Emptied before the send, so a failed send is not retried.
                 batch, chunk = chunk, []
                 send(batch)
@@ -335,8 +335,7 @@ def send_trace(
     port: int,
     instructions: Iterable[TraceInstruction],
     model_hint: str = "",
-    batch_size: int = 64,
 ):
     """Connect to a listening analyzer and stream a trace to it."""
     with socket.create_connection((host, port)) as sock:
-        stream_to_socket(sock, instructions, model_hint, batch_size)
+        stream_to_socket(sock, instructions, model_hint)

@@ -47,7 +47,7 @@ skipped attempt would have failed, and a failed one has no side effects.
 Memory blocking only ever clears, because entries enter the queues in seq
 order, so no older entry can appear after a record was refused.  A quiet
 cycle would have retired, completed, issued and dispatched nothing, and
-with a cycle run only on a full entry buffer (push) or an ended input
+with a cycle run only on a full entry buffer (feed) or an ended input
 (drain), fetch pacing cannot matter.
 
 Retired records go on a free list, and feed builds a new record only
@@ -172,24 +172,25 @@ class Pipeline:
     # -- input -------------------------------------------------------------
 
     def feed(self, instructions) -> int:
-        """Accept instructions into the entry buffer, up to free capacity.
+        """Append instructions to the entry buffer in order, running a
+        cycle whenever it is full; returns len(instructions) once all are
+        in and the buffer is no longer full.
 
-        Returns how many were taken; the caller re-offers the rest later.
+        feed runs a cycle only on a full buffer, and drain only once the
+        input has ended, so cycle counts, timestamps and pool stats depend
+        only on the order of the instructions, never on their batching.
         Class resolution, metadata validation, and context latency lookup
         all happen here so later stages never fail.
         """
-        space = self.entry_capacity - len(self.entry)
-        if space == self.entry_capacity:
-            self._quiet_until = 0  # dispatch may act again
-        accepted = 0
+        capacity = self.entry_capacity
         model = self.model
         class_index = model._class_index
         entry = self.entry
         free = self.free
         claims = self.claims
         for inst in instructions:
-            if accepted >= space:
-                break
+            if not entry:
+                self._quiet_until = 0  # dispatch may act again
             seq = inst.seq_id
             if seq <= self._last_seq:
                 raise _order_error(seq, self._last_seq)
@@ -244,8 +245,9 @@ class Pipeline:
 
             entry.append(rec)
             self._last_seq = seq
-            accepted += 1
-        return accepted
+            while len(entry) >= capacity:
+                self.run_cycle()
+        return len(instructions)
 
     def skip(self, instructions):
         """Pass over instructions that are not simulated, holding them to
@@ -460,29 +462,8 @@ class Pipeline:
 
     # -- driving -----------------------------------------------------------
 
-    def push(self, instructions):
-        """Feed instructions in order, running a cycle whenever the entry
-        buffer is full; returns once all are in and it is no longer full.
-
-        push runs a cycle only on a full buffer, and drain only once the
-        input has ended, so cycle counts, timestamps and pool stats depend
-        only on the order of the instructions, never on their batching.
-        """
-        capacity = self.entry_capacity
-        entry = self.entry
-        n = len(instructions)
-        pos = 0
-        while True:
-            free = capacity - len(entry)
-            if not free:
-                self.run_cycle()
-            elif pos < n:
-                pos += self.feed(instructions[pos:pos + free])
-            else:
-                return
-
     def run_until_starved(self, broker) -> bool:
-        """Push each batch of the broker's stream, then drain.
+        """Feed each batch of the broker's stream, then drain.
 
         Each fetch asks for entry_capacity instructions; the result is
         whether the stream was truncated.  A broker may block, and an
@@ -490,7 +471,7 @@ class Pipeline:
         """
         stream = BrokerStream(broker, self.entry_capacity)
         for batch in stream:
-            self.push(batch)
+            self.feed(batch)
         self.drain()
         return stream.truncated
 

@@ -381,6 +381,11 @@ def _wire_regs(obj: dict, key: str) -> tuple[int, ...]:
             ):
                 break
         else:
+            # A trace line carries no sign, so neither may the wire.
+            if v and min(v) < 0:
+                raise ProtocolError(
+                    f"negative register {min(v)} in instruction field "
+                    f"'{key}'")
             return tuple(v)
     raise ProtocolError(f"instruction field '{key}' must be a list of "
                         "integers")

@@ -566,6 +566,10 @@ def test_report_doc_is_valid():
     ("not json", "not valid JSON"),
     ("[]", "missing version"),
     ('{"report_version": 2}', "missing version"),
+    # True and 1.0 equal 1, but only the integer is version 1.
+    (report_doc(report_version=True), "missing version"),
+    (report_doc(report_version=1.0), "missing version"),
+    (report_doc(report_version="1"), "missing version"),
     ('{"report_version": 1}', "malformed analysis report"),
     (
         '{"report_version": 1, "model": "m", "source": "", "digest": "",'

@@ -29,3 +29,12 @@ def test_readme_names_every_model_key():
     missing = [key for key in sorted(keys)
                if not re.search(rf"\b{key}\b", paragraph)]
     assert missing == []
+
+
+def test_readme_names_only_pipeline_methods_that_exist():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"\bPipeline\.(\w+)\(", text))
+    assert "feed" in named
+    missing = [name for name in sorted(named)
+               if not hasattr(cycletrace.Pipeline, name)]
+    assert missing == []

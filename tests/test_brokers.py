@@ -26,7 +26,7 @@ from cycletrace import (
     stream_to_socket,
     to_wire,
 )
-from cycletrace.brokers import MAX_FRAME_BYTES
+from cycletrace.brokers import FRAME_INSTRUCTIONS, MAX_FRAME_BYTES
 from gen import ti
 
 
@@ -157,9 +157,11 @@ def streaming_pair(produce):
 
 
 def test_socket_round_trip():
-    insts = [ti(s, "add", writes=[s % 3]) for s in range(20)]
+    # Two full frames and a part-filled last one.
+    insts = [ti(s, "add", writes=[s % 3])
+             for s in range(2 * FRAME_INSTRUCTIONS + 20)]
     producer, broker, t = streaming_pair(lambda sock: stream_to_socket(
-        sock, insts, model_hint="m1", batch_size=6))
+        sock, insts, model_hint="m1"))
     # The constructor has read the hello before any fetch.
     assert broker.model_hint == "m1"
     got = drain_broker(broker, 8)
@@ -219,7 +221,7 @@ def test_socket_holds_back_a_producer_that_outruns_the_consumer(monkeypatch):
         batch = broker.fetch_batch(8)
         assert batch.instructions == tuple(inst(s) for s in range(8))
         time.sleep(0.5)
-        assert decoded <= 64  # one frame of stream_to_socket's default
+        assert decoded <= FRAME_INSTRUCTIONS  # one frame
         assert sender.is_alive()
 
         expected = 8
@@ -321,14 +323,15 @@ def test_socket_listen_connect_round_trip():
 
 
 def test_socket_truncation_raises():
-    insts = [ti(s, "add") for s in range(10)]
+    # Two full frames and a part-filled last one before the cut.
+    insts = [ti(s, "add") for s in range(2 * FRAME_INSTRUCTIONS + 10)]
     raised = []
 
     def produce(sock):
         # The source fails after its instructions: they are sent, and
         # the stream ends without the end frame.
         try:
-            stream_to_socket(sock, gen.cut_short(insts), batch_size=4)
+            stream_to_socket(sock, gen.cut_short(insts))
         except TruncatedTraceError as e:
             raised.append(e)
         sock.close()
@@ -491,8 +494,6 @@ def test_batches_of_zero_are_refused():
     try:
         with pytest.raises(ValueError, match="max_n must be >= 1"):
             broker.fetch_batch(0)
-        with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            stream_to_socket(producer, [], batch_size=0)
     finally:
         producer.close()
         broker.close()

@@ -401,6 +401,19 @@ def test_diff_rejects_non_report_json(tmp_path, report_pair, capsys):
     assert main(["diff", "--base", base, "--cand", str(bogus)]) == 2
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_diff_rejects_a_version_that_is_not_the_integer_one(
+        tmp_path, report_pair, capsys, version):
+    base, _ = report_pair
+    other = json.loads(Path(base).read_text())
+    other["report_version"] = version
+    cand = tmp_path / "other.json"
+    cand.write_text(json.dumps(other))
+    capsys.readouterr()
+    assert main(["diff", "--base", base, "--cand", str(cand)]) == 2
+    assert "not an analysis report" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value, message", [
     # A string once crashed diff with a TypeError traceback, and true
     # was read as one cycle.

@@ -640,7 +640,7 @@ def test_reports_are_byte_identical_across_batch_sizes():
 ])
 def test_pushing_one_instruction_at_a_time_matches_run_trace(
         seed, factory, weights, small):
-    # A region visit is pushed one instruction per call, then drained.
+    # A region visit is fed one instruction per call, then drained.
     rng = random.Random(seed)
     model = factory(rng)
     capacity = model.dispatch_width if small else 256
@@ -654,23 +654,33 @@ def test_pushing_one_instruction_at_a_time_matches_run_trace(
 
     def one_at_a_time(pipe):
         for inst in insts:
-            pipe.push((inst,))
+            pipe.feed((inst,))
         pipe.drain()
 
     assert run(one_at_a_time) == run(lambda pipe: pipe.run_trace(insts))
 
 
-def test_feed_takes_no_more_than_the_free_space(model):
-    insts = [ti(s, "add", writes=[s % 4]) for s in range(10)]
-    pipe = Pipeline(model, entry_capacity=4)
-    recorder = TimelineRecorder().attach(pipe)
-    assert pipe.feed(insts) == 4
-    assert pipe.feed(insts[4:]) == 0
-    pipe.push(insts[4:])  # the rest, offered again
-    pipe.drain()
+@pytest.mark.parametrize("capacity", [4, 256])
+def test_one_feed_takes_a_list_longer_than_the_buffer(model, capacity):
+    # feed runs the full-buffer cycles itself, so one call takes it all.
+    insts = [ti(s, "mul" if s % 3 else "add", reads=[(s + 1) % 4],
+                writes=[s % 4]) for s in range(capacity + 44)]
+
+    def run(drive):
+        pipe = Pipeline(model, entry_capacity=capacity)
+        recorder = TimelineRecorder().attach(pipe)
+        drive(pipe)
+        return recorder.rows, pipe.total_cycles, pipe.pool_stats()
+
+    def one_feed(pipe):
+        assert pipe.feed(insts) == len(insts)
+        assert len(pipe.entry) < capacity
+        pipe.drain()
+
+    rows, cycles, pool = run(one_feed)
     _, ref_times = refsim.simulate(model, insts, AliasPolicy.METADATA)
-    rows = sorted(recorder.rows, key=lambda r: r.seq_id)
-    assert times_of(rows) == ref_times
+    assert times_of(sorted(rows, key=lambda r: r.seq_id)) == ref_times
+    assert (rows, cycles, pool) == run(lambda pipe: pipe.run_trace(insts))
 
 
 def test_truncated_stream_drains_and_flags(model):

@@ -1,5 +1,6 @@
 """Trace text parsing, rendering, and the JSON wire encoding."""
 
+import dataclasses
 import json
 import re
 
@@ -253,6 +254,12 @@ def _entry(**fields):
      "instruction field 'ctx' value may contain no whitespace and no '#'"),
     (_wire(ctx=["k", "x#"]),
      "instruction field 'ctx' value may contain no whitespace and no '#'"),
+    # A trace line has no sign for a register, so the wire refuses one.
+    (_wire(reads=[-1]), "negative register -1 in instruction field 'reads'"),
+    (_wire(writes=[3, -2, -7]),
+     "negative register -7 in instruction field 'writes'"),
+    (_wire(reads=[1], writes=[-1]),
+     "negative register -1 in instruction field 'writes'"),
 ])
 def test_from_wire_rejects(obj, message):
     with pytest.raises(ProtocolError, match=re.escape(message)):
@@ -269,7 +276,7 @@ def test_from_wire_accepts_int_subclasses():
     assert inst.mem == (MemoryAccess(AccessKind.LOAD, 16, 4),)
 
 
-_regs = st.lists(st.integers(0, 63), max_size=3).map(tuple)
+_regs = st.lists(st.integers(-2, 63), max_size=3).map(tuple)
 _accesses = st.builds(
     MemoryAccess,
     st.sampled_from(AccessKind),
@@ -299,7 +306,10 @@ def _text_carries(inst):
 def test_wire_round_trip_property(inst):
     # The wire takes exactly the instructions a trace line carries.
     if not _text_carries(inst):
-        with pytest.raises(ProtocolError, match="'ctx'"):
+        # The context is checked before the registers.
+        unsigned = dataclasses.replace(inst, reads=(), writes=())
+        cause = "negative register" if _text_carries(unsigned) else "'ctx'"
+        with pytest.raises(ProtocolError, match=cause):
             from_wire(to_wire(inst))
         return
     decoded = from_wire(json.loads(json.dumps(to_wire(inst))))
