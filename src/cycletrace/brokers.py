@@ -20,19 +20,34 @@ MAX_FRAME_BYTES (4 MiB) before its newline aborts with ProtocolError; a
 disconnect before the end frame is reported as a truncated trace.  The
 socket broker reads only when it has nothing left to hand out, so a
 producer faster than the consumer is held back by TCP flow control.
+
+An 'insts' frame spelled exactly as stream_to_socket writes it is
+canonical.  The socket broker reads such a frame in one regular
+expression pass that both certifies it and captures every field, and
+builds each instruction's canonical trace line as it goes, so the
+frame's batch carries its text (Batch.text).  Any other frame, and a
+canonical one that is out of range, is decoded by json and from_wire,
+which raise the error the protocol calls for.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
+import re
 import socket
 from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import ProtocolError, TruncatedTraceError
 from .trace import (
+    _LOAD,
+    _NUM,
+    _STORE,
+    U64_LIMIT,
     Batch,
+    MemoryAccess,
     TraceInstruction,
     from_wire,
     iter_trace_lines,
@@ -45,6 +60,119 @@ _END_BATCH = Batch(end_of_stream=True)
 # refused; a 64-instruction frame is a few kilobytes.
 MAX_FRAME_BYTES = 4 << 20
 _RECV_BYTES = 1 << 16  # buffer size of the socket's line reader
+
+# A wire instruction object exactly as json.dumps writes to_wire's dict:
+# default separators, to_wire's key order, unsigned decimals with no
+# leading zero, and strings that json.dumps writes without an escape
+# (ASCII from '!' to '~' but '"' and backslash) and that a trace line
+# can carry: no '#' (trace._CLASS, _CTX_VALUE), and no '=' in a context
+# key (_CTX_KEY).  Its groups are the sequence id, address, class, reads,
+# writes, the memory entries as one string, context key and value.
+_WIRE_STR = r"!$-\[\]-~"
+_WIRE_REGS = rf"(?:{_NUM}(?:, {_NUM})*)?"
+_WIRE_ACCESS = rf'\{{"kind": "[LS]", "addr": {_NUM}, "size": [1-9][0-9]*\}}'
+_WIRE_OBJECT = (
+    rf'\{{"seq": ({_NUM}), "addr": ({_NUM}), "class": "([{_WIRE_STR}]+)", '
+    rf'"reads": \[({_WIRE_REGS})\], "writes": \[({_WIRE_REGS})\]'
+    rf'(?:, "mem": \[({_WIRE_ACCESS}(?:, {_WIRE_ACCESS})*)\])?'
+    rf'(?:, "ctx": \["([!$-<>-\[\]-~]+)", "([{_WIRE_STR}]*)"\])?\}}'
+)
+_WIRE_GROUPS = 8
+_FRAME_HEAD = '{"t": "insts", "batch": ['
+_FRAME_TAIL = "]}\n"
+
+
+@functools.cache
+def _wire_patterns():
+    """The split of _WIRE_OBJECT and the findall that reads its memory
+    entries, compiled on first use: a run that reads no socket does not
+    pay the milliseconds they take to compile."""
+    return (re.compile(_WIRE_OBJECT).split,
+            re.compile(r'"kind": "([LS])", "addr": ([0-9]+), '
+                       r'"size": ([0-9]+)').findall)
+
+
+# Register-list text as sent ("1, 2") -> (registers, text in a trace
+# line).  Like trace._REG_LISTS it is cleared whenever it reaches a fixed
+# number of entries.
+_WIRE_REG_LISTS: dict[str, tuple[tuple[int, ...], str]] = {}
+_WIRE_REG_LISTS_MAX = 4096
+
+
+def _wire_reg_list(field: str) -> tuple[tuple[int, ...], str]:
+    """Read a list missing from _WIRE_REG_LISTS, then intern it.
+
+    Raises ValueError for a register past the interpreter's digit limit.
+    """
+    if field:
+        entry = tuple(map(int, field.split(", "))), field.replace(" ", "")
+    else:
+        entry = (), "-"
+    if len(_WIRE_REG_LISTS) >= _WIRE_REG_LISTS_MAX:
+        _WIRE_REG_LISTS.clear()
+    _WIRE_REG_LISTS[field] = entry
+    return entry
+
+
+def _read_canonical(line: bytes, last_seq: int) -> Batch | None:
+    """The Batch of a canonical 'insts' frame line, its text included.
+
+    Returns None for any other line, and for a canonical one that json
+    and from_wire would refuse: an address at or past 2^64, an access
+    past 2^64, a sequence id not greater than the one before it (the
+    first is compared with last_seq), or a number past the interpreter's
+    digit limit.  So this path only declines a frame: what it takes, it
+    decodes as json.loads and from_wire would.
+    """
+    split, read_accesses = _wire_patterns()
+    # latin-1 makes each byte one character; a byte past ASCII, valid
+    # UTF-8 or not, is in no character class of the pattern.
+    parts = split(line.decode("latin-1"))
+    # The text around and between the objects comes first and then after
+    # each object's groups: the frame is canonical if that is the head,
+    # a ", " between every two objects, and the tail.
+    between = parts[::_WIRE_GROUPS + 1]
+    if (len(between) < 2 or between[0] != _FRAME_HEAD
+            or between[-1] != _FRAME_TAIL
+            or between.count(", ") != len(between) - 2):
+        return None
+    fields = [iter(parts[1:])] * (_WIRE_GROUPS + 1)
+    reg_lists = _WIRE_REG_LISTS.get
+    insts = []
+    lines = []
+    try:
+        for seq, addr, cname, r, w, mem, key, value, _ in zip(*fields):
+            s = int(seq)  # ValueError past the interpreter's digit limit
+            a = int(addr)
+            if s <= last_seq or a >= U64_LIMIT:
+                return None
+            last_seq = s
+            reads, r_text = reg_lists(r) or _wire_reg_list(r)
+            writes, w_text = reg_lists(w) or _wire_reg_list(w)
+            text = f"I {seq} {hex(a)} {cname} R:{r_text} W:{w_text}"
+            accesses = ()
+            if mem:
+                accesses = []
+                for kind, at, size in read_accesses(mem):
+                    at = int(at)
+                    n = int(size)
+                    if at + n > U64_LIMIT:
+                        return None
+                    accesses.append(MemoryAccess(
+                        _LOAD if kind == "L" else _STORE, at, n))
+                    text += f" {kind}:{hex(at)}:{size}"
+                accesses = tuple(accesses)
+            context = None
+            if key:
+                context = (key, value)
+                text += f" C:{key}={value}"
+            insts.append(TraceInstruction(s, a, cname, reads, writes,
+                                          accesses, context))
+            lines.append(text)
+    except ValueError:
+        return None
+    lines.append("")  # the last line's newline
+    return Batch(tuple(insts), text="\n".join(lines))
 
 
 class BrokerStream:
@@ -137,9 +265,11 @@ class SocketBroker:
     and the socket.  fetch_batch reads only once every decoded
     instruction is handed out, so at most one frame is decoded ahead and
     TCP flow control holds back a producer that outruns the consumer;
-    each batch comes from one frame.  With nothing decoded it blocks
-    until the producer sends, so the pipeline simply waits for a quiet
-    producer.
+    each batch comes from one frame.  A frame that fits in max_n is
+    handed out whole, and a canonical one carries its text (Batch.text);
+    a frame split across batches carries none.  With nothing decoded it
+    blocks until the producer sends, so the pipeline simply waits for a
+    quiet producer.
     The broker never sets the socket's timeout: listen and connect hand
     it a blocking socket, and a read that times out on a timeout the
     caller set is reported as a truncated trace.  A frame line with more
@@ -214,13 +344,31 @@ class SocketBroker:
         return line
 
     @staticmethod
-    def _decode_frame(line: bytes, expect: str | None = None) -> dict:
+    def _decode_frame(line: bytes, expect: str | None = None,
+                      last_seq: int = -1) -> dict | Batch:
+        """The frame's JSON object, which has a 't' field equal to expect
+        if expect is given.
+
+        A stream frame (no expect) that is a canonical 'insts' frame
+        whose sequence ids follow last_seq comes back instead as its
+        Batch, text included (_read_canonical).
+        """
+        if expect is None:
+            batch = _read_canonical(line, last_seq)
+            if batch is not None:
+                return batch
         try:
             frame = json.loads(line.decode("utf-8"))
         except UnicodeDecodeError:
             raise ProtocolError("bad frame: not UTF-8") from None
         except json.JSONDecodeError as e:
             raise ProtocolError(f"bad frame: {e.msg}") from None
+        except ValueError:
+            raise ProtocolError(
+                "bad frame: integer past the interpreter's digit limit"
+            ) from None
+        except RecursionError:
+            raise ProtocolError("bad frame: nested too deeply") from None
         if not isinstance(frame, dict) or "t" not in frame:
             raise ProtocolError("frame is not an object with a 't' field")
         if expect is not None and frame["t"] != expect:
@@ -228,6 +376,30 @@ class SocketBroker:
                 f"expected '{expect}' frame, got '{frame['t']}'"
             )
         return frame
+
+    def _stream_batch(self, frame: dict) -> Batch:
+        """The Batch of a stream frame that json decoded."""
+        kind = frame["t"]
+        if kind == "end":
+            self._eos = True
+            return _END_BATCH
+        if kind != "insts":
+            raise ProtocolError(f"unexpected frame type '{kind}'")
+        batch = frame.get("batch")
+        if not isinstance(batch, list):
+            raise ProtocolError("'insts' frame without a batch list")
+        insts = []
+        last_seq = self._last_seq
+        for obj in batch:
+            inst = from_wire(obj)
+            if inst.seq_id <= last_seq:
+                raise ProtocolError(
+                    f"sequence id {inst.seq_id} not greater "
+                    f"than previous {last_seq}"
+                )
+            last_seq = inst.seq_id
+            insts.append(inst)
+        return Batch(tuple(insts))
 
     # Consumer side ----------------------------------------------------------
 
@@ -242,33 +414,19 @@ class SocketBroker:
             if not line:
                 raise TruncatedTraceError(
                     "producer disconnected before end of stream")
-            frame = self._decode_frame(line)
-            kind = frame["t"]
-            if kind == "end":
-                self._eos = True
+            frame = self._decode_frame(line, last_seq=self._last_seq)
+            if type(frame) is dict:
+                frame = self._stream_batch(frame)
+            pending, pos = frame.instructions, 0
+            if not pending:
                 continue
-            if kind != "insts":
-                raise ProtocolError(f"unexpected frame type '{kind}'")
-            batch = frame.get("batch")
-            if not isinstance(batch, list):
-                raise ProtocolError("'insts' frame without a batch list")
-            insts = []
-            last_seq = self._last_seq
-            for obj in batch:
-                inst = from_wire(obj)
-                if inst.seq_id <= last_seq:
-                    raise ProtocolError(
-                        f"sequence id {inst.seq_id} not greater "
-                        f"than previous {last_seq}"
-                    )
-                last_seq = inst.seq_id
-                insts.append(inst)
-            self._last_seq = last_seq
-            pending, pos = tuple(insts), 0
+            self._last_seq = pending[-1].seq_id
+            if len(pending) <= max_n:
+                # Handed out whole, with its text, and not kept.
+                self._pending, self._pos = (), 0
+                return frame
         end = min(pos + max_n, len(pending))
         self._pending, self._pos = pending, end
-        # Slicing a whole tuple returns the tuple itself, so a frame that
-        # fits in max_n is handed out without a copy.
         return Batch(pending[pos:end])
 
     def close(self):

@@ -75,7 +75,8 @@ class Batch:
     text, when set, is the batch's canonical text, render_trace of its
     instructions, as read from the source; the digest hashes it without
     rendering.  FileBroker sets it when every instruction of the batch
-    was read from a canonical line; any other source leaves it None.
+    was read from a canonical line, and SocketBroker when the batch is a
+    whole canonical frame; any other source leaves it None.
     """
 
     instructions: tuple[TraceInstruction, ...] = ()
@@ -372,6 +373,23 @@ def _wire_int(obj: dict, key: str) -> int:
     return v
 
 
+# Every int below this bound has a decimal text under any digit limit
+# the interpreter takes (sys.set_int_max_str_digits refuses one below
+# 640), so only a larger one needs _check_digits.
+_SHORT_INT = 10 ** 640
+
+
+def _check_digits(v: int, key: str):
+    """Refuse an integer that render_trace cannot write, and so no trace
+    line carries: one past the interpreter's digit limit."""
+    try:
+        str(v)
+    except ValueError:
+        raise ProtocolError(
+            f"instruction field '{key}' holds an integer past the "
+            "interpreter's digit limit") from None
+
+
 def _wire_regs(obj: dict, key: str) -> tuple[int, ...]:
     v = obj.get(key, [])
     if isinstance(v, list):
@@ -386,6 +404,8 @@ def _wire_regs(obj: dict, key: str) -> tuple[int, ...]:
                 raise ProtocolError(
                     f"negative register {min(v)} in instruction field "
                     f"'{key}'")
+            if v and max(v) >= _SHORT_INT:
+                _check_digits(max(v), key)
             return tuple(v)
     raise ProtocolError(f"instruction field '{key}' must be a list of "
                         "integers")
@@ -417,8 +437,10 @@ def from_wire(obj: dict) -> TraceInstruction:
     seq = get("seq")
     if type(seq) is not int:
         seq = _wire_int(obj, "seq")
-    if seq < 0:
-        raise ProtocolError(f"negative sequence id {seq}")
+    if not 0 <= seq < _SHORT_INT:
+        if seq < 0:
+            raise ProtocolError(f"negative sequence id {seq}")
+        _check_digits(seq, "seq")
     addr = get("addr")
     if type(addr) is not int:
         addr = _wire_int(obj, "addr")

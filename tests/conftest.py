@@ -3,13 +3,14 @@ import random
 import pytest
 
 import gen
-from cycletrace import trace
+from cycletrace import brokers, trace
 
 
 @pytest.fixture(autouse=True)
 def fresh_register_list_table():
     """Start each test with no interned register lists, whatever ran first."""
     trace._REG_LISTS.clear()
+    brokers._WIRE_REG_LISTS.clear()
 
 
 @pytest.fixture

@@ -439,18 +439,26 @@ L0:
 """
 
 
-def test_socket_stream_report_matches_file_report(tmp_path):
-    model = contention_model()
-    trace = list(execute(parse_program(LOOP_HEAVY_PROGRAM)))
-    # every iteration runs the branch block after the loop block
-    names = [t.class_name for t in trace[3:10]]
-    assert names == ["vmulps", "vhaddps", "vhaddps", "cmp", "jle",
-                     "mulq", "jmp"]
+class _Recording:
+    """Passes a broker's batches through, keeping each one."""
 
-    trace_path = tmp_path / "loop.trace"
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+
+    def fetch_batch(self, max_n):
+        batch = self.inner.fetch_batch(max_n)
+        self.batches.append(batch)
+        return batch
+
+
+def _file_and_socket_reports(tmp_path, model, trace, **kwargs):
+    """analyze's reports on trace read from a file and sent over a
+    socket, plus the batches the socket broker handed out."""
+    trace_path = tmp_path / "stream.trace"
     trace_path.write_text(render_trace(trace))
     file_broker = FileBroker(str(trace_path))
-    by_file = analyze(model, file_broker, entry_capacity=8)
+    by_file = analyze(model, file_broker, **kwargs)
     file_broker.close()
 
     probe = socket.socket()
@@ -464,7 +472,8 @@ def test_socket_stream_report_matches_file_report(tmp_path):
         # Analyzes while the producer is still sending: a quiet producer
         # pauses the simulation, so its timing cannot change the report.
         broker = SocketBroker.listen(port, accept_timeout=10)
-        result["report"] = analyze(model, broker, entry_capacity=8)
+        result["broker"] = _Recording(broker)
+        result["report"] = analyze(model, result["broker"], **kwargs)
         broker.close()
 
     consumer = threading.Thread(target=consume)
@@ -478,10 +487,42 @@ def test_socket_stream_report_matches_file_report(tmp_path):
             assert time.monotonic() < deadline, "producer never connected"
             time.sleep(0.02)
     consumer.join(30)
-    by_socket = result["report"]
+    return by_file, result["report"], result["broker"].batches
+
+
+def test_socket_stream_report_matches_file_report(tmp_path):
+    model = contention_model()
+    trace = list(execute(parse_program(LOOP_HEAVY_PROGRAM)))
+    # every iteration runs the branch block after the loop block
+    names = [t.class_name for t in trace[3:10]]
+    assert names == ["vmulps", "vhaddps", "vhaddps", "cmp", "jle",
+                     "mulq", "jmp"]
+
+    by_file, by_socket, _ = _file_and_socket_reports(
+        tmp_path, model, trace, entry_capacity=8)
 
     assert by_socket.digest == by_file.digest
     assert by_socket.summary == by_file.summary
     assert render_summary(by_socket.summary) == render_summary(by_file.summary)
     # identical in every field once the differing source labels are set aside
+    assert by_socket == by_file
+
+
+def test_socket_whole_frames_report_matches_file_report(tmp_path):
+    # At the default capacity every frame is handed out whole, so the
+    # digest hashes the text the socket broker built as it decoded.
+    rng = random.Random(11)
+    model = gen.wide_model(rng)
+    trace = gen.random_trace(rng, 1000, gen.MEMORY_WEIGHTS)
+    assert any(inst.mem for inst in trace)
+    assert any(inst.context for inst in trace)
+
+    by_file, by_socket, batches = _file_and_socket_reports(
+        tmp_path, model, trace)
+
+    with_text = [b for b in batches if b.text is not None]
+    assert sum(len(b.instructions) for b in with_text) == len(trace)
+    for batch in with_text:
+        assert batch.text == render_trace(batch.instructions)
+    assert by_socket.digest == by_file.digest
     assert by_socket == by_file

@@ -1,9 +1,13 @@
 """The public API is what the README, the tests or the benchmark use."""
 
+import dataclasses
+import inspect
 import re
+import types
 from pathlib import Path
 
 import cycletrace
+import gen
 from cycletrace import model
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,3 +42,47 @@ def test_readme_names_only_pipeline_methods_that_exist():
     missing = [name for name in sorted(named)
                if not hasattr(cycletrace.Pipeline, name)]
     assert missing == []
+
+
+# What bench/tracing.py rebinds: (module, class or None, attribute, the
+# number of positional parameters its wrapper passes on, or None where
+# the wrapper passes any).  The tracer is not installed here, so a
+# refactor that would break the traced benchmark fails this test too.
+_TRACED = [
+    ("trace", None, "parse_trace_line", None),
+    ("trace", None, "from_wire", 1),
+    ("brokers", "SequenceBroker", "fetch_batch", 2),
+    ("brokers", "SocketBroker", "fetch_batch", 2),
+    ("analysis", "_HashingBroker", "fetch_batch", None),
+    ("analysis", "AnalysisReport", "to_json", None),
+    ("analysis", None, "analyze", None),
+    ("engine", "Pipeline", "run_until_starved", None),
+    ("engine", "Pipeline", "feed", 2),
+    ("engine", "Pipeline", "_wake", 2),
+    ("engine", "Pipeline", "run_cycle", 1),
+    ("lsunit", "MemQueues", "find_blocker", 5),
+    ("views", "TimelineRecorder", "on_retire", None),
+    ("views", None, "render_summary", None),
+    ("views", None, "render_timeline", None),
+]
+
+
+def test_the_bench_tracer_finds_every_hook():
+    for module, cls, name, arity in _TRACED:
+        owner = getattr(cycletrace, module)
+        if cls is not None:
+            owner = getattr(owner, cls)
+        fn = vars(owner).get(name)
+        assert isinstance(fn, types.FunctionType), (module, cls, name)
+        if arity is not None:  # raises TypeError if the call cannot bind
+            inspect.signature(fn).bind(*range(arity))
+    # The wire decode span unwraps the staticmethod.
+    decode = vars(cycletrace.SocketBroker)["_decode_frame"]
+    assert isinstance(decode, staticmethod)
+    assert isinstance(decode.__func__, types.FunctionType)
+    assert "stalled" in {f.name for f in dataclasses.fields(cycletrace.Batch)}
+    # What the run_cycle wrapper reads around each cycle.
+    pipe = cycletrace.Pipeline(gen.simple_model())
+    for attr in ("entry", "executing", "deferred", "rob"):
+        assert hasattr(getattr(pipe, attr), "__len__"), attr
+    assert pipe.instructions_retired == 0

@@ -452,6 +452,9 @@ def test_socket_read_past_a_caller_set_timeout_is_a_truncated_trace():
     (b"not json at all", "frame"),
     (b'{"no_t": 1}', "frame"),
     (b'{"t": "hello", "version": 1, "model_hint": "\xff"}', "UTF-8"),
+    (b'{"t": "hello", "version": ' + b"1" * 5000 + b"}",
+     "^bad frame: integer past the interpreter's digit limit$"),
+    (b"[" * 100_000, "^bad frame: nested too deeply$"),
 ])
 def test_socket_bad_handshake(first_frame, match):
     producer, conn = loopback_sockets()
@@ -475,7 +478,18 @@ def test_socket_end_before_the_hello_closes_the_socket():
     (b'{"t": "bogus"}', "unexpected frame type 'bogus'"),
     (b'{"t": "insts"}', "'insts' frame without a batch list"),
     (b'{"t": "insts", "batch": 5}', "'insts' frame without a batch list"),
-], ids=["unknown-type", "no-batch", "batch-not-a-list"])
+    # json.loads refuses an integer past the digit limit with a bare
+    # ValueError; the second frame is canonical, so the fast path sees
+    # it first and declines it.
+    (b'{"t": "insts", "batch": [{"seq": ' + b"1" * 5000 + b'}]}',
+     "bad frame: integer past the interpreter's digit limit"),
+    (b'{"t": "insts", "batch": [{"seq": ' + b"1" * 5000
+     + b', "addr": 0, "class": "a", "reads": [], "writes": []}]}',
+     "bad frame: integer past the interpreter's digit limit"),
+    (b'{"t": "insts", "batch": ' + b"[" * 100_000,
+     "bad frame: nested too deeply"),
+], ids=["unknown-type", "no-batch", "batch-not-a-list", "long-seq",
+        "long-seq-canonical", "deep"])
 def test_socket_rejects_bad_stream_frames(frame, message):
     producer, broker = loopback_pair()
     try:

@@ -1,19 +1,24 @@
 """Trace text parsing, rendering, and the JSON wire encoding."""
 
+import contextlib
 import dataclasses
 import json
 import re
+import socket
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from cycletrace import trace
+from cycletrace import brokers, trace
+from cycletrace.brokers import FRAME_INSTRUCTIONS
 from cycletrace import (
     AccessKind,
     MemoryAccess,
     ProtocolError,
+    SocketBroker,
     TraceInstruction,
     TraceParseError,
     from_wire,
@@ -260,10 +265,27 @@ def _entry(**fields):
      "negative register -7 in instruction field 'writes'"),
     (_wire(reads=[1], writes=[-1]),
      "negative register -1 in instruction field 'writes'"),
+    # Numbers no trace line can carry: render_trace could not write them.
+    ({"seq": 10 ** 5000, "addr": 0, "class": "a"},
+     "instruction field 'seq' holds an integer past the interpreter's "
+     "digit limit"),
+    (_wire(reads=[10 ** 5000]), "instruction field 'reads' holds an "
+     "integer past the interpreter's digit limit"),
+    (_wire(reads=[1], writes=[2, 10 ** 5000, 3]), "instruction field "
+     "'writes' holds an integer past the interpreter's digit limit"),
 ])
 def test_from_wire_rejects(obj, message):
     with pytest.raises(ProtocolError, match=re.escape(message)):
         from_wire(obj)
+
+
+def test_from_wire_takes_long_numbers_a_line_carries():
+    # Past trace._SHORT_INT, but within the digit limit.
+    long = 10 ** 700
+    inst = from_wire(_wire(seq=long, reads=[long], writes=[3, long]))
+    assert (inst.seq_id, inst.reads, inst.writes) == (
+        long, (long,), (3, long))
+    assert parse_trace(render_trace([inst])) == [inst]
 
 
 def test_from_wire_accepts_int_subclasses():
@@ -315,6 +337,246 @@ def test_wire_round_trip_property(inst):
     decoded = from_wire(json.loads(json.dumps(to_wire(inst))))
     assert decoded == inst
     assert from_wire(to_wire(inst)) == inst
+
+
+# -- canonical wire frames ------------------------------------------------------
+#
+# SocketBroker reads a frame spelled as stream_to_socket writes it in one
+# certified pass (brokers._read_canonical) and hands any other frame to
+# json.loads and from_wire.  The frames below are spelled that way or
+# perturbed; the broker must receive them exactly as it does with the
+# fast path switched off.
+
+# Strings a canonical frame carries as they are, and any strings.
+_PLAIN = st.characters(min_codepoint=0x21, max_codepoint=0x7e,
+                       blacklist_characters='"#\\')
+_PLAIN_KEY = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7e,
+                                   blacklist_characters='"#=\\'),
+                     min_size=1, max_size=3)
+_ANY_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e)
+                    | st.characters(), max_size=3)
+
+
+def _wire_instructions(plain):
+    """Instructions (sequence id 0) whose strings are all plain, or any."""
+    name = st.text(_PLAIN, min_size=1, max_size=3)
+    key, value = _PLAIN_KEY, st.text(_PLAIN, max_size=3)
+    regs = st.lists(st.integers(0, 300), max_size=3).map(tuple)
+    if not plain:
+        name, key, value, regs = _ANY_TEXT, _ANY_TEXT, _ANY_TEXT, _regs
+    return st.builds(
+        TraceInstruction,
+        st.just(0),
+        st.sampled_from([0, 4, (1 << 64) - 1])
+        | st.integers(0, (1 << 64) - 1),
+        name,
+        regs,
+        regs,
+        st.lists(_accesses, max_size=3).map(tuple),
+        st.none() | st.tuples(key, value),
+    )
+
+
+def _dumps(objs, **kwargs):
+    return (json.dumps({"t": "insts", "batch": objs}, **kwargs)
+            + "\n").encode()
+
+
+def _respell(old, new):
+    """Spell the chosen object's first old as new."""
+    def spell(objs, i):
+        line = _dumps(objs[:i] + [{}] + objs[i + 1:])
+        obj = json.dumps(objs[i]).encode().replace(old, new, 1)
+        return line.replace(b"{}", obj, 1)
+    return spell
+
+
+def _set(key, value):
+    """Set a field of the chosen object."""
+    def spell(objs, i):
+        objs[i][key] = value
+        return _dumps(objs)
+    return spell
+
+
+def _set_access(**fields):
+    return _set("mem", [{"kind": "L", "addr": 0, "size": 8, **fields}])
+
+
+def _spell_number(key, digits):
+    def spell(objs, i):
+        objs[i][key] = 7
+        return _respell(f'"{key}": 7'.encode(), digits.encode())(objs, i)
+    return spell
+
+
+def _spell_register(digits):
+    def spell(objs, i):
+        objs[i]["reads"] = [7]
+        return _respell(b'"reads": [7]', b'"reads": [%s]' % digits)(objs, i)
+    return spell
+
+
+_LONG = "1" * 5000
+_SPELLINGS = {
+    "canonical": lambda objs, i: _dumps(objs),
+    "compact": lambda objs, i: _dumps(objs, separators=(",", ":")),
+    "reordered": lambda objs, i: _dumps([dict(reversed(o.items()))
+                                         for o in objs]),
+    "raw-utf8": lambda objs, i: _dumps(objs, ensure_ascii=False),
+    "trailing-space": lambda objs, i: _dumps(objs)[:-1] + b" \n",
+    "escaped": _respell(b'"class": "', b'"class": "\\u0061'),
+    "not-utf8": _respell(b'"class": "', b'"class": "\xff'),
+    "unknown-key": _set("x", 1),
+    "mem-null": _set("mem", None),
+    "mem-empty": _set("mem", []),
+    "ctx-null": _set("ctx", None),
+    "float": _set("addr", 4.0),
+    "true": _set("seq", True),
+    "negative": _set("addr", -4),
+    "negative-register": _set("writes", [-1]),
+    "addr-2^64": _set("addr", 1 << 64),
+    "size-0": _set_access(size=0),
+    "past-2^64": _set_access(addr=(1 << 64) - 4),
+    "long-seq": _spell_number("seq", _LONG),
+    "long-addr": _spell_number("addr", _LONG),
+    "long-register": _spell_register(_LONG.encode()),
+    "leading-zero": _spell_number("seq", "07"),
+}
+
+
+@st.composite
+def _frames(draw):
+    """Frames of instructions, each with its spelling's name.
+
+    A spelling changes one object of its frame.  Sequence ids mostly
+    step by 1, but some do not increase, within a frame or from one
+    frame to the next.
+    """
+    frames = []
+    seq = draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(1, 3))):
+        insts = draw(st.lists(_wire_instructions(draw(st.booleans())),
+                              min_size=1, max_size=4))
+        objs = []
+        for inst in insts:
+            objs.append(to_wire(dataclasses.replace(inst, seq_id=seq)))
+            seq += draw(st.sampled_from([1] * 8 + [2, 0]))
+        name = draw(st.sampled_from(["canonical"] * 8 + list(_SPELLINGS)))
+        i = draw(st.integers(0, len(objs) - 1))
+        frames.append((name, _SPELLINGS[name](objs, i)))
+    return frames
+
+
+def _received(lines, max_n, fast):
+    """A SocketBroker's batches for the frame lines, up to its end batch
+    or its ProtocolError, whose message comes second."""
+    producer, consumer = socket.socketpair()
+    producer.sendall(b'{"t": "hello", "version": 1}\n' + b"".join(lines)
+                     + b'{"t": "end"}\n')
+    producer.shutdown(socket.SHUT_WR)
+    off = mock.patch.object(brokers, "_read_canonical",
+                            lambda line, last_seq: None)
+    batches = []
+    with producer, contextlib.nullcontext() if fast else off:
+        broker = SocketBroker(consumer)
+        try:
+            while not batches or not batches[-1].end_of_stream:
+                batches.append(broker.fetch_batch(max_n))
+        except ProtocolError as e:
+            return batches, str(e)
+        finally:
+            broker.close()
+    return batches, None
+
+
+def _check_received(frames, max_n):
+    """The broker receives frames as it does with the fast path off."""
+    lines = [line for _, line in frames]
+    batches, error = _received(lines, max_n, fast=True)
+    expect_batches, expect_error = _received(lines, max_n, fast=False)
+    assert error == expect_error
+    assert [(b.instructions, b.end_of_stream) for b in batches] == [
+        (b.instructions, b.end_of_stream) for b in expect_batches]
+    for batch in batches:
+        if batch.text is not None:
+            assert batch.text == render_trace(batch.instructions)
+    if error is None and max_n >= FRAME_INSTRUCTIONS:
+        # Each frame is handed out whole.  One spelled canonically, with
+        # no escape, the fast path must take.
+        for (name, line), batch in zip(frames, batches):
+            if name == "canonical" and b"\\" not in line:
+                assert batch.text is not None, line
+    return batches, error
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frames(), st.sampled_from([1, 3, 256]))
+def test_canonical_frames_decode_as_json_and_from_wire(frames, max_n):
+    _check_received(frames, max_n)
+
+
+def _plain_frame(first_seq):
+    return [to_wire(inst) for inst in (
+        TraceInstruction(first_seq, 0x400000, "ld", (1, 2), (3,),
+                         (MemoryAccess(AccessKind.LOAD, 0x1000, 8),
+                          MemoryAccess(AccessKind.STORE, 0x2000, 4))),
+        TraceInstruction(first_seq + 1, 0x400004, "add", (), (4,),
+                         context=("sz", "8")),
+        TraceInstruction(first_seq + 2, 0x400008, "nop"),
+    )]
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+@pytest.mark.parametrize("name", list(_SPELLINGS))
+def test_each_spelling_decodes_as_json_and_from_wire(name, i):
+    # Each spelling of one object of a frame between two canonical ones.
+    frames = [("canonical", _dumps(_plain_frame(0))),
+              (name, _SPELLINGS[name](_plain_frame(3), i)),
+              ("canonical", _dumps(_plain_frame(6)))]
+    batches, error = _check_received(frames, 256)
+    if name == "canonical":
+        assert error is None
+        assert all(b.text is not None for b in batches[:3])
+
+
+@pytest.mark.parametrize("seqs", [(5, 6, 7), (0, 6, 7), (6, 7, 7),
+                                  (6, 8, 7)])
+def test_canonical_frames_keep_sequence_ids_increasing(seqs):
+    # The first frame ends at sequence id 5.
+    first = _plain_frame(3)
+    second = [dict(obj, seq=seq) for obj, seq in zip(_plain_frame(0), seqs)]
+    frames = [("canonical", _dumps(first)), ("canonical", _dumps(second))]
+    batches, error = _check_received(frames, 256)
+    assert error.startswith("sequence id ")
+    assert batches[0].text is not None
+
+
+def test_canonical_frame_strings_are_what_a_line_carries():
+    # Each printable character the fast path takes in a string is one
+    # json.dumps writes unescaped and the trace line's pattern takes.
+    for c in map(chr, range(0x20, 0x7f)):
+        name = "a" + c
+        plain = json.dumps(name) == f'"{name}"'
+        obj = to_wire(TraceInstruction(0, 0, name, (), (), (), ("k", c)))
+        line = _dumps([obj])
+        batch = brokers._read_canonical(line, -1)
+        carried = plain and bool(trace._IS_CLASS(name))
+        assert (batch is not None) == carried, c
+        key = to_wire(TraceInstruction(0, 0, "a", (), (), (), (name, "")))
+        carried = plain and bool(trace._IS_CTX_KEY(name))
+        assert (brokers._read_canonical(_dumps([key]), -1)
+                is not None) == carried, c
+
+
+def test_wire_register_list_table_stays_bounded():
+    bound = brokers._WIRE_REG_LISTS_MAX
+    objs = [to_wire(TraceInstruction(i, 4 * i, "add", (i,), (i, 7)))
+            for i in range(bound + 10)]
+    batch = brokers._read_canonical(_dumps(objs), -1)
+    assert len(brokers._WIRE_REG_LISTS) <= bound
+    assert batch.instructions == tuple(map(from_wire, objs))
+    assert batch.text == render_trace(batch.instructions)
 
 
 def test_render_uses_hex_addresses():
