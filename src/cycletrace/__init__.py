@@ -3,7 +3,13 @@
 Feed an instruction trace (from a file, a socket, or the bundled toy
 executor) through a configurable superscalar pipeline model, get cycle
 counts, summaries, timelines, and differential comparisons between runs.
+
+The toy ISA (toyisa) and the differential comparison (diff) load on
+first use of one of their names, so that analyzing a trace does not
+import them.
 """
+
+from importlib import import_module
 
 from .analysis import (
     AnalysisReport,
@@ -18,15 +24,6 @@ from .brokers import (
     send_trace,
     stream_to_socket,
 )
-from .diff import (
-    diff_reports,
-    differential_throughput,
-    geometric_mean,
-    measured_delta_from_pairs,
-    parse_ground_truth,
-    prediction_error,
-    render_diff,
-)
 from .engine import (
     InstrRecord,
     Pipeline,
@@ -36,6 +33,7 @@ from .errors import (
     AnalysisError,
     CycleTraceError,
     ModelError,
+    ProgramError,
     ProtocolError,
     TraceParseError,
     TruncatedTraceError,
@@ -50,7 +48,6 @@ from .model import (
     render_model,
     validate_model,
 )
-from .toyisa import ProgramError, execute, parse_program
 from .trace import (
     AccessKind,
     Batch,
@@ -75,6 +72,32 @@ from .views import (
 )
 
 __version__ = "0.1.0"
+
+# Public names resolved, with their module, on first access.
+_LAZY = {
+    "diff_reports": "diff",
+    "differential_throughput": "diff",
+    "geometric_mean": "diff",
+    "measured_delta_from_pairs": "diff",
+    "parse_ground_truth": "diff",
+    "prediction_error": "diff",
+    "render_diff": "diff",
+    "execute": "toyisa",
+    "parse_program": "toyisa",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        module = import_module(f".{_LAZY[name]}", __name__)
+        value = globals()[name] = getattr(module, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())
+
 
 __all__ = [
     "AccessKind",

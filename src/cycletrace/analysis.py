@@ -20,9 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import chain, groupby
-from typing import get_type_hints
 
 from .brokers import BrokerStream
 from .engine import Pipeline, PoolStats
@@ -170,9 +169,9 @@ class AnalysisReport:
             alias_policy=f["alias_policy"],
             truncated=f["truncated"],
             summary=SummaryStats(**_fields(
-                f["summary"], get_type_hints(SummaryStats), "summary.")),
+                f["summary"], _kinds(SummaryStats), "summary.")),
             pool=PoolStats(**_fields(
-                f["pool"], get_type_hints(PoolStats), "pool.")),
+                f["pool"], _kinds(PoolStats), "pool.")),
             missing_metadata=f["missing_metadata"],
             regions=regions,
         )
@@ -190,6 +189,16 @@ _VISIT_KINDS = {"instructions": int, "cycles": int}
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
                bool: "true or false", list: "a list", dict: "an object",
                (dict, type(None)): "an object or null"}
+
+
+def _kinds(cls) -> dict:
+    """The JSON type of each field of a dataclass of scalars.
+
+    The modules use postponed annotations, so a field's type is the
+    name it is annotated with.
+    """
+    by_name = {kind.__name__: kind for kind in (int, float, str, bool)}
+    return {f.name: by_name[f.type] for f in fields(cls)}
 
 
 def _malformed(what: str) -> TraceParseError:

@@ -28,6 +28,9 @@ builds each instruction's canonical trace line as it goes, so the
 frame's batch carries its text (Batch.text).  Any other frame, and a
 canonical one that is out of range, is decoded by json and from_wire,
 which raise the error the protocol calls for.
+
+The socket module is imported where a socket is opened (listen, connect
+and send_trace), so reading a file does not load it.
 """
 
 from __future__ import annotations
@@ -36,9 +39,8 @@ import contextlib
 import functools
 import json
 import re
-import socket
+from collections.abc import Iterable, Iterator
 from itertools import islice
-from typing import Iterable, Iterator
 
 from .errors import ProtocolError, TruncatedTraceError
 from .trace import (
@@ -311,6 +313,8 @@ class SocketBroker:
         accept_timeout: float | None = None,
     ) -> "SocketBroker":
         """Wait for one producer connection on host:port."""
+        import socket
+
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -325,6 +329,8 @@ class SocketBroker:
     @classmethod
     def connect(cls, host: str, port: int) -> "SocketBroker":
         """Dial a producer that serves the trace stream."""
+        import socket
+
         return cls(socket.create_connection((host, port)))
 
     # Reading ---------------------------------------------------------------
@@ -495,5 +501,7 @@ def send_trace(
     model_hint: str = "",
 ):
     """Connect to a listening analyzer and stream a trace to it."""
+    import socket
+
     with socket.create_connection((host, port)) as sock:
         stream_to_socket(sock, instructions, model_hint)

@@ -8,6 +8,9 @@ Commands:
 
 Exit codes: 0 success, 1 usage error, 2 input or parse error,
 3 wire-protocol error, 4 analysis error.
+
+The diff and trace commands import the modules only they use, so
+analyze does not load them.
 """
 
 from __future__ import annotations
@@ -18,22 +21,16 @@ import sys
 
 from .analysis import AnalysisReport, analyze, parse_regions
 from .brokers import FileBroker, SocketBroker, send_trace
-from .diff import (
-    diff_reports,
-    measured_delta_from_pairs,
-    parse_ground_truth,
-    render_diff,
-)
 from .errors import (
     AnalysisError,
     ModelError,
+    ProgramError,
     ProtocolError,
     TraceParseError,
     TruncatedTraceError,
 )
 from .lsunit import AliasPolicy
 from .model import load_model
-from .toyisa import ProgramError, execute, parse_program
 from .trace import read_int, render_trace
 from .views import (
     TimelineRecorder,
@@ -77,7 +74,11 @@ def _steps(text: str) -> int:
 
 
 def _endpoint(text: str) -> tuple[str, int]:
+    # An IPv6 host may be bracketed ([::1]:9000) or not (::1:9000); the
+    # port is always after the last colon.
     host, sep, port = text.rpartition(":")
+    if host[:1] == "[" and host[-1:] == "]":
+        host = host[1:-1]
     if not sep or not host:
         raise ValueError("expected HOST:PORT")
     return host, _port(port)
@@ -187,6 +188,13 @@ def render_summary_block(report: AnalysisReport) -> str:
 
 
 def _cmd_diff(args) -> int:
+    from .diff import (
+        diff_reports,
+        measured_delta_from_pairs,
+        parse_ground_truth,
+        render_diff,
+    )
+
     base = AnalysisReport.from_json(_read(args.base))
     cand = AnalysisReport.from_json(_read(args.cand))
     measured = None
@@ -197,6 +205,8 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .toyisa import execute, parse_program
+
     program = parse_program(_read(args.program))
     # Each instruction is written or sent as it executes, so a run cut
     # short keeps what it produced; a stream it cuts short ends without

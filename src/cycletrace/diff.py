@@ -18,15 +18,20 @@ from .views import render_fields
 
 
 def differential_throughput(base_cycles: float, candidate_cycles: float) -> float:
-    """Ratio of candidate to baseline cycles.  Both counts must be positive."""
-    if base_cycles <= 0:
-        raise UndefinedRatioError(
-            f"baseline cycle count must be positive, got {base_cycles}"
-        )
-    if candidate_cycles <= 0:
-        raise UndefinedRatioError(
-            f"candidate cycle count must be positive, got {candidate_cycles}"
-        )
+    """Ratio of candidate to baseline cycles.
+
+    Both counts must be positive and finite.
+    """
+    for role, cycles in (("baseline", base_cycles),
+                         ("candidate", candidate_cycles)):
+        if cycles <= 0:
+            raise UndefinedRatioError(
+                f"{role} cycle count must be positive, got {cycles}")
+        # Refuses NaN and infinity; unlike math.isfinite it takes an
+        # integer too large for a float.
+        if not cycles < math.inf:
+            raise UndefinedRatioError(
+                f"{role} cycle count must be finite, got {cycles}")
     return candidate_cycles / base_cycles
 
 
@@ -38,14 +43,14 @@ def geometric_mean(values) -> float:
     vals = list(values)
     if not vals:
         raise AnalysisError("geometric mean of an empty sequence")
-    total = 0.0
     for v in vals:
         if v < 0:
             raise AnalysisError(f"geometric mean of a negative value {v}")
-        if v == 0:
-            return 0.0
-        total += math.log(v)
-    return math.exp(total / len(vals))
+        if not v < math.inf:
+            raise AnalysisError(f"geometric mean of a non-finite value {v}")
+    if 0 in vals:
+        return 0.0
+    return math.exp(sum(map(math.log, vals)) / len(vals))
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,9 @@ once it has executed, so it waits on no producer any more.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
-from typing import Callable
 
 from .brokers import BrokerStream, SequenceBroker
 from .errors import AnalysisError

@@ -44,6 +44,10 @@ class TruncatedTraceError(CycleTraceError):
     """
 
 
+class ProgramError(CycleTraceError):
+    """The toy program performed an impossible operation at run time."""
+
+
 class AnalysisError(CycleTraceError):
     """The trace cannot be analyzed under the given model.
 

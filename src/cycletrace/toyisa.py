@@ -23,20 +23,16 @@ Execution is pure: the same program always yields the same trace.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator
 
-from .errors import CycleTraceError, TraceParseError, TruncatedTraceError
+from .errors import ProgramError, TraceParseError, TruncatedTraceError
 from .trace import _LOAD, _STORE, MemoryAccess, TraceInstruction, read_int
 
 U64 = 1 << 64
 BASE_ADDRESS = 0x400000
 INSTR_SPACING = 4
 ACCESS_SIZE = 8
-
-
-class ProgramError(CycleTraceError):
-    """The toy program performed an impossible operation at run time."""
 
 
 @dataclass(frozen=True, slots=True)

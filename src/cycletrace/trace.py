@@ -23,10 +23,12 @@ input.
 
 from __future__ import annotations
 
+import functools
 import re
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ProtocolError, TraceParseError
 
@@ -42,13 +44,11 @@ _LOAD = AccessKind.LOAD
 _STORE = AccessKind.STORE
 
 
-class MemoryAccess(NamedTuple):
-    # A named tuple is immutable and is built without one
-    # object.__setattr__ call per field, as a frozen dataclass would be;
-    # the text parser, from_wire and the toy ISA build one per access.
-    kind: AccessKind
-    address: int
-    size: int
+# A named tuple is immutable and is built without one
+# object.__setattr__ call per field, as a frozen dataclass would be;
+# the text parser, from_wire and the toy ISA build one per access.
+# Fields: kind (an AccessKind), address and size.
+MemoryAccess = namedtuple("MemoryAccess", "kind address size")
 
 
 @dataclass(slots=True)
@@ -413,12 +413,18 @@ def _wire_regs(obj: dict, key: str) -> tuple[int, ...]:
 
 _ABSENT = object()  # an omitted 'mem'; 'mem': null is refused
 
-# The wire takes only class names and contexts a canonical line can
-# carry, so that no wire stream renders to the text, and the digest, of
-# another.
-_IS_CLASS = re.compile(_CLASS).fullmatch
-_IS_CTX_KEY = re.compile(_CTX_KEY).fullmatch
-_IS_CTX_VALUE = re.compile(_CTX_VALUE).fullmatch
+
+@functools.cache
+def _wire_names():
+    """The fullmatch of _CLASS, _CTX_KEY and _CTX_VALUE, compiled on
+    first use: a run that decodes no wire object does not compile them.
+
+    The wire takes only class names and contexts a canonical line can
+    carry, so that no wire stream renders to the text, and the digest, of
+    another.
+    """
+    return tuple(re.compile(p).fullmatch for p in (_CLASS, _CTX_KEY,
+                                                    _CTX_VALUE))
 
 
 def from_wire(obj: dict) -> TraceInstruction:
@@ -449,7 +455,8 @@ def from_wire(obj: dict) -> TraceInstruction:
     cname = get("class")
     if not isinstance(cname, str) or not cname:
         raise ProtocolError("instruction field 'class' must be a string")
-    if not _IS_CLASS(cname):
+    is_class, is_ctx_key, is_ctx_value = _wire_names()
+    if not is_class(cname):
         raise ProtocolError("instruction field 'class' may contain no "
                             "whitespace and no '#'")
 
@@ -489,11 +496,11 @@ def from_wire(obj: dict) -> TraceInstruction:
         context = None
     elif (isinstance(ctx, list) and len(ctx) == 2
           and isinstance(ctx[0], str) and isinstance(ctx[1], str)):
-        if not _IS_CTX_KEY(ctx[0]):
+        if not is_ctx_key(ctx[0]):
             raise ProtocolError(
                 "instruction field 'ctx' key must be non-empty, with no "
                 "whitespace, no '#' and no '='")
-        if not _IS_CTX_VALUE(ctx[1]):
+        if not is_ctx_value(ctx[1]):
             raise ProtocolError(
                 "instruction field 'ctx' value may contain no whitespace "
                 "and no '#'")

@@ -2,7 +2,10 @@
 
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -86,3 +89,39 @@ def test_the_bench_tracer_finds_every_hook():
     for attr in ("entry", "executing", "deferred", "rob"):
         assert hasattr(getattr(pipe, attr), "__len__"), attr
     assert pipe.instructions_retired == 0
+
+
+# Run in a fresh interpreter without site, so nothing but the package
+# itself loads modules.
+_COLD_IMPORT = """
+import sys
+
+unused = ("socket", "typing", "cycletrace.toyisa", "cycletrace.diff")
+import cycletrace
+assert [m for m in unused if m in sys.modules] == [], "import cycletrace"
+import cycletrace.cli
+assert [m for m in unused if m in sys.modules] == [], "import cycletrace.cli"
+
+assert set(cycletrace.__all__) <= set(dir(cycletrace))
+assert cycletrace.execute.__module__ == "cycletrace.toyisa"
+assert "cycletrace.toyisa" in sys.modules
+assert "cycletrace.diff" not in sys.modules
+assert cycletrace.diff_reports.__module__ == "cycletrace.diff"
+assert "cycletrace.diff" in sys.modules
+# The other lazy names are still unresolved here.
+namespace = {}
+exec("from cycletrace import *", namespace)
+assert sorted(namespace.keys() - {"__builtins__"}) == sorted(cycletrace.__all__)
+for name in cycletrace.__all__:
+    assert getattr(cycletrace, name) is namespace[name], name
+assert not hasattr(cycletrace, "no_such_name")
+"""
+
+
+def test_import_loads_only_the_analyze_path():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _COLD_IMPORT],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -22,7 +22,7 @@ from cycletrace import (
     render_trace,
     stream_to_socket,
 )
-from cycletrace.cli import main
+from cycletrace.cli import _endpoint, main
 from gen import ti
 
 PROGRAM = """\
@@ -495,6 +495,9 @@ def test_diff_reads_a_zero_cycle_report(tmp_path, report_pair, model_file,
     ["analyze", "--model", "m", "--trace", "x", "--timeline", "9..3"],
     ["analyze", "--model", "m", "--trace", "x", "--alias-policy", "maybe"],
     ["analyze", "--model", "m", "--connect", "no-port"],
+    ["analyze", "--model", "m", "--connect", "[::1]"],
+    ["analyze", "--model", "m", "--connect", "[::1]:"],
+    ["analyze", "--model", "m", "--connect", "[]:9000"],
     ["trace", "--program", "p"],
     ["diff", "--base", "b"],
     ["analyze", "--model", "m", "--listen", "70000"],
@@ -506,6 +509,16 @@ def test_diff_reads_a_zero_cycle_report(tmp_path, report_pair, model_file,
 def test_usage_errors_exit_one(argv, capsys):
     assert main(argv) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, endpoint", [
+    ("127.0.0.1:9000", ("127.0.0.1", 9000)),
+    ("localhost:1", ("localhost", 1)),
+    ("[::1]:9000", ("::1", 9000)),
+    ("::1:9000", ("::1", 9000)),
+])
+def test_endpoint_strips_the_brackets_of_an_ipv6_host(text, endpoint):
+    assert _endpoint(text) == endpoint
 
 
 # -- sockets ------------------------------------------------------------------
@@ -624,6 +637,36 @@ def test_protocol_violation_exits_three(model_file, capsys):
     server.close()
     assert rc == 3
     assert "protocol error" in capsys.readouterr().err
+
+
+def test_analyze_connects_to_a_bracketed_ipv6_host(model_file, capsys):
+    server = socket.socket(socket.AF_INET6)
+    try:
+        server.bind(("::1", 0))
+    except OSError:
+        server.close()
+        pytest.skip("no IPv6 loopback")
+    server.listen(1)
+    server.settimeout(10)
+    port = server.getsockname()[1]
+    insts = [ti(s, "add", writes=[s % 4]) for s in range(5)]
+
+    def producer():
+        try:
+            conn, _ = server.accept()
+        except TimeoutError:  # the analyzer never connected
+            return
+        with conn:
+            stream_to_socket(conn, insts)
+
+    t = threading.Thread(target=producer)
+    t.start()
+    rc = main(["analyze", "--model", model_file, "--connect", f"[::1]:{port}"])
+    t.join(15)
+    server.close()
+    assert not t.is_alive()
+    assert rc == 0
+    assert f"Instructions:      {len(insts)}\n" in capsys.readouterr().out
 
 
 def test_truncated_stream_exits_four_with_a_partial_report(

@@ -46,6 +46,17 @@ def test_non_positive_counts_are_undefined(base, cand):
         differential_throughput(base, cand)
 
 
+@pytest.mark.parametrize("base,cand", [
+    (math.nan, 3), (3, math.nan), (math.inf, 3), (3, math.inf)])
+def test_non_finite_counts_are_undefined(base, cand):
+    with pytest.raises(UndefinedRatioError, match="must be finite, got "):
+        differential_throughput(base, cand)
+
+
+def test_a_count_past_float_range_is_finite():
+    assert differential_throughput(10**400, 2 * 10**400) == 2.0
+
+
 def test_prediction_error_is_absolute():
     assert prediction_error(1.0, 1.0) == 0.0
     assert prediction_error(1.12, 1.10) == pytest.approx(0.02, abs=1e-12)
@@ -74,6 +85,14 @@ def test_geomean_rejects_empty_and_negative():
         geometric_mean([])
     with pytest.raises(AnalysisError, match="negative"):
         geometric_mean([1.0, -0.5])
+
+
+@pytest.mark.parametrize("vals", [
+    [math.nan, 2.0], [2.0, math.nan], [math.inf], [0.0, math.inf],
+    [math.nan, 0.0]])
+def test_geomean_rejects_non_finite_values(vals):
+    with pytest.raises(AnalysisError, match="non-finite value"):
+        geometric_mean(vals)
 
 
 def test_geomean_is_scale_invariant():

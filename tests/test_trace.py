@@ -555,16 +555,17 @@ def test_canonical_frames_keep_sequence_ids_increasing(seqs):
 def test_canonical_frame_strings_are_what_a_line_carries():
     # Each printable character the fast path takes in a string is one
     # json.dumps writes unescaped and the trace line's pattern takes.
+    is_class, is_ctx_key, _ = trace._wire_names()
     for c in map(chr, range(0x20, 0x7f)):
         name = "a" + c
         plain = json.dumps(name) == f'"{name}"'
         obj = to_wire(TraceInstruction(0, 0, name, (), (), (), ("k", c)))
         line = _dumps([obj])
         batch = brokers._read_canonical(line, -1)
-        carried = plain and bool(trace._IS_CLASS(name))
+        carried = plain and bool(is_class(name))
         assert (batch is not None) == carried, c
         key = to_wire(TraceInstruction(0, 0, "a", (), (), (), (name, "")))
-        carried = plain and bool(trace._IS_CTX_KEY(name))
+        carried = plain and bool(is_ctx_key(name))
         assert (brokers._read_canonical(_dumps([key]), -1)
                 is not None) == carried, c
 
