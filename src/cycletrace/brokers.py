@@ -14,12 +14,13 @@ The wire protocol is newline-delimited JSON, one frame per line:
     {"t": "insts", "batch": [<instruction objects>]}   (repeated)
     {"t": "end"}
 
-Sequence ids must increase across the whole stream.  A malformed frame,
-a non-monotonic sequence id or a frame line with more than
-MAX_FRAME_BYTES (4 MiB) before its newline aborts with ProtocolError; a
-disconnect before the end frame is reported as a truncated trace.  The
-socket broker reads only when it has nothing left to hand out, so a
-producer faster than the consumer is held back by TCP flow control.
+Sequence ids must increase across the whole stream; they are checked
+once per frame, whichever decoder read it.  A malformed frame, a
+non-monotonic sequence id or a frame line with more than MAX_FRAME_BYTES
+(4 MiB) before its newline aborts with ProtocolError; a disconnect before
+the end frame is reported as a truncated trace.  The socket broker reads
+only when it has nothing left to hand out, so a producer faster than the
+consumer is held back by TCP flow control.
 
 An 'insts' frame spelled exactly as stream_to_socket writes it is
 canonical.  The socket broker reads such a frame in one regular
@@ -48,6 +49,7 @@ from .trace import (
     _NUM,
     _STORE,
     U64_LIMIT,
+    _InternTable,
     Batch,
     MemoryAccess,
     TraceInstruction,
@@ -95,36 +97,21 @@ def _wire_patterns():
 
 
 # Register-list text as sent ("1, 2") -> (registers, text in a trace
-# line).  Like trace._REG_LISTS it is cleared whenever it reaches a fixed
-# number of entries.
-_WIRE_REG_LISTS: dict[str, tuple[tuple[int, ...], str]] = {}
-_WIRE_REG_LISTS_MAX = 4096
+# line).  Raises ValueError for a register past the interpreter's digit
+# limit.
+_WIRE_REG_LISTS = _InternTable(
+    lambda f: (tuple(map(int, f.split(", "))), f.replace(" ", "")) if f
+    else ((), "-"))
 
 
-def _wire_reg_list(field: str) -> tuple[tuple[int, ...], str]:
-    """Read a list missing from _WIRE_REG_LISTS, then intern it.
-
-    Raises ValueError for a register past the interpreter's digit limit.
-    """
-    if field:
-        entry = tuple(map(int, field.split(", "))), field.replace(" ", "")
-    else:
-        entry = (), "-"
-    if len(_WIRE_REG_LISTS) >= _WIRE_REG_LISTS_MAX:
-        _WIRE_REG_LISTS.clear()
-    _WIRE_REG_LISTS[field] = entry
-    return entry
-
-
-def _read_canonical(line: bytes, last_seq: int) -> Batch | None:
+def _read_canonical(line: bytes) -> Batch | None:
     """The Batch of a canonical 'insts' frame line, its text included.
 
-    Returns None for any other line, and for a canonical one that json
-    and from_wire would refuse: an address at or past 2^64, an access
-    past 2^64, a sequence id not greater than the one before it (the
-    first is compared with last_seq), or a number past the interpreter's
-    digit limit.  So this path only declines a frame: what it takes, it
-    decodes as json.loads and from_wire would.
+    Returns None for any other line, and for a canonical one that
+    from_wire would refuse: an address at or past 2^64, an access past
+    2^64, or a number past the interpreter's digit limit.  So this path
+    only declines a frame: what it takes, it decodes as json.loads and
+    from_wire would.  Sequence order is the caller's to check.
     """
     split, read_accesses = _wire_patterns()
     # latin-1 makes each byte one character; a byte past ASCII, valid
@@ -139,18 +126,17 @@ def _read_canonical(line: bytes, last_seq: int) -> Batch | None:
             or between.count(", ") != len(between) - 2):
         return None
     fields = [iter(parts[1:])] * (_WIRE_GROUPS + 1)
-    reg_lists = _WIRE_REG_LISTS.get
+    reg_lists = _WIRE_REG_LISTS
     insts = []
     lines = []
     try:
         for seq, addr, cname, r, w, mem, key, value, _ in zip(*fields):
             s = int(seq)  # ValueError past the interpreter's digit limit
             a = int(addr)
-            if s <= last_seq or a >= U64_LIMIT:
+            if a >= U64_LIMIT:
                 return None
-            last_seq = s
-            reads, r_text = reg_lists(r) or _wire_reg_list(r)
-            writes, w_text = reg_lists(w) or _wire_reg_list(w)
+            reads, r_text = reg_lists[r]
+            writes, w_text = reg_lists[w]
             text = f"I {seq} {hex(a)} {cname} R:{r_text} W:{w_text}"
             accesses = ()
             if mem:
@@ -175,6 +161,25 @@ def _read_canonical(line: bytes, last_seq: int) -> Batch | None:
         return None
     lines.append("")  # the last line's newline
     return Batch(tuple(insts), text="\n".join(lines))
+
+
+def _json_frame(line: bytes) -> dict:
+    """The frame line's JSON object, which has a 't' field."""
+    try:
+        frame = json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise ProtocolError("bad frame: not UTF-8") from None
+    except json.JSONDecodeError as e:
+        raise ProtocolError(f"bad frame: {e.msg}") from None
+    except ValueError:
+        raise ProtocolError(
+            "bad frame: integer past the interpreter's digit limit"
+        ) from None
+    except RecursionError:
+        raise ProtocolError("bad frame: nested too deeply") from None
+    if not isinstance(frame, dict) or "t" not in frame:
+        raise ProtocolError("frame is not an object with a 't' field")
+    return frame
 
 
 class BrokerStream:
@@ -290,7 +295,10 @@ class SocketBroker:
             line = self._next_line()
             if not line:
                 raise ProtocolError("no hello frame from the producer")
-            hello = self._decode_frame(line, expect="hello")
+            hello = _json_frame(line)
+            if hello["t"] != "hello":
+                raise ProtocolError(
+                    f"expected 'hello' frame, got '{hello['t']}'")
             version = hello.get("version")
             # True and 1.0 equal 1, but only the integer is version 1.
             if type(version) is not int or version != 1:
@@ -350,62 +358,30 @@ class SocketBroker:
         return line
 
     @staticmethod
-    def _decode_frame(line: bytes, expect: str | None = None,
-                      last_seq: int = -1) -> dict | Batch:
-        """The frame's JSON object, which has a 't' field equal to expect
-        if expect is given.
-
-        A stream frame (no expect) that is a canonical 'insts' frame
-        whose sequence ids follow last_seq comes back instead as its
-        Batch, text included (_read_canonical).
-        """
-        if expect is None:
-            batch = _read_canonical(line, last_seq)
-            if batch is not None:
-                return batch
-        try:
-            frame = json.loads(line.decode("utf-8"))
-        except UnicodeDecodeError:
-            raise ProtocolError("bad frame: not UTF-8") from None
-        except json.JSONDecodeError as e:
-            raise ProtocolError(f"bad frame: {e.msg}") from None
-        except ValueError:
-            raise ProtocolError(
-                "bad frame: integer past the interpreter's digit limit"
-            ) from None
-        except RecursionError:
-            raise ProtocolError("bad frame: nested too deeply") from None
-        if not isinstance(frame, dict) or "t" not in frame:
-            raise ProtocolError("frame is not an object with a 't' field")
-        if expect is not None and frame["t"] != expect:
-            raise ProtocolError(
-                f"expected '{expect}' frame, got '{frame['t']}'"
-            )
-        return frame
-
-    def _stream_batch(self, frame: dict) -> Batch:
-        """The Batch of a stream frame that json decoded."""
-        kind = frame["t"]
-        if kind == "end":
-            self._eos = True
-            return _END_BATCH
-        if kind != "insts":
-            raise ProtocolError(f"unexpected frame type '{kind}'")
-        batch = frame.get("batch")
-        if not isinstance(batch, list):
-            raise ProtocolError("'insts' frame without a batch list")
-        insts = []
-        last_seq = self._last_seq
-        for obj in batch:
-            inst = from_wire(obj)
+    def _decode_frame(line: bytes, last_seq: int) -> Batch:
+        """The Batch of a stream frame line whose sequence ids follow
+        last_seq: an 'insts' frame's instructions, with its text if the
+        frame is canonical (_read_canonical), or the end batch."""
+        batch = _read_canonical(line)
+        if batch is None:
+            frame = _json_frame(line)
+            kind = frame["t"]
+            if kind == "end":
+                return _END_BATCH
+            if kind != "insts":
+                raise ProtocolError(f"unexpected frame type '{kind}'")
+            objs = frame.get("batch")
+            if not isinstance(objs, list):
+                raise ProtocolError("'insts' frame without a batch list")
+            batch = Batch(tuple(map(from_wire, objs)))
+        for inst in batch.instructions:
             if inst.seq_id <= last_seq:
                 raise ProtocolError(
                     f"sequence id {inst.seq_id} not greater "
                     f"than previous {last_seq}"
                 )
             last_seq = inst.seq_id
-            insts.append(inst)
-        return Batch(tuple(insts))
+        return batch
 
     # Consumer side ----------------------------------------------------------
 
@@ -420,17 +396,16 @@ class SocketBroker:
             if not line:
                 raise TruncatedTraceError(
                     "producer disconnected before end of stream")
-            frame = self._decode_frame(line, last_seq=self._last_seq)
-            if type(frame) is dict:
-                frame = self._stream_batch(frame)
-            pending, pos = frame.instructions, 0
+            batch = self._decode_frame(line, self._last_seq)
+            self._eos = batch.end_of_stream
+            pending, pos = batch.instructions, 0
             if not pending:
                 continue
             self._last_seq = pending[-1].seq_id
             if len(pending) <= max_n:
                 # Handed out whole, with its text, and not kept.
                 self._pending, self._pos = (), 0
-                return frame
+                return batch
         end = min(pos + max_n, len(pending))
         self._pending, self._pos = pending, end
         return Batch(pending[pos:end])

@@ -144,7 +144,8 @@ def _cmd_analyze(args) -> int:
     elif args.connect:
         host, port = args.connect
         broker = SocketBroker.connect(host, port)
-        source = f"{host}:{port}"
+        # An IPv6 host is bracketed, so the port stays readable.
+        source = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
     else:
         print(f"listening on 127.0.0.1:{args.listen}", file=sys.stderr)
         broker = SocketBroker.listen(args.listen)

@@ -154,6 +154,7 @@ class Pipeline:
                           for rname, cycles in c.resource_usage)
             for c in model.classes
         }
+        self.classes = {c.name: c for c in model.classes}  # name -> class
         self.queues = MemQueues(model.load_queue_size, model.store_queue_size)
         self.free: list[InstrRecord] = []       # retired records, for reuse
 
@@ -184,7 +185,7 @@ class Pipeline:
         """
         capacity = self.entry_capacity
         model = self.model
-        class_index = model._class_index
+        classes = self.classes
         entry = self.entry
         free = self.free
         claims = self.claims
@@ -194,7 +195,7 @@ class Pipeline:
             seq = inst.seq_id
             if seq <= self._last_seq:
                 raise _order_error(seq, self._last_seq)
-            cls = class_index.get(inst.class_name)
+            cls = classes.get(inst.class_name)
             if cls is None:
                 raise AnalysisError(
                     f"instruction {seq}: unknown class '{inst.class_name}'")

@@ -9,7 +9,7 @@ changing timing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import ModelError
 
@@ -55,17 +55,9 @@ class MachineModel:
     resources: tuple[ResourceDesc, ...]
     classes: tuple[InstrClass, ...]
     context_latency_tables: dict[str, dict[str, int]]
-    _class_index: dict[str, InstrClass] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_class_index", {c.name: c for c in self.classes}
-        )
 
     def class_named(self, name: str) -> InstrClass | None:
-        return self._class_index.get(name)
+        return {c.name: c for c in self.classes}.get(name)
 
 
 # ---------------------------------------------------------------------------

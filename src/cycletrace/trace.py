@@ -14,11 +14,11 @@ canonical.  parse_trace_line reads such a line from a single regular
 expression match and reports it as canonical; every other line is parsed
 field by field.
 
-Parsed register lists are interned by their field text, and rendered
-register lists by their tuple: a static instruction re-executes with the
-same registers, so most lists repeat.  Each table is cleared whenever it
-reaches a fixed number of entries, so its memory stays bounded on any
-input.
+A canonical line's register lists are interned by their field text, and
+rendered register lists by their tuple: a static instruction re-executes
+with the same registers, so most lists repeat.  Each table is an
+_InternTable, cleared whenever it reaches _INTERN_BOUND entries, so its
+memory stays bounded on any input.
 """
 
 from __future__ import annotations
@@ -107,23 +107,38 @@ def _parse_reg(token: str, line: int | None) -> int:
     raise TraceParseError(f"bad register token '{token}'", line)
 
 
-# Register-list field text (prefix stripped) -> parsed tuple.  A miss
-# parses as usual, so a bad list always raises with its own line number;
-# only successful parses are stored.
-_REG_LISTS: dict[str, tuple[int, ...]] = {}
-_REG_LISTS_MAX = 4096
-
-
 def _parse_reg_list(f: str, line: int | None) -> tuple[int, ...]:
-    """Parse a list missing from _REG_LISTS, then intern it."""
     if f == "-" or f == "":
-        regs = ()
-    else:
-        regs = tuple(_parse_reg(tok, line) for tok in f.split(","))
-    if len(_REG_LISTS) >= _REG_LISTS_MAX:
-        _REG_LISTS.clear()
-    _REG_LISTS[f] = regs
-    return regs
+        return ()
+    return tuple(_parse_reg(tok, line) for tok in f.split(","))
+
+
+_INTERN_BOUND = 4096  # entries an _InternTable holds before it is cleared
+
+
+class _InternTable(dict):
+    """A dict that makes a missing key's value with make(key), keeps it
+    and returns it; if make raises, nothing is kept.  It is cleared
+    whenever it reaches _INTERN_BOUND entries, so its memory stays
+    bounded however many distinct keys arrive."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self.make(key)
+        if len(self) >= _INTERN_BOUND:
+            self.clear()
+        self[key] = value
+        return value
+
+
+# A canonical line's register-list field text -> parsed tuple.  Raises
+# ValueError for a register past the interpreter's digit limit.
+_REG_LISTS = _InternTable(
+    lambda f: () if f == "-" else tuple(map(int, f.split(","))))
 
 
 def read_int(token: str) -> int:
@@ -188,14 +203,8 @@ def parse_trace_line(
             addr = int(addr, 16)
             if addr >= U64_LIMIT:
                 raise ValueError
-            # With the sequence id and address read, a bad register here
-            # is also the field-by-field parse's first error.
-            reads = _REG_LISTS.get(r_field)
-            if reads is None:
-                reads = _parse_reg_list(r_field, line)
-            writes = _REG_LISTS.get(w_field)
-            if writes is None:
-                writes = _parse_reg_list(w_field, line)
+            reads = _REG_LISTS[r_field]
+            writes = _REG_LISTS[w_field]
             mem = ()
             if accesses:
                 mem = []
@@ -239,12 +248,8 @@ def _parse_fields(text: str, line: int | None) -> TraceInstruction | None:
     w_field = fields[5]
     if not r_field.startswith("R:") or not w_field.startswith("W:"):
         raise TraceParseError("expected R: and W: register lists", line)
-    reads = _REG_LISTS.get(r_field[2:])
-    if reads is None:
-        reads = _parse_reg_list(r_field[2:], line)
-    writes = _REG_LISTS.get(w_field[2:])
-    if writes is None:
-        writes = _parse_reg_list(w_field[2:], line)
+    reads = _parse_reg_list(r_field[2:], line)
+    writes = _parse_reg_list(w_field[2:], line)
 
     mem: list[MemoryAccess] = []
     context: tuple[str, str] | None = None
@@ -300,31 +305,18 @@ def parse_trace(text: str) -> list[TraceInstruction]:
     return list(iter_trace_lines(text.splitlines(keepends=True)))
 
 
-# Register tuple -> its text in a rendered line.  Like _REG_LISTS it is
-# cleared whenever it reaches a fixed number of entries.
-_REG_TEXT: dict[tuple[int, ...], str] = {}
-_REG_TEXT_MAX = 4096
-
-
-def _render_regs(regs: tuple[int, ...]) -> str:
-    """Render a tuple missing from _REG_TEXT, then store it."""
-    text = ",".join(map(str, regs)) if regs else "-"
-    if len(_REG_TEXT) >= _REG_TEXT_MAX:
-        _REG_TEXT.clear()
-    _REG_TEXT[regs] = text
-    return text
+# Register tuple -> its text in a rendered line.
+_REG_TEXT = _InternTable(lambda regs: ",".join(map(str, regs)) or "-")
 
 
 def render_trace(instructions: Iterable[TraceInstruction]) -> str:
     """The canonical text of instructions: one line each, newline ended."""
-    reg_text = _REG_TEXT.get
+    reg_text = _REG_TEXT
     out: list[str] = []
     append = out.append
     for inst in instructions:
-        reads, writes = inst.reads, inst.writes
         line = (f"I {inst.seq_id} {inst.address:#x} {inst.class_name} "
-                f"R:{reg_text(reads) or _render_regs(reads)} "
-                f"W:{reg_text(writes) or _render_regs(writes)}")
+                f"R:{reg_text[inst.reads]} W:{reg_text[inst.writes]}")
         for acc in inst.mem:
             line += (f" {'L' if acc.kind is _LOAD else 'S'}:"
                      f"{acc.address:#x}:{acc.size}")
@@ -366,24 +358,23 @@ def to_wire(inst: TraceInstruction) -> dict:
     return obj
 
 
-def _wire_int(obj: dict, key: str) -> int:
-    v = obj.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
+def _is_int(value) -> bool:
+    """An int subclass is an integer to the wire; bool is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _wire_int(value, key: str) -> int:
+    if not _is_int(value):
         raise ProtocolError(f"instruction field '{key}' must be an integer")
-    return v
+    return value
 
 
-# Every int below this bound has a decimal text under any digit limit
-# the interpreter takes (sys.set_int_max_str_digits refuses one below
-# 640), so only a larger one needs _check_digits.
-_SHORT_INT = 10 ** 640
-
-
-def _check_digits(v: int, key: str):
-    """Refuse an integer that render_trace cannot write, and so no trace
-    line carries: one past the interpreter's digit limit."""
+def _decimal(value: int, key: str) -> str:
+    """value as render_trace writes it, in decimal.  An integer past the
+    interpreter's digit limit has no such text, so no trace line carries
+    it, and the wire refuses it."""
     try:
-        str(v)
+        return str(value)
     except ValueError:
         raise ProtocolError(
             f"instruction field '{key}' holds an integer past the "
@@ -391,24 +382,18 @@ def _check_digits(v: int, key: str):
 
 
 def _wire_regs(obj: dict, key: str) -> tuple[int, ...]:
-    v = obj.get(key, [])
-    if isinstance(v, list):
-        for r in v:
-            if type(r) is not int and (
-                not isinstance(r, int) or isinstance(r, bool)
-            ):
-                break
-        else:
-            # A trace line carries no sign, so neither may the wire.
-            if v and min(v) < 0:
-                raise ProtocolError(
-                    f"negative register {min(v)} in instruction field "
-                    f"'{key}'")
-            if v and max(v) >= _SHORT_INT:
-                _check_digits(max(v), key)
-            return tuple(v)
-    raise ProtocolError(f"instruction field '{key}' must be a list of "
-                        "integers")
+    regs = obj.get(key, [])
+    if not isinstance(regs, list) or not all(map(_is_int, regs)):
+        raise ProtocolError(f"instruction field '{key}' must be a list of "
+                            "integers")
+    if regs:
+        # A trace line carries no sign, so neither may the wire.
+        low = min(regs)
+        if low < 0:
+            raise ProtocolError(f"negative register {_decimal(low, key)} "
+                                f"in instruction field '{key}'")
+        _decimal(max(regs), key)
+    return tuple(regs)
 
 
 _ABSENT = object()  # an omitted 'mem'; 'mem': null is refused
@@ -430,26 +415,17 @@ def _wire_names():
 def from_wire(obj: dict) -> TraceInstruction:
     """Decode one wire instruction object, checking every field.
 
-    Integer fields, and the registers in _wire_regs, are first tested for
-    the exact int that json.loads produces; only a value that fails that
-    test goes through the general check, which accepts an int subclass,
-    refuses bool and raises the field's ProtocolError.  Fields are checked
-    in a fixed order, so an object with several faults always reports the
-    same one.
+    Fields are checked in a fixed order, so an object with several
+    faults always reports the same one.
     """
     if not isinstance(obj, dict):
         raise ProtocolError("instruction frame entry must be an object")
     get = obj.get
-    seq = get("seq")
-    if type(seq) is not int:
-        seq = _wire_int(obj, "seq")
-    if not 0 <= seq < _SHORT_INT:
-        if seq < 0:
-            raise ProtocolError(f"negative sequence id {seq}")
-        _check_digits(seq, "seq")
-    addr = get("addr")
-    if type(addr) is not int:
-        addr = _wire_int(obj, "addr")
+    seq = _wire_int(get("seq"), "seq")
+    text = _decimal(seq, "seq")
+    if seq < 0:
+        raise ProtocolError(f"negative sequence id {text}")
+    addr = _wire_int(get("addr"), "addr")
     if not 0 <= addr < U64_LIMIT:
         raise ProtocolError(f"address {addr:#x} out of range")
     cname = get("class")
@@ -477,13 +453,11 @@ def from_wire(obj: dict) -> TraceInstruction:
                 k = _STORE
             else:
                 raise ProtocolError(f"bad memory kind {kind!r}")
-            a = entry.get("addr")
-            if type(a) is not int:
-                a = _wire_int(entry, "addr")
-            s = entry.get("size")
-            if type(s) is not int:
-                s = _wire_int(entry, "size")
+            a = _wire_int(entry.get("addr"), "addr")
+            s = _wire_int(entry.get("size"), "size")
             if a < 0 or s < 1 or a + s > U64_LIMIT:
+                if 0 <= a < U64_LIMIT:  # else the address is reported
+                    _decimal(s, "size")
                 try:
                     _check_access(a, s)
                 except TraceParseError as e:

@@ -105,21 +105,26 @@ class TimelineRecorder:
     window is an inclusive (first, last) sequence id range; None records
     everything.  Positions number the retired instructions within each
     iteration, counting instructions outside the window too, so a row
-    keeps its position no matter how the window is set.
+    keeps its position no matter how the window is set.  Only the current
+    iteration's next position is kept: numbering restarts at 0 whenever
+    the iteration changes, and analyze only ever increases it.
     """
 
     def __init__(self, window: tuple[int, int] | None = None):
         self.window = window
         self.rows: list[TimelineRow] = []
-        self._positions: dict[int, int] = {}
+        self._iteration = 0
+        self._position = 0  # of the next retirement in _iteration
 
     def attach(self, pipeline: Pipeline) -> "TimelineRecorder":
         pipeline.retire_sink = self.on_retire
         return self
 
     def on_retire(self, rec: InstrRecord, iteration: int):
-        position = self._positions.get(iteration, 0)
-        self._positions[iteration] = position + 1
+        if iteration != self._iteration:
+            self._iteration, self._position = iteration, 0
+        position = self._position
+        self._position = position + 1
         w = self.window
         if w is not None and not (w[0] <= rec.seq_id <= w[1]):
             return

@@ -7,9 +7,10 @@ from cycletrace import brokers, trace
 
 
 @pytest.fixture(autouse=True)
-def fresh_register_list_table():
-    """Start each test with no interned register lists, whatever ran first."""
+def fresh_register_list_tables():
+    """Start each test with every intern table empty, whatever ran first."""
     trace._REG_LISTS.clear()
+    trace._REG_TEXT.clear()
     brokers._WIRE_REG_LISTS.clear()
 
 

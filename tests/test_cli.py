@@ -639,7 +639,8 @@ def test_protocol_violation_exits_three(model_file, capsys):
     assert "protocol error" in capsys.readouterr().err
 
 
-def test_analyze_connects_to_a_bracketed_ipv6_host(model_file, capsys):
+def test_analyze_connects_to_a_bracketed_ipv6_host(model_file, capsys,
+                                                   tmp_path):
     server = socket.socket(socket.AF_INET6)
     try:
         server.bind(("::1", 0))
@@ -661,12 +662,16 @@ def test_analyze_connects_to_a_bracketed_ipv6_host(model_file, capsys):
 
     t = threading.Thread(target=producer)
     t.start()
-    rc = main(["analyze", "--model", model_file, "--connect", f"[::1]:{port}"])
+    report = tmp_path / "r.json"
+    rc = main(["analyze", "--model", model_file, "--connect", f"[::1]:{port}",
+               "--out", str(report)])
     t.join(15)
     server.close()
     assert not t.is_alive()
     assert rc == 0
     assert f"Instructions:      {len(insts)}\n" in capsys.readouterr().out
+    # The report's source keeps the brackets, so the port stays readable.
+    assert json.loads(report.read_text())["source"] == f"[::1]:{port}"
 
 
 def test_truncated_stream_exits_four_with_a_partial_report(

@@ -73,7 +73,7 @@ def test_prefixed_and_bare_lists_parse_alike():
 
 
 def test_register_list_table_stays_bounded():
-    bound = trace._REG_LISTS_MAX
+    bound = trace._INTERN_BOUND
     parse_trace("".join(
         f"I {i} 0x0 add R:{i} W:-\n" for i in range(bound + 10)
     ))
@@ -280,7 +280,7 @@ def test_from_wire_rejects(obj, message):
 
 
 def test_from_wire_takes_long_numbers_a_line_carries():
-    # Past trace._SHORT_INT, but within the digit limit.
+    # Over 640 digits, but within the digit limit.
     long = 10 ** 700
     inst = from_wire(_wire(seq=long, reads=[long], writes=[3, long]))
     assert (inst.seq_id, inst.reads, inst.writes) == (
@@ -296,6 +296,47 @@ def test_from_wire_accepts_int_subclasses():
         _wire(seq=Reg(3), reads=[Reg(1)], mem=[_entry(size=Reg(4))]))
     assert (inst.seq_id, inst.reads) == (3, (1,))
     assert inst.mem == (MemoryAccess(AccessKind.LOAD, 16, 4),)
+
+
+class _Int(int):
+    pass
+
+
+_PAST_LIMIT = "holds an integer past the interpreter's digit limit"
+
+
+# Each integer field of a wire object: how to set it, what it decodes
+# to, the refusal of a bool, and of an integer past the digit limit.
+# Decimal fields refuse it; an address is written in hex, so it is
+# reported out of range.
+@pytest.mark.parametrize("put, got, bool_message, long_message", [
+    (lambda v: _wire(seq=v), lambda inst: inst.seq_id,
+     "instruction field 'seq' must be an integer",
+     re.escape(f"instruction field 'seq' {_PAST_LIMIT}")),
+    (lambda v: _wire(addr=v), lambda inst: inst.address,
+     "instruction field 'addr' must be an integer",
+     "address -?0x[0-9a-f]+ out of range"),
+    (lambda v: _wire(mem=[_entry(addr=v)]), lambda inst: inst.mem[0].address,
+     "instruction field 'addr' must be an integer",
+     "address -?0x[0-9a-f]+ out of range"),
+    (lambda v: _wire(mem=[_entry(size=v)]), lambda inst: inst.mem[0].size,
+     "instruction field 'size' must be an integer",
+     re.escape(f"instruction field 'size' {_PAST_LIMIT}")),
+    (lambda v: _wire(reads=[v]), lambda inst: inst.reads[0],
+     "instruction field 'reads' must be a list of integers",
+     re.escape(f"instruction field 'reads' {_PAST_LIMIT}")),
+    (lambda v: _wire(writes=[2, v]), lambda inst: inst.writes[1],
+     "instruction field 'writes' must be a list of integers",
+     re.escape(f"instruction field 'writes' {_PAST_LIMIT}")),
+], ids=["seq", "addr", "mem-addr", "mem-size", "reads", "writes"])
+def test_from_wire_checks_each_integer_field(put, got, bool_message,
+                                             long_message):
+    with pytest.raises(ProtocolError, match=re.escape(bool_message)):
+        from_wire(put(True))
+    assert got(from_wire(put(_Int(4)))) == 4
+    for long in (10 ** 5000, -10 ** 5000):
+        with pytest.raises(ProtocolError, match=long_message):
+            from_wire(put(long))
 
 
 _regs = st.lists(st.integers(-2, 63), max_size=3).map(tuple)
@@ -476,7 +517,7 @@ def _received(lines, max_n, fast):
                      + b'{"t": "end"}\n')
     producer.shutdown(socket.SHUT_WR)
     off = mock.patch.object(brokers, "_read_canonical",
-                            lambda line, last_seq: None)
+                            lambda line: None)
     batches = []
     with producer, contextlib.nullcontext() if fast else off:
         broker = SocketBroker(consumer)
@@ -561,20 +602,20 @@ def test_canonical_frame_strings_are_what_a_line_carries():
         plain = json.dumps(name) == f'"{name}"'
         obj = to_wire(TraceInstruction(0, 0, name, (), (), (), ("k", c)))
         line = _dumps([obj])
-        batch = brokers._read_canonical(line, -1)
+        batch = brokers._read_canonical(line)
         carried = plain and bool(is_class(name))
         assert (batch is not None) == carried, c
         key = to_wire(TraceInstruction(0, 0, "a", (), (), (), (name, "")))
         carried = plain and bool(is_ctx_key(name))
-        assert (brokers._read_canonical(_dumps([key]), -1)
+        assert (brokers._read_canonical(_dumps([key]))
                 is not None) == carried, c
 
 
 def test_wire_register_list_table_stays_bounded():
-    bound = brokers._WIRE_REG_LISTS_MAX
+    bound = trace._INTERN_BOUND
     objs = [to_wire(TraceInstruction(i, 4 * i, "add", (i,), (i, 7)))
             for i in range(bound + 10)]
-    batch = brokers._read_canonical(_dumps(objs), -1)
+    batch = brokers._read_canonical(_dumps(objs))
     assert len(brokers._WIRE_REG_LISTS) <= bound
     assert batch.instructions == tuple(map(from_wire, objs))
     assert batch.text == render_trace(batch.instructions)
@@ -684,7 +725,7 @@ def test_out_of_range_canonical_lines_raise_as_the_general_path_does(
 
 
 def test_render_table_stays_bounded():
-    bound = trace._REG_TEXT_MAX
+    bound = trace._INTERN_BOUND
     insts = [TraceInstruction(i, 4 * i, "add", (i,), (i, 7))
              for i in range(bound + 10)]
     expect = "".join(f"I {i} {4 * i:#x} add R:{i} W:{i},7\n"

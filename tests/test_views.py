@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from cycletrace import (
     render_timeline,
     summarize,
     timeline_trace_events,
+    views,
 )
 from gen import ti
 
@@ -191,6 +193,28 @@ def test_positions_restart_per_iteration(model):
     assert [(r.iteration, r.position) for r in rows] == [
         (0, 0), (0, 1), (1, 0), (1, 1),
     ]
+
+
+def _recorder_bytes(model, iterations):
+    """Bytes allocated in views.py and still held after that many
+    one-instruction iterations, under a window that matches no row."""
+    pipe = Pipeline(model)
+    tracemalloc.start()
+    try:
+        TimelineRecorder(window=(-2, -1)).attach(pipe)
+        for i in range(iterations):
+            pipe.iteration = i
+            pipe.feed((ti(i, "add"),))
+            pipe.drain()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snapshot.filter_traces([tracemalloc.Filter(True, views.__file__)])
+    return sum(stat.size for stat in held.statistics("filename"))
+
+
+def test_recorder_memory_does_not_grow_with_iterations(model):
+    assert _recorder_bytes(model, 5000) <= _recorder_bytes(model, 1000)
 
 
 # -- trace events -------------------------------------------------------------
