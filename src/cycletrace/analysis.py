@@ -20,25 +20,26 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 from itertools import chain, groupby
 
 from .brokers import BrokerStream
-from .engine import Pipeline, PoolStats
-from .errors import TraceParseError
+from .engine import _POOL_KINDS, Pipeline, PoolStats
+from .errors import AnalysisError, TraceParseError
 from .lsunit import AliasPolicy
 from .model import MachineModel
 from .trace import read_int, render_trace
-from .views import SummaryStats, TimelineRecorder, summarize
+from .views import _SUMMARY_KINDS, SummaryStats, TimelineRecorder, summarize
 
 
-@dataclass(frozen=True)
-class RegionSpec:
-    """Address ranges of interest, half-open, merged when overlapping."""
+class RegionSpec(namedtuple("RegionSpec", "entries ranges starts")):
+    """Address ranges of interest, half-open, merged when overlapping.
 
-    entries: tuple[tuple[int, int, str | None], ...]
-    ranges: tuple[tuple[int, int], ...]
-    _starts: tuple[int, ...]
+    entries are the (start, end, name) triples as given, ranges the
+    merged (start, end) pairs in order, and starts their start addresses.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_ranges(
@@ -56,11 +57,11 @@ class RegionSpec:
         return cls(
             entries=tuple(entries),
             ranges=ranges,
-            _starts=tuple(s for s, _ in ranges),
+            starts=tuple(s for s, _ in ranges),
         )
 
     def contains(self, address: int) -> bool:
-        idx = bisect_right(self._starts, address) - 1
+        idx = bisect_right(self.starts, address) - 1
         return idx >= 0 and address < self.ranges[idx][1]
 
 
@@ -96,25 +97,18 @@ def parse_regions(text: str) -> RegionSpec:
     return RegionSpec.from_ranges(entries)
 
 
-@dataclass(frozen=True)
-class RegionStats:
-    visits: int
-    instructions: int
-    cycles: int
-    per_visit: tuple[tuple[int, int], ...]  # (instructions, cycles)
+# The JSON type of each RegionStats field.  per_visit holds
+# (instructions, cycles) pairs, written as objects of _VISIT_KINDS.
+_REGION_KINDS = {"visits": int, "instructions": int, "cycles": int,
+                 "per_visit": list}
+_VISIT_KINDS = {"instructions": int, "cycles": int}
+RegionStats = namedtuple("RegionStats", _REGION_KINDS)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    model_name: str
-    source: str
-    digest: str
-    alias_policy: str
-    truncated: bool
-    summary: SummaryStats
-    pool: PoolStats
-    missing_metadata: int
-    regions: RegionStats | None
+class AnalysisReport(namedtuple(
+        "AnalysisReport", "model_name source digest alias_policy truncated "
+        "summary pool missing_metadata regions")):
+    __slots__ = ()
 
     def to_json(self) -> str:
         doc = {
@@ -124,8 +118,8 @@ class AnalysisReport:
             "digest": self.digest,
             "alias_policy": self.alias_policy,
             "truncated": self.truncated,
-            "summary": asdict(self.summary),
-            "pool": asdict(self.pool),
+            "summary": self.summary._asdict(),
+            "pool": self.pool._asdict(),
             "missing_metadata": self.missing_metadata,
             "regions": None if self.regions is None else {
                 "visits": self.regions.visits,
@@ -169,36 +163,22 @@ class AnalysisReport:
             alias_policy=f["alias_policy"],
             truncated=f["truncated"],
             summary=SummaryStats(**_fields(
-                f["summary"], _kinds(SummaryStats), "summary.")),
-            pool=PoolStats(**_fields(
-                f["pool"], _kinds(PoolStats), "pool.")),
+                f["summary"], _SUMMARY_KINDS, "summary.")),
+            pool=PoolStats(**_fields(f["pool"], _POOL_KINDS, "pool.")),
             missing_metadata=f["missing_metadata"],
             regions=regions,
         )
 
 
-# The JSON type of each report field; summary and pool take theirs from
-# their dataclasses' annotations.
+# The JSON type of each report field; summary, pool and regions are read
+# by the tables their types are built from.
 _REPORT_KINDS = {"model": str, "source": str, "digest": str,
                  "alias_policy": str, "truncated": bool, "summary": dict,
                  "pool": dict, "missing_metadata": int,
                  "regions": (dict, type(None))}
-_REGION_KINDS = {"visits": int, "instructions": int, "cycles": int,
-                 "per_visit": list}
-_VISIT_KINDS = {"instructions": int, "cycles": int}
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
                bool: "true or false", list: "a list", dict: "an object",
                (dict, type(None)): "an object or null"}
-
-
-def _kinds(cls) -> dict:
-    """The JSON type of each field of a dataclass of scalars.
-
-    The modules use postponed annotations, so a field's type is the
-    name it is annotated with.
-    """
-    by_name = {kind.__name__: kind for kind in (int, float, str, bool)}
-    return {f.name: by_name[f.type] for f in fields(cls)}
 
 
 def _malformed(what: str) -> TraceParseError:
@@ -250,7 +230,13 @@ class _HashingBroker:
         batch = self.inner.fetch_batch(max_n)
         text = batch.text
         if text is None:
-            text = render_trace(batch.instructions)
+            try:
+                text = render_trace(batch.instructions)
+            except TraceParseError as e:
+                # Only in-memory input can fail: the file and wire
+                # inputs refuse what no trace line carries.
+                raise AnalysisError(
+                    f"an instruction no trace line can carry: {e}") from None
         self._sha.update(text.encode("utf-8"))
         return batch
 

@@ -10,7 +10,7 @@ and a set of such errors aggregates by geometric mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .analysis import AnalysisReport
 from .errors import AnalysisError, TraceParseError, UndefinedRatioError
@@ -53,16 +53,9 @@ def geometric_mean(values) -> float:
     return math.exp(sum(map(math.log, vals)) / len(vals))
 
 
-@dataclass(frozen=True)
-class DiffReport:
-    model_name: str
-    base_source: str
-    cand_source: str
-    base_cycles: int
-    cand_cycles: int
-    delta: float
-    measured_delta: float | None = None
-    error: float | None = None
+DiffReport = namedtuple(
+    "DiffReport", "model_name base_source cand_source base_cycles "
+    "cand_cycles delta measured_delta error", defaults=(None, None))
 
 
 def diff_reports(

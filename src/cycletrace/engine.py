@@ -58,9 +58,8 @@ once it has executed, so it waits on no producer any more.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
 from .brokers import BrokerStream, SequenceBroker
@@ -82,31 +81,64 @@ class _UnitWaits(list):
     unit_free_at = 0
 
 
-@dataclass(slots=True)
+class _Kind:
+    """An instruction class as one pipeline runs it, resolved once.
+
+    feed and the issue stage read these once per instruction; slots read
+    several times faster than the InstrClass named tuple's fields.
+    """
+
+    __slots__ = ("cls", "latency", "uops", "claims", "usage", "may_load",
+                 "may_store", "context_key", "waiting")
+
+    def __init__(self, cls: InstrClass, busy: dict[str, list[int]],
+                 groups: dict[tuple, _UnitWaits]):
+        self.cls = cls
+        self.latency = cls.latency
+        self.uops = cls.num_uops
+        # (busy list, occupancy cycles) per claim
+        self.claims = tuple((busy[rname], cycles)
+                            for rname, cycles in cls.resource_usage)
+        self.usage = cls.resource_usage
+        self.may_load = cls.may_load
+        self.may_store = cls.may_store
+        self.context_key = cls.context_latency_key
+        # Classes that claim the same resources the same number of times
+        # share one _UnitWaits; None if the class claims nothing.
+        self.waiting = None
+        if self.usage:
+            self.waiting = groups.setdefault(
+                tuple(sorted(r for r, _ in self.usage)), _UnitWaits())
+
+
 class InstrRecord:
     """Mutable per-instruction pipeline state; pooled and recycled."""
 
-    seq_id: int = -1
-    cls: InstrClass | None = None
-    dispatched_at: int = -1
-    issued_at: int = -1
-    executed_at: int = -1      # >= 0 once executed
-    retired_at: int = -1
-    latency: int = 1           # the class latency or its context override
-    uops: int = 1
-    reads: tuple[int, ...] = ()
-    writes: tuple[int, ...] = ()
-    waiting_on: set[int] = field(default_factory=set)
-    claims: tuple = ()          # (busy list, occupancy cycles) per claim
-    loads: tuple = ()           # MemoryAccess or None (metadata missing)
-    stores: tuple = ()
+    __slots__ = ("seq_id", "cls", "kind", "dispatched_at", "issued_at",
+                 "executed_at", "retired_at", "latency", "uops", "reads",
+                 "writes", "waiting_on", "loads", "stores")
+
+    def __init__(self):
+        self.seq_id = -1
+        self.cls: InstrClass | None = None
+        self.kind: _Kind | None = None
+        self.dispatched_at = -1
+        self.issued_at = -1
+        self.executed_at = -1       # >= 0 once executed
+        self.retired_at = -1
+        self.latency = 1            # the class latency or its context override
+        self.uops = 1
+        self.reads: tuple[int, ...] = ()
+        self.writes: tuple[int, ...] = ()
+        self.waiting_on: set[int] = set()
+        self.loads: tuple = ()      # MemoryAccess or None (metadata missing)
+        self.stores: tuple = ()
 
 
-@dataclass(frozen=True)
-class PoolStats:
-    total_allocated: int
-    total_recycled: int
-    peak_live: int
+# The JSON type of each PoolStats field, as a report reads it back.
+_POOL_KINDS = {"total_allocated": int, "total_recycled": int,
+               "peak_live": int}
+PoolStats = namedtuple("PoolStats", _POOL_KINDS)
 
 
 def _order_error(seq: int, last: int) -> AnalysisError:
@@ -121,9 +153,16 @@ class Pipeline:
         alias_policy: AliasPolicy = AliasPolicy.METADATA,
         entry_capacity: int = 256,
     ):
+        # Fewer than 30 instance attributes: CPython 3.11 shares at most
+        # 30 keys between a class's instance dicts, and past that every
+        # attribute read and write in the stages takes a slower path.
         validate_model(model)
         self.model = model
         self.policy = alias_policy
+        # The model's fields the stages read every cycle, as attributes.
+        self.dispatch_width = model.dispatch_width
+        self.retire_width = model.retire_width
+        self.rob_size = model.reorder_buffer_size
         # A buffer that holds one dispatch width gives the same cycles
         # as any larger one; a smaller one would cap dispatch.
         self.entry_capacity = max(entry_capacity, model.dispatch_width)
@@ -138,23 +177,13 @@ class Pipeline:
         self.consumers: dict[int, list[InstrRecord]] = {}
         self.ready: list[int] = []                # heap of ready seq ids
         self.deferred: list[int] = []             # in a dispatch span; next cycle
-        # class name -> its _UnitWaits, shared by the classes that claim
-        # the same resources the same number of times
-        groups: dict[tuple, _UnitWaits] = {}
-        self.unit_waits: dict[str, _UnitWaits] = {
-            c.name: groups.setdefault(
-                tuple(sorted(r for r, _ in c.resource_usage)), _UnitWaits())
-            for c in model.classes if c.resource_usage}
-        self._unit_groups = list(groups.values())
         self.executing: list[tuple[int, int]] = []  # heap (completes_at, seq)
         busy = {r.name: [-1] * r.units for r in model.resources}
-        # class name -> (busy list, occupancy cycles) per claim
-        self.claims: dict[str, tuple] = {
-            c.name: tuple((busy[rname], cycles)
-                          for rname, cycles in c.resource_usage)
-            for c in model.classes
-        }
-        self.classes = {c.name: c for c in model.classes}  # name -> class
+        groups: dict[tuple, _UnitWaits] = {}
+        # class name -> its _Kind
+        self.classes: dict[str, _Kind] = {
+            c.name: _Kind(c, busy, groups) for c in model.classes}
+        self._unit_groups = list(groups.values())
         self.queues = MemQueues(model.load_queue_size, model.store_queue_size)
         self.free: list[InstrRecord] = []       # retired records, for reuse
 
@@ -170,6 +199,12 @@ class Pipeline:
         self._dispatch_busy_until = -1
         self._quiet_until = 0
 
+    @property
+    def unit_waits(self) -> dict[str, _UnitWaits]:
+        """Class name -> its _UnitWaits, for each class that claims units."""
+        return {name: kind.waiting for name, kind in self.classes.items()
+                if kind.waiting is not None}
+
     # -- input -------------------------------------------------------------
 
     def feed(self, instructions) -> int:
@@ -184,35 +219,36 @@ class Pipeline:
         all happen here so later stages never fail.
         """
         capacity = self.entry_capacity
-        model = self.model
+        tables = self.model.context_latency_tables
         classes = self.classes
         entry = self.entry
         free = self.free
-        claims = self.claims
         for inst in instructions:
             if not entry:
                 self._quiet_until = 0  # dispatch may act again
             seq = inst.seq_id
             if seq <= self._last_seq:
                 raise _order_error(seq, self._last_seq)
-            cls = classes.get(inst.class_name)
-            if cls is None:
+            kind = classes.get(inst.class_name)
+            if kind is None:
                 raise AnalysisError(
                     f"instruction {seq}: unknown class '{inst.class_name}'")
 
-            if inst.mem or cls.may_load or cls.may_store:
+            may_load = kind.may_load
+            may_store = kind.may_store
+            if inst.mem or may_load or may_store:
                 loads: list = []
                 stores: list = []
                 for acc in inst.mem:
                     is_load = acc.kind is _LOAD
-                    if not (cls.may_load if is_load else cls.may_store):
+                    if not (may_load if is_load else may_store):
                         raise AnalysisError(
-                            f"instruction {seq}: class '{cls.name}' may not "
-                            f"{'load' if is_load else 'store'}")
+                            f"instruction {seq}: class '{inst.class_name}' "
+                            f"may not {'load' if is_load else 'store'}")
                     (loads if is_load else stores).append(acc)
                 # An access the producer did not trace is None.
-                no_load = cls.may_load and not loads
-                no_store = cls.may_store and not stores
+                no_load = may_load and not loads
+                no_store = may_store and not stores
                 if no_load or no_store:
                     self.missing_metadata += 1
                 load_accs = (None,) if no_load else tuple(loads)
@@ -221,26 +257,26 @@ class Pipeline:
                 load_accs = store_accs = ()
 
             context = inst.context
-            if context is not None and context[0] == cls.context_latency_key:
+            if context is not None and context[0] == kind.context_key:
                 key, value = context
-                lat = model.context_latency_tables[key].get(str(value))
+                lat = tables[key].get(str(value))
                 if lat is None:
                     raise AnalysisError(
-                        f"instruction {seq}: class '{cls.name}': no latency "
-                        f"for context {key}={value}")
+                        f"instruction {seq}: class '{inst.class_name}': no "
+                        f"latency for context {key}={value}")
             else:
-                lat = cls.latency
+                lat = kind.latency
 
             rec = free.pop() if free else InstrRecord()
             rec.seq_id = seq
-            rec.cls = cls
+            rec.cls = kind.cls
+            rec.kind = kind
             rec.dispatched_at = rec.issued_at = rec.executed_at = -1
             rec.retired_at = -1
             rec.latency = lat
-            rec.uops = cls.num_uops
+            rec.uops = kind.uops
             rec.reads = inst.reads
             rec.writes = inst.writes
-            rec.claims = claims[cls.name]
             rec.loads = load_accs
             rec.stores = store_accs
 
@@ -276,7 +312,7 @@ class Pipeline:
         # 1. retire from the ROB head, in order
         rob = self.rob
         if rob and rob[0].executed_at >= 0:
-            budget = self.model.retire_width
+            budget = self.retire_width
             scoreboard = self.scoreboard
             queues = self.queues
             free = self.free
@@ -319,7 +355,6 @@ class Pipeline:
         for seq in deferred:
             heappush(ready, seq)
         deferred.clear()
-        unit_waits = self.unit_waits
         groups = self._unit_groups
         for waiting in groups:
             if waiting and waiting.unit_free_at <= cycle:
@@ -335,9 +370,10 @@ class Pipeline:
                 if rec.dispatched_at >= cycle:
                     deferred.append(seq)
                     continue
-                claims = rec.claims
+                kind = rec.kind
+                claims = kind.claims
                 if claims:
-                    waiting = unit_waits[rec.cls.name]
+                    waiting = kind.waiting
                     if waiting.unit_free_at > cycle:
                         heappush(waiting, seq)
                         continue
@@ -368,7 +404,7 @@ class Pipeline:
                     if low >= cycle:
                         heappush(waiting, seq)
                         continue
-                    for rname, occ in rec.cls.resource_usage:
+                    for rname, occ in kind.usage:
                         claimed[rname] += occ
                     if waiting and waiting.unit_free_at <= cycle:
                         heappush(ready, heappop(waiting))
@@ -387,8 +423,8 @@ class Pipeline:
         entry = self.entry
         held = False
         if entry and cycle > self._dispatch_busy_until:
-            width = self.model.dispatch_width
-            rob_size = self.model.reorder_buffer_size
+            width = self.dispatch_width
+            rob_size = self.rob_size
             queues = self.queues
             budget = width
             while entry and budget > 0:

@@ -9,21 +9,21 @@ changing timing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .errors import ModelError
 
 
-@dataclass(frozen=True)
-class ResourceDesc:
+class ResourceDesc(namedtuple("ResourceDesc", "name units")):
     """An execution resource (a port or unit group) with parallel units."""
 
-    name: str
-    units: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InstrClass:
+class InstrClass(namedtuple(
+        "InstrClass", "name latency num_uops resource_usage may_load "
+        "may_store is_branch context_latency_key",
+        defaults=(1, (), False, False, False, None))):
     """Timing description shared by all instructions of one class.
 
     resource_usage lists (resource name, occupancy cycles) claims; each
@@ -34,27 +34,14 @@ class InstrClass:
     an error: guessing a latency would silently skew results.
     """
 
-    name: str
-    latency: int
-    num_uops: int = 1
-    resource_usage: tuple[tuple[str, int], ...] = ()
-    may_load: bool = False
-    may_store: bool = False
-    is_branch: bool = False
-    context_latency_key: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MachineModel:
-    name: str
-    dispatch_width: int
-    retire_width: int
-    reorder_buffer_size: int
-    load_queue_size: int
-    store_queue_size: int
-    resources: tuple[ResourceDesc, ...]
-    classes: tuple[InstrClass, ...]
-    context_latency_tables: dict[str, dict[str, int]]
+class MachineModel(namedtuple(
+        "MachineModel", "name dispatch_width retire_width "
+        "reorder_buffer_size load_queue_size store_queue_size resources "
+        "classes context_latency_tables")):
+    __slots__ = ()
 
     def class_named(self, name: str) -> InstrClass | None:
         return {c.name: c for c in self.classes}.get(name)
@@ -166,7 +153,7 @@ def load_model(text: str) -> MachineModel:
             _expect(_is(lat, int),
                     f"{where}: latency for '{value}' must be an integer")
     width = model.retire_width
-    model = replace(model, context_latency_tables=tables, retire_width=(
+    model = model._replace(context_latency_tables=tables, retire_width=(
         model.dispatch_width if width is None else width))
     validate_model(model)
     return model
@@ -233,7 +220,7 @@ def validate_model(model: MachineModel):
 
 def _doc(obj, keys: dict) -> dict:
     """obj as the JSON object keys describes, entries of lists included."""
-    if isinstance(obj, tuple):  # a resource use
+    if type(obj) is tuple:  # a resource use, not a model named tuple
         return dict(zip(keys, obj))
     doc = {}
     for key, (attr, kind, _) in keys.items():

@@ -23,8 +23,8 @@ Execution is pure: the same program always yields the same trace.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import ProgramError, TraceParseError, TruncatedTraceError
 from .trace import _LOAD, _STORE, MemoryAccess, TraceInstruction, read_int
@@ -35,23 +35,13 @@ INSTR_SPACING = 4
 ACCESS_SIZE = 8
 
 
-@dataclass(frozen=True, slots=True)
-class ToyOp:
-    opcode: str
-    regs: tuple[int, ...] = ()
-    imm: int | None = None
-    target: int | None = None
-    key: str | None = None
-    value: str | None = None
-    line: int = 0
+ToyOp = namedtuple("ToyOp", "opcode regs imm target key value line",
+                   defaults=((), None, None, None, None, 0))
 
 
-@dataclass(frozen=True)
-class ToyProgram:
-    instructions: tuple[ToyOp, ...]
-    labels: dict[str, int]
-    entry: int
-    class_map: dict[str, str]
+class ToyProgram(namedtuple("ToyProgram",
+                            "instructions labels entry class_map")):
+    __slots__ = ()
 
     def address_of(self, index: int) -> int:
         return BASE_ADDRESS + INSTR_SPACING * index
@@ -203,29 +193,32 @@ def execute(
     mem: dict[int, int] = {}
     context: tuple[str, str] | None = None
     pc = program.entry
-    ops = program.instructions
+    # Each op as a plain tuple of its fields, its address and its trace
+    # class, unpacked once per step: a ToyOp's named-tuple fields read
+    # several times slower.
     class_map = program.class_map
+    steps = [(*op, program.address_of(i),
+              class_map.get(op.opcode, op.opcode))
+             for i, op in enumerate(program.instructions)]
 
     for seq in range(max_steps):
-        if not 0 <= pc < len(ops):
+        if not 0 <= pc < len(steps):
             raise ProgramError(
                 f"execution ran past the program (pc={pc})"
             )
-        op = ops[pc]
-        address = program.address_of(pc)
-        cname = class_map.get(op.opcode, op.opcode)
+        (opcode, op_regs, imm, target, ctx_key, ctx_value, line, address,
+         cname) = steps[pc]
         next_pc = pc + 1
         reads: tuple[int, ...] = ()
         writes: tuple[int, ...] = ()
         accesses: tuple[MemoryAccess, ...] = ()
 
-        opcode = op.opcode
         if opcode == "const":
-            d = op.regs[0]
-            regs[d] = op.imm % U64
+            d = op_regs[0]
+            regs[d] = imm % U64
             writes = (d,)
         elif opcode in ("add", "mul", "cmp"):
-            d, a, b = op.regs
+            d, a, b = op_regs
             if opcode == "add":
                 regs[d] = (regs[a] + regs[b]) % U64
             elif opcode == "mul":
@@ -235,12 +228,12 @@ def execute(
             reads = (a, b)
             writes = (d,)
         elif opcode == "load":
-            d, a = op.regs
+            d, a = op_regs
             addr = regs[a]
             if addr + ACCESS_SIZE > U64:
                 raise ProgramError(
                     f"load at {addr:#x} wraps past the address space "
-                    f"(line {op.line})"
+                    f"(line {line})"
                 )
             value = 0
             for i in range(ACCESS_SIZE):
@@ -250,12 +243,12 @@ def execute(
             writes = (d,)
             accesses = (MemoryAccess(_LOAD, addr, ACCESS_SIZE),)
         elif opcode == "store":
-            v, a = op.regs
+            v, a = op_regs
             addr = regs[a]
             if addr + ACCESS_SIZE > U64:
                 raise ProgramError(
                     f"store at {addr:#x} wraps past the address space "
-                    f"(line {op.line})"
+                    f"(line {line})"
                 )
             value = regs[v]
             for i in range(ACCESS_SIZE):
@@ -263,12 +256,12 @@ def execute(
             reads = (v, a)
             accesses = (MemoryAccess(_STORE, addr, ACCESS_SIZE),)
         elif opcode == "ble":
-            a, b = op.regs
+            a, b = op_regs
             reads = (a, b)
             if _signed(regs[a]) <= _signed(regs[b]):
-                next_pc = op.target
+                next_pc = target
         elif opcode == "jump":
-            next_pc = op.target
+            next_pc = target
 
         yield TraceInstruction(
             seq_id=seq,
@@ -281,7 +274,7 @@ def execute(
         )
 
         if opcode == "setctx":
-            context = (op.key, op.value)
+            context = (ctx_key, ctx_value)
         if opcode == "halt":
             return
         pc = next_pc

@@ -24,10 +24,10 @@ memory stays bounded on any input.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ProtocolError, TraceParseError
@@ -44,26 +44,60 @@ _LOAD = AccessKind.LOAD
 _STORE = AccessKind.STORE
 
 
-# A named tuple is immutable and is built without one
-# object.__setattr__ call per field, as a frozen dataclass would be;
-# the text parser, from_wire and the toy ISA build one per access.
-# Fields: kind (an AccessKind), address and size.
+# Immutable; the text parser, from_wire and the toy ISA build one per
+# access.  Fields: kind (an AccessKind), address and size.
 MemoryAccess = namedtuple("MemoryAccess", "kind address size")
 
 
-@dataclass(slots=True)
+_INSTRUCTION_FIELDS = ("seq_id", "address", "class_name", "reads",
+                       "writes", "mem", "context")
+_field_values = operator.attrgetter(*_INSTRUCTION_FIELDS)
+
+
 class TraceInstruction:
-    seq_id: int
-    address: int
-    class_name: str
-    reads: tuple[int, ...] = ()
-    writes: tuple[int, ...] = ()
-    mem: tuple[MemoryAccess, ...] = ()
-    context: tuple[str, str] | None = None
+    """One executed instruction: a mutable record with a slot per field.
+
+    It is built once per instruction by every input, so it is a plain
+    class: a named tuple's fields read several times slower, and the
+    engine reads them once per instruction.  It compares equal only to
+    another TraceInstruction with equal fields, and is unhashable.
+    """
+
+    __slots__ = _INSTRUCTION_FIELDS
+
+    def __init__(
+        self,
+        seq_id: int,
+        address: int,
+        class_name: str,
+        reads: tuple[int, ...] = (),
+        writes: tuple[int, ...] = (),
+        mem: tuple[MemoryAccess, ...] = (),
+        context: tuple[str, str] | None = None,
+    ):
+        self.seq_id = seq_id
+        self.address = address
+        self.class_name = class_name
+        self.reads = reads
+        self.writes = writes
+        self.mem = mem
+        self.context = context
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _field_values(self) == _field_values(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, _INSTRUCTION_FIELDS,
+                     _field_values(self))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
 
 
-@dataclass(frozen=True, slots=True)
-class Batch:
+class Batch(namedtuple("Batch", "instructions end_of_stream stalled text",
+                       defaults=((), False, False, None))):
     """A slice of the instruction stream handed to the consumer.
 
     The final instructions of a stream may share a batch with the
@@ -79,10 +113,7 @@ class Batch:
     whole canonical frame; any other source leaves it None.
     """
 
-    instructions: tuple[TraceInstruction, ...] = ()
-    end_of_stream: bool = False
-    stalled: bool = False
-    text: str | None = None
+    __slots__ = ()
 
 
 def _check_access(address: int, size: int, line: int | None = None):
@@ -305,24 +336,45 @@ def parse_trace(text: str) -> list[TraceInstruction]:
     return list(iter_trace_lines(text.splitlines(keepends=True)))
 
 
+def _reg_text(regs: tuple) -> str:
+    """regs as a line writes them, each held to from_wire's rule: one
+    that is not an int, is a bool or is negative raises TraceParseError,
+    and str raises ValueError for one past the interpreter's digit
+    limit."""
+    for reg in regs:
+        if not _is_int(reg) or reg < 0:
+            raise TraceParseError(f"register {reg!r} is not a register "
+                                  "number")
+    return ",".join(map(str, regs)) or "-"
+
+
 # Register tuple -> its text in a rendered line.
-_REG_TEXT = _InternTable(lambda regs: ",".join(map(str, regs)) or "-")
+_REG_TEXT = _InternTable(_reg_text)
 
 
 def render_trace(instructions: Iterable[TraceInstruction]) -> str:
-    """The canonical text of instructions: one line each, newline ended."""
+    """The canonical text of instructions: one line each, newline ended.
+
+    An instruction that no trace line carries, for a register (see
+    _reg_text) or a number past the interpreter's digit limit, raises
+    TraceParseError.
+    """
     reg_text = _REG_TEXT
     out: list[str] = []
     append = out.append
-    for inst in instructions:
-        line = (f"I {inst.seq_id} {inst.address:#x} {inst.class_name} "
-                f"R:{reg_text[inst.reads]} W:{reg_text[inst.writes]}")
-        for acc in inst.mem:
-            line += (f" {'L' if acc.kind is _LOAD else 'S'}:"
-                     f"{acc.address:#x}:{acc.size}")
-        if inst.context is not None:
-            line += f" C:{inst.context[0]}={inst.context[1]}"
-        append(line)
+    try:
+        for inst in instructions:
+            line = (f"I {inst.seq_id} {inst.address:#x} {inst.class_name} "
+                    f"R:{reg_text[inst.reads]} W:{reg_text[inst.writes]}")
+            for acc in inst.mem:
+                line += (f" {'L' if acc.kind is _LOAD else 'S'}:"
+                         f"{acc.address:#x}:{acc.size}")
+            if inst.context is not None:
+                line += f" C:{inst.context[0]}={inst.context[1]}"
+            append(line)
+    except ValueError:  # str() past the digit limit
+        raise TraceParseError("instruction holds an integer past the "
+                              "interpreter's digit limit") from None
     append("")  # the last line's newline
     return "\n".join(out)
 

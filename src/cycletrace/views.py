@@ -16,22 +16,19 @@ the earliest dispatch in the window.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import ROUND_HALF_UP, Decimal
 
 from .engine import InstrRecord, Pipeline
 from .errors import AnalysisError
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    instructions: int
-    total_cycles: int
-    total_uops: int
-    dispatch_width: int
-    uops_per_cycle: float
-    ipc: float
-    block_rthroughput: float
+# The JSON type of each SummaryStats field, as a report reads it back.
+_SUMMARY_KINDS = {"instructions": int, "total_cycles": int,
+                  "total_uops": int, "dispatch_width": int,
+                  "uops_per_cycle": float, "ipc": float,
+                  "block_rthroughput": float}
+SummaryStats = namedtuple("SummaryStats", _SUMMARY_KINDS)
 
 
 def summarize(pipeline: Pipeline) -> SummaryStats:
@@ -87,16 +84,9 @@ def render_summary(stats: SummaryStats) -> str:
 # ---------------------------------------------------------------------------
 # Timeline
 
-@dataclass(frozen=True, slots=True)
-class TimelineRow:
-    seq_id: int
-    iteration: int
-    position: int
-    name: str
-    dispatched_at: int
-    issued_at: int
-    executed_at: int
-    retired_at: int
+TimelineRow = namedtuple(
+    "TimelineRow", "seq_id iteration position name dispatched_at issued_at "
+    "executed_at retired_at")
 
 
 class TimelineRecorder:

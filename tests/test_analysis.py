@@ -1,8 +1,10 @@
 """Whole-trace analysis: regions, digests, and report serialization."""
 
 import hashlib
+import inspect
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -16,9 +18,12 @@ from cycletrace import (
     Batch,
     FileBroker,
     Pipeline,
+    PoolStats,
     RegionSpec,
     SequenceBroker,
+    SummaryStats,
     TimelineRecorder,
+    TraceInstruction,
     TraceParseError,
     TruncatedTraceError,
     analyze,
@@ -206,6 +211,21 @@ def test_different_traces_get_different_digests(model):
     a = analyze(model, SequenceBroker(mixed_trace(10)))
     b = analyze(model, SequenceBroker(mixed_trace(11)))
     assert a.digest != b.digest
+
+
+@pytest.mark.parametrize("seq,reads,message", [
+    (10 ** 5000, (), "past the interpreter's digit limit"),
+    (0, (10 ** 5000,), "past the interpreter's digit limit"),
+    (0, (-1,), "register -1"),
+    (0, (True,), "register True"),
+], ids=["long-seq", "long-register", "negative-register", "bool-register"])
+def test_digest_refuses_what_no_trace_line_carries(model, seq, reads,
+                                                   message):
+    # The file and wire inputs refuse these; an in-memory one must too,
+    # or the digest would name a trace no file or stream can carry.
+    broker = SequenceBroker([TraceInstruction(seq, 0, "add", reads, ())])
+    with pytest.raises(AnalysisError, match=re.escape(message)):
+        analyze(model, broker)
 
 
 # -- digest of file input -------------------------------------------------------
@@ -582,3 +602,25 @@ def test_report_doc_is_valid():
 def test_from_json_rejects(text, match):
     with pytest.raises(TraceParseError, match=match):
         AnalysisReport.from_json(text)
+
+
+@pytest.mark.parametrize("key,cls", [
+    ("summary", SummaryStats), ("pool", PoolStats),
+    ("regions", analysis.RegionStats),
+])
+def test_each_json_kind_table_names_exactly_its_types_fields(model, key,
+                                                            cls):
+    trace, spec = loop_case()
+    doc = json.loads(analyze(model, SequenceBroker(trace),
+                             regions=spec).to_json())
+    fields = list(inspect.signature(cls).parameters)
+    assert list(doc[key]) == fields
+    for name in fields:
+        part = {k: v for k, v in doc[key].items() if k != name}
+        with pytest.raises(TraceParseError,
+                           match=re.escape(f"missing field '{key}.{name}'")):
+            AnalysisReport.from_json(json.dumps({**doc, key: part}))
+    part = {**doc[key], "bogus": 0}
+    with pytest.raises(TraceParseError,
+                       match=re.escape(f"unknown field '{key}.bogus'")):
+        AnalysisReport.from_json(json.dumps({**doc, key: part}))

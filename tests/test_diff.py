@@ -1,6 +1,5 @@
 """Differential throughput math and diff reports."""
 
-import dataclasses
 import math
 
 import pytest
@@ -169,7 +168,7 @@ def test_diff_rejects_mixed_alias_policies(model):
 
 def test_diff_rejects_a_truncated_report_on_either_side(model):
     whole = analyze(model, SequenceBroker([ti(0, "add")]))
-    cut = dataclasses.replace(whole, truncated=True)
+    cut = whole._replace(truncated=True)
     for role, (base, cand) in (("baseline", (cut, whole)),
                                ("candidate", (whole, cut))):
         with pytest.raises(AnalysisError,

@@ -697,3 +697,10 @@ def test_drain_helper_runs_to_empty(model):
     pipe.drain()
     assert not pipe.has_work()
     assert pipe.instructions_retired == 2
+
+
+def test_pipeline_attributes_stay_in_the_shared_key_table():
+    # CPython 3.11 shares at most 30 keys between a class's instance
+    # dicts; with a 30th attribute every attribute read and write in
+    # run_cycle and feed takes a slower path (file_mix ran 2.5% slower).
+    assert len(vars(Pipeline(gen.simple_model()))) < 30

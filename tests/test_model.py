@@ -233,3 +233,68 @@ def test_render_round_trips():
     }
     """)
     assert load_model(render_model(m)) == m
+
+
+# render_model's bytes for the model above: two-space indent, the model's
+# keys in their table's order, every default written out.
+RENDERED = """\
+{
+  "name": "rt",
+  "dispatch_width": 3,
+  "retire_width": 1,
+  "rob_size": 12,
+  "lq_size": 2,
+  "sq_size": 7,
+  "resources": [
+    {
+      "name": "P0",
+      "units": 2
+    },
+    {
+      "name": "P1",
+      "units": 1
+    }
+  ],
+  "classes": [
+    {
+      "name": "a",
+      "latency": 2,
+      "uops": 3,
+      "uses": [
+        {
+          "resource": "P0",
+          "cycles": 2
+        },
+        {
+          "resource": "P1",
+          "cycles": 1
+        }
+      ],
+      "may_load": true,
+      "may_store": false,
+      "is_branch": false,
+      "context_key": "k"
+    },
+    {
+      "name": "b",
+      "latency": 1,
+      "uops": 1,
+      "uses": [],
+      "may_load": false,
+      "may_store": true,
+      "is_branch": true,
+      "context_key": null
+    }
+  ],
+  "context_tables": {
+    "k": {
+      "1": 1,
+      "16": 9
+    }
+  }
+}
+"""
+
+
+def test_render_model_writes_these_bytes():
+    assert render_model(load_model(RENDERED)) == RENDERED

@@ -1,7 +1,6 @@
 """Trace text parsing, rendering, and the JSON wire encoding."""
 
 import contextlib
-import dataclasses
 import json
 import re
 import socket
@@ -370,7 +369,8 @@ def test_wire_round_trip_property(inst):
     # The wire takes exactly the instructions a trace line carries.
     if not _text_carries(inst):
         # The context is checked before the registers.
-        unsigned = dataclasses.replace(inst, reads=(), writes=())
+        unsigned = TraceInstruction(inst.seq_id, inst.address, inst.class_name,
+                                    mem=inst.mem, context=inst.context)
         cause = "negative register" if _text_carries(unsigned) else "'ctx'"
         with pytest.raises(ProtocolError, match=cause):
             from_wire(to_wire(inst))
@@ -501,7 +501,9 @@ def _frames(draw):
                               min_size=1, max_size=4))
         objs = []
         for inst in insts:
-            objs.append(to_wire(dataclasses.replace(inst, seq_id=seq)))
+            objs.append(to_wire(TraceInstruction(
+                seq, inst.address, inst.class_name, inst.reads, inst.writes,
+                inst.mem, inst.context)))
             seq += draw(st.sampled_from([1] * 8 + [2, 0]))
         name = draw(st.sampled_from(["canonical"] * 8 + list(_SPELLINGS)))
         i = draw(st.integers(0, len(objs) - 1))
@@ -764,3 +766,24 @@ def test_memory_access_is_an_immutable_value():
         "MemoryAccess(kind=<AccessKind.LOAD: 'load'>, address=16, size=8)")
     with pytest.raises(AttributeError):
         a.size = 4
+
+
+def test_trace_instruction_is_a_mutable_record():
+    inst = TraceInstruction(3, 0x10, "add", (1,), (2,))
+    fields = (3, 0x10, "add", (1,), (2,), (), None)
+    assert inst == TraceInstruction(*fields)
+    assert inst != TraceInstruction(4, 0x10, "add", (1,), (2,))
+    assert inst != fields
+    assert TraceInstruction(0, 0, "nop") == TraceInstruction(
+        seq_id=0, address=0, class_name="nop", reads=(), writes=(), mem=(),
+        context=None)
+    with pytest.raises(TypeError):
+        hash(inst)
+    assert repr(inst) == (
+        "TraceInstruction(seq_id=3, address=16, class_name='add', "
+        "reads=(1,), writes=(2,), mem=(), context=None)")
+    inst.seq_id = 4
+    inst.context = ("k", "v")
+    assert (inst.seq_id, inst.context) == (4, ("k", "v"))
+    with pytest.raises(AttributeError):
+        inst.extra = 1
