@@ -7,6 +7,11 @@ broker keeps answering end_of_stream.  A broker may block in
 fetch_batch until it has instructions; an empty batch without
 end_of_stream means "nothing yet" and is simply fetched again.
 
+The file broker reads the lines each fetch still asks for as one chunk
+(trace.iter_trace_chunks).  A chunk of canonical lines is certified and
+decoded in one regular expression pass, and the batch it fills carries
+the chunk's text (Batch.text); any other chunk is read line by line.
+
 The wire protocol is newline-delimited JSON, one frame per line:
 
     {"t": "hello", "version": 1, "model_hint": "<name>"}
@@ -41,7 +46,7 @@ import functools
 import json
 import re
 from collections.abc import Iterable, Iterator
-from itertools import islice
+from itertools import chain, islice
 
 from .errors import ProtocolError, TruncatedTraceError
 from .trace import (
@@ -54,7 +59,7 @@ from .trace import (
     MemoryAccess,
     TraceInstruction,
     from_wire,
-    iter_trace_lines,
+    iter_trace_chunks,
     to_wire,
 )
 
@@ -237,26 +242,47 @@ class SequenceBroker:
 class FileBroker(SequenceBroker):
     """Streams a trace file lazily, enforcing sequence id monotonicity.
 
-    A batch whose instructions were all read from canonical lines also
-    carries those lines joined (Batch.text).  The parser keeps only the
-    canonical lines, each of which is one instruction, so a fetch holds
-    at most max_n of them however many other lines it reads, and they
-    are the batch's lines exactly when their count matches.
+    Each fetch reads the lines it still asks for as one chunk
+    (iter_trace_chunks), so a chunk never holds more instructions than
+    its fetch takes, and a fetch holds one chunk at a time however many
+    comment lines it reads.  A chunk of canonical lines is decoded in
+    one certified regular expression pass; any other chunk is read line
+    by line.  A batch whose instructions were all read from canonical
+    lines carries the text of those lines (Batch.text): on a canonical
+    file, each batch is one chunk and carries that chunk's text as read.
+
+    The file is read with universal newlines, so a CRLF file reads as
+    its LF twin.  A byte that is not UTF-8 is reported as a
+    TraceParseError on its line.
     """
 
     def __init__(self, path: str):
-        self._fh = open(path, "r", encoding="utf-8")
-        self._kept: list[str] = []
-        super().__init__(iter_trace_lines(self._fh, self._kept))
+        self._fh = open(path, "r", encoding="utf-8",
+                        errors="surrogateescape")
+        self._want = 0  # instructions the current fetch still asks for
+        self._texts: list[str | None] = []  # the fetch's chunk texts
+        super().__init__(chain.from_iterable(
+            map(self._take, iter_trace_chunks(self._next_lines))))
+
+    def _next_lines(self) -> list[str]:
+        return list(islice(self._fh, self._want))
+
+    def _take(self, chunk) -> list[TraceInstruction]:
+        """The chunk's instructions, its text noted for the fetch."""
+        insts, text = chunk
+        self._want -= len(insts)
+        self._texts.append(text)
+        return insts
 
     def fetch_batch(self, max_n: int) -> Batch:
-        kept = self._kept
-        kept.clear()
+        texts = self._texts
+        texts.clear()
+        self._want = max_n
         batch = super().fetch_batch(max_n)
-        if len(kept) != len(batch.instructions):
+        if None in texts:
             return batch
         return Batch(batch.instructions, batch.end_of_stream,
-                     text="".join(kept))
+                     text="".join(texts))
 
     def close(self):
         super().close()

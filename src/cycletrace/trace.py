@@ -12,7 +12,14 @@ ASCII.  The wire encoding mirrors the same fields as a JSON object.
 A line spelled exactly as render_trace writes it, newline included, is
 canonical.  parse_trace_line reads such a line from a single regular
 expression match and reports it as canonical; every other line is parsed
-field by field.
+field by field.  A whole trace is read a chunk of lines at a time
+(iter_trace_chunks): one split of the same expression over a chunk's
+joined text certifies that every line of it is canonical and captures
+every field, and a chunk it does not certify is read line by line with
+parse_trace_line.  Both paths build instructions from the captured
+fields in one function, so they apply the same range rules.  Lines are
+split as a file read with universal newlines splits them, at LF, CRLF
+and CR only, whether the text comes from a file or from parse_trace.
 
 A canonical line's register lists are interned by their field text, and
 rendered register lists by their tuple: a static instruction re-executes
@@ -24,11 +31,13 @@ memory stays bounded on any input.
 from __future__ import annotations
 
 import functools
+import io
 import operator
 import re
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
+from itertools import islice
 
 from .errors import ProtocolError, TraceParseError
 
@@ -216,6 +225,45 @@ _CANONICAL_LINE = re.compile(
 )
 
 
+def _canonical_instructions(
+    fields, last_seq: int = -1
+) -> list[TraceInstruction]:
+    """The instructions of canonical lines from each line's fields, the
+    groups of its _CANONICAL_LINE match.
+
+    Raises ValueError for a sequence id not greater than the one before
+    it (last_seq for the first), an address at or past 2^64, an access
+    past 2^64 or a number past the interpreter's digit limit.
+    """
+    reg_lists = _REG_LISTS
+    out = []
+    append = out.append
+    for seq, addr, cname, r_field, w_field, accesses, key, value in fields:
+        seq = int(seq)
+        if seq <= last_seq:
+            raise ValueError
+        last_seq = seq
+        addr = int(addr, 16)
+        if addr >= U64_LIMIT:
+            raise ValueError
+        mem = ()
+        if accesses:
+            mem = []
+            for tok in accesses.split():
+                a, s = tok[2:].split(":")
+                a = int(a, 16)
+                s = int(s)
+                if a + s > U64_LIMIT:
+                    raise ValueError
+                mem.append(MemoryAccess(_LOAD if tok[0] == "L" else _STORE,
+                                        a, s))
+            mem = tuple(mem)
+        append(TraceInstruction(seq, addr, cname, reg_lists[r_field],
+                                reg_lists[w_field], mem,
+                                None if key is None else (key, value)))
+    return out
+
+
 def parse_trace_line(
     text: str, line: int | None = None, kept: list[str] | None = None
 ) -> TraceInstruction | None:
@@ -228,33 +276,14 @@ def parse_trace_line(
     """
     m = _CANONICAL_LINE.fullmatch(text)
     if m is not None:
-        seq, addr, cname, r_field, w_field, accesses, key, value = m.groups()
         try:
-            seq = int(seq)  # ValueError past the interpreter's digit limit
-            addr = int(addr, 16)
-            if addr >= U64_LIMIT:
-                raise ValueError
-            reads = _REG_LISTS[r_field]
-            writes = _REG_LISTS[w_field]
-            mem = ()
-            if accesses:
-                mem = []
-                for tok in accesses.split():
-                    a, s = tok[2:].split(":")
-                    a = int(a, 16)
-                    s = int(s)
-                    if a + s > U64_LIMIT:
-                        raise ValueError
-                    mem.append(MemoryAccess(
-                        _LOAD if tok[0] == "L" else _STORE, a, s))
-                mem = tuple(mem)
+            [inst] = _canonical_instructions((m.groups(),))
         except ValueError:
             pass  # out of range: _parse_fields raises
         else:
             if kept is not None:
                 kept.append(text)
-            return TraceInstruction(seq, addr, cname, reads, writes, mem,
-                                    None if key is None else (key, value))
+            return inst
     return _parse_fields(text, line)
 
 
@@ -309,17 +338,90 @@ def _parse_fields(text: str, line: int | None) -> TraceInstruction | None:
     )
 
 
-def iter_trace_lines(
-    lines: Iterable[str], kept: list[str] | None = None
-) -> Iterator[TraceInstruction]:
-    """Yield instructions from trace lines, enforcing seq_id monotonicity.
+_GROUPS = _CANONICAL_LINE.groups
 
-    Takes any iterable of lines, such as an open file, so a trace can be
-    parsed lazily; errors carry 1-based line numbers.  Each canonical
-    line is appended to kept, if given (see parse_trace_line).
+
+def _not_utf8(text: str) -> bool:
+    """Whether text holds a surrogate, which has no UTF-8 encoding.  A
+    file read with errors="surrogateescape" holds one for each byte that
+    is not UTF-8."""
+    if text.isascii():
+        return False
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
+def iter_trace_chunks(
+    next_lines: Callable[[], list[str]],
+) -> Iterator[tuple[list[TraceInstruction], str | None]]:
+    """Yield each chunk's instructions and canonical text, enforcing
+    seq_id monotonicity across chunks.
+
+    next_lines() returns the next chunk: consecutive lines as a text
+    file in universal newlines mode reads them, so each but perhaps the
+    trace's last ends with a newline.  An empty chunk ends the trace.  The
+    text is render_trace of the chunk's instructions when every one of
+    them was read from a canonical line, and None otherwise.  Errors
+    carry 1-based line numbers counted over all chunks; a line holding a
+    surrogate is not UTF-8.  Nothing of a chunk is held once the next
+    one is asked for.
     """
     last_seq = -1
-    for lineno, raw in enumerate(lines, start=1):
+    lineno = 0
+    while True:
+        lines = next_lines()
+        if not lines:
+            return
+        n = len(lines)
+        text = "".join(lines)
+        del lines
+        # A line's only newline is its last character, so splitting the
+        # text at newlines alone gives the lines back.
+        chunk = (_read_canonical_chunk(text, last_seq)
+                 or _read_lines(io.StringIO(text, newline="\n"), lineno,
+                                last_seq))
+        del text
+        lineno += n
+        if chunk[0]:
+            last_seq = chunk[0][-1].seq_id
+        yield chunk
+        del chunk
+
+
+def _read_canonical_chunk(text: str, last_seq: int):
+    """(instructions, text) of a chunk's joined lines if every one is
+    canonical, in range and in sequence order after last_seq; None
+    otherwise.
+
+    One _CANONICAL_LINE.split certifies them: they are canonical exactly
+    when the text before, between and after the matches is empty, since
+    a match holds one newline, at its end.
+    """
+    if _not_utf8(text):
+        return None
+    parts = _CANONICAL_LINE.split(text)
+    if any(parts[::_GROUPS + 1]):
+        return None
+    del parts[::_GROUPS + 1]
+    try:
+        insts = _canonical_instructions(zip(*[iter(parts)] * _GROUPS),
+                                        last_seq)
+    except ValueError:
+        return None
+    return insts, text
+
+
+def _read_lines(lines: Iterable[str], lineno: int, last_seq: int):
+    """(instructions, text) of lines read one by one, the first being
+    line lineno + 1; raises the error of the first bad line."""
+    insts = []
+    kept: list[str] = []
+    for lineno, raw in enumerate(lines, lineno + 1):
+        if _not_utf8(raw):
+            raise TraceParseError("not UTF-8", lineno)
         inst = parse_trace_line(raw, lineno, kept)
         if inst is None:
             continue
@@ -329,11 +431,25 @@ def iter_trace_lines(
                 f"{last_seq}", lineno,
             )
         last_seq = inst.seq_id
-        yield inst
+        insts.append(inst)
+    return insts, "".join(kept) if len(kept) == len(insts) else None
+
+
+_CHUNK_LINES = 256  # lines parse_trace reads per chunk
 
 
 def parse_trace(text: str) -> list[TraceInstruction]:
-    return list(iter_trace_lines(text.splitlines(keepends=True)))
+    """The instructions of a whole trace text.
+
+    Lines are split as a file read with universal newlines splits them,
+    at LF, CRLF and CR only, so text parses as FileBroker reads a file
+    that holds it.
+    """
+    f = io.StringIO(text, newline=None)
+    out: list[TraceInstruction] = []
+    for insts, _ in iter_trace_chunks(lambda: list(islice(f, _CHUNK_LINES))):
+        out += insts
+    return out
 
 
 def _reg_text(regs: tuple) -> str:

@@ -5,6 +5,8 @@ import inspect
 import json
 import random
 import re
+import socket
+import threading
 import tracemalloc
 
 import pytest
@@ -21,6 +23,7 @@ from cycletrace import (
     PoolStats,
     RegionSpec,
     SequenceBroker,
+    SocketBroker,
     SummaryStats,
     TimelineRecorder,
     TraceInstruction,
@@ -32,6 +35,7 @@ from cycletrace import (
     parse_regions,
     parse_trace,
     render_trace,
+    to_wire,
 )
 from cycletrace import analysis
 from gen import make_class, make_model, ti
@@ -333,6 +337,70 @@ def test_file_broker_does_not_hold_a_run_of_comments(tmp_path):
     assert batch.end_of_stream
     assert batch.text == "I 0 0x0 nop R:- W:-\nI 1 0x4 nop R:- W:-\n"
     assert peak < 256 * 1024  # holding the comments would take ~20 MB
+
+
+@pytest.mark.parametrize("entry_capacity", [8, 256])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_canonical_file_digest_never_renders(model, tmp_path, monkeypatch,
+                                             newline, entry_capacity):
+    # Every batch of a canonical file carries its text as read, at any
+    # batch size and with either line ending.
+    text = render_trace(context_trace(600))
+    path = tmp_path / "t.trace"
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text.replace("\n", newline))
+
+    def refuse(instructions):
+        raise AssertionError("the digest rendered a batch")
+
+    monkeypatch.setattr(analysis, "render_trace", refuse)
+    broker = FileBroker(str(path))
+    try:
+        report = analyze(model, broker, entry_capacity=entry_capacity)
+    finally:
+        broker.close()
+    assert report.digest == hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("source", ["file", "socket"])
+def test_analyze_memory_does_not_grow_with_stream_length(model, tmp_path,
+                                                         source):
+    # The socket stream is encoded before tracing starts, so only the
+    # receiving side's memory is counted.
+    def peak(n):
+        insts = mixed_trace(n)
+        path = tmp_path / "t.trace"
+        path.write_text(render_trace(insts))
+        frames = (
+            json.dumps({"t": "insts", "batch": [
+                to_wire(inst) for inst in insts[at:at + 64]]}) + "\n"
+            for at in range(0, n, 64))
+        stream = ('{"t": "hello", "version": 1}\n' + "".join(frames)
+                  + '{"t": "end"}\n').encode()
+        tracemalloc.start()
+        try:
+            sender = None
+            if source == "file":
+                broker = FileBroker(str(path))
+            else:
+                producer, conn = socket.socketpair()
+                sender = threading.Thread(target=producer.sendall,
+                                          args=(stream,))
+                sender.start()
+                broker = SocketBroker(conn)
+            try:
+                assert analyze(model, broker).summary.instructions == n
+            finally:
+                broker.close()
+                if sender is not None:
+                    sender.join(10)
+                    producer.close()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20_000), peak(80_000)
+    assert large < 1.25 * small, (small, large)
 
 
 def test_analyze_counts_missing_metadata(model):

@@ -1,13 +1,17 @@
 """Trace brokers: sequence, file, and the socket wire protocol."""
 
 import gc
+import io
 import json
+import re
 import socket
 import threading
 import time
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 from cycletrace import (
@@ -17,10 +21,14 @@ from cycletrace import (
     ProtocolError,
     SequenceBroker,
     SocketBroker,
+    TraceInstruction,
     TraceParseError,
     TruncatedTraceError,
     brokers,
     from_wire,
+    parse_trace,
+    parse_trace_line,
+    render_instruction,
     render_trace,
     send_trace,
     stream_to_socket,
@@ -104,6 +112,147 @@ def test_file_broker_rejects_seq_regression(tmp_path):
                              "previous 4$"):
         drain_broker(broker)
     broker.close()
+
+
+@pytest.mark.parametrize("lineno", [2, 700])
+def test_file_broker_refuses_a_line_that_is_not_utf8(tmp_path, lineno):
+    lines = [f"I {s} {4 * s:#x} add R:- W:-\n".encode() for s in range(800)]
+    lines[lineno - 1] = lines[lineno - 1].replace(b"add", b"a\xffdd")
+    path = tmp_path / "t.trace"
+    path.write_bytes(b"".join(lines))
+    broker = FileBroker(str(path))
+    try:
+        with pytest.raises(TraceParseError,
+                           match=f"^line {lineno}: not UTF-8$"):
+            drain_broker(broker, 256)
+    finally:
+        broker.close()
+
+
+def read_line_by_line(text):
+    """The instructions of a trace text, or (error, line) of its first
+    bad line, parsed one line at a time with parse_trace_line."""
+    insts = []
+    last_seq = -1
+    try:
+        for lineno, raw in enumerate(io.StringIO(text, newline=None), 1):
+            inst = parse_trace_line(raw, lineno)
+            if inst is None:
+                continue
+            if inst.seq_id <= last_seq:
+                raise TraceParseError(
+                    f"sequence id {inst.seq_id} not greater than previous "
+                    f"{last_seq}", lineno)
+            last_seq = inst.seq_id
+            insts.append(inst)
+    except TraceParseError as e:
+        return str(e), e.line
+    return insts
+
+
+def drain_file(path, max_n):
+    """FileBroker's instructions for the file, or (error, line); every
+    batch that carries text carries the rendering of its instructions."""
+    broker = FileBroker(str(path))
+    insts = []
+    try:
+        while True:
+            batch = broker.fetch_batch(max_n)
+            if batch.text is not None:
+                assert batch.text == render_trace(batch.instructions)
+            insts.extend(batch.instructions)
+            if batch.end_of_stream:
+                return insts
+    except TraceParseError as e:
+        return str(e), e.line
+    finally:
+        broker.close()
+
+
+@pytest.mark.parametrize("sep", [
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    "\r", "\r\n",
+], ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS", "CR", "CRLF"])
+@pytest.mark.parametrize("text", [
+    "I 0 0x0 add R:-{sep}W:-\nI 1 0x4 add R:- W:-\n",
+    "I 0 0x0 add R:- W:-{sep}I 1 0x4 add R:- W:-\n",
+    "I 0 0x0 add R:- W:-\n# note{sep}I 1 0x4 add R:- W:-\nI 2 0x8 add\n",
+], ids=["in-record", "between-records", "in-comment"])
+def test_parse_trace_splits_lines_as_a_file_is_read(tmp_path, sep, text):
+    text = text.format(sep=sep)
+    path = tmp_path / "t.trace"
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
+    try:
+        parsed = parse_trace(text)
+    except TraceParseError as e:
+        parsed = str(e), e.line
+    assert parsed == drain_file(path, 256)
+
+
+# Respellings of a rendered line (no newline) that no longer match it
+# exactly, as test_near_miss_spellings_are_not_canonical lists them.
+NEAR_MISSES = [
+    lambda line: line.replace("I ", "I 0", 1),
+    lambda line: line.replace(" 0x", " 0X", 1),
+    lambda line: line.replace(" 0x", " 0x0", 1),
+    lambda line: re.sub(r" 0x([0-9a-f]+) ",
+                        lambda m: f" {int(m[1], 16)} ", line, count=1),
+    lambda line: re.sub(r"R:([0-9])", r"R:r\1", line, count=1),
+    lambda line: re.sub(r"W:([0-9])", r"W:0\1", line, count=1),
+    lambda line: line.replace(" ", "  ", 1),
+    lambda line: line.replace(" ", "\t", 1),
+    lambda line: line + " ",
+    lambda line: " " + line,
+    lambda line: line + " # c",
+    lambda line: line.replace("R:-", "R:", 1),
+    lambda line: re.sub(r"(:0x[0-9a-f]+:)", r"\g<1>0", line, count=1),
+    lambda line: line + "\r",
+]
+
+
+@st.composite
+def trace_files(draw):
+    """A trace text: rendered instructions, repeated past a few chunks,
+    with comments, blank lines, near-miss spellings, and perhaps one
+    out-of-range line and one sequence regression, at random places."""
+    body = draw(st.lists(gen.instructions, min_size=1, max_size=6))
+    repeats = draw(st.integers(1, 600 // len(body)))
+    lines = [
+        render_instruction(TraceInstruction(
+            seq, inst.address, inst.class_name, inst.reads, inst.writes,
+            inst.mem, inst.context)) + "\n"
+        for seq, inst in enumerate(body * repeats)
+    ]
+    at = st.integers(0, len(lines) - 1)
+    for i, kind in draw(st.lists(st.tuples(at, st.integers(0, 2)),
+                                 max_size=12)):
+        if kind == 0:
+            lines.insert(i, "# a comment\n")
+        elif kind == 1:
+            lines.insert(i, "\n")
+        else:
+            respell = draw(st.sampled_from(NEAR_MISSES))
+            lines[i] = respell(lines[i][:-1]) + "\n"
+    if draw(st.booleans()):
+        lines.insert(draw(at), "I 0 0x10000000000000000 nop R:- W:-\n")
+    if draw(st.booleans()):
+        i = draw(at)
+        lines.insert(i, lines[i])
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\n")
+    return "".join(lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_files())
+def test_file_broker_reads_as_the_line_by_line_path(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("chunks") / "t.trace"
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
+    expected = read_line_by_line(text)
+    for max_n in (1, 7, 255, 256, 257):
+        assert drain_file(path, max_n) == expected, max_n
 
 
 # -- SocketBroker -------------------------------------------------------------

@@ -306,6 +306,14 @@ def test_analyze_missing_trace_file(model_file, capsys):
     assert rc == 2
 
 
+def test_analyze_refuses_a_trace_that_is_not_utf8(tmp_path, model_file,
+                                                  capsys):
+    p = tmp_path / "t.trace"
+    p.write_bytes(b"I 0 0x0 add R:- W:-\nI 1 0x4 a\xffdd R:- W:-\n")
+    assert main(["analyze", "--model", model_file, "--trace", str(p)]) == 2
+    assert capsys.readouterr().err == "error: line 2: not UTF-8\n"
+
+
 def test_analyze_bad_region_file(tmp_path, model_file, trace_file, capsys):
     regions = tmp_path / "regions.txt"
     regions.write_text("R zero ten\n")
