@@ -8,9 +8,10 @@ fetch_batch until it has instructions; an empty batch without
 end_of_stream means "nothing yet" and is simply fetched again.
 
 The file broker reads the lines each fetch still asks for as one chunk
-(trace.iter_trace_chunks).  A chunk of canonical lines is certified and
-decoded in one regular expression pass, and the batch it fills carries
-the chunk's text (Batch.text); any other chunk is read line by line.
+(trace.iter_trace_chunks).  One regular expression pass decodes a
+chunk's canonical lines and certifies a chunk of nothing else, and the
+batch it fills carries the chunk's text (Batch.text); a chunk's other
+lines are parsed one by one.
 
 The wire protocol is newline-delimited JSON, one frame per line:
 
@@ -245,11 +246,11 @@ class FileBroker(SequenceBroker):
     Each fetch reads the lines it still asks for as one chunk
     (iter_trace_chunks), so a chunk never holds more instructions than
     its fetch takes, and a fetch holds one chunk at a time however many
-    comment lines it reads.  A chunk of canonical lines is decoded in
-    one certified regular expression pass; any other chunk is read line
-    by line.  A batch whose instructions were all read from canonical
-    lines carries the text of those lines (Batch.text): on a canonical
-    file, each batch is one chunk and carries that chunk's text as read.
+    comment lines it reads.  A chunk's canonical lines are decoded in
+    one regular expression pass, and its other lines one by one.  A
+    batch whose instructions were all read from canonical lines carries
+    the text of those lines (Batch.text): on a canonical file, each
+    batch is one chunk and carries that chunk's text as read.
 
     The file is read with universal newlines, so a CRLF file reads as
     its LF twin.  A byte that is not UTF-8 is reported as a

@@ -14,12 +14,14 @@ canonical.  parse_trace_line reads such a line from a single regular
 expression match and reports it as canonical; every other line is parsed
 field by field.  A whole trace is read a chunk of lines at a time
 (iter_trace_chunks): one split of the same expression over a chunk's
-joined text certifies that every line of it is canonical and captures
-every field, and a chunk it does not certify is read line by line with
-parse_trace_line.  Both paths build instructions from the captured
-fields in one function, so they apply the same range rules.  Lines are
-split as a file read with universal newlines splits them, at LF, CRLF
-and CR only, whether the text comes from a file or from parse_trace.
+joined text captures every canonical line's fields, and certifies the
+chunk when no other line lies between the matches.  The other lines of
+a chunk are parsed field by field, and a chunk holding a bad line is
+read again line by line with parse_trace_line for its error.  Both
+paths build instructions from the captured fields in one function, so
+they apply the same range rules.  Lines are split as a file read with
+universal newlines splits them, at LF, CRLF and CR only, whether the
+text comes from a file or from parse_trace.
 
 A canonical line's register lists are interned by their field text, and
 rendered register lists by their tuple: a static instruction re-executes
@@ -37,7 +39,7 @@ import re
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
-from itertools import islice
+from itertools import compress, islice
 
 from .errors import ProtocolError, TraceParseError
 
@@ -380,7 +382,7 @@ def iter_trace_chunks(
         del lines
         # A line's only newline is its last character, so splitting the
         # text at newlines alone gives the lines back.
-        chunk = (_read_canonical_chunk(text, last_seq)
+        chunk = (_read_chunk(text, last_seq)
                  or _read_lines(io.StringIO(text, newline="\n"), lineno,
                                 last_seq))
         del text
@@ -391,27 +393,73 @@ def iter_trace_chunks(
         del chunk
 
 
-def _read_canonical_chunk(text: str, last_seq: int):
-    """(instructions, text) of a chunk's joined lines if every one is
-    canonical, in range and in sequence order after last_seq; None
-    otherwise.
+def _read_chunk(text: str, last_seq: int):
+    """(instructions, text) of a chunk's joined lines, as _read_lines
+    gives them, or None if a line of it is bad or not UTF-8.
 
-    One _CANONICAL_LINE.split certifies them: they are canonical exactly
-    when the text before, between and after the matches is empty, since
-    a match holds one newline, at its end.
+    One _CANONICAL_LINE.split finds the canonical lines: a match holds
+    one newline, at its end, so the pieces before, between and after
+    the matches (the gaps) are the other lines.  When every gap is
+    empty the chunk is certified canonical and its text is returned as
+    read.  Otherwise only the gap lines are parsed one by one, and the
+    matches keep the fields the split captured.
     """
     if _not_utf8(text):
         return None
     parts = _CANONICAL_LINE.split(text)
-    if any(parts[::_GROUPS + 1]):
-        return None
+    gaps = parts[::_GROUPS + 1]
     del parts[::_GROUPS + 1]
+    fields = zip(*[iter(parts)] * _GROUPS)
     try:
-        insts = _canonical_instructions(zip(*[iter(parts)] * _GROUPS),
-                                        last_seq)
-    except ValueError:
+        if not any(gaps):
+            return _canonical_instructions(fields, last_seq), text
+        return _read_gapped_chunk(text, gaps, list(fields), last_seq)
+    except (ValueError, TraceParseError):
         return None
-    return insts, text
+
+
+def _read_gapped_chunk(text: str, gaps: list[str], fields: list,
+                       last_seq: int):
+    """_read_chunk's result for a chunk whose split left gaps.
+
+    A gap starts at a line start, so it is whole lines, except that one
+    not ending in a newline runs on into the match after it: that match
+    is the tail of a longer line, such as a comment quoting a record,
+    and is read with the gap.  Raises ValueError or TraceParseError if a
+    line is bad; the caller reads the chunk again line by line for the
+    error.
+    """
+    lines = io.StringIO(text, newline="\n").readlines()
+    insts: list[TraceInstruction] = []
+    kept: list[str] = []  # the canonical lines
+    other = False  # whether a non-canonical line holds an instruction
+    at = 0  # lines before match m
+    m = 0
+    for j in compress(range(len(gaps)), gaps):
+        # Matches m to j - 1 are whole canonical lines.
+        insts += _canonical_instructions(fields[m:j], last_seq)
+        if insts:
+            last_seq = insts[-1].seq_id
+        kept += lines[at:at + j - m]
+        at += j - m
+        gap = gaps[j]
+        n = gap.count("\n")
+        if gap[-1] != "\n":
+            n += 1  # its last line, ending in match j or ending the chunk
+            j += 1
+        for raw in lines[at:at + n]:
+            inst = _parse_fields(raw, None)
+            if inst is not None:
+                if inst.seq_id <= last_seq:
+                    raise ValueError
+                last_seq = inst.seq_id
+                insts.append(inst)
+                other = True
+        at += n
+        m = j
+    insts += _canonical_instructions(fields[m:], last_seq)
+    kept += lines[at:]
+    return insts, None if other else "".join(kept)
 
 
 def _read_lines(lines: Iterable[str], lineno: int, last_seq: int):

@@ -399,7 +399,9 @@ def test_analyze_memory_does_not_grow_with_stream_length(model, tmp_path,
         finally:
             tracemalloc.stop()
 
-    small, large = peak(20_000), peak(80_000)
+    # A reader that kept every line or frame would peak about 1.4 MB
+    # higher at the larger size than at the smaller.
+    small, large = peak(5_000), peak(20_000)
     assert large < 1.25 * small, (small, large)
 
 

@@ -33,6 +33,7 @@ from cycletrace import (
     send_trace,
     stream_to_socket,
     to_wire,
+    trace,
 )
 from cycletrace.brokers import FRAME_INSTRUCTIONS, MAX_FRAME_BYTES
 from gen import ti
@@ -214,7 +215,7 @@ NEAR_MISSES = [
 @st.composite
 def trace_files(draw):
     """A trace text: rendered instructions, repeated past a few chunks,
-    with comments, blank lines, near-miss spellings, and perhaps one
+    with comments (some quoting a line), blank lines, near-miss spellings, and perhaps one
     out-of-range line and one sequence regression, at random places."""
     body = draw(st.lists(gen.instructions, min_size=1, max_size=6))
     repeats = draw(st.integers(1, 600 // len(body)))
@@ -225,12 +226,14 @@ def trace_files(draw):
         for seq, inst in enumerate(body * repeats)
     ]
     at = st.integers(0, len(lines) - 1)
-    for i, kind in draw(st.lists(st.tuples(at, st.integers(0, 2)),
+    for i, kind in draw(st.lists(st.tuples(at, st.integers(0, 3)),
                                  max_size=12)):
         if kind == 0:
             lines.insert(i, "# a comment\n")
         elif kind == 1:
             lines.insert(i, "\n")
+        elif kind == 2:
+            lines.insert(i, "# " + lines[i])  # quotes a canonical line
         else:
             respell = draw(st.sampled_from(NEAR_MISSES))
             lines[i] = respell(lines[i][:-1]) + "\n"
@@ -238,7 +241,10 @@ def trace_files(draw):
         lines.insert(draw(at), "I 0 0x10000000000000000 nop R:- W:-\n")
     if draw(st.booleans()):
         i = draw(at)
-        lines.insert(i, lines[i])
+        copy = lines[i]
+        if draw(st.booleans()):
+            copy = draw(st.sampled_from(NEAR_MISSES))(copy[:-1]) + "\n"
+        lines.insert(i + draw(st.integers(0, 3)), copy)
     if draw(st.booleans()):
         lines[-1] = lines[-1].rstrip("\n")
     return "".join(lines)
@@ -253,6 +259,40 @@ def test_file_broker_reads_as_the_line_by_line_path(tmp_path_factory, text):
     expected = read_line_by_line(text)
     for max_n in (1, 7, 255, 256, 257):
         assert drain_file(path, max_n) == expected, max_n
+
+
+@pytest.mark.parametrize("middle,line", [
+    ("# c\n", "I 1 0x4 add R:- W:-\n"),
+    ("", "I 1  0x4 add R:- W:-\n"),
+    ("I 2  0x8 add R:- W:-\n", "I 2 0x8 add R:- W:-\n"),
+    ("# c\nI 2  0x8 add R:- W:-\n# d\n", "I 1  0x4 add R:- W:-\n"),
+], ids=["canonical-after-comment", "respelled-after-canonical",
+        "canonical-after-respelled", "respelled-after-respelled"])
+def test_file_broker_checks_order_across_other_lines(tmp_path, middle, line):
+    text = ("I 0 0x0 add R:- W:-\nI 1 0x4 add R:- W:-\n" + middle + line
+            + "I 9 0x24 add R:- W:-\n")
+    path = tmp_path / "t.trace"
+    path.write_text(text)
+    expected = read_line_by_line(text)
+    assert expected[0].startswith("line ")
+    assert drain_file(path, 256) == expected
+
+
+def test_file_broker_reads_only_the_other_lines_one_by_one(tmp_path,
+                                                          monkeypatch):
+    lines = [f"I {s} {4 * s:#x} add R:1 W:2\n" for s in range(600)]
+    lines[3] = "# I 3 0xc add R:1 W:2\n"
+    lines[300] = "I 300  0x4b0 add R:1 W:2\n"
+    lines[301:301] = ["\n", "# a comment\n"]
+    lines[-1] = lines[-1][:-1]
+    text = "".join(lines)
+    path = tmp_path / "t.trace"
+    path.write_text(text)
+    expected = read_line_by_line(text)
+    monkeypatch.setattr(trace, "_read_lines", None)
+    monkeypatch.setattr(trace, "parse_trace_line", None)
+    for max_n in (7, 256):
+        assert drain_file(path, max_n) == expected
 
 
 # -- SocketBroker -------------------------------------------------------------
