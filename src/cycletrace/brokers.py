@@ -11,7 +11,8 @@ The file broker reads the lines each fetch still asks for as one chunk
 (trace.iter_trace_chunks).  One regular expression pass decodes a
 chunk's canonical lines and certifies a chunk of nothing else, and the
 batch it fills carries the chunk's text (Batch.text); a chunk's other
-lines are parsed one by one.
+lines, and a run of canonical lines holding a bad one, are parsed one
+by one with trace.parse_trace_line, and no chunk is read twice.
 
 The wire protocol is newline-delimited JSON, one frame per line:
 

@@ -10,18 +10,15 @@ may carry a letter prefix (r13, x2).  '#' starts a comment.  Numbers are
 ASCII.  The wire encoding mirrors the same fields as a JSON object.
 
 A line spelled exactly as render_trace writes it, newline included, is
-canonical.  parse_trace_line reads such a line from a single regular
-expression match and reports it as canonical; every other line is parsed
-field by field.  A whole trace is read a chunk of lines at a time
-(iter_trace_chunks): one split of the same expression over a chunk's
+canonical.  A whole trace is read a chunk of lines at a time
+(iter_trace_chunks): one split of a regular expression over a chunk's
 joined text captures every canonical line's fields, and certifies the
 chunk when no other line lies between the matches.  The other lines of
-a chunk are parsed field by field, and a chunk holding a bad line is
-read again line by line with parse_trace_line for its error.  Both
-paths build instructions from the captured fields in one function, so
-they apply the same range rules.  Lines are split as a file read with
-universal newlines splits them, at LF, CRLF and CR only, whether the
-text comes from a file or from parse_trace.
+a chunk, and a run of canonical lines holding a bad one, are read one
+by one with parse_trace_line, which parses any spelling field by field
+and raises the error the format calls for.  Lines are split as a file
+read with universal newlines splits them, at LF, CRLF and CR only,
+whether the text comes from a file or from parse_trace.
 
 A canonical line's register lists are interned by their field text, and
 rendered register lists by their tuple: a static instruction re-executes
@@ -212,7 +209,7 @@ def _parse_int(token: str, line: int | None, what: str) -> int:
 # A line exactly as render_trace writes it, newline included: unsigned
 # decimals and lowercase 0x hex without leading zeros, bare register
 # numbers, accesses before the context.  \s is what str.split() splits
-# on.  The groups are the fields parse_trace_line reads from a match:
+# on.  The groups are the fields _canonical_instructions reads:
 # sequence id, address, class, reads, writes, every access as one
 # string, context key and context value.
 _NUM = r"(?:0|[1-9][0-9]*)"
@@ -267,30 +264,10 @@ def _canonical_instructions(
 
 
 def parse_trace_line(
-    text: str, line: int | None = None, kept: list[str] | None = None
+    text: str, line: int | None = None
 ) -> TraceInstruction | None:
-    """Parse one line; returns None for blanks and comments.
-
-    A canonical line is read from its _CANONICAL_LINE match and, if kept
-    is given, appended to it.  Any other line, and a canonical one whose
-    numbers are out of range, is parsed field by field (_parse_fields),
-    which raises the error the format calls for.
-    """
-    m = _CANONICAL_LINE.fullmatch(text)
-    if m is not None:
-        try:
-            [inst] = _canonical_instructions((m.groups(),))
-        except ValueError:
-            pass  # out of range: _parse_fields raises
-        else:
-            if kept is not None:
-                kept.append(text)
-            return inst
-    return _parse_fields(text, line)
-
-
-def _parse_fields(text: str, line: int | None) -> TraceInstruction | None:
-    """parse_trace_line for a line in any spelling, field by field."""
+    """Parse one line in any spelling, field by field; returns None for
+    blanks and comments."""
     if "#" in text:
         text = text.split("#", 1)[0]
     fields = text.split()
@@ -380,11 +357,7 @@ def iter_trace_chunks(
         n = len(lines)
         text = "".join(lines)
         del lines
-        # A line's only newline is its last character, so splitting the
-        # text at newlines alone gives the lines back.
-        chunk = (_read_chunk(text, last_seq)
-                 or _read_lines(io.StringIO(text, newline="\n"), lineno,
-                                last_seq))
+        chunk = _read_chunk(text, lineno, last_seq)
         del text
         lineno += n
         if chunk[0]:
@@ -393,84 +366,72 @@ def iter_trace_chunks(
         del chunk
 
 
-def _read_chunk(text: str, last_seq: int):
-    """(instructions, text) of a chunk's joined lines, as _read_lines
-    gives them, or None if a line of it is bad or not UTF-8.
+def _read_chunk(text: str, lineno: int, last_seq: int):
+    """(instructions, text) of a chunk's joined lines, the first being
+    line lineno + 1; raises the error of the first bad line.
 
     One _CANONICAL_LINE.split finds the canonical lines: a match holds
     one newline, at its end, so the pieces before, between and after
-    the matches (the gaps) are the other lines.  When every gap is
+    the matches (the gaps) hold the other lines.  When every gap is
     empty the chunk is certified canonical and its text is returned as
-    read.  Otherwise only the gap lines are parsed one by one, and the
-    matches keep the fields the split captured.
+    read.  Otherwise each run of matches between two gaps keeps the
+    fields the split captured, and the gap lines are read one by one
+    (_read_lines).  A run that is out of range or out of sequence order
+    is read one by one too, for its error, and a chunk that is not
+    UTF-8 is read as one gap.
     """
-    if _not_utf8(text):
-        return None
-    parts = _CANONICAL_LINE.split(text)
+    parts = [text] if _not_utf8(text) else _CANONICAL_LINE.split(text)
     gaps = parts[::_GROUPS + 1]
     del parts[::_GROUPS + 1]
-    fields = zip(*[iter(parts)] * _GROUPS)
-    try:
-        if not any(gaps):
-            return _canonical_instructions(fields, last_seq), text
-        return _read_gapped_chunk(text, gaps, list(fields), last_seq)
-    except (ValueError, TraceParseError):
-        return None
-
-
-def _read_gapped_chunk(text: str, gaps: list[str], fields: list,
-                       last_seq: int):
-    """_read_chunk's result for a chunk whose split left gaps.
-
-    A gap starts at a line start, so it is whole lines, except that one
-    not ending in a newline runs on into the match after it: that match
-    is the tail of a longer line, such as a comment quoting a record,
-    and is read with the gap.  Raises ValueError or TraceParseError if a
-    line is bad; the caller reads the chunk again line by line for the
-    error.
-    """
+    if not any(gaps):
+        # A lazy zip reuses one tuple for every match; the walk below
+        # slices a list.
+        try:
+            return _canonical_instructions(zip(*[iter(parts)] * _GROUPS),
+                                           last_seq), text
+        except ValueError:
+            pass  # the run is read one by one below
+    fields = list(zip(*[iter(parts)] * _GROUPS))
     lines = io.StringIO(text, newline="\n").readlines()
     insts: list[TraceInstruction] = []
-    kept: list[str] = []  # the canonical lines
-    other = False  # whether a non-canonical line holds an instruction
-    at = 0  # lines before match m
-    m = 0
-    for j in compress(range(len(gaps)), gaps):
-        # Matches m to j - 1 are whole canonical lines.
-        insts += _canonical_instructions(fields[m:j], last_seq)
-        if insts:
-            last_seq = insts[-1].seq_id
-        kept += lines[at:at + j - m]
-        at += j - m
+    kept: list[str] = []  # the runs' lines
+    at = m = 0  # lines before match m
+    # Each gap that holds a line, then the last gap, which may be empty.
+    for j in [*compress(range(len(fields)), gaps), len(fields)]:
+        # Matches m to j - 1 are a run of whole canonical lines.
+        run = lines[at:at + j - m]
+        try:
+            insts += _canonical_instructions(fields[m:j], last_seq)
+        except ValueError:
+            insts += _read_lines(run, lineno + at, last_seq)
+        kept += run
+        at += len(run)
+        last_seq = insts[-1].seq_id if insts else last_seq
+        # A gap starts at a line start, so it is whole lines, except
+        # that its last line may have no newline.  Then that line runs on
+        # into match j, the tail of a longer line such as a comment
+        # quoting a record, and is read with the gap; or the gap is the
+        # last one, and its line, if it has one, ends the chunk.
         gap = gaps[j]
         n = gap.count("\n")
-        if gap[-1] != "\n":
-            n += 1  # its last line, ending in match j or ending the chunk
+        if gap[-1:] != "\n":
+            n += 1
             j += 1
-        for raw in lines[at:at + n]:
-            inst = _parse_fields(raw, None)
-            if inst is not None:
-                if inst.seq_id <= last_seq:
-                    raise ValueError
-                last_seq = inst.seq_id
-                insts.append(inst)
-                other = True
+        insts += _read_lines(lines[at:at + n], lineno + at, last_seq)
         at += n
+        last_seq = insts[-1].seq_id if insts else last_seq
         m = j
-    insts += _canonical_instructions(fields[m:], last_seq)
-    kept += lines[at:]
-    return insts, None if other else "".join(kept)
+    return insts, "".join(kept) if len(kept) == len(insts) else None
 
 
 def _read_lines(lines: Iterable[str], lineno: int, last_seq: int):
-    """(instructions, text) of lines read one by one, the first being
-    line lineno + 1; raises the error of the first bad line."""
+    """The instructions of lines read one by one, the first being line
+    lineno + 1; raises the error of the first bad line."""
     insts = []
-    kept: list[str] = []
     for lineno, raw in enumerate(lines, lineno + 1):
-        if _not_utf8(raw):
+        if not raw.isascii() and _not_utf8(raw):
             raise TraceParseError("not UTF-8", lineno)
-        inst = parse_trace_line(raw, lineno, kept)
+        inst = parse_trace_line(raw, lineno)
         if inst is None:
             continue
         if inst.seq_id <= last_seq:
@@ -480,7 +441,7 @@ def _read_lines(lines: Iterable[str], lineno: int, last_seq: int):
             )
         last_seq = inst.seq_id
         insts.append(inst)
-    return insts, "".join(kept) if len(kept) == len(insts) else None
+    return insts
 
 
 _CHUNK_LINES = 256  # lines parse_trace reads per chunk
@@ -500,6 +461,26 @@ def parse_trace(text: str) -> list[TraceInstruction]:
     return out
 
 
+def _class_text(name) -> str:
+    """name as a line writes it; one that no line carries (empty, or
+    holding whitespace, '#' or a surrogate) raises TraceParseError."""
+    text = f"{name}"
+    if not _wire_names()[0](text) or _not_utf8(text):
+        raise TraceParseError(f"bad class name {text!r}")
+    return text
+
+
+def _context_text(context) -> str:
+    """The C: token of context as a line writes it, with its leading
+    space; one that no line carries raises TraceParseError."""
+    key, value = f"{context[0]}", f"{context[1]}"
+    _, is_ctx_key, is_ctx_value = _wire_names()
+    if (not is_ctx_key(key) or not is_ctx_value(value)
+            or _not_utf8(key + value)):
+        raise TraceParseError(f"bad context {key!r}={value!r}")
+    return f" C:{key}={value}"
+
+
 def _reg_text(regs: tuple) -> str:
     """regs as a line writes them, each held to from_wire's rule: one
     that is not an int, is a bool or is negative raises TraceParseError,
@@ -512,29 +493,34 @@ def _reg_text(regs: tuple) -> str:
     return ",".join(map(str, regs)) or "-"
 
 
-# Register tuple -> its text in a rendered line.
+# Register tuple, class name and context -> its text in a rendered line.
 _REG_TEXT = _InternTable(_reg_text)
+_CLASS_TEXT = _InternTable(_class_text)
+_CONTEXT_TEXT = _InternTable(_context_text)
 
 
 def render_trace(instructions: Iterable[TraceInstruction]) -> str:
     """The canonical text of instructions: one line each, newline ended.
 
     An instruction that no trace line carries, for a register (see
-    _reg_text) or a number past the interpreter's digit limit, raises
-    TraceParseError.
+    _reg_text), its class name or context (see _class_text and
+    _context_text) or a number past the interpreter's digit limit,
+    raises TraceParseError.
     """
     reg_text = _REG_TEXT
+    class_text = _CLASS_TEXT
     out: list[str] = []
     append = out.append
     try:
         for inst in instructions:
-            line = (f"I {inst.seq_id} {inst.address:#x} {inst.class_name} "
+            line = (f"I {inst.seq_id} {inst.address:#x} "
+                    f"{class_text[inst.class_name]} "
                     f"R:{reg_text[inst.reads]} W:{reg_text[inst.writes]}")
             for acc in inst.mem:
                 line += (f" {'L' if acc.kind is _LOAD else 'S'}:"
                          f"{acc.address:#x}:{acc.size}")
             if inst.context is not None:
-                line += f" C:{inst.context[0]}={inst.context[1]}"
+                line += _CONTEXT_TEXT[inst.context]
             append(line)
     except ValueError:  # str() past the digit limit
         raise TraceParseError("instruction holds an integer past the "
@@ -618,11 +604,12 @@ _ABSENT = object()  # an omitted 'mem'; 'mem': null is refused
 @functools.cache
 def _wire_names():
     """The fullmatch of _CLASS, _CTX_KEY and _CTX_VALUE, compiled on
-    first use: a run that decodes no wire object does not compile them.
+    first use: a run that decodes no wire object and renders no
+    instruction does not compile them.
 
-    The wire takes only class names and contexts a canonical line can
-    carry, so that no wire stream renders to the text, and the digest, of
-    another.
+    The wire and render_trace take only class names and contexts a
+    canonical line can carry, so that no instruction renders to the
+    text, and the digest, of another.
     """
     return tuple(re.compile(p).fullmatch for p in (_CLASS, _CTX_KEY,
                                                     _CTX_VALUE))
@@ -651,6 +638,8 @@ def from_wire(obj: dict) -> TraceInstruction:
     if not is_class(cname):
         raise ProtocolError("instruction field 'class' may contain no "
                             "whitespace and no '#'")
+    if _not_utf8(cname):
+        raise ProtocolError("instruction field 'class' is not UTF-8")
 
     entries = get("mem", _ABSENT)
     if entries is _ABSENT:
@@ -694,6 +683,8 @@ def from_wire(obj: dict) -> TraceInstruction:
             raise ProtocolError(
                 "instruction field 'ctx' value may contain no whitespace "
                 "and no '#'")
+        if _not_utf8(ctx[0] + ctx[1]):
+            raise ProtocolError("instruction field 'ctx' is not UTF-8")
         context = (ctx[0], ctx[1])
     else:
         raise ProtocolError("instruction field 'ctx' must be a pair of "

@@ -217,19 +217,35 @@ def test_different_traces_get_different_digests(model):
     assert a.digest != b.digest
 
 
-@pytest.mark.parametrize("seq,reads,message", [
-    (10 ** 5000, (), "past the interpreter's digit limit"),
-    (0, (10 ** 5000,), "past the interpreter's digit limit"),
-    (0, (-1,), "register -1"),
-    (0, (True,), "register True"),
-], ids=["long-seq", "long-register", "negative-register", "bool-register"])
-def test_digest_refuses_what_no_trace_line_carries(model, seq, reads,
-                                                   message):
+# The last context renders as two valid lines, so without the refusal
+# this one-instruction trace would share a digest with a two-instruction
+# one.
+@pytest.mark.parametrize("inst,message", [
+    (TraceInstruction(10 ** 5000, 0, "add"),
+     "past the interpreter's digit limit"),
+    (TraceInstruction(0, 0, "add", (10 ** 5000,)),
+     "past the interpreter's digit limit"),
+    (TraceInstruction(0, 0, "add", (-1,)), "register -1"),
+    (TraceInstruction(0, 0, "add", (True,)), "register True"),
+    (TraceInstruction(0, 0, "add x"), "bad class name 'add x'"),
+    (TraceInstruction(0, 0, "add#"), "bad class name 'add#'"),
+    (TraceInstruction(0, 0, ""), "bad class name ''"),
+    (TraceInstruction(0, 0, "add\udcff"), "bad class name 'add\\udcff'"),
+    (TraceInstruction(0, 0, "add", context=("a=b", "c")),
+     "bad context 'a=b'='c'"),
+    (TraceInstruction(0, 0, "add", context=("k\ud800", "v")),
+     "bad context 'k\\ud800'='v'"),
+    (TraceInstruction(0, 0, "add",
+                      context=("k", "z\nI 1 0x0 nop R:- W:- C:x")),
+     "bad context 'k'='z\\nI 1 0x0 nop R:- W:- C:x'"),
+], ids=["long-seq", "long-register", "negative-register", "bool-register",
+        "class-space", "class-hash", "class-empty", "class-surrogate",
+        "context-key-equals", "context-surrogate", "context-newline"])
+def test_digest_refuses_what_no_trace_line_carries(model, inst, message):
     # The file and wire inputs refuse these; an in-memory one must too,
     # or the digest would name a trace no file or stream can carry.
-    broker = SequenceBroker([TraceInstruction(seq, 0, "add", reads, ())])
     with pytest.raises(AnalysisError, match=re.escape(message)):
-        analyze(model, broker)
+        analyze(model, SequenceBroker([inst]))
 
 
 # -- digest of file input -------------------------------------------------------

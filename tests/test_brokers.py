@@ -8,6 +8,7 @@ import socket
 import threading
 import time
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -132,11 +133,16 @@ def test_file_broker_refuses_a_line_that_is_not_utf8(tmp_path, lineno):
 
 def read_line_by_line(text):
     """The instructions of a trace text, or (error, line) of its first
-    bad line, parsed one line at a time with parse_trace_line."""
+    bad line, parsed one line at a time with parse_trace_line, which
+    reads every spelling field by field."""
     insts = []
     last_seq = -1
     try:
         for lineno, raw in enumerate(io.StringIO(text, newline=None), 1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise TraceParseError("not UTF-8", lineno) from None
             inst = parse_trace_line(raw, lineno)
             if inst is None:
                 continue
@@ -215,8 +221,11 @@ NEAR_MISSES = [
 @st.composite
 def trace_files(draw):
     """A trace text: rendered instructions, repeated past a few chunks,
-    with comments (some quoting a line), blank lines, near-miss spellings, and perhaps one
-    out-of-range line and one sequence regression, at random places."""
+    with comments (some quoting a line), blank lines, near-miss
+    spellings, and perhaps one out-of-range line, one sequence
+    regression, one line holding a byte that is not UTF-8 and one
+    canonical line with a register past the digit limit, at random
+    places."""
     body = draw(st.lists(gen.instructions, min_size=1, max_size=6))
     repeats = draw(st.integers(1, 600 // len(body)))
     lines = [
@@ -239,6 +248,10 @@ def trace_files(draw):
             lines[i] = respell(lines[i][:-1]) + "\n"
     if draw(st.booleans()):
         lines.insert(draw(at), "I 0 0x10000000000000000 nop R:- W:-\n")
+    for bad in ("# caf\udce9\n",  # the byte 0xe9, read with surrogateescape
+                f"I 0 0x0 nop R:{'1' * 5000} W:-\n"):
+        if draw(st.integers(0, 3)) == 0:
+            lines.insert(draw(at), bad)
     if draw(st.booleans()):
         i = draw(at)
         copy = lines[i]
@@ -254,7 +267,8 @@ def trace_files(draw):
 @given(trace_files())
 def test_file_broker_reads_as_the_line_by_line_path(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("chunks") / "t.trace"
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with open(path, "w", encoding="utf-8", errors="surrogateescape",
+              newline="") as f:
         f.write(text)
     expected = read_line_by_line(text)
     for max_n in (1, 7, 255, 256, 257):
@@ -289,10 +303,51 @@ def test_file_broker_reads_only_the_other_lines_one_by_one(tmp_path,
     path = tmp_path / "t.trace"
     path.write_text(text)
     expected = read_line_by_line(text)
-    monkeypatch.setattr(trace, "_read_lines", None)
-    monkeypatch.setattr(trace, "parse_trace_line", None)
+    parse = mock.Mock(wraps=trace.parse_trace_line)
+    monkeypatch.setattr(trace, "parse_trace_line", parse)
     for max_n in (7, 256):
+        parse.reset_mock()
         assert drain_file(path, max_n) == expected
+        # The quoting comment, the respelled record, the blank line, the
+        # comment and the last line, which has no newline.
+        assert [c.args[0] for c in parse.call_args_list] == [
+            lines[3], lines[300], "\n", "# a comment\n", lines[-1]]
+
+
+@pytest.mark.parametrize("bad,message", [
+    (None, None),
+    ("I 600 0x10000000000000000 nop R:- W:-\n",
+     "address 0x10000000000000000 out of range"),
+    ("I 5 0x960 add R:- W:-\n", "sequence id 5 not greater than previous 598"),
+    ("I 599 0x960 add R:-\n", "truncated instruction record"),
+], ids=["valid", "out-of-range", "out-of-order", "malformed"])
+def test_file_broker_reads_no_chunk_twice(tmp_path, monkeypatch, bad,
+                                          message):
+    lines = [f"I {s} {4 * s:#x} add R:- W:-\n" for s in range(700)]
+    if bad is not None:
+        lines[599] = bad  # line 600, in the third 256-line chunk
+    path = tmp_path / "t.trace"
+    path.write_text("".join(lines))
+    # Records every method called on the pattern.
+    pattern = mock.Mock(wraps=trace._CANONICAL_LINE)
+    monkeypatch.setattr(trace, "_CANONICAL_LINE", pattern)
+    chunks = []
+    next_lines = FileBroker._next_lines
+
+    def counted(self):
+        chunk = next_lines(self)
+        if chunk:
+            chunks.append(len(chunk))
+        return chunk
+
+    monkeypatch.setattr(FileBroker, "_next_lines", counted)
+    got = drain_file(path, 256)
+    if bad is None:
+        assert len(got) == 700
+    else:
+        assert got == (f"line 600: {message}", 600)
+    assert chunks == [256, 256, 188]
+    assert [c[0] for c in pattern.mock_calls] == ["split"] * 3
 
 
 # -- SocketBroker -------------------------------------------------------------
@@ -677,8 +732,15 @@ def test_socket_end_before_the_hello_closes_the_socket():
      "bad frame: integer past the interpreter's digit limit"),
     (b'{"t": "insts", "batch": ' + b"[" * 100_000,
      "bad frame: nested too deeply"),
+    # A JSON-escaped lone surrogate has no UTF-8 encoding.
+    (b'{"t": "insts", "batch": [{"seq": 0, "addr": 0, "class": "a\\udcff", '
+     b'"reads": [], "writes": []}]}',
+     "instruction field 'class' is not UTF-8"),
+    (b'{"t": "insts", "batch": [{"seq": 0, "addr": 0, "class": "a", '
+     b'"reads": [], "writes": [], "ctx": ["k", "\\ud800"]}]}',
+     "instruction field 'ctx' is not UTF-8"),
 ], ids=["unknown-type", "no-batch", "batch-not-a-list", "long-seq",
-        "long-seq-canonical", "deep"])
+        "long-seq-canonical", "deep", "class-surrogate", "ctx-surrogate"])
 def test_socket_rejects_bad_stream_frames(frame, message):
     producer, broker = loopback_pair()
     try:

@@ -258,6 +258,11 @@ def _entry(**fields):
      "instruction field 'ctx' value may contain no whitespace and no '#'"),
     (_wire(ctx=["k", "x#"]),
      "instruction field 'ctx' value may contain no whitespace and no '#'"),
+    # A lone surrogate, as json.loads reads "\udcff": no UTF-8 encodes it.
+    (_wire(**{"class": "add\udcff"}),
+     "instruction field 'class' is not UTF-8"),
+    (_wire(ctx=["k\ud800", "x"]), "instruction field 'ctx' is not UTF-8"),
+    (_wire(ctx=["k", "\udfff"]), "instruction field 'ctx' is not UTF-8"),
     # A trace line has no sign for a register, so the wire refuses one.
     (_wire(reads=[-1]), "negative register -1 in instruction field 'reads'"),
     (_wire(writes=[3, -2, -7]),
@@ -630,20 +635,24 @@ def test_render_uses_hex_addresses():
 
 # -- canonical lines ------------------------------------------------------------
 
-def kept_by_parse(line):
-    """The lines parse_trace_line reports as canonical for line."""
-    kept = []
+def read_chunk(line):
+    """The chunk reader's instructions and text for line as a one-line
+    chunk, the trace's fifth line; the text is line itself when the
+    reader reads it as canonical."""
+    return trace._read_chunk(line, 4, -1)
+
+
+def is_canonical(line):
     try:
-        parse_trace_line(line, 1, kept)
+        return read_chunk(line)[1] == line
     except TraceParseError:
-        pass
-    return kept
+        return False
 
 
 @given(gen.instructions)
 def test_rendered_lines_are_canonical(inst):
     line = render_instruction(inst) + "\n"
-    assert kept_by_parse(line) == [line]
+    assert read_chunk(line) == ([inst], line)
     assert parse_trace_line(line) == inst
 
 
@@ -681,26 +690,26 @@ def test_every_canonical_line_renders_back_to_itself(line):
     "I 3 0x40 add R:1 W:2\r\n",
 ])
 def test_near_miss_spellings_are_not_canonical(line):
-    assert kept_by_parse(line) == []
+    assert not is_canonical(line)
 
 
-def parsed_or_error(parse, line):
+def read_or_error(read, line):
     try:
-        return parse(line, 5)
+        return read(line)
     except TraceParseError as e:
         return str(e), e.line
 
 
 @given(st.from_regex(trace._CANONICAL_LINE, fullmatch=True))
 def test_matched_canonical_lines_parse_as_the_general_path_does(line):
-    assert (parsed_or_error(parse_trace_line, line)
-            == parsed_or_error(trace._parse_fields, line))
+    assert (read_or_error(lambda line: read_chunk(line)[0][0], line)
+            == read_or_error(lambda line: parse_trace_line(line, 5), line))
 
 
 @given(gen.instructions)
 def test_matched_rendered_lines_parse_as_the_general_path_does(inst):
     line = render_instruction(inst) + "\n"
-    assert parse_trace_line(line, 5) == trace._parse_fields(line, 5) == inst
+    assert read_chunk(line)[0] == [parse_trace_line(line, 5)] == [inst]
 
 
 @pytest.mark.parametrize("line,message", [
@@ -715,25 +724,24 @@ def test_matched_rendered_lines_parse_as_the_general_path_does(inst):
         "long-size", "long-register"])
 def test_out_of_range_canonical_lines_raise_as_the_general_path_does(
         line, message):
-    kept = []
     with pytest.raises(TraceParseError, match=message) as matched:
-        parse_trace_line(line, 5, kept)
+        read_chunk(line)
     with pytest.raises(TraceParseError) as general:
-        trace._parse_fields(line, 5)
+        parse_trace_line(line, 5)
     assert (str(matched.value), matched.value.line) == (
         str(general.value), general.value.line)
     assert matched.value.line == 5
-    assert kept == []
 
 
 def test_render_table_stays_bounded():
     bound = trace._INTERN_BOUND
-    insts = [TraceInstruction(i, 4 * i, "add", (i,), (i, 7))
+    insts = [TraceInstruction(i, 4 * i, f"c{i}", (i,), (i, 7), (), ("k", i))
              for i in range(bound + 10)]
-    expect = "".join(f"I {i} {4 * i:#x} add R:{i} W:{i},7\n"
+    expect = "".join(f"I {i} {4 * i:#x} c{i} R:{i} W:{i},7 C:k={i}\n"
                      for i in range(bound + 10))
     assert render_trace(insts) == expect
-    assert len(trace._REG_TEXT) <= bound
+    for table in (trace._REG_TEXT, trace._CLASS_TEXT, trace._CONTEXT_TEXT):
+        assert len(table) <= bound
     assert render_trace(insts) == expect
     assert render_instruction(insts[-1]) == expect.splitlines()[-1]
 
