@@ -1,18 +1,21 @@
 """Instruction brokers: uniform batched access to a trace source.
 
-A broker exposes one method, fetch_batch(max_n) -> Batch, returning at
-most max_n instructions.  end_of_stream may arrive together with the
-final instructions or in an empty batch after them; after that the
-broker keeps answering end_of_stream.  A broker may block in
-fetch_batch until it has instructions; an empty batch without
-end_of_stream means "nothing yet" and is simply fetched again.
+A broker exposes one method, fetch_batch(max_n) -> Batch.  The sequence
+and file brokers return at most max_n instructions; the socket broker
+returns each frame whole, since Pipeline.feed takes a batch of any
+length.  end_of_stream may arrive together with the final instructions
+or in an empty batch after them; after that the broker keeps answering
+end_of_stream.  A broker may block in fetch_batch until it has
+instructions; an empty batch without end_of_stream means "nothing yet"
+and is simply fetched again.
 
-The file broker reads the lines each fetch still asks for as one chunk
-(trace.iter_trace_chunks).  One regular expression pass decodes a
-chunk's canonical lines and certifies a chunk of nothing else, and the
-batch it fills carries the chunk's text (Batch.text); a chunk's other
-lines, and a run of canonical lines holding a bad one, are parsed one
-by one with trace.parse_trace_line, and no chunk is read twice.
+The file broker reads up to max_n lines per fetch and decodes them as
+one chunk (trace.ChunkReader), which is the batch.  One regular
+expression pass decodes a chunk's canonical lines and certifies a chunk
+of nothing else, and the batch carries the chunk's text (Batch.text); a
+chunk's other lines, and a run of canonical lines holding a bad one,
+are parsed one by one with trace.parse_trace_line, and no chunk is read
+twice.  The socket broker hands out each decoded frame as one batch.
 
 The wire protocol is newline-delimited JSON, one frame per line:
 
@@ -26,8 +29,8 @@ once per frame, whichever decoder read it.  A malformed frame, a
 non-monotonic sequence id or a frame line with more than MAX_FRAME_BYTES
 (4 MiB) before its newline aborts with ProtocolError; a disconnect before
 the end frame is reported as a truncated trace.  The socket broker reads
-only when it has nothing left to hand out, so a producer faster than the
-consumer is held back by TCP flow control.
+one frame per fetch, so a producer faster than the consumer is held back
+by TCP flow control.
 
 An 'insts' frame spelled exactly as stream_to_socket writes it is
 canonical.  The socket broker reads such a frame in one regular
@@ -47,8 +50,8 @@ import contextlib
 import functools
 import json
 import re
-from collections.abc import Iterable, Iterator
-from itertools import chain, islice
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice
 
 from .errors import ProtocolError, TruncatedTraceError
 from .trace import (
@@ -58,10 +61,10 @@ from .trace import (
     U64_LIMIT,
     _InternTable,
     Batch,
+    ChunkReader,
     MemoryAccess,
     TraceInstruction,
     from_wire,
-    iter_trace_chunks,
     to_wire,
 )
 
@@ -202,7 +205,7 @@ class BrokerStream:
         self.max_n = max_n
         self.truncated = False
 
-    def __iter__(self) -> Iterator[tuple[TraceInstruction, ...]]:
+    def __iter__(self) -> Iterator[Sequence[TraceInstruction]]:
         fetch, max_n = self.broker.fetch_batch, self.max_n
         while True:
             try:
@@ -228,11 +231,14 @@ class SequenceBroker:
     """
 
     def __init__(self, instructions: Iterable[TraceInstruction]):
-        self._it: Iterator[TraceInstruction] = iter(instructions)
+        self._it: Iterator = iter(instructions)
 
     def fetch_batch(self, max_n: int) -> Batch:
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
+        return self._read(max_n)
+
+    def _read(self, max_n: int) -> Batch:
         batch = tuple(islice(self._it, max_n))
         # A short batch, empty included, means the iterable is used up.
         return Batch(batch, end_of_stream=len(batch) < max_n)
@@ -244,14 +250,16 @@ class SequenceBroker:
 class FileBroker(SequenceBroker):
     """Streams a trace file lazily, enforcing sequence id monotonicity.
 
-    Each fetch reads the lines it still asks for as one chunk
-    (iter_trace_chunks), so a chunk never holds more instructions than
-    its fetch takes, and a fetch holds one chunk at a time however many
-    comment lines it reads.  A chunk's canonical lines are decoded in
-    one regular expression pass, and its other lines one by one.  A
-    batch whose instructions were all read from canonical lines carries
-    the text of those lines (Batch.text): on a canonical file, each
-    batch is one chunk and carries that chunk's text as read.
+    Each fetch reads up to max_n lines and decodes them as one chunk
+    (trace.ChunkReader), which is the batch: its canonical lines are
+    decoded in one regular expression pass, and its other lines one by
+    one.  A batch whose instructions were all read from canonical lines
+    carries their text (Batch.text): on a canonical file, each batch
+    carries its chunk's text as read.  Comment and blank lines count
+    towards max_n, so a batch may hold fewer instructions, or none,
+    without ending the stream.  A read that comes back short of max_n
+    lines ends the stream, so a file whose line count is a multiple of
+    max_n ends with an empty batch.
 
     The file is read with universal newlines, so a CRLF file reads as
     its LF twin.  A byte that is not UTF-8 is reported as a
@@ -261,30 +269,16 @@ class FileBroker(SequenceBroker):
     def __init__(self, path: str):
         self._fh = open(path, "r", encoding="utf-8",
                         errors="surrogateescape")
-        self._want = 0  # instructions the current fetch still asks for
-        self._texts: list[str | None] = []  # the fetch's chunk texts
-        super().__init__(chain.from_iterable(
-            map(self._take, iter_trace_chunks(self._next_lines))))
+        super().__init__(self._fh)  # the lines; close() ends them
+        self._reader = ChunkReader()
 
-    def _next_lines(self) -> list[str]:
-        return list(islice(self._fh, self._want))
-
-    def _take(self, chunk) -> list[TraceInstruction]:
-        """The chunk's instructions, its text noted for the fetch."""
-        insts, text = chunk
-        self._want -= len(insts)
-        self._texts.append(text)
-        return insts
-
-    def fetch_batch(self, max_n: int) -> Batch:
-        texts = self._texts
-        texts.clear()
-        self._want = max_n
-        batch = super().fetch_batch(max_n)
-        if None in texts:
-            return batch
-        return Batch(batch.instructions, batch.end_of_stream,
-                     text="".join(texts))
+    def _read(self, max_n: int) -> Batch:
+        lines = list(islice(self._it, max_n))
+        n = len(lines)
+        text = "".join(lines)
+        del lines  # not held while the chunk is decoded
+        insts, text = self._reader.read(text, n)
+        return Batch(insts, n < max_n, text=text)
 
     def close(self):
         super().close()
@@ -297,12 +291,10 @@ class SocketBroker:
     Frames are read as lines through a buffered reader over the socket.
     The constructor reads the hello frame, sets model_hint and replies
     ok before it returns; if the handshake fails it closes the reader
-    and the socket.  fetch_batch reads only once every decoded
-    instruction is handed out, so at most one frame is decoded ahead and
-    TCP flow control holds back a producer that outruns the consumer;
-    each batch comes from one frame.  A frame that fits in max_n is
-    handed out whole, and a canonical one carries its text (Batch.text);
-    a frame split across batches carries none.  With nothing decoded it
+    and the socket.  Each fetch reads and decodes one frame and hands it
+    out whole, whatever max_n, so nothing is decoded ahead and TCP flow
+    control holds back a producer that outruns the consumer.  A
+    canonical frame's batch carries its text (Batch.text).  fetch_batch
     blocks until the producer sends, so the pipeline simply waits for a
     quiet producer.
     The broker never sets the socket's timeout: listen and connect hand
@@ -315,8 +307,6 @@ class SocketBroker:
         self._sock = sock
         self._rfile = sock.makefile("rb", buffering=_RECV_BYTES)
         self.model_hint: str | None = None
-        self._pending: tuple[TraceInstruction, ...] = ()
-        self._pos = 0
         self._last_seq = -1
         self._eos = False
         try:
@@ -416,27 +406,17 @@ class SocketBroker:
     def fetch_batch(self, max_n: int) -> Batch:
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
-        pending, pos = self._pending, self._pos
-        while pos == len(pending):
-            if self._eos:
-                return _END_BATCH
-            line = self._next_line()
-            if not line:
-                raise TruncatedTraceError(
-                    "producer disconnected before end of stream")
-            batch = self._decode_frame(line, self._last_seq)
-            self._eos = batch.end_of_stream
-            pending, pos = batch.instructions, 0
-            if not pending:
-                continue
-            self._last_seq = pending[-1].seq_id
-            if len(pending) <= max_n:
-                # Handed out whole, with its text, and not kept.
-                self._pending, self._pos = (), 0
-                return batch
-        end = min(pos + max_n, len(pending))
-        self._pending, self._pos = pending, end
-        return Batch(pending[pos:end])
+        if self._eos:
+            return _END_BATCH
+        line = self._next_line()
+        if not line:
+            raise TruncatedTraceError(
+                "producer disconnected before end of stream")
+        batch = self._decode_frame(line, self._last_seq)
+        self._eos = batch.end_of_stream
+        if batch.instructions:
+            self._last_seq = batch.instructions[-1].seq_id
+        return batch
 
     def close(self):
         self._rfile.close()

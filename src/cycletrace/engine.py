@@ -62,7 +62,7 @@ from collections import deque, namedtuple
 from collections.abc import Callable
 from heapq import heappush, heappop
 
-from .brokers import BrokerStream, SequenceBroker
+from .brokers import BrokerStream
 from .errors import AnalysisError
 from .lsunit import AliasPolicy, MemQueues
 from .model import InstrClass, MachineModel, validate_model
@@ -114,13 +114,12 @@ class _Kind:
 class InstrRecord:
     """Mutable per-instruction pipeline state; pooled and recycled."""
 
-    __slots__ = ("seq_id", "cls", "kind", "dispatched_at", "issued_at",
+    __slots__ = ("seq_id", "kind", "dispatched_at", "issued_at",
                  "executed_at", "retired_at", "latency", "uops", "reads",
                  "writes", "waiting_on", "loads", "stores")
 
     def __init__(self):
         self.seq_id = -1
-        self.cls: InstrClass | None = None
         self.kind: _Kind | None = None
         self.dispatched_at = -1
         self.issued_at = -1
@@ -199,12 +198,6 @@ class Pipeline:
         self._dispatch_busy_until = -1
         self._quiet_until = 0
 
-    @property
-    def unit_waits(self) -> dict[str, _UnitWaits]:
-        """Class name -> its _UnitWaits, for each class that claims units."""
-        return {name: kind.waiting for name, kind in self.classes.items()
-                if kind.waiting is not None}
-
     # -- input -------------------------------------------------------------
 
     def feed(self, instructions) -> int:
@@ -269,7 +262,6 @@ class Pipeline:
 
             rec = free.pop() if free else InstrRecord()
             rec.seq_id = seq
-            rec.cls = kind.cls
             rec.kind = kind
             rec.dispatched_at = rec.issued_at = rec.executed_at = -1
             rec.retired_at = -1
@@ -511,10 +503,6 @@ class Pipeline:
             self.feed(batch)
         self.drain()
         return stream.truncated
-
-    def run_trace(self, instructions) -> bool:
-        """Convenience: run a fully materialized instruction sequence."""
-        return self.run_until_starved(SequenceBroker(instructions))
 
     def drain(self):
         """Run cycles until everything in flight has retired."""

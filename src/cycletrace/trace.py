@@ -11,7 +11,7 @@ ASCII.  The wire encoding mirrors the same fields as a JSON object.
 
 A line spelled exactly as render_trace writes it, newline included, is
 canonical.  A whole trace is read a chunk of lines at a time
-(iter_trace_chunks): one split of a regular expression over a chunk's
+(ChunkReader): one split of a regular expression over a chunk's
 joined text captures every canonical line's fields, and certifies the
 chunk when no other line lies between the matches.  The other lines of
 a chunk, and a run of canonical lines holding a bad one, are read one
@@ -34,7 +34,7 @@ import io
 import operator
 import re
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable
 from enum import Enum
 from itertools import compress, islice
 
@@ -117,8 +117,8 @@ class Batch(namedtuple("Batch", "instructions end_of_stream stalled text",
     text, when set, is the batch's canonical text, render_trace of its
     instructions, as read from the source; the digest hashes it without
     rendering.  FileBroker sets it when every instruction of the batch
-    was read from a canonical line, and SocketBroker when the batch is a
-    whole canonical frame; any other source leaves it None.
+    was read from a canonical line, and SocketBroker when the batch's
+    frame is canonical; any other source leaves it None.
     """
 
     __slots__ = ()
@@ -333,37 +333,33 @@ def _not_utf8(text: str) -> bool:
     return False
 
 
-def iter_trace_chunks(
-    next_lines: Callable[[], list[str]],
-) -> Iterator[tuple[list[TraceInstruction], str | None]]:
-    """Yield each chunk's instructions and canonical text, enforcing
-    seq_id monotonicity across chunks.
+class ChunkReader:
+    """Reads a trace a chunk of lines at a time, enforcing seq_id
+    monotonicity across chunks.
 
-    next_lines() returns the next chunk: consecutive lines as a text
-    file in universal newlines mode reads them, so each but perhaps the
-    trace's last ends with a newline.  An empty chunk ends the trace.  The
-    text is render_trace of the chunk's instructions when every one of
-    them was read from a canonical line, and None otherwise.  Errors
-    carry 1-based line numbers counted over all chunks; a line holding a
-    surrogate is not UTF-8.  Nothing of a chunk is held once the next
-    one is asked for.
+    Errors carry 1-based line numbers counted over all chunks read.
     """
-    last_seq = -1
-    lineno = 0
-    while True:
-        lines = next_lines()
-        if not lines:
-            return
-        n = len(lines)
-        text = "".join(lines)
-        del lines
-        chunk = _read_chunk(text, lineno, last_seq)
-        del text
-        lineno += n
-        if chunk[0]:
-            last_seq = chunk[0][-1].seq_id
-        yield chunk
-        del chunk
+
+    __slots__ = ("lineno", "last_seq")
+
+    def __init__(self):
+        self.lineno = 0  # lines read so far
+        self.last_seq = -1
+
+    def read(self, text: str, n: int):
+        """(instructions, text) of the next chunk: the joined text of n
+        consecutive lines as a text file in universal newlines mode reads
+        them, so each but perhaps the trace's last ends with a newline.
+
+        The text returned is render_trace of the chunk's instructions
+        when every one of them was read from a canonical line, and None
+        otherwise.  A line holding a surrogate is not UTF-8.
+        """
+        insts, text = _read_chunk(text, self.lineno, self.last_seq)
+        self.lineno += n
+        if insts:
+            self.last_seq = insts[-1].seq_id
+        return insts, text
 
 
 def _read_chunk(text: str, lineno: int, last_seq: int):
@@ -455,9 +451,10 @@ def parse_trace(text: str) -> list[TraceInstruction]:
     that holds it.
     """
     f = io.StringIO(text, newline=None)
+    reader = ChunkReader()
     out: list[TraceInstruction] = []
-    for insts, _ in iter_trace_chunks(lambda: list(islice(f, _CHUNK_LINES))):
-        out += insts
+    while lines := list(islice(f, _CHUNK_LINES)):
+        out += reader.read("".join(lines), len(lines))[0]
     return out
 
 
@@ -504,8 +501,9 @@ def render_trace(instructions: Iterable[TraceInstruction]) -> str:
 
     An instruction that no trace line carries, for a register (see
     _reg_text), its class name or context (see _class_text and
-    _context_text) or a number past the interpreter's digit limit,
-    raises TraceParseError.
+    _context_text), a number past the interpreter's digit limit or a
+    field of the wrong type, such as a list of registers, raises
+    TraceParseError.
     """
     reg_text = _REG_TEXT
     class_text = _CLASS_TEXT
@@ -525,6 +523,8 @@ def render_trace(instructions: Iterable[TraceInstruction]) -> str:
     except ValueError:  # str() past the digit limit
         raise TraceParseError("instruction holds an integer past the "
                               "interpreter's digit limit") from None
+    except TypeError as e:  # say, a list where a table lookup hashes
+        raise TraceParseError(f"field of the wrong type: {e}") from None
     append("")  # the last line's newline
     return "\n".join(out)
 

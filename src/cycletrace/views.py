@@ -122,7 +122,7 @@ class TimelineRecorder:
             seq_id=rec.seq_id,
             iteration=iteration,
             position=position,
-            name=rec.cls.name,
+            name=rec.kind.cls.name,
             dispatched_at=rec.dispatched_at,
             issued_at=rec.issued_at,
             executed_at=rec.executed_at,

@@ -121,11 +121,24 @@ def simple_model(**overrides) -> MachineModel:
     return make_model(classes, **defaults)
 
 
+def run_trace(pipe, instructions) -> bool:
+    """Run a fully materialized instruction sequence through pipe; the
+    result is whether the stream was truncated."""
+    return pipe.run_until_starved(SequenceBroker(instructions))
+
+
+def unit_waits(pipe) -> dict:
+    """Class name -> its heap of records short of units (_UnitWaits), for
+    each class of pipe that claims units."""
+    return {name: kind.waiting for name, kind in pipe.classes.items()
+            if kind.waiting is not None}
+
+
 def run_recorded(model, insts, *, policy=AliasPolicy.METADATA):
     """Run a trace to completion; return (pipeline, rows sorted by seq)."""
     pipe = Pipeline(model, policy)
     recorder = TimelineRecorder().attach(pipe)
-    assert not pipe.run_trace(insts)
+    assert not run_trace(pipe, insts)
     return pipe, sorted(recorder.rows, key=lambda r: r.seq_id)
 
 

@@ -54,7 +54,7 @@ def run_with_times(model, insts, batch=None, policy=AliasPolicy.METADATA):
          rec.executed_at, rec.retired_at)
     )
     if batch is None:
-        assert not pipe.run_trace(insts)
+        assert not gen.run_trace(pipe, insts)
     else:
         broker = gen.ChunkedBroker(insts, batch, stall=True)
         assert not pipe.run_until_starved(broker)
@@ -361,7 +361,7 @@ def test_windowed_timeline_glyphs_reconcile_and_render_golden(model):
     ]
     pipe = Pipeline(model)
     recorder = TimelineRecorder(window=(0, 6)).attach(pipe)
-    assert not pipe.run_trace(insts)
+    assert not gen.run_trace(pipe, insts)
     rows = recorder.rows
     assert len(rows) == 7
 
@@ -398,7 +398,7 @@ def test_browser_trace_export_is_valid_and_complete(model):
     insts = list(synthetic(100))
     pipe = Pipeline(model)
     recorder = TimelineRecorder().attach(pipe)
-    assert not pipe.run_trace(insts)
+    assert not gen.run_trace(pipe, insts)
     sink = io.StringIO()
     export_browser_trace(recorder.rows, sink)
 

@@ -238,9 +238,14 @@ def test_different_traces_get_different_digests(model):
     (TraceInstruction(0, 0, "add",
                       context=("k", "z\nI 1 0x0 nop R:- W:- C:x")),
      "bad context 'k'='z\\nI 1 0x0 nop R:- W:- C:x'"),
+    (TraceInstruction(0, 0, "add", [1], []),
+     "field of the wrong type: unhashable type: 'list'"),
+    (TraceInstruction(0, 0, "add", context=("k", ["v"])),
+     "field of the wrong type: unhashable type: 'list'"),
 ], ids=["long-seq", "long-register", "negative-register", "bool-register",
         "class-space", "class-hash", "class-empty", "class-surrogate",
-        "context-key-equals", "context-surrogate", "context-newline"])
+        "context-key-equals", "context-surrogate", "context-newline",
+        "register-list", "context-list"])
 def test_digest_refuses_what_no_trace_line_carries(model, inst, message):
     # The file and wire inputs refuse these; an in-memory one must too,
     # or the digest would name a trace no file or stream can carry.
@@ -343,15 +348,21 @@ def test_file_broker_does_not_hold_a_run_of_comments(tmp_path):
         f.write("# a comment line between two instructions\n" * 200_000)
         f.write("I 1 0x4 nop R:- W:-\n")
     broker = FileBroker(str(path))
+    insts, texts = [], []
     tracemalloc.start()
     try:
-        batch = broker.fetch_batch(256)
+        while True:
+            batch = broker.fetch_batch(256)
+            insts += batch.instructions
+            texts.append(batch.text)
+            if batch.end_of_stream:
+                break
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         broker.close()
-    assert batch.end_of_stream
-    assert batch.text == "I 0 0x0 nop R:- W:-\nI 1 0x4 nop R:- W:-\n"
+    assert insts == [ti(0, "nop", address=0), ti(1, "nop", address=4)]
+    assert "".join(texts) == "I 0 0x0 nop R:- W:-\nI 1 0x4 nop R:- W:-\n"
     assert peak < 256 * 1024  # holding the comments would take ~20 MB
 
 

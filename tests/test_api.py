@@ -83,6 +83,9 @@ def test_the_bench_tracer_finds_every_hook():
     assert isinstance(decode, staticmethod)
     assert isinstance(decode.__func__, types.FunctionType)
     assert "stalled" in cycletrace.Batch._fields
+    # The tracer wraps SequenceBroker.fetch_batch, so a file's fetches
+    # are timed only while FileBroker inherits it.
+    assert "fetch_batch" not in vars(cycletrace.FileBroker)
     # What the run_cycle wrapper reads around each cycle.
     pipe = cycletrace.Pipeline(gen.simple_model())
     for attr in ("entry", "executing", "deferred", "rob"):

@@ -25,8 +25,6 @@ from cycletrace import (
     TraceInstruction,
     TraceParseError,
     TruncatedTraceError,
-    brokers,
-    from_wire,
     parse_trace,
     parse_trace_line,
     render_instruction,
@@ -94,6 +92,35 @@ def test_file_broker_parses_lazily(tmp_path):
         assert drain_broker(broker, 4) == insts
     finally:
         broker.close()
+
+
+def test_file_broker_ends_whole_chunks_with_an_empty_batch(tmp_path):
+    # Six lines, five instructions: a fetch asks for lines, and a read
+    # short of max_n lines ends the stream.
+    insts = [ti(s, "add") for s in range(5)]
+    path = tmp_path / "t.trace"
+    path.write_text("# header\n" + render_trace(insts))
+    broker = FileBroker(str(path))
+    try:
+        batches = [broker.fetch_batch(3) for _ in range(3)]
+        assert [list(b.instructions) for b in batches] == [
+            insts[:2], insts[2:], []]
+        assert [b.end_of_stream for b in batches] == [False, False, True]
+        again = broker.fetch_batch(3)
+        assert again.end_of_stream and not again.instructions
+    finally:
+        broker.close()
+
+
+def test_file_broker_ends_the_stream_once_closed(tmp_path):
+    insts = [ti(s, "add") for s in range(5)]
+    path = tmp_path / "t.trace"
+    path.write_text(render_trace(insts))
+    broker = FileBroker(str(path))
+    assert list(broker.fetch_batch(2).instructions) == insts[:2]
+    broker.close()
+    batch = broker.fetch_batch(2)
+    assert batch.end_of_stream and not batch.instructions
 
 
 def test_file_broker_reports_bad_line(tmp_path):
@@ -331,16 +358,14 @@ def test_file_broker_reads_no_chunk_twice(tmp_path, monkeypatch, bad,
     # Records every method called on the pattern.
     pattern = mock.Mock(wraps=trace._CANONICAL_LINE)
     monkeypatch.setattr(trace, "_CANONICAL_LINE", pattern)
-    chunks = []
-    next_lines = FileBroker._next_lines
+    chunks = []  # the line count of each chunk read
+    read = trace.ChunkReader.read
 
-    def counted(self):
-        chunk = next_lines(self)
-        if chunk:
-            chunks.append(len(chunk))
-        return chunk
+    def counted(self, text, n):
+        chunks.append(n)
+        return read(self, text, n)
 
-    monkeypatch.setattr(FileBroker, "_next_lines", counted)
+    monkeypatch.setattr(trace.ChunkReader, "read", counted)
     got = drain_file(path, 256)
     if bad is None:
         assert len(got) == 700
@@ -443,34 +468,40 @@ def test_socket_ends_leave_no_unclosed_socket():
 
 
 def test_socket_holds_back_a_producer_that_outruns_the_consumer(monkeypatch):
-    # The broker decodes a frame only once it has handed out the last
-    # one, so the rest of the stream waits in the socket buffers and the
-    # producer blocks in sendall until the consumer catches up.
+    # Each fetch decodes one frame, so the rest of the stream waits in
+    # the socket buffers and the producer blocks in sendall until the
+    # consumer catches up.
     n = 100_000
 
     def inst(s):
         return ti(s, "add", writes=[s % 4])
 
+    decode = SocketBroker._decode_frame
     decoded = 0
 
-    def counted_from_wire(obj):
+    def counted_decode(line, last_seq):
         nonlocal decoded
         decoded += 1
-        return from_wire(obj)
+        return decode(line, last_seq)
 
-    monkeypatch.setattr(brokers, "from_wire", counted_from_wire)
+    monkeypatch.setattr(SocketBroker, "_decode_frame",
+                        staticmethod(counted_decode))
     producer, broker, sender = streaming_pair(lambda sock: stream_to_socket(
         sock, (inst(s) for s in range(n))))
     try:
         batch = broker.fetch_batch(8)
-        assert batch.instructions == tuple(inst(s) for s in range(8))
+        assert batch.instructions == tuple(
+            inst(s) for s in range(FRAME_INSTRUCTIONS))
         time.sleep(0.5)
-        assert decoded <= FRAME_INSTRUCTIONS  # one frame
+        assert decoded == 1  # one frame
         assert sender.is_alive()
 
-        expected = 8
+        expected = FRAME_INSTRUCTIONS
+        fetches = 1
         while not batch.end_of_stream:
             batch = broker.fetch_batch(64)
+            fetches += 1
+            assert decoded == fetches
             for got in batch.instructions:
                 assert got == inst(expected)
                 expected += 1
@@ -480,6 +511,7 @@ def test_socket_holds_back_a_producer_that_outruns_the_consumer(monkeypatch):
     finally:
         producer.close()
         broker.close()
+    assert not sender.is_alive()
 
 
 def test_socket_refuses_a_line_longer_than_the_frame_cap():
@@ -653,19 +685,15 @@ def test_socket_hands_out_a_frame_that_fits_whole(max_n):
         broker.close()
 
 
-def test_socket_splits_a_frame_larger_than_max_n_in_order():
+def test_socket_hands_out_a_frame_larger_than_max_n_whole():
     insts = [ti(s, "add", writes=[s % 8]) for s in range(64)]
     producer, broker = loopback_pair()
     try:
         producer.sendall(_frame_of(insts))
-        sizes, got = [], []
-        while len(got) < 64:
-            batch = broker.fetch_batch(10)
-            assert not batch.end_of_stream  # the end frame is not sent yet
-            sizes.append(len(batch.instructions))
-            got.extend(batch.instructions)
-        assert sizes == [10, 10, 10, 10, 10, 10, 4]
-        assert got == insts
+        batch = broker.fetch_batch(10)
+        assert batch.instructions == tuple(insts)
+        assert batch.text == render_trace(insts)
+        assert not batch.end_of_stream  # the end frame is not sent yet
         producer.sendall(b'{"t": "end"}\n')
         assert broker.fetch_batch(10) == Batch(end_of_stream=True)
     finally:

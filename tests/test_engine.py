@@ -337,7 +337,7 @@ def test_failed_multi_claim_blocks_its_class_but_frees_the_port():
     # At cycle 1 the first "both" finds Q busy and claims nothing, so P
     # stays free; the second "both" is not tried, and both p_only records
     # take P.
-    assert sorted(pipe.unit_waits["both"]) == [1, 2]
+    assert sorted(gen.unit_waits(pipe)["both"]) == [1, 2]
     assert pipe.ready == [] and pipe.deferred == []
     t = _finish_like_reference(pipe, recorder, m, insts)
     assert [row[1] for row in t] == [1, 4, 5, 1, 1]
@@ -374,7 +374,7 @@ def test_latency_bound_chain_takes_the_quiet_path():
         run_cycle()
 
     pipe.run_cycle = observed
-    assert not pipe.run_trace(insts)
+    assert not gen.run_trace(pipe, insts)
     rows = sorted(recorder.rows, key=lambda r: r.seq_id)
     assert (pipe.total_cycles, times_of(rows)) == refsim.simulate(m, insts)
     assert pipe.total_cycles == 30 + 29 * 1999 + 2
@@ -451,7 +451,7 @@ def test_counters_and_summary_inputs(model):
 
 def test_empty_trace_finishes_at_zero_cycles(model):
     pipe = Pipeline(model)
-    assert not pipe.run_trace([])
+    assert not gen.run_trace(pipe, [])
     assert pipe.total_cycles == 0
 
 
@@ -487,7 +487,7 @@ def test_entry_buffer_below_dispatch_width_is_widened():
     cycles = set()
     for capacity in (width, width + 2, 256):
         pipe = Pipeline(model, entry_capacity=capacity)
-        assert not pipe.run_trace(trace)
+        assert not gen.run_trace(pipe, trace)
         cycles.add(pipe.total_cycles)
     assert len(cycles) == 1
 
@@ -657,7 +657,7 @@ def test_pushing_one_instruction_at_a_time_matches_run_trace(
             pipe.feed((inst,))
         pipe.drain()
 
-    assert run(one_at_a_time) == run(lambda pipe: pipe.run_trace(insts))
+    assert run(one_at_a_time) == run(lambda pipe: gen.run_trace(pipe, insts))
 
 
 @pytest.mark.parametrize("capacity", [4, 256])
@@ -680,7 +680,7 @@ def test_one_feed_takes_a_list_longer_than_the_buffer(model, capacity):
     rows, cycles, pool = run(one_feed)
     _, ref_times = refsim.simulate(model, insts, AliasPolicy.METADATA)
     assert times_of(sorted(rows, key=lambda r: r.seq_id)) == ref_times
-    assert (rows, cycles, pool) == run(lambda pipe: pipe.run_trace(insts))
+    assert (rows, cycles, pool) == run(lambda pipe: gen.run_trace(pipe, insts))
 
 
 def test_truncated_stream_drains_and_flags(model):

@@ -198,7 +198,7 @@ def test_validate_allows_as_many_claims_as_units():
     )
     validate_model(m)
     pipe = Pipeline(m)
-    assert not pipe.run_trace([gen.ti(s, "pair") for s in range(4)])
+    assert not gen.run_trace(pipe, [gen.ti(s, "pair") for s in range(4)])
     assert pipe.instructions_retired == 4
 
 

@@ -176,7 +176,7 @@ def test_rendered_glyphs_reconcile_with_timestamps(model):
 def test_window_is_inclusive_and_keeps_positions(model):
     pipe = Pipeline(model)
     recorder = TimelineRecorder(window=(2, 3)).attach(pipe)
-    pipe.run_trace([ti(s, "add") for s in range(5)])
+    gen.run_trace(pipe, [ti(s, "add") for s in range(5)])
     rows = sorted(recorder.rows, key=lambda r: r.seq_id)
     assert [r.seq_id for r in rows] == [2, 3]
     # positions count every retirement in the iteration, windowed or not
@@ -186,9 +186,9 @@ def test_window_is_inclusive_and_keeps_positions(model):
 def test_positions_restart_per_iteration(model):
     pipe = Pipeline(model)
     recorder = TimelineRecorder().attach(pipe)
-    pipe.run_trace([ti(0, "add"), ti(1, "add")])
+    gen.run_trace(pipe, [ti(0, "add"), ti(1, "add")])
     pipe.iteration = 1
-    pipe.run_trace([ti(2, "add"), ti(3, "add")])
+    gen.run_trace(pipe, [ti(2, "add"), ti(3, "add")])
     rows = sorted(recorder.rows, key=lambda r: r.seq_id)
     assert [(r.iteration, r.position) for r in rows] == [
         (0, 0), (0, 1), (1, 0), (1, 1),
