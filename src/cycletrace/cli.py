@@ -60,14 +60,14 @@ def _window(text: str) -> tuple[int, int]:
 
 
 def _port(text: str) -> int:
-    port = int(text)
+    port = read_int(text)
     if not 1 <= port <= 65535:
         raise ValueError("port must be 1..65535")
     return port
 
 
 def _steps(text: str) -> int:
-    steps = int(text)
+    steps = read_int(text)
     if steps < 1:
         raise ValueError("step budget must be at least 1")
     return steps

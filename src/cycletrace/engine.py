@@ -4,7 +4,8 @@ Each simulated cycle applies stages to the machine state in a fixed
 order, so every timestamp is a deterministic function of the instruction
 stream and the model:
 
-  1. retire   up to retire_width executed records from the ROB head;
+  1. retire   up to retire_width executed records from the ROB head,
+              freeing their queue slots;
   2. complete executions whose latency elapses this cycle;
   3. issue    ready records oldest-first, subject to resource units and
               load-store admission; operands forward the same cycle they
@@ -14,6 +15,9 @@ stream and the model:
               ROB, registering scoreboard writes and queue slots.
 
 An instruction never issues earlier than the cycle after its dispatch.
+The stages keep the MemQueues fields in place: dispatch and retire its
+slot counts, and dispatch and execution (stage 2, or a single-cycle
+issue) its pending maps.  Admission (find_blocker) is the one call.
 
 A ready record that fails to issue waits where it is blocked and is
 tried again only once it could succeed, so issue work per cycle follows
@@ -89,7 +93,7 @@ class _Kind:
     """
 
     __slots__ = ("cls", "latency", "uops", "claims", "usage", "may_load",
-                 "may_store", "context_key", "waiting")
+                 "may_store", "context_key", "waiting", "issued")
 
     def __init__(self, cls: InstrClass, busy: dict[str, list[int]],
                  groups: dict[tuple, _UnitWaits]):
@@ -103,6 +107,7 @@ class _Kind:
         self.may_load = cls.may_load
         self.may_store = cls.may_store
         self.context_key = cls.context_latency_key
+        self.issued = 0             # records issued; counted if it claims units
         # Classes that claim the same resources the same number of times
         # share one _UnitWaits; None if the class claims nothing.
         self.waiting = None
@@ -188,7 +193,6 @@ class Pipeline:
 
         self.instructions_retired = 0
         self.uops_retired = 0
-        self.resource_claimed: dict[str, int] = dict.fromkeys(busy, 0)
         self.missing_metadata = 0
         self.iteration = 0
         self.retire_sink: Callable[[InstrRecord, int], None] | None = None
@@ -300,13 +304,13 @@ class Pipeline:
             self.cycle = cycle + 1
             return
         live = self.live
+        queues = self.queues
 
         # 1. retire from the ROB head, in order
         rob = self.rob
         if rob and rob[0].executed_at >= 0:
             budget = self.retire_width
             scoreboard = self.scoreboard
-            queues = self.queues
             free = self.free
             sink = self.retire_sink
             while budget > 0 and rob and rob[0].executed_at >= 0:
@@ -318,7 +322,8 @@ class Pipeline:
                     if scoreboard.get(reg) == seq:
                         del scoreboard[reg]
                 if rec.loads or rec.stores:
-                    queues.remove(rec.loads, rec.stores)
+                    queues.lq_used -= len(rec.loads)
+                    queues.sq_used -= len(rec.stores)
                 self.instructions_retired += 1
                 self.uops_retired += rec.uops
                 self._last_retire_cycle = cycle
@@ -333,8 +338,10 @@ class Pipeline:
             _, seq = heappop(executing)
             rec = live[seq]
             rec.executed_at = cycle
-            if rec.loads or rec.stores:
-                self.queues.mark_executed(seq)
+            if rec.loads:
+                del queues.pending_loads[seq]
+            if rec.stores:
+                del queues.pending_stores[seq]
             self._wake(seq)
 
         # 3. issue ready records oldest-first; a producer completing here
@@ -353,9 +360,7 @@ class Pipeline:
                 heappush(ready, heappop(waiting))
         if ready:
             policy = self.policy
-            queues = self.queues
             consumers = self.consumers
-            claimed = self.resource_claimed
             while ready:
                 seq = heappop(ready)
                 rec = live[seq]
@@ -396,16 +401,17 @@ class Pipeline:
                     if low >= cycle:
                         heappush(waiting, seq)
                         continue
-                    for rname, occ in kind.usage:
-                        claimed[rname] += occ
+                    kind.issued += 1
                     if waiting and waiting.unit_free_at <= cycle:
                         heappush(ready, heappop(waiting))
                 rec.issued_at = cycle
                 lat = rec.latency
                 if lat == 1:
                     rec.executed_at = cycle
-                    if loads or stores:
-                        queues.mark_executed(seq)
+                    if loads:
+                        del queues.pending_loads[seq]
+                    if stores:
+                        del queues.pending_stores[seq]
                     self._wake(seq)
                 else:
                     heappush(executing, (cycle + lat - 1, seq))
@@ -417,27 +423,51 @@ class Pipeline:
         if entry and cycle > self._dispatch_busy_until:
             width = self.dispatch_width
             rob_size = self.rob_size
-            queues = self.queues
+            scoreboard = self.scoreboard
+            consumers = self.consumers
             budget = width
             while entry and budget > 0:
                 rec = entry[0]
                 uops = rec.uops
                 if budget < width if uops > width else uops > budget:
                     break
-                held = len(rob) >= rob_size or (
-                    (rec.loads or rec.stores)
-                    and not queues.can_insert(len(rec.loads), len(rec.stores)))
+                loads = rec.loads
+                stores = rec.stores
+                held = len(rob) >= rob_size or (loads or stores) and (
+                    queues.lq_used + len(loads) > queues.lq_size
+                    or queues.sq_used + len(stores) > queues.sq_size)
                 if held:
                     break
                 entry.popleft()
+                seq = rec.seq_id
+                if loads:
+                    queues.lq_used += len(loads)
+                    queues.pending_loads[seq] = loads
+                if stores:
+                    queues.sq_used += len(stores)
+                    queues.pending_stores[seq] = stores
                 if uops > width:
                     # Wider than the machine: takes dispatch for whole
                     # cycles, and only starts on a fresh cycle.
-                    self._dispatch_busy_until = cycle - 1 - (-uops // width)
-                    self._enter_rob(rec, self._dispatch_busy_until)
-                    break
-                self._enter_rob(rec, cycle)
-                budget -= uops
+                    rec.dispatched_at = self._dispatch_busy_until = (
+                        cycle - 1 - (-uops // width))
+                    budget = 0
+                else:
+                    rec.dispatched_at = cycle
+                    budget -= uops
+                rob.append(rec)
+                live[seq] = rec
+                pending = rec.waiting_on
+                for reg in rec.reads:
+                    producer = scoreboard.get(reg)
+                    if (producer is not None and producer not in pending
+                            and live[producer].executed_at < 0):
+                        pending.add(producer)
+                        consumers.setdefault(producer, []).append(rec)
+                for reg in rec.writes:
+                    scoreboard[reg] = seq
+                if not pending:
+                    heappush(ready, seq)
 
         # 5. if no stage can act next cycle, note when one next can
         if not (ready or deferred or rob and rob[0].executed_at >= 0):
@@ -467,28 +497,6 @@ class Pipeline:
                     continue
             heappush(ready, rec.seq_id)
 
-    def _enter_rob(self, rec: InstrRecord, dispatched_at: int):
-        seq = rec.seq_id
-        rec.dispatched_at = dispatched_at
-        self.rob.append(rec)
-        live = self.live
-        live[seq] = rec
-        scoreboard = self.scoreboard
-        waiting = rec.waiting_on
-        consumers = self.consumers
-        for reg in rec.reads:
-            producer = scoreboard.get(reg)
-            if (producer is not None and producer not in waiting
-                    and live[producer].executed_at < 0):
-                waiting.add(producer)
-                consumers.setdefault(producer, []).append(rec)
-        for reg in rec.writes:
-            scoreboard[reg] = seq
-        if rec.loads or rec.stores:
-            self.queues.insert(seq, rec.loads, rec.stores)
-        if not waiting:
-            heappush(self.ready, seq)
-
     # -- driving -----------------------------------------------------------
 
     def run_until_starved(self, broker) -> bool:
@@ -515,6 +523,15 @@ class Pipeline:
     def total_cycles(self) -> int:
         """Cycles consumed so far: last retirement cycle + 1, 0 if none."""
         return self._last_retire_cycle + 1
+
+    @property
+    def resource_claimed(self) -> dict[str, int]:
+        """Occupancy cycles claimed so far, per resource name."""
+        claimed = dict.fromkeys((r.name for r in self.model.resources), 0)
+        for kind in self.classes.values():
+            for rname, occ in kind.usage:
+                claimed[rname] += kind.issued * occ
+        return claimed
 
     def pool_stats(self) -> PoolStats:
         # Every record is free, in the entry buffer or in the ROB, and a

@@ -43,41 +43,21 @@ _INF = float("inf")
 class MemQueues:
     """In-flight memory operations, ordered by sequence id.
 
-    Slot counts cover every entry until retirement; the pending maps hold
-    only the accesses of entries that have not executed yet, which are
-    the only ones that can block.
+    The pipeline's stages keep the fields in place.  lq_used and sq_used
+    count the slots taken, at most lq_size and sq_size: dispatch takes
+    one per access, and retire frees them.  pending_loads and
+    pending_stores map seq to the accesses of each entry that has not
+    executed, the only ones that can block: dispatch adds entries in
+    seq order, and each leaves as it executes.
     """
 
     def __init__(self, lq_size: int, sq_size: int):
         self.lq_size = lq_size
         self.sq_size = sq_size
-        self._pending_loads: dict[int, tuple] = {}
-        self._pending_stores: dict[int, tuple] = {}
-        self._lq_used = 0
-        self._sq_used = 0
-
-    def can_insert(self, n_loads: int, n_stores: int) -> bool:
-        return (
-            self._lq_used + n_loads <= self.lq_size
-            and self._sq_used + n_stores <= self.sq_size
-        )
-
-    def insert(self, seq: int, loads: tuple, stores: tuple):
-        self._lq_used += len(loads)
-        self._sq_used += len(stores)
-        if loads:
-            self._pending_loads[seq] = loads
-        if stores:
-            self._pending_stores[seq] = stores
-
-    def mark_executed(self, seq: int):
-        self._pending_loads.pop(seq, None)
-        self._pending_stores.pop(seq, None)
-
-    def remove(self, loads: tuple, stores: tuple):
-        """Free the slots of a retiring entry, which has executed."""
-        self._lq_used -= len(loads)
-        self._sq_used -= len(stores)
+        self.lq_used = 0
+        self.sq_used = 0
+        self.pending_loads: dict[int, tuple] = {}
+        self.pending_stores: dict[int, tuple] = {}
 
     def find_blocker(
         self,
@@ -95,10 +75,10 @@ class MemQueues:
             return None
         # Loads wait on conflicting older stores; stores wait on
         # conflicting older stores and older loads.
-        blocker = _first_conflict(self._pending_stores, policy, seq,
+        blocker = _first_conflict(self.pending_stores, policy, seq,
                                   loads + stores)
         if blocker is None and stores:
-            blocker = _first_conflict(self._pending_loads, policy, seq, stores)
+            blocker = _first_conflict(self.pending_loads, policy, seq, stores)
         return blocker
 
 

@@ -44,9 +44,9 @@ def summarize(pipeline: Pipeline) -> SummaryStats:
     # binding constraint is either dispatch bandwidth or the most
     # contended resource.
     rthroughput = uops / width
+    claimed = pipeline.resource_claimed  # summed on each read
     for res in pipeline.model.resources:
-        occupancy = pipeline.resource_claimed.get(res.name, 0)
-        rthroughput = max(rthroughput, occupancy / res.units)
+        rthroughput = max(rthroughput, claimed[res.name] / res.units)
 
     return SummaryStats(
         instructions=instructions,

@@ -7,6 +7,7 @@ occur constantly, not occasionally.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 from hypothesis import strategies as st
@@ -134,6 +135,17 @@ def unit_waits(pipe) -> dict:
             if kind.waiting is not None}
 
 
+def enqueue(queues, seq, loads=(), stores=()):
+    """Enter an entry into MemQueues as dispatch does: a queue slot per
+    access, and its accesses pending until it executes."""
+    queues.lq_used += len(loads)
+    queues.sq_used += len(stores)
+    if loads:
+        queues.pending_loads[seq] = loads
+    if stores:
+        queues.pending_stores[seq] = stores
+
+
 def run_recorded(model, insts, *, policy=AliasPolicy.METADATA):
     """Run a trace to completion; return (pipeline, rows sorted by seq)."""
     pipe = Pipeline(model, policy)
@@ -167,6 +179,41 @@ def cut_short(instructions):
     """Yields the instructions, then fails as a producer cut short does."""
     yield from instructions
     raise TruncatedTraceError("step budget exhausted before halt")
+
+
+class TimestampDigest:
+    """SHA-256 of every retirement's (seq, dispatched, issued, executed,
+    retired, iteration), in retirement order.
+
+    Attaches to a pipeline as a TimelineRecorder does, so analyze takes
+    it as its recorder.  Each attach starts a new digest, and digests
+    holds one per attached pipeline, in attach order.
+    """
+
+    def __init__(self):
+        self._shas = []
+
+    def attach(self, pipeline) -> "TimestampDigest":
+        sha = hashlib.sha256()
+        self._shas.append(sha)
+        pipeline.retire_sink = lambda rec, iteration: sha.update(
+            b"%d %d %d %d %d %d\n" % (
+                rec.seq_id, rec.dispatched_at, rec.issued_at,
+                rec.executed_at, rec.retired_at, iteration))
+        return self
+
+    @property
+    def digests(self) -> list[str]:
+        return [sha.hexdigest() for sha in self._shas]
+
+
+def timestamp_digest(model, insts, *, policy=AliasPolicy.METADATA,
+                     entry_capacity=256) -> str:
+    """Run a trace to completion; return its TimestampDigest."""
+    pipe = Pipeline(model, policy, entry_capacity)
+    digest = TimestampDigest().attach(pipe)
+    assert not run_trace(pipe, insts)
+    return digest.digests[0]
 
 
 def times_of(rows):

@@ -526,3 +526,14 @@ def test_socket_whole_frames_report_matches_file_report(tmp_path):
         assert batch.text == render_trace(batch.instructions)
     assert by_socket.digest == by_file.digest
     assert by_socket == by_file
+
+
+def test_socket_stream_timestamps_match_file_timestamps(tmp_path):
+    # Every retirement's timestamps, not only the report's totals.
+    model = contention_model()
+    trace = list(execute(parse_program(LOOP_HEAVY_PROGRAM)))
+    digest = gen.TimestampDigest()
+    _file_and_socket_reports(tmp_path, model, trace, entry_capacity=8,
+                             recorder=digest)
+    by_file, by_socket = digest.digests
+    assert by_socket == by_file == gen.timestamp_digest(model, trace)

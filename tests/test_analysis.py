@@ -184,6 +184,22 @@ def test_stalling_producer_leaves_the_report_unchanged(k, loop):
         report(SequenceBroker(insts))
 
 
+def test_a_region_over_the_whole_trace_keeps_every_timestamp():
+    # One visit fed an instruction at a time, against one stream.
+    rng = random.Random(13)
+    model = gen.random_model(rng)
+    insts = gen.random_trace(rng, 3000, gen.MEMORY_WEIGHTS)
+    base = 0x400000
+    whole = RegionSpec.from_ranges([(base, base + 4 * len(insts), None)])
+    digest = gen.TimestampDigest()
+    analyze(model, SequenceBroker(insts), recorder=digest)
+    report = analyze(model, SequenceBroker(insts), recorder=digest,
+                     regions=whole)
+    assert report.regions.visits == 1
+    plain, in_region = digest.digests
+    assert in_region == plain == gen.timestamp_digest(model, insts)
+
+
 def context_trace(n):
     """mixed_trace with a context token on every third instruction."""
     insts = mixed_trace(n)

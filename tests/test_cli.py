@@ -513,6 +513,13 @@ def test_diff_reads_a_zero_cycle_report(tmp_path, report_pair, model_file,
     ["trace", "--program", "p", "--connect", "127.0.0.1:70000"],
     ["trace", "--program", "p", "--out", "x.trace", "--max-steps", "0"],
     ["trace", "--program", "p", "--out", "x.trace", "--max-steps", "-3"],
+    # Numbers are ASCII only, as everywhere else; int() reads these as
+    # 9000 and 10.
+    ["analyze", "--model", "m", "--listen", "\u0669\u0660\u0660\u0660"],
+    ["analyze", "--model", "m", "--connect",
+     "127.0.0.1:\u0669\u0660\u0660\u0660"],
+    ["trace", "--program", "p", "--out", "x.trace", "--max-steps",
+     "\u0661\u0660"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
     assert main(argv) == 1

@@ -18,6 +18,7 @@ from cycletrace import (
     AliasPolicy,
     AnalysisError,
     Batch,
+    MemQueues,
     ModelError,
     Pipeline,
     SequenceBroker,
@@ -253,6 +254,23 @@ def test_load_queue_capacity_blocks_dispatch():
     # One LQ slot: the second load dispatches when the first retires.
     assert t[0] == (0, 1, 4, 5)
     assert t[1][0] == 5
+
+
+def test_queue_capacity_counts_a_slot_per_access():
+    m = gen.simple_model(lq=2, sq=1, width=4)
+    insts = [
+        ti(0, "load", loads=[(0x0, 1), (0x8, 1)]),
+        ti(1, "store", stores=[(0x100, 1)]),
+        ti(2, "load", loads=[(0x200, 1)]),
+    ]
+    # Two loads fill both LQ slots; the store's queue is apart, and the
+    # third load waits until the first retires and frees them.
+    assert times_of(run_recorded(m, insts)[1]) == [
+        (0, 1, 4, 5), (0, 2, 2, 5), (5, 6, 9, 10)]
+    # One SQ slot: the second store waits for the first to retire.
+    insts = [ti(0, "store", stores=[(0x0, 1)]),
+             ti(1, "store", stores=[(0x100, 1)])]
+    assert times_of(run_recorded(m, insts)[1]) == [(0, 1, 1, 2), (2, 3, 3, 4)]
 
 
 # -- where blocked records wait ----------------------------------------------
@@ -704,3 +722,92 @@ def test_pipeline_attributes_stay_in_the_shared_key_table():
     # dicts; with a 30th attribute every attribute read and write in
     # run_cycle and feed takes a slower path (file_mix ran 2.5% slower).
     assert len(vars(Pipeline(gen.simple_model()))) < 30
+
+
+# -- what the benchmark's tracer counts --------------------------------------
+#
+# bench/tracing.py times run_cycle and find_blocker and counts _wake calls
+# to derive its per-layer metrics (us per cycle, idle cycles, admit
+# ratio), so these calls keep their pattern.  The admission checks are
+# pinned per alias policy on a trace with loads, stores, fences and a
+# class that claims two resources (pair).
+
+def _calls(monkeypatch, owner, name):
+    """Record (arguments after self, result) of each call to a method."""
+    calls = []
+    method = vars(owner)[name]
+
+    def recorded(self, *args):
+        result = method(self, *args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("policy, checks", [
+    (AliasPolicy.ALL, 153), (AliasPolicy.NONE, 118),
+    (AliasPolicy.METADATA, 129)])
+def test_traced_calls_follow_cycles_executions_and_admission_checks(
+        monkeypatch, policy, checks):
+    rng = random.Random(7)
+    model = gen.random_model(rng)
+    insts = gen.random_trace(rng, 200, gen.MEMORY_WEIGHTS)
+    memory = [i.seq_id for i in insts if i.class_name in ("ld", "st", "fence")]
+    assert {"ld", "st", "pair"} <= {inst.class_name for inst in insts}
+    cycles = _calls(monkeypatch, Pipeline, "run_cycle")
+    wakes = _calls(monkeypatch, Pipeline, "_wake")
+    admissions = _calls(monkeypatch, MemQueues, "find_blocker")
+    pipe = Pipeline(model, policy)
+    assert not gen.run_trace(pipe, insts)
+
+    assert len(cycles) == pipe.cycle == pipe.total_cycles
+    assert sorted(seq for (seq,), _ in wakes) == [i.seq_id for i in insts]
+    assert len(admissions) == checks
+    # Every memory record is admitted; on this trace, each only once.
+    admitted = [seq for (_, seq, _, _), blocker in admissions
+                if blocker is None]
+    assert sorted(admitted) == memory
+
+
+# -- timestamp digests --------------------------------------------------------
+
+def test_timestamps_do_not_depend_on_entry_capacity():
+    rng = random.Random(0xCA9)
+    for maker in (gen.random_model, gen.wide_model) * 2:
+        model = maker(rng)
+        insts = gen.random_trace(rng, 2000, gen.MEMORY_WEIGHTS)
+        digests = {
+            gen.timestamp_digest(model, insts, entry_capacity=capacity)
+            for capacity in (1, 7, 256, model.dispatch_width)}
+        assert len(digests) == 1, model.name
+
+
+# Every timestamp of 20,000-instruction traces with stores, fences and
+# multi-uop classes, pinned: no change to how the stages keep their
+# state may move one.  Longer than any trace the reference simulator runs.
+_PINNED_DIGESTS = {
+    ("random_model", AliasPolicy.ALL):
+        "802d28378ed9caf4c96cbb0a145442d1e004745b55cd86edbb021196e19f60a0",
+    ("random_model", AliasPolicy.NONE):
+        "761709dbacdd894c4bd8c2c8ae1776f158e7a96f478357d152615d7cbd8dcf15",
+    ("random_model", AliasPolicy.METADATA):
+        "a3c3cd3a5e2b72b5d497184a542692880b9d312553d0c219ebd767294bd75486",
+    ("wide_model", AliasPolicy.ALL):
+        "fc2471d7044343e06326d2be1b08af28cc75e0261cdb4e0548a3f077c4a30d64",
+    ("wide_model", AliasPolicy.NONE):
+        "3db99e5e1297c3a7fd92f8e55cf710e13ee0dfde45fc7dc3847f356820dfcfcf",
+    ("wide_model", AliasPolicy.METADATA):
+        "ad419c517f9b4abdaeaf52f06f1e730defd656049d7d9e40d362c8f9e55e21fd",
+}
+
+
+@pytest.mark.parametrize("maker, policy", list(_PINNED_DIGESTS))
+def test_long_trace_timestamps_are_pinned(maker, policy):
+    rng = random.Random(20_000)
+    model = getattr(gen, maker)(rng)
+    insts = gen.random_trace(rng, 20_000, gen.MEMORY_WEIGHTS)
+    assert {"pair", "wide", "st"} <= {inst.class_name for inst in insts}
+    digest = gen.timestamp_digest(model, insts, policy=policy)
+    assert digest == _PINNED_DIGESTS[maker, policy]

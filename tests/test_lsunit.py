@@ -1,9 +1,15 @@
-"""Alias policies, memory queue blocking rules, and byte-range overlap."""
+"""Alias policies, memory queue blocking rules, and byte-range overlap.
+
+The queues are set up as dispatch fills them (gen.enqueue), and an entry
+executes as the complete stage has it: its accesses leave the pending
+map.
+"""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cycletrace import AccessKind, AliasPolicy, MemQueues, MemoryAccess
+from gen import enqueue
 
 L = lambda a, s: MemoryAccess(AccessKind.LOAD, a, s)
 S = lambda a, s: MemoryAccess(AccessKind.STORE, a, s)
@@ -13,8 +19,8 @@ def store_blocks_load(a, sa, b, sb):
     """Whether an older store of [a, a+sa) blocks a younger load of
     [b, b+sb) under METADATA."""
     q = queues()
-    q.insert(1, (), (S(a, sa),))
-    q.insert(2, (L(b, sb),), ())
+    enqueue(q, 1, stores=(S(a, sa),))
+    enqueue(q, 2, loads=(L(b, sb),))
     return q.find_blocker(AliasPolicy.METADATA, 2, (L(b, sb),), ()) is not None
 
 
@@ -50,23 +56,23 @@ def queues(lq=16, sq=16):
 
 def test_load_blocked_by_older_conflicting_store():
     q = queues()
-    q.insert(1, (), (S(0x100, 8),))
-    q.insert(5, (L(0x104, 4),), ())
+    enqueue(q, 1, stores=(S(0x100, 8),))
+    enqueue(q, 5, loads=(L(0x104, 4),))
     assert q.find_blocker(AliasPolicy.METADATA, 5, (L(0x104, 4),), ()) == 1
-    q.mark_executed(1)
+    del q.pending_stores[1]  # the store executes
     assert q.find_blocker(AliasPolicy.METADATA, 5, (L(0x104, 4),), ()) is None
 
 
 def test_loads_never_block_loads():
     q = queues()
-    q.insert(1, (L(0x100, 8),), ())
+    enqueue(q, 1, loads=(L(0x100, 8),))
     assert q.find_blocker(AliasPolicy.ALL, 2, (L(0x100, 8),), ()) is None
 
 
 def test_store_blocked_by_older_loads_and_stores():
     q = queues()
-    q.insert(1, (L(0x100, 8),), ())
-    q.insert(2, (), (S(0x200, 8),))
+    enqueue(q, 1, loads=(L(0x100, 8),))
+    enqueue(q, 2, stores=(S(0x200, 8),))
     st_acc = (S(0x100, 4),)
     assert q.find_blocker(AliasPolicy.METADATA, 3, (), st_acc) == 1
     assert q.find_blocker(AliasPolicy.ALL, 3, (), st_acc) == 2  # SQ scanned first
@@ -74,13 +80,13 @@ def test_store_blocked_by_older_loads_and_stores():
 
 def test_policy_none_never_blocks():
     q = queues()
-    q.insert(1, (), (S(0x100, 8),))
+    enqueue(q, 1, stores=(S(0x100, 8),))
     assert q.find_blocker(AliasPolicy.NONE, 2, (L(0x100, 8),), ()) is None
 
 
 def test_disjoint_ranges_pass_under_metadata():
     q = queues()
-    q.insert(1, (), (S(0x100, 8),))
+    enqueue(q, 1, stores=(S(0x100, 8),))
     assert q.find_blocker(
         AliasPolicy.METADATA, 2, (L(0x108, 8),), ()
     ) is None
@@ -90,24 +96,12 @@ def test_disjoint_ranges_pass_under_metadata():
 def test_missing_metadata_conflicts_with_everything():
     # A None access is a memory op whose addresses were not traced.
     q = queues()
-    q.insert(1, (), (None,))
+    enqueue(q, 1, stores=(None,))
     assert q.find_blocker(AliasPolicy.METADATA, 2, (L(0x9999, 1),), ()) == 1
     assert q.find_blocker(AliasPolicy.NONE, 2, (L(0x9999, 1),), ()) is None
 
 
 def test_younger_entries_never_block():
     q = queues()
-    q.insert(5, (), (S(0x100, 8),))
+    enqueue(q, 5, stores=(S(0x100, 8),))
     assert q.find_blocker(AliasPolicy.ALL, 2, (L(0x100, 8),), ()) is None
-
-
-def test_capacity_counts_slots_per_access():
-    q = queues(lq=2, sq=1)
-    assert q.can_insert(2, 0)
-    q.insert(1, (L(0x0, 1), L(0x8, 1)), ())
-    assert not q.can_insert(1, 0)
-    assert q.can_insert(0, 1)
-    q.insert(2, (), (S(0x0, 1),))
-    assert not q.can_insert(0, 1)
-    q.remove((L(0x0, 1), L(0x8, 1)), ())
-    assert q.can_insert(2, 0)
