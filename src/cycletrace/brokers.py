@@ -38,7 +38,8 @@ expression pass that both certifies it and captures every field, and
 builds each instruction's canonical trace line as it goes, so the
 frame's batch carries its text (Batch.text).  Any other frame, and a
 canonical one that is out of range, is decoded by json and from_wire,
-which raise the error the protocol calls for.
+which checks the JSON shape and holds the values to render_trace's
+rules, a trace line's.
 
 The socket module is imported where a socket is opened (listen, connect
 and send_trace), so reading a file does not load it.

@@ -7,7 +7,7 @@ Commands:
   model-check  load and validate a machine model file
 
 Exit codes: 0 success, 1 usage error, 2 input or parse error,
-3 wire-protocol error, 4 analysis error.
+3 wire-protocol error, 4 analysis error or truncated stream.
 
 The diff and trace commands import the modules only they use, so
 analyze does not load them.

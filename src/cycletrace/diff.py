@@ -115,6 +115,9 @@ def parse_ground_truth(text: str) -> list[tuple[float, float]]:
         if len(fields) != 3 or fields[0] != "G":
             raise TraceParseError(f"bad ground-truth line: '{body}'", lineno)
         try:
+            # float() would also read other scripts' digits.
+            if not body.isascii():
+                raise ValueError
             pair = (float(fields[1]), float(fields[2]))
             if not all(math.isfinite(c) and c > 0 for c in pair):
                 raise ValueError

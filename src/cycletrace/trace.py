@@ -21,10 +21,10 @@ read with universal newlines splits them, at LF, CRLF and CR only,
 whether the text comes from a file or from parse_trace.
 
 A canonical line's register lists are interned by their field text, and
-rendered register lists by their tuple: a static instruction re-executes
-with the same registers, so most lists repeat.  Each table is an
-_InternTable, cleared whenever it reaches _INTERN_BOUND entries, so its
-memory stays bounded on any input.
+a rendered line's class and register lists by their objects: a static
+instruction re-executes with the same class and registers.  Each table
+is an _InternTable, cleared whenever it reaches _INTERN_BOUND entries,
+so its memory stays bounded on any input.
 """
 
 from __future__ import annotations
@@ -458,73 +458,164 @@ def parse_trace(text: str) -> list[TraceInstruction]:
     return out
 
 
+@functools.cache
+def _wire_names():
+    """The fullmatch of _CLASS, _CTX_KEY and _CTX_VALUE, compiled on
+    first use: a run that renders no instruction does not compile them.
+    A name a canonical line cannot carry would render to the text, and
+    the digest, of another instruction."""
+    return tuple(re.compile(p).fullmatch for p in (_CLASS, _CTX_KEY,
+                                                    _CTX_VALUE))
+
+
+# The rules of a trace line's fields, one function each; each raises
+# TraceParseError naming the field as the wire table of the README does.
+_PAST_LIMIT = "holds an integer past the interpreter's digit limit"
+
+
+def _int(value, field: str) -> int:
+    """value, an int but not a bool; an int subclass is an integer."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TraceParseError(f"instruction field '{field}' must be an integer")
+
+
+def _int_text(value, field: str) -> str:
+    """value in decimal; past the interpreter's digit limit it has no
+    text, so no line carries it."""
+    try:
+        return str(_int(value, field))
+    except ValueError:
+        raise TraceParseError(f"instruction field '{field}' {_PAST_LIMIT}"
+                              ) from None
+
+
 def _class_text(name) -> str:
-    """name as a line writes it; one that no line carries (empty, or
-    holding whitespace, '#' or a surrogate) raises TraceParseError."""
-    text = f"{name}"
-    if not _wire_names()[0](text) or _not_utf8(text):
-        raise TraceParseError(f"bad class name {text!r}")
-    return text
+    if not isinstance(name, str) or not name:
+        raise TraceParseError(
+            "instruction field 'class' must be a non-empty string")
+    if not _wire_names()[0](name):
+        raise TraceParseError("instruction field 'class' may contain no "
+                              "whitespace and no '#'")
+    if _not_utf8(name):
+        raise TraceParseError("instruction field 'class' is not UTF-8")
+    return name
+
+
+def _reg_text(regs, field: str) -> str:
+    if not isinstance(regs, tuple):
+        raise TraceParseError(
+            f"instruction field '{field}' must be a tuple of integers")
+    for reg in regs:
+        if not isinstance(reg, int) or isinstance(reg, bool):
+            raise TraceParseError(f"register {reg!r} in instruction field "
+                                  f"'{field}' is not an integer")
+    text = ",".join([_int_text(reg, field) for reg in regs])
+    if regs and min(regs) < 0:  # a line carries no sign for a register
+        raise TraceParseError(f"negative register {min(regs)} in "
+                              f"instruction field '{field}'")
+    return text or "-"
+
+
+def _middle(key: tuple) -> str:
+    """The text of a line from the class to the writes."""
+    name, reads, writes = key
+    return (f" {_class_text(name)} R:{_reg_text(reads, 'reads')} "
+            f"W:{_reg_text(writes, 'writes')}")
+
+
+def _access_text(acc) -> str:
+    if not isinstance(acc, MemoryAccess):
+        raise TraceParseError(f"memory entry {acc!r} is not a MemoryAccess")
+    kind, a, s = acc
+    if kind is not _LOAD and kind is not _STORE:
+        raise TraceParseError(f"bad memory kind {kind!r}")
+    if 0 <= _int(a, "addr") < U64_LIMIT:  # else the address is reported
+        _int_text(s, "size")
+    _check_access(a, _int(s, "size"))
+    return f" {'L' if kind is _LOAD else 'S'}:{a:#x}:{s}"
 
 
 def _context_text(context) -> str:
-    """The C: token of context as a line writes it, with its leading
-    space; one that no line carries raises TraceParseError."""
-    key, value = f"{context[0]}", f"{context[1]}"
+    if not (isinstance(context, tuple) and len(context) == 2
+            and all(isinstance(part, str) for part in context)):
+        raise TraceParseError(
+            "instruction field 'ctx' must be a pair of strings")
+    key, value = context
     _, is_ctx_key, is_ctx_value = _wire_names()
-    if (not is_ctx_key(key) or not is_ctx_value(value)
-            or _not_utf8(key + value)):
-        raise TraceParseError(f"bad context {key!r}={value!r}")
+    if not is_ctx_key(key):
+        raise TraceParseError(
+            "instruction field 'ctx' key must be non-empty, with no "
+            "whitespace, no '#' and no '='")
+    if not is_ctx_value(value):
+        raise TraceParseError("instruction field 'ctx' value may contain "
+                              "no whitespace and no '#'")
+    if _not_utf8(key + value):
+        raise TraceParseError("instruction field 'ctx' is not UTF-8")
     return f" C:{key}={value}"
 
 
-def _reg_text(regs: tuple) -> str:
-    """regs as a line writes them, each held to from_wire's rule: one
-    that is not an int, is a bool or is negative raises TraceParseError,
-    and str raises ValueError for one past the interpreter's digit
-    limit."""
-    for reg in regs:
-        if not _is_int(reg) or reg < 0:
-            raise TraceParseError(f"register {reg!r} is not a register "
-                                  "number")
-    return ",".join(map(str, regs)) or "-"
+def _line(inst) -> str:
+    """inst's line, its fields checked in line order, so that an
+    instruction with several faults always reports the same one."""
+    seq, addr, name, reads, writes, mem, context = _field_values(inst)
+    text = _int_text(seq, "seq")
+    if seq < 0:
+        raise TraceParseError(f"negative sequence id {text}")
+    if not 0 <= _int(addr, "addr") < U64_LIMIT:
+        raise TraceParseError(f"address {addr:#x} out of range")
+    line = f"I {text} {addr:#x}{_middle((name, reads, writes))}"
+    if not isinstance(mem, tuple):
+        raise TraceParseError("instruction field 'mem' must be a tuple")
+    line += "".join(map(_access_text, mem))
+    return line if context is None else line + _context_text(context)
 
 
-# Register tuple, class name and context -> its text in a rendered line.
-_REG_TEXT = _InternTable(_reg_text)
-_CLASS_TEXT = _InternTable(_class_text)
+# (class name, reads, writes) -> _middle, and context -> its C: token.
+# Equal keys share an entry: once (1,) is interned, (True,) renders as 1.
+_MIDDLES = _InternTable(_middle)
 _CONTEXT_TEXT = _InternTable(_context_text)
 
 
 def render_trace(instructions: Iterable[TraceInstruction]) -> str:
     """The canonical text of instructions: one line each, newline ended.
 
-    An instruction that no trace line carries, for a register (see
-    _reg_text), its class name or context (see _class_text and
-    _context_text), a number past the interpreter's digit limit or a
-    field of the wrong type, such as a list of registers, raises
-    TraceParseError.
+    This is the one checker of an instruction's values.  An instruction
+    that no trace line carries raises TraceParseError: the README's wire
+    table sets out the rules, with tuples for the lists, a MemoryAccess
+    for each access and a pair of strs for the context.
     """
-    reg_text = _REG_TEXT
-    class_text = _CLASS_TEXT
+    middles = _MIDDLES
+    contexts = _CONTEXT_TEXT
     out: list[str] = []
     append = out.append
-    try:
-        for inst in instructions:
-            line = (f"I {inst.seq_id} {inst.address:#x} "
-                    f"{class_text[inst.class_name]} "
-                    f"R:{reg_text[inst.reads]} W:{reg_text[inst.writes]}")
-            for acc in inst.mem:
-                line += (f" {'L' if acc.kind is _LOAD else 'S'}:"
-                         f"{acc.address:#x}:{acc.size}")
+    for inst in instructions:
+        # Fields of exact types are rendered here from interned text; any
+        # other instruction, and any fault, is left to _line, which
+        # checks each field and raises the precise error.
+        try:
+            seq = inst.seq_id
+            addr = inst.address
+            mem = inst.mem
+            if (seq.__class__ is not int or addr.__class__ is not int
+                    or seq < 0 or addr < 0 or addr >= U64_LIMIT
+                    or mem.__class__ is not tuple):
+                raise ValueError
+            line = (f"I {seq} {addr:#x}"
+                    f"{middles[inst.class_name, inst.reads, inst.writes]}")
+            for acc in mem:
+                kind, a, s = acc
+                if (acc.__class__ is not MemoryAccess
+                        or a.__class__ is not int or s.__class__ is not int
+                        or not 0 <= a < a + s <= U64_LIMIT
+                        or kind is not _LOAD and kind is not _STORE):
+                    raise ValueError
+                line += f" {'L' if kind is _LOAD else 'S'}:{a:#x}:{s}"
             if inst.context is not None:
-                line += _CONTEXT_TEXT[inst.context]
-            append(line)
-    except ValueError:  # str() past the digit limit
-        raise TraceParseError("instruction holds an integer past the "
-                              "interpreter's digit limit") from None
-    except TypeError as e:  # say, a list where a table lookup hashes
-        raise TraceParseError(f"field of the wrong type: {e}") from None
+                line += contexts[inst.context]
+        except Exception:
+            line = _line(inst)
+        append(line)
     append("")  # the last line's newline
     return "\n".join(out)
 
@@ -554,141 +645,49 @@ def to_wire(inst: TraceInstruction) -> dict:
             for a in inst.mem
         ]
     if inst.context is not None:
-        # Context values compare as text everywhere; normalize here so a
-        # producer-side non-string value survives the wire.
+        # The engine reads a context value as its text, so a producer's
+        # non-string value is sent as that text.
         obj["ctx"] = [inst.context[0], str(inst.context[1])]
     return obj
 
 
-def _is_int(value) -> bool:
-    """An int subclass is an integer to the wire; bool is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _wire_int(value, key: str) -> int:
-    if not _is_int(value):
-        raise ProtocolError(f"instruction field '{key}' must be an integer")
-    return value
-
-
-def _decimal(value: int, key: str) -> str:
-    """value as render_trace writes it, in decimal.  An integer past the
-    interpreter's digit limit has no such text, so no trace line carries
-    it, and the wire refuses it."""
-    try:
-        return str(value)
-    except ValueError:
-        raise ProtocolError(
-            f"instruction field '{key}' holds an integer past the "
-            "interpreter's digit limit") from None
-
-
-def _wire_regs(obj: dict, key: str) -> tuple[int, ...]:
-    regs = obj.get(key, [])
-    if not isinstance(regs, list) or not all(map(_is_int, regs)):
-        raise ProtocolError(f"instruction field '{key}' must be a list of "
-                            "integers")
-    if regs:
-        # A trace line carries no sign, so neither may the wire.
-        low = min(regs)
-        if low < 0:
-            raise ProtocolError(f"negative register {_decimal(low, key)} "
-                                f"in instruction field '{key}'")
-        _decimal(max(regs), key)
-    return tuple(regs)
-
-
-_ABSENT = object()  # an omitted 'mem'; 'mem': null is refused
-
-
-@functools.cache
-def _wire_names():
-    """The fullmatch of _CLASS, _CTX_KEY and _CTX_VALUE, compiled on
-    first use: a run that decodes no wire object and renders no
-    instruction does not compile them.
-
-    The wire and render_trace take only class names and contexts a
-    canonical line can carry, so that no instruction renders to the
-    text, and the digest, of another.
-    """
-    return tuple(re.compile(p).fullmatch for p in (_CLASS, _CTX_KEY,
-                                                    _CTX_VALUE))
-
-
 def from_wire(obj: dict) -> TraceInstruction:
-    """Decode one wire instruction object, checking every field.
+    """Decode one wire instruction object.
 
-    Fields are checked in a fixed order, so an object with several
-    faults always reports the same one.
+    Only the JSON shape is checked here: the object is a dict, 'reads'
+    and 'writes' are lists, and 'mem' is a list of objects.  The values
+    are held to a trace line's rules by render_trace, whose
+    TraceParseError is raised as a ProtocolError.  Fields are checked in
+    a fixed order, so an object with several faults always reports the
+    same one.
     """
     if not isinstance(obj, dict):
         raise ProtocolError("instruction frame entry must be an object")
     get = obj.get
-    seq = _wire_int(get("seq"), "seq")
-    text = _decimal(seq, "seq")
-    if seq < 0:
-        raise ProtocolError(f"negative sequence id {text}")
-    addr = _wire_int(get("addr"), "addr")
-    if not 0 <= addr < U64_LIMIT:
-        raise ProtocolError(f"address {addr:#x} out of range")
-    cname = get("class")
-    if not isinstance(cname, str) or not cname:
-        raise ProtocolError("instruction field 'class' must be a string")
-    is_class, is_ctx_key, is_ctx_value = _wire_names()
-    if not is_class(cname):
-        raise ProtocolError("instruction field 'class' may contain no "
-                            "whitespace and no '#'")
-    if _not_utf8(cname):
-        raise ProtocolError("instruction field 'class' is not UTF-8")
-
-    entries = get("mem", _ABSENT)
-    if entries is _ABSENT:
-        mem = ()
-    else:
-        if not isinstance(entries, list):
-            raise ProtocolError("instruction field 'mem' must be a list")
-        mem = []
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise ProtocolError("memory entry must be an object")
-            kind = entry.get("kind")
-            if kind == "L":
-                k = _LOAD
-            elif kind == "S":
-                k = _STORE
-            else:
-                raise ProtocolError(f"bad memory kind {kind!r}")
-            a = _wire_int(entry.get("addr"), "addr")
-            s = _wire_int(entry.get("size"), "size")
-            if a < 0 or s < 1 or a + s > U64_LIMIT:
-                if 0 <= a < U64_LIMIT:  # else the address is reported
-                    _decimal(s, "size")
-                try:
-                    _check_access(a, s)
-                except TraceParseError as e:
-                    raise ProtocolError(str(e)) from None
-            mem.append(MemoryAccess(k, a, s))
-        mem = tuple(mem)
-
+    regs = []
+    for key in ("reads", "writes"):
+        value = get(key, [])
+        if not isinstance(value, list):
+            raise ProtocolError(f"instruction field '{key}' must be a list "
+                                "of integers")
+        regs.append(tuple(value))
+    entries = get("mem", [])  # 'mem': null is refused
+    if not isinstance(entries, list):
+        raise ProtocolError("instruction field 'mem' must be a list")
+    mem = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ProtocolError("memory entry must be an object")
+        kind = entry.get("kind")  # render_trace refuses all but L and S
+        kind = _LOAD if kind == "L" else _STORE if kind == "S" else kind
+        mem.append(MemoryAccess(kind, entry.get("addr"), entry.get("size")))
     ctx = get("ctx")
-    if ctx is None:
-        context = None
-    elif (isinstance(ctx, list) and len(ctx) == 2
-          and isinstance(ctx[0], str) and isinstance(ctx[1], str)):
-        if not is_ctx_key(ctx[0]):
-            raise ProtocolError(
-                "instruction field 'ctx' key must be non-empty, with no "
-                "whitespace, no '#' and no '='")
-        if not is_ctx_value(ctx[1]):
-            raise ProtocolError(
-                "instruction field 'ctx' value may contain no whitespace "
-                "and no '#'")
-        if _not_utf8(ctx[0] + ctx[1]):
-            raise ProtocolError("instruction field 'ctx' is not UTF-8")
-        context = (ctx[0], ctx[1])
-    else:
-        raise ProtocolError("instruction field 'ctx' must be a pair of "
-                            "strings")
-
-    return TraceInstruction(seq, addr, cname, _wire_regs(obj, "reads"),
-                            _wire_regs(obj, "writes"), mem, context)
+    if isinstance(ctx, list):
+        ctx = tuple(ctx)  # render_trace takes only a pair of strings
+    inst = TraceInstruction(get("seq"), get("addr"), get("class"), *regs,
+                            tuple(mem), ctx)
+    try:
+        render_trace((inst,))
+    except TraceParseError as e:
+        raise ProtocolError(str(e)) from None
+    return inst

@@ -10,8 +10,7 @@ from cycletrace import brokers, trace
 def fresh_intern_tables():
     """Start each test with every intern table empty, whatever ran first."""
     trace._REG_LISTS.clear()
-    trace._REG_TEXT.clear()
-    trace._CLASS_TEXT.clear()
+    trace._MIDDLES.clear()
     trace._CONTEXT_TEXT.clear()
     brokers._WIRE_REG_LISTS.clear()
 

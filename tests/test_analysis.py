@@ -14,11 +14,13 @@ import pytest
 import gen
 import refsim
 from cycletrace import (
+    AccessKind,
     AliasPolicy,
     AnalysisError,
     AnalysisReport,
     Batch,
     FileBroker,
+    MemoryAccess,
     Pipeline,
     PoolStats,
     RegionSpec,
@@ -233,9 +235,12 @@ def test_different_traces_get_different_digests(model):
     assert a.digest != b.digest
 
 
-# The last context renders as two valid lines, so without the refusal
-# this one-instruction trace would share a digest with a two-instruction
-# one.
+_LOAD_16 = MemoryAccess(AccessKind.LOAD, 16, 8)
+
+
+# The context-newline case renders as two valid lines, so without the
+# refusal this one-instruction trace would share a digest with a
+# two-instruction one.
 @pytest.mark.parametrize("inst,message", [
     (TraceInstruction(10 ** 5000, 0, "add"),
      "past the interpreter's digit limit"),
@@ -243,25 +248,54 @@ def test_different_traces_get_different_digests(model):
      "past the interpreter's digit limit"),
     (TraceInstruction(0, 0, "add", (-1,)), "register -1"),
     (TraceInstruction(0, 0, "add", (True,)), "register True"),
-    (TraceInstruction(0, 0, "add x"), "bad class name 'add x'"),
-    (TraceInstruction(0, 0, "add#"), "bad class name 'add#'"),
-    (TraceInstruction(0, 0, ""), "bad class name ''"),
-    (TraceInstruction(0, 0, "add\udcff"), "bad class name 'add\\udcff'"),
+    (TraceInstruction(0, 0, "add x"),
+     "instruction field 'class' may contain no whitespace and no '#'"),
+    (TraceInstruction(0, 0, "add#"),
+     "instruction field 'class' may contain no whitespace and no '#'"),
+    (TraceInstruction(0, 0, ""),
+     "instruction field 'class' must be a non-empty string"),
+    (TraceInstruction(0, 0, "add\udcff"),
+     "instruction field 'class' is not UTF-8"),
     (TraceInstruction(0, 0, "add", context=("a=b", "c")),
-     "bad context 'a=b'='c'"),
+     "instruction field 'ctx' key must be non-empty"),
     (TraceInstruction(0, 0, "add", context=("k\ud800", "v")),
-     "bad context 'k\\ud800'='v'"),
+     "instruction field 'ctx' is not UTF-8"),
     (TraceInstruction(0, 0, "add",
                       context=("k", "z\nI 1 0x0 nop R:- W:- C:x")),
-     "bad context 'k'='z\\nI 1 0x0 nop R:- W:- C:x'"),
+     "instruction field 'ctx' value may contain no whitespace and no '#'"),
     (TraceInstruction(0, 0, "add", [1], []),
-     "field of the wrong type: unhashable type: 'list'"),
+     "instruction field 'reads' must be a tuple of integers"),
     (TraceInstruction(0, 0, "add", context=("k", ["v"])),
-     "field of the wrong type: unhashable type: 'list'"),
+     "instruction field 'ctx' must be a pair of strings"),
+    (TraceInstruction(0, 1 << 64, "add"),
+     "address 0x10000000000000000 out of range"),
+    (TraceInstruction(0, -4, "add"), "address -0x4 out of range"),
+    (TraceInstruction(True, 0, "add"),
+     "instruction field 'seq' must be an integer"),
+    (TraceInstruction(0, True, "add"),
+     "instruction field 'addr' must be an integer"),
+    (TraceInstruction(0, 0, "ld", mem=(_LOAD_16._replace(size=0),)),
+     "access size 0 must be >= 1"),
+    (TraceInstruction(0, 0, "ld", mem=(_LOAD_16._replace(
+        address=(1 << 64) - 4),)),
+     "access at 0xfffffffffffffffc size 8 wraps past 2^64"),
+    (TraceInstruction(0, 0, "add", context="ab"),
+     "instruction field 'ctx' must be a pair of strings"),
+    (TraceInstruction(0, 0, "add", context=("a", "b", "c")),
+     "instruction field 'ctx' must be a pair of strings"),
+    (TraceInstruction(0, 0, "add", context=("a",)),
+     "instruction field 'ctx' must be a pair of strings"),
+    (TraceInstruction(0, 0, "ld", mem=(5,)),
+     "memory entry 5 is not a MemoryAccess"),
+    (TraceInstruction(0, 0, 5),
+     "instruction field 'class' must be a non-empty string"),
 ], ids=["long-seq", "long-register", "negative-register", "bool-register",
         "class-space", "class-hash", "class-empty", "class-surrogate",
         "context-key-equals", "context-surrogate", "context-newline",
-        "register-list", "context-list"])
+        "register-list", "context-list", "address-2^64", "address-negative",
+        "bool-seq", "bool-address", "access-size-0", "access-wraps",
+        "context-str", "context-3-tuple", "context-1-tuple",
+        "access-not-an-access", "class-int"])
 def test_digest_refuses_what_no_trace_line_carries(model, inst, message):
     # The file and wire inputs refuse these; an in-memory one must too,
     # or the digest would name a trace no file or stream can carry.

@@ -201,6 +201,7 @@ def test_parse_ground_truth():
     ("G 0 5\n", "bad cycle count"),
     ("G 4 -1\n", "bad cycle count"),
     ("G 1 2\nG 3 0\n", "line 2: bad cycle count"),
+    ("G \u0661\u0660 12\n", "bad cycle count"),
 ])
 def test_parse_ground_truth_rejects(text, match):
     with pytest.raises(TraceParseError, match=match):

@@ -200,8 +200,9 @@ def _entry(**fields):
     ({"seq": "0", "addr": 0, "class": "a"}, "'seq' must be an integer"),
     ({"seq": -1, "addr": 0, "class": "a"}, "negative"),
     ({"seq": 0, "addr": -3, "class": "a"}, "out of range"),
-    ({"seq": 0, "addr": 0, "class": ""}, "'class' must be a string"),
-    ({"seq": 0, "addr": 0, "class": "a", "reads": [True]}, "list of integers"),
+    ({"seq": 0, "addr": 0, "class": ""}, "'class' must be a non-empty string"),
+    ({"seq": 0, "addr": 0, "class": "a", "reads": [True]},
+     "register True in instruction field 'reads' is not an integer"),
     ({"seq": 0, "addr": 0, "class": "a", "mem": [{"kind": "X"}]},
      "bad memory kind"),
     ({"seq": 0, "addr": 0, "class": "a", "ctx": ["k"]}, "pair of strings"),
@@ -222,7 +223,7 @@ def _entry(**fields):
     (_wire(mem=[_entry(size=False)]),
      "instruction field 'size' must be an integer"),
     (_wire(writes=[1, False]),
-     "instruction field 'writes' must be a list of integers"),
+     "register False in instruction field 'writes' is not an integer"),
     (_wire(reads="1,2"),
      "instruction field 'reads' must be a list of integers"),
     (_wire(reads={"r": 1}),
@@ -235,10 +236,15 @@ def _entry(**fields):
     (_wire(mem=[_entry(addr=(1 << 64) - 4, size=8)]),
      "access at 0xfffffffffffffffc size 8 wraps past 2^64"),
     ({"seq": 0, "addr": 0, "class": 5},
-     "instruction field 'class' must be a string"),
+     "instruction field 'class' must be a non-empty string"),
     (_wire(ctx=["sz", 4]),
      "instruction field 'ctx' must be a pair of strings"),
-    (_wire(**{"class": ["a"]}), "instruction field 'class' must be a string"),
+    (_wire(ctx="ab"), "instruction field 'ctx' must be a pair of strings"),
+    (_wire(ctx=["a", "b", "c"]),
+     "instruction field 'ctx' must be a pair of strings"),
+    (_wire(addr=1 << 64), "address 0x10000000000000000 out of range"),
+    (_wire(**{"class": ["a"]}),
+     "instruction field 'class' must be a non-empty string"),
     # Names and contexts no trace line can carry.  The last class renders
     # to the canonical text of a two-instruction trace, digest included.
     (_wire(**{"class": "a b"}),
@@ -327,10 +333,10 @@ _PAST_LIMIT = "holds an integer past the interpreter's digit limit"
      "instruction field 'size' must be an integer",
      re.escape(f"instruction field 'size' {_PAST_LIMIT}")),
     (lambda v: _wire(reads=[v]), lambda inst: inst.reads[0],
-     "instruction field 'reads' must be a list of integers",
+     "register True in instruction field 'reads' is not an integer",
      re.escape(f"instruction field 'reads' {_PAST_LIMIT}")),
     (lambda v: _wire(writes=[2, v]), lambda inst: inst.writes[1],
-     "instruction field 'writes' must be a list of integers",
+     "register True in instruction field 'writes' is not an integer",
      re.escape(f"instruction field 'writes' {_PAST_LIMIT}")),
 ], ids=["seq", "addr", "mem-addr", "mem-size", "reads", "writes"])
 def test_from_wire_checks_each_integer_field(put, got, bool_message,
@@ -373,16 +379,65 @@ def _text_carries(inst):
 def test_wire_round_trip_property(inst):
     # The wire takes exactly the instructions a trace line carries.
     if not _text_carries(inst):
-        # The context is checked before the registers.
-        unsigned = TraceInstruction(inst.seq_id, inst.address, inst.class_name,
-                                    mem=inst.mem, context=inst.context)
-        cause = "negative register" if _text_carries(unsigned) else "'ctx'"
+        # The registers are checked before the context, in line order.
+        no_context = TraceInstruction(inst.seq_id, inst.address,
+                                      inst.class_name, inst.reads,
+                                      inst.writes, inst.mem)
+        cause = "'ctx'" if _text_carries(no_context) else "negative register"
         with pytest.raises(ProtocolError, match=cause):
             from_wire(to_wire(inst))
         return
     decoded = from_wire(json.loads(json.dumps(to_wire(inst))))
     assert decoded == inst
     assert from_wire(to_wire(inst)) == inst
+
+
+# Near-valid wire objects: each has the JSON shape from_wire checks, and
+# values on both sides of a trace line's rules.
+_U64 = 1 << 64
+_near_int = st.sampled_from(
+    [0, 1, -1, -4, _U64 - 8, _U64 - 1, _U64, _U64 + 1, -_U64, 10 ** 5000,
+     True, False, 1.0, 2.5, None, "1"]) | st.integers(-2, 1 << 66)
+_near_text = st.text(st.sampled_from(
+    ["a", "Z", "0", "_", ".", "=", "#", " ", "\t", "\n", "\x1c", "\x85",
+     "\xa0", "\u2028", "\u3000", "\ud800", "\udcff"])
+    | st.characters(), max_size=3)
+_near_objects = st.fixed_dictionaries({}, optional={
+    "seq": _near_int,
+    "addr": _near_int,
+    "class": _near_text | st.sampled_from([None, 5, True, ["a"]]),
+    "reads": st.lists(_near_int, max_size=3),
+    "writes": st.lists(_near_int, max_size=3),
+    "mem": st.lists(st.fixed_dictionaries(
+        {"kind": st.sampled_from(["L", "S"])},
+        optional={"addr": _near_int, "size": _near_int}), max_size=2),
+    "ctx": st.none() | st.lists(_near_text, min_size=2, max_size=2),
+})
+
+
+def _instruction_of_fields(obj):
+    """The instruction an object's fields hold, lists as tuples."""
+    mem = tuple(MemoryAccess(AccessKind.LOAD if e["kind"] == "L"
+                             else AccessKind.STORE, e.get("addr"),
+                             e.get("size")) for e in obj.get("mem", []))
+    ctx = obj.get("ctx")
+    return TraceInstruction(obj.get("seq"), obj.get("addr"), obj.get("class"),
+                            tuple(obj.get("reads", [])),
+                            tuple(obj.get("writes", [])), mem,
+                            None if ctx is None else tuple(ctx))
+
+
+@given(_near_objects)
+def test_from_wire_takes_exactly_the_objects_whose_instruction_renders(obj):
+    inst = _instruction_of_fields(obj)
+    try:
+        text = render_trace([inst])
+    except TraceParseError as e:
+        with pytest.raises(ProtocolError, match=f"^{re.escape(str(e))}$"):
+            from_wire(obj)
+        return
+    assert from_wire(obj) == inst
+    assert parse_trace(text) == [inst]
 
 
 # -- canonical wire frames ------------------------------------------------------
@@ -735,12 +790,13 @@ def test_out_of_range_canonical_lines_raise_as_the_general_path_does(
 
 def test_render_table_stays_bounded():
     bound = trace._INTERN_BOUND
-    insts = [TraceInstruction(i, 4 * i, f"c{i}", (i,), (i, 7), (), ("k", i))
+    insts = [TraceInstruction(i, 4 * i, f"c{i}", (i,), (i, 7), (),
+                              ("k", f"{i}"))
              for i in range(bound + 10)]
     expect = "".join(f"I {i} {4 * i:#x} c{i} R:{i} W:{i},7 C:k={i}\n"
                      for i in range(bound + 10))
     assert render_trace(insts) == expect
-    for table in (trace._REG_TEXT, trace._CLASS_TEXT, trace._CONTEXT_TEXT):
+    for table in (trace._MIDDLES, trace._CONTEXT_TEXT):
         assert len(table) <= bound
     assert render_trace(insts) == expect
     assert render_instruction(insts[-1]) == expect.splitlines()[-1]
