@@ -11,11 +11,12 @@ and is simply fetched again.
 
 The file broker reads up to max_n lines per fetch and decodes them as
 one chunk (trace.ChunkReader), which is the batch.  One regular
-expression pass decodes a chunk's canonical lines and certifies a chunk
-of nothing else, and the batch carries the chunk's text (Batch.text); a
-chunk's other lines, and a run of canonical lines holding a bad one,
-are parsed one by one with trace.parse_trace_line, and no chunk is read
-twice.  The socket broker hands out each decoded frame as one batch.
+expression findall tiles the chunk into its lines: a canonical line's
+fields are captured, and any other line is parsed with
+trace.parse_trace_line.  The batch carries its canonical lines' text
+(Batch.text) when the other lines hold no instruction.  A chunk holding
+a bad line is read again line by line, only for its error.  The socket
+broker hands out each decoded frame as one batch.
 
 The wire protocol is newline-delimited JSON, one frame per line:
 
@@ -252,11 +253,12 @@ class FileBroker(SequenceBroker):
     """Streams a trace file lazily, enforcing sequence id monotonicity.
 
     Each fetch reads up to max_n lines and decodes them as one chunk
-    (trace.ChunkReader), which is the batch: its canonical lines are
-    decoded in one regular expression pass, and its other lines one by
-    one.  A batch whose instructions were all read from canonical lines
-    carries their text (Batch.text): on a canonical file, each batch
-    carries its chunk's text as read.  Comment and blank lines count
+    (trace.ChunkReader), which is the batch: one regular expression
+    findall tiles the chunk into its lines, capturing each canonical
+    line's fields, and each other line is parsed on its own.  A batch
+    whose instructions were all read from canonical lines carries their
+    text (Batch.text): on a canonical file, each batch carries its
+    chunk's text as read.  Comment and blank lines count
     towards max_n, so a batch may hold fewer instructions, or none,
     without ending the stream.  A read that comes back short of max_n
     lines ends the stream, so a file whose line count is a multiple of

@@ -11,14 +11,13 @@ ASCII.  The wire encoding mirrors the same fields as a JSON object.
 
 A line spelled exactly as render_trace writes it, newline included, is
 canonical.  A whole trace is read a chunk of lines at a time
-(ChunkReader): one split of a regular expression over a chunk's
-joined text captures every canonical line's fields, and certifies the
-chunk when no other line lies between the matches.  The other lines of
-a chunk, and a run of canonical lines holding a bad one, are read one
-by one with parse_trace_line, which parses any spelling field by field
-and raises the error the format calls for.  Lines are split as a file
-read with universal newlines splits them, at LF, CRLF and CR only,
-whether the text comes from a file or from parse_trace.
+(ChunkReader): one findall of a regular expression tiles a chunk's
+joined text into its lines, capturing every canonical line's fields,
+and each other line is read with parse_trace_line, which parses any
+spelling field by field.  A chunk holding a bad line is read again
+line by line for the error the format calls for.  Lines are split as
+a file read with universal newlines splits them, at LF, CRLF and CR
+only, whether the text comes from a file or from parse_trace.
 
 A canonical line's register lists are interned by their field text, and
 a rendered line's class and register lists by their objects: a static
@@ -36,7 +35,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable
 from enum import Enum
-from itertools import compress, islice
+from itertools import islice
 
 from .errors import ProtocolError, TraceParseError
 
@@ -209,58 +208,22 @@ def _parse_int(token: str, line: int | None, what: str) -> int:
 # A line exactly as render_trace writes it, newline included: unsigned
 # decimals and lowercase 0x hex without leading zeros, bare register
 # numbers, accesses before the context.  \s is what str.split() splits
-# on.  The groups are the fields _canonical_instructions reads:
-# sequence id, address, class, reads, writes, every access as one
-# string, context key and context value.
+# on.  The groups are sequence id, address, class, reads, writes, every
+# access as one string, context key and context value.
 _NUM = r"(?:0|[1-9][0-9]*)"
 _HEX = r"0x(?:0|[1-9a-f][0-9a-f]*)"
 _REGS = rf"(?:-|{_NUM}(?:,{_NUM})*)"
 _CLASS = r"[^\s#]+"
 _CTX_KEY = r"[^\s#=]+"
 _CTX_VALUE = r"[^\s#]*"
-_CANONICAL_LINE = re.compile(
+_CANONICAL_LINE = (
     rf"I ({_NUM}) ({_HEX}) ({_CLASS}) R:({_REGS}) W:({_REGS})"
     rf"((?: [LS]:{_HEX}:[1-9][0-9]*)*)(?: C:({_CTX_KEY})=({_CTX_VALUE}))?\n"
 )
-
-
-def _canonical_instructions(
-    fields, last_seq: int = -1
-) -> list[TraceInstruction]:
-    """The instructions of canonical lines from each line's fields, the
-    groups of its _CANONICAL_LINE match.
-
-    Raises ValueError for a sequence id not greater than the one before
-    it (last_seq for the first), an address at or past 2^64, an access
-    past 2^64 or a number past the interpreter's digit limit.
-    """
-    reg_lists = _REG_LISTS
-    out = []
-    append = out.append
-    for seq, addr, cname, r_field, w_field, accesses, key, value in fields:
-        seq = int(seq)
-        if seq <= last_seq:
-            raise ValueError
-        last_seq = seq
-        addr = int(addr, 16)
-        if addr >= U64_LIMIT:
-            raise ValueError
-        mem = ()
-        if accesses:
-            mem = []
-            for tok in accesses.split():
-                a, s = tok[2:].split(":")
-                a = int(a, 16)
-                s = int(s)
-                if a + s > U64_LIMIT:
-                    raise ValueError
-                mem.append(MemoryAccess(_LOAD if tok[0] == "L" else _STORE,
-                                        a, s))
-            mem = tuple(mem)
-        append(TraceInstruction(seq, addr, cname, reg_lists[r_field],
-                                reg_lists[w_field], mem,
-                                None if key is None else (key, value)))
-    return out
+# Each match is one line: a canonical line's eight fields, or any other
+# line, newline included, in the ninth group.  Only a newline ends a
+# line, as io.StringIO(text, newline="\n") splits it.
+_LINE = re.compile(rf"{_CANONICAL_LINE}|(.+\n?|\n)")
 
 
 def parse_trace_line(
@@ -317,9 +280,6 @@ def parse_trace_line(
     )
 
 
-_GROUPS = _CANONICAL_LINE.groups
-
-
 def _not_utf8(text: str) -> bool:
     """Whether text holds a surrogate, which has no UTF-8 encoding.  A
     file read with errors="surrogateescape" holds one for each byte that
@@ -366,58 +326,67 @@ def _read_chunk(text: str, lineno: int, last_seq: int):
     """(instructions, text) of a chunk's joined lines, the first being
     line lineno + 1; raises the error of the first bad line.
 
-    One _CANONICAL_LINE.split finds the canonical lines: a match holds
-    one newline, at its end, so the pieces before, between and after
-    the matches (the gaps) hold the other lines.  When every gap is
-    empty the chunk is certified canonical and its text is returned as
-    read.  Otherwise each run of matches between two gaps keeps the
-    fields the split captured, and the gap lines are read one by one
-    (_read_lines).  A run that is out of range or out of sequence order
-    is read one by one too, for its error, and a chunk that is not
-    UTF-8 is read as one gap.
+    One _LINE.findall tiles the chunk into its lines.  A canonical
+    line's instruction is built from its fields, and any other line is
+    parsed by parse_trace_line.  The text returned is the chunk as read
+    when every line is canonical, its canonical lines when the other
+    lines hold no instruction, and None otherwise.  A chunk that is not
+    UTF-8, or that holds a bad line (out of range, out of sequence
+    order or malformed), is read one by one for its error.
     """
-    parts = [text] if _not_utf8(text) else _CANONICAL_LINE.split(text)
-    gaps = parts[::_GROUPS + 1]
-    del parts[::_GROUPS + 1]
-    if not any(gaps):
-        # A lazy zip reuses one tuple for every match; the walk below
-        # slices a list.
-        try:
-            return _canonical_instructions(zip(*[iter(parts)] * _GROUPS),
-                                           last_seq), text
-        except ValueError:
-            pass  # the run is read one by one below
-    fields = list(zip(*[iter(parts)] * _GROUPS))
-    lines = io.StringIO(text, newline="\n").readlines()
+    first_seq = last_seq
+    reg_lists = _REG_LISTS
     insts: list[TraceInstruction] = []
-    kept: list[str] = []  # the runs' lines
-    at = m = 0  # lines before match m
-    # Each gap that holds a line, then the last gap, which may be empty.
-    for j in [*compress(range(len(fields)), gaps), len(fields)]:
-        # Matches m to j - 1 are a run of whole canonical lines.
-        run = lines[at:at + j - m]
-        try:
-            insts += _canonical_instructions(fields[m:j], last_seq)
-        except ValueError:
-            insts += _read_lines(run, lineno + at, last_seq)
-        kept += run
-        at += len(run)
-        last_seq = insts[-1].seq_id if insts else last_seq
-        # A gap starts at a line start, so it is whole lines, except
-        # that its last line may have no newline.  Then that line runs on
-        # into match j, the tail of a longer line such as a comment
-        # quoting a record, and is read with the gap; or the gap is the
-        # last one, and its line, if it has one, ends the chunk.
-        gap = gaps[j]
-        n = gap.count("\n")
-        if gap[-1:] != "\n":
-            n += 1
-            j += 1
-        insts += _read_lines(lines[at:at + n], lineno + at, last_seq)
-        at += n
-        last_seq = insts[-1].seq_id if insts else last_seq
-        m = j
-    return insts, "".join(kept) if len(kept) == len(insts) else None
+    append = insts.append
+    others = 0  # lines that are not canonical
+    try:
+        if _not_utf8(text):
+            raise ValueError
+        matches = _LINE.findall(text)
+        for (seq, addr, name, r_field, w_field, accesses, key, value,
+             other) in matches:
+            if other:
+                others += 1
+                inst = parse_trace_line(other)
+                if inst is None:
+                    continue
+                if inst.seq_id <= last_seq:
+                    raise ValueError
+                last_seq = inst.seq_id
+                append(inst)
+                continue
+            seq = int(seq)
+            if seq <= last_seq:
+                raise ValueError
+            last_seq = seq
+            addr = int(addr, 16)
+            if addr >= U64_LIMIT:
+                raise ValueError
+            mem = ()
+            if accesses:
+                mem = []
+                for tok in accesses.split():
+                    a, s = tok[2:].split(":")
+                    a = int(a, 16)
+                    s = int(s)
+                    if a + s > U64_LIMIT:
+                        raise ValueError
+                    mem.append(MemoryAccess(_LOAD if tok[0] == "L"
+                                            else _STORE, a, s))
+                mem = tuple(mem)
+            append(TraceInstruction(seq, addr, name, reg_lists[r_field],
+                                    reg_lists[w_field], mem,
+                                    (key, value) if key else None))
+    except (ValueError, TraceParseError):
+        return _read_lines(io.StringIO(text, newline="\n"), lineno,
+                           first_seq), None
+    if not others:
+        return insts, text
+    if len(insts) > len(matches) - others:  # another line held one
+        return insts, None
+    lines = io.StringIO(text, newline="\n").readlines()
+    return insts, "".join([line for line, m in zip(lines, matches)
+                           if not m[8]])
 
 
 def _read_lines(lines: Iterable[str], lineno: int, last_seq: int):
@@ -558,7 +527,10 @@ def _context_text(context) -> str:
 def _line(inst) -> str:
     """inst's line, its fields checked in line order, so that an
     instruction with several faults always reports the same one."""
-    seq, addr, name, reads, writes, mem, context = _field_values(inst)
+    try:
+        seq, addr, name, reads, writes, mem, context = _field_values(inst)
+    except AttributeError:
+        raise TraceParseError(f"{inst!r} is not an instruction") from None
     text = _int_text(seq, "seq")
     if seq < 0:
         raise TraceParseError(f"negative sequence id {text}")
@@ -656,8 +628,10 @@ def from_wire(obj: dict) -> TraceInstruction:
 
     Only the JSON shape is checked here: the object is a dict, 'reads'
     and 'writes' are lists, and 'mem' is a list of objects.  The values
-    are held to a trace line's rules by render_trace, whose
-    TraceParseError is raised as a ProtocolError.  Fields are checked in
+    are held to a trace line's rules by _line, the checker behind
+    render_trace, whose TraceParseError is raised as a ProtocolError.
+    Unlike render_trace it interns nothing, so a register is refused or
+    taken whatever was rendered before.  Fields are checked in
     a fixed order, so an object with several faults always reports the
     same one.
     """
@@ -687,7 +661,7 @@ def from_wire(obj: dict) -> TraceInstruction:
     inst = TraceInstruction(get("seq"), get("addr"), get("class"), *regs,
                             tuple(mem), ctx)
     try:
-        render_trace((inst,))
+        _line(inst)
     except TraceParseError as e:
         raise ProtocolError(str(e)) from None
     return inst

@@ -289,13 +289,14 @@ _LOAD_16 = MemoryAccess(AccessKind.LOAD, 16, 8)
      "memory entry 5 is not a MemoryAccess"),
     (TraceInstruction(0, 0, 5),
      "instruction field 'class' must be a non-empty string"),
+    (object(), "is not an instruction"),
 ], ids=["long-seq", "long-register", "negative-register", "bool-register",
         "class-space", "class-hash", "class-empty", "class-surrogate",
         "context-key-equals", "context-surrogate", "context-newline",
         "register-list", "context-list", "address-2^64", "address-negative",
         "bool-seq", "bool-address", "access-size-0", "access-wraps",
         "context-str", "context-3-tuple", "context-1-tuple",
-        "access-not-an-access", "class-int"])
+        "access-not-an-access", "class-int", "not-an-instruction"])
 def test_digest_refuses_what_no_trace_line_carries(model, inst, message):
     # The file and wire inputs refuse these; an in-memory one must too,
     # or the digest would name a trace no file or stream can carry.

@@ -8,6 +8,7 @@ import socket
 import threading
 import time
 import warnings
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -184,19 +185,32 @@ def read_line_by_line(text):
     return insts
 
 
+def is_canonical_line(line):
+    """Whether line renders back to itself; comments and blank lines do
+    not hold an instruction, so they do not count against a batch."""
+    inst = parse_trace_line(line)
+    return inst is None or render_instruction(inst) + "\n" == line
+
+
 def drain_file(path, max_n):
-    """FileBroker's instructions for the file, or (error, line); every
-    batch that carries text carries the rendering of its instructions."""
+    """FileBroker's instructions for the file, or (error, line).  A batch
+    carries text exactly when every instruction line among its max_n
+    lines is canonical, and that text is the rendering of its
+    instructions."""
     broker = FileBroker(str(path))
     insts = []
     try:
-        while True:
-            batch = broker.fetch_batch(max_n)
-            if batch.text is not None:
-                assert batch.text == render_trace(batch.instructions)
-            insts.extend(batch.instructions)
-            if batch.end_of_stream:
-                return insts
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
+            while True:
+                batch = broker.fetch_batch(max_n)
+                lines = list(islice(f, max_n))
+                assert (batch.text is not None) == all(
+                    map(is_canonical_line, lines))
+                if batch.text is not None:
+                    assert batch.text == render_trace(batch.instructions)
+                insts.extend(batch.instructions)
+                if batch.end_of_stream:
+                    return insts
     except TraceParseError as e:
         return str(e), e.line
     finally:
@@ -356,8 +370,8 @@ def test_file_broker_reads_no_chunk_twice(tmp_path, monkeypatch, bad,
     path = tmp_path / "t.trace"
     path.write_text("".join(lines))
     # Records every method called on the pattern.
-    pattern = mock.Mock(wraps=trace._CANONICAL_LINE)
-    monkeypatch.setattr(trace, "_CANONICAL_LINE", pattern)
+    pattern = mock.Mock(wraps=trace._LINE)
+    monkeypatch.setattr(trace, "_LINE", pattern)
     chunks = []  # the line count of each chunk read
     read = trace.ChunkReader.read
 
@@ -372,7 +386,9 @@ def test_file_broker_reads_no_chunk_twice(tmp_path, monkeypatch, bad,
     else:
         assert got == (f"line 600: {message}", 600)
     assert chunks == [256, 256, 188]
-    assert [c[0] for c in pattern.mock_calls] == ["split"] * 3
+    # A chunk holding a bad line is read again line by line, without
+    # the pattern, only for its error.
+    assert [c[0] for c in pattern.mock_calls] == ["findall"] * 3
 
 
 # -- SocketBroker -------------------------------------------------------------
