@@ -628,12 +628,13 @@ def from_wire(obj: dict) -> TraceInstruction:
 
     Only the JSON shape is checked here: the object is a dict, 'reads'
     and 'writes' are lists, and 'mem' is a list of objects.  The values
-    are held to a trace line's rules by _line, the checker behind
-    render_trace, whose TraceParseError is raised as a ProtocolError.
-    Unlike render_trace it interns nothing, so a register is refused or
-    taken whatever was rendered before.  Fields are checked in
-    a fixed order, so an object with several faults always reports the
-    same one.
+    are held to a trace line's rules by render_trace, whose
+    TraceParseError is raised as a ProtocolError.  render_trace interns
+    register lists by equality, so once (1,) has rendered it would take
+    a JSON true or 2.0 as register 1 or 2; an object with a register
+    that is not an int is checked by _line, which interns nothing.
+    Fields are checked in a fixed order, so an object with several
+    faults always reports the same one.
     """
     if not isinstance(obj, dict):
         raise ProtocolError("instruction frame entry must be an object")
@@ -661,7 +662,12 @@ def from_wire(obj: dict) -> TraceInstruction:
     inst = TraceInstruction(get("seq"), get("addr"), get("class"), *regs,
                             tuple(mem), ctx)
     try:
-        _line(inst)
+        for reg in (*regs[0], *regs[1]):
+            if reg.__class__ is not int:
+                _line(inst)
+                break
+        else:
+            render_trace((inst,))
     except TraceParseError as e:
         raise ProtocolError(str(e)) from None
     return inst

@@ -362,8 +362,8 @@ def test_file_broker_reads_only_the_other_lines_one_by_one(tmp_path,
     ("I 5 0x960 add R:- W:-\n", "sequence id 5 not greater than previous 598"),
     ("I 599 0x960 add R:-\n", "truncated instruction record"),
 ], ids=["valid", "out-of-range", "out-of-order", "malformed"])
-def test_file_broker_reads_no_chunk_twice(tmp_path, monkeypatch, bad,
-                                          message):
+def test_file_broker_reads_each_chunk_from_the_file_once(
+        tmp_path, monkeypatch, bad, message):
     lines = [f"I {s} {4 * s:#x} add R:- W:-\n" for s in range(700)]
     if bad is not None:
         lines[599] = bad  # line 600, in the third 256-line chunk

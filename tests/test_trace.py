@@ -411,13 +411,13 @@ def test_wire_round_trip_property(inst):
 # Near-valid wire objects: each has the JSON shape from_wire checks, and
 # values on both sides of a trace line's rules.
 _U64 = 1 << 64
-_near_int = st.sampled_from(
-    [0, 1, -1, -4, _U64 - 8, _U64 - 1, _U64, _U64 + 1, -_U64, 10 ** 5000,
-     True, False, 1.0, 2.5, None, "1"]) | st.integers(-2, 1 << 66)
-_near_text = st.text(st.sampled_from(
-    ["a", "Z", "0", "_", ".", "=", "#", " ", "\t", "\n", "\x1c", "\x85",
-     "\xa0", "\u2028", "\u3000", "\ud800", "\udcff"])
-    | st.characters(), max_size=3)
+_EDGE_INTS = [0, 1, -1, -4, _U64 - 8, _U64 - 1, _U64, _U64 + 1, -_U64,
+              10 ** 5000, True, False, 1.0, 2.5, None, "1"]
+_EDGE_CHARS = ["a", "Z", "0", "_", ".", "=", "#", " ", "\t", "\n", "\x1c",
+               "\x85", "\xa0", "\u2028", "\u3000", "\ud800", "\udcff"]
+_near_int = st.sampled_from(_EDGE_INTS) | st.integers(-2, 1 << 66)
+_near_text = st.text(st.sampled_from(_EDGE_CHARS) | st.characters(),
+                     max_size=3)
 _near_objects = st.fixed_dictionaries({}, optional={
     "seq": _near_int,
     "addr": _near_int,
@@ -443,20 +443,51 @@ def _instruction_of_fields(obj):
                             None if ctx is None else tuple(ctx))
 
 
-@given(_near_objects)
-def test_from_wire_takes_exactly_the_objects_whose_instruction_renders(obj):
+def _one_field_off():
+    """Valid wire objects with one value replaced by an edge value, so
+    that each edge reaches render_trace's fast path, which takes only
+    an instruction whose every other field is valid."""
+    valid = {"seq": 7, "addr": 64, "class": "add", "reads": [1],
+             "writes": [2], "mem": [{"kind": "L", "addr": 16, "size": 8}],
+             "ctx": ["k", "v"]}
+    for v in _EDGE_INTS:
+        yield from ({**valid, "seq": v}, {**valid, "addr": v},
+                    {**valid, "reads": [v]}, {**valid, "writes": [2, v]},
+                    {**valid, "mem": [{"kind": "S", "addr": v, "size": 8}]},
+                    {**valid, "mem": [{"kind": "L", "addr": 16, "size": v}]})
+    for c in ["", *_EDGE_CHARS]:
+        yield from ({**valid, "class": f"a{c}"}, {**valid, "class": c},
+                    {**valid, "ctx": [c, "v"]}, {**valid, "ctx": ["k", c]})
+
+
+def _check_from_wire_against_render_trace(obj):
+    """from_wire takes obj exactly when render_trace takes its instruction,
+    and refuses it with render_trace's message."""
     inst = _instruction_of_fields(obj)
+    # render_trace interns register lists and contexts by equality, so
+    # once (1,) has rendered it takes (True,) as well; fresh tables make
+    # what it accepts depend on obj alone.
+    trace._MIDDLES.clear()
+    trace._CONTEXT_TEXT.clear()
     try:
-        # The checker behind render_trace, which interns nothing: what
-        # render_trace accepts of equal but other types (True for 1)
-        # depends on what it rendered before.
-        text = trace._line(inst) + "\n"
+        text = render_trace([inst])
     except TraceParseError as e:
         with pytest.raises(ProtocolError, match=f"^{re.escape(str(e))}$"):
             from_wire(obj)
         return
+    assert text == trace._line(inst) + "\n"
     assert from_wire(obj) == inst
     assert parse_trace(text) == [inst]
+
+
+@given(_near_objects)
+def test_from_wire_takes_exactly_the_objects_whose_instruction_renders(obj):
+    _check_from_wire_against_render_trace(obj)
+
+
+def test_from_wire_takes_exactly_the_instructions_one_field_off_renders():
+    for obj in _one_field_off():
+        _check_from_wire_against_render_trace(obj)
 
 
 # -- canonical wire frames ------------------------------------------------------
