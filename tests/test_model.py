@@ -7,12 +7,16 @@ import pytest
 
 import gen
 from cycletrace import (
+    AnalysisReport,
     ModelError,
     Pipeline,
+    PoolStats,
+    SummaryStats,
     load_model,
     render_model,
     validate_model,
 )
+from cycletrace.analysis import RegionStats
 
 MINIMAL = """
 {
@@ -298,3 +302,63 @@ RENDERED = """\
 
 def test_render_model_writes_these_bytes():
     assert render_model(load_model(RENDERED)) == RENDERED
+
+
+# A region report, and AnalysisReport.to_json's bytes for it: two-space
+# indent, report_version first, then the report's keys in their table's
+# order; floats as repr writes them, per_visit pairs as objects.
+REPORT = AnalysisReport(
+    model_name="rt", source="loop.trace", digest="ab" * 32,
+    alias_policy="metadata", truncated=False,
+    summary=SummaryStats(instructions=7, total_cycles=6, total_uops=9,
+                         dispatch_width=2, uops_per_cycle=1.5,
+                         ipc=7 / 6, block_rthroughput=3.0),
+    pool=PoolStats(total_allocated=8, total_recycled=1, peak_live=7),
+    missing_metadata=2,
+    regions=RegionStats(visits=2, instructions=7, cycles=6,
+                        per_visit=((4, 4), (3, 2))))
+REPORT_TEXT = """\
+{
+  "report_version": 1,
+  "model": "rt",
+  "source": "loop.trace",
+  "digest": "abababababababababababababababababababababababababababababababab",
+  "alias_policy": "metadata",
+  "truncated": false,
+  "summary": {
+    "instructions": 7,
+    "total_cycles": 6,
+    "total_uops": 9,
+    "dispatch_width": 2,
+    "uops_per_cycle": 1.5,
+    "ipc": 1.1666666666666667,
+    "block_rthroughput": 3.0
+  },
+  "pool": {
+    "total_allocated": 8,
+    "total_recycled": 1,
+    "peak_live": 7
+  },
+  "missing_metadata": 2,
+  "regions": {
+    "visits": 2,
+    "instructions": 7,
+    "cycles": 6,
+    "per_visit": [
+      {
+        "instructions": 4,
+        "cycles": 4
+      },
+      {
+        "instructions": 3,
+        "cycles": 2
+      }
+    ]
+  }
+}
+"""
+
+
+def test_report_to_json_writes_these_bytes():
+    assert REPORT.to_json() == REPORT_TEXT
+    assert AnalysisReport.from_json(REPORT_TEXT) == REPORT
