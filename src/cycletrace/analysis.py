@@ -24,12 +24,12 @@ from collections import namedtuple
 from itertools import chain, groupby
 
 from .brokers import BrokerStream
-from .engine import _POOL_KINDS, Pipeline, PoolStats
-from .errors import AnalysisError, TraceParseError
+from .engine import Pipeline, PoolStats
+from .errors import AnalysisError, ModelError, TraceParseError
 from .lsunit import AliasPolicy
-from .model import MachineModel
+from .model import _REQUIRED, MachineModel, _Table
 from .trace import read_int, render_trace
-from .views import _SUMMARY_KINDS, SummaryStats, TimelineRecorder, summarize
+from .views import SummaryStats, TimelineRecorder, summarize
 
 
 class RegionSpec(namedtuple("RegionSpec", "entries ranges starts")):
@@ -97,12 +97,7 @@ def parse_regions(text: str) -> RegionSpec:
     return RegionSpec.from_ranges(entries)
 
 
-# The JSON type of each RegionStats field.  per_visit holds
-# (instructions, cycles) pairs, written as objects of _VISIT_KINDS.
-_REGION_KINDS = {"visits": int, "instructions": int, "cycles": int,
-                 "per_visit": list}
-_VISIT_KINDS = {"instructions": int, "cycles": int}
-RegionStats = namedtuple("RegionStats", _REGION_KINDS)
+RegionStats = namedtuple("RegionStats", "visits instructions cycles per_visit")
 
 
 class AnalysisReport(namedtuple(
@@ -111,26 +106,7 @@ class AnalysisReport(namedtuple(
     __slots__ = ()
 
     def to_json(self) -> str:
-        doc = {
-            "report_version": 1,
-            "model": self.model_name,
-            "source": self.source,
-            "digest": self.digest,
-            "alias_policy": self.alias_policy,
-            "truncated": self.truncated,
-            "summary": self.summary._asdict(),
-            "pool": self.pool._asdict(),
-            "missing_metadata": self.missing_metadata,
-            "regions": None if self.regions is None else {
-                "visits": self.regions.visits,
-                "instructions": self.regions.instructions,
-                "cycles": self.regions.cycles,
-                "per_visit": [
-                    {"instructions": n, "cycles": c}
-                    for n, c in self.regions.per_visit
-                ],
-            },
-        }
+        doc = {"report_version": 1, **_REPORT.doc(self)}
         return json.dumps(doc, indent=2) + "\n"
 
     @classmethod
@@ -141,77 +117,36 @@ class AnalysisReport(namedtuple(
         except json.JSONDecodeError as e:
             raise TraceParseError(f"report is not valid JSON: {e.msg}") from None
         # True and 1.0 equal 1, but only the integer is version 1.
-        version = doc.get("report_version") if isinstance(doc, dict) else None
+        version = type(doc) is dict and doc.pop("report_version", None)
         if type(version) is not int or version != 1:
             raise TraceParseError("not an analysis report (missing version)")
-        f = _fields(doc, _REPORT_KINDS, "", exact=False)
-        regions = None
-        if f["regions"] is not None:
-            r = _fields(f["regions"], _REGION_KINDS, "regions.")
-            per_visit = []
-            for i, v in enumerate(r["per_visit"]):
-                where = f"regions.per_visit[{i}]"
-                visit = _fields(_typed(v, dict, where), _VISIT_KINDS,
-                                where + ".")
-                per_visit.append((visit["instructions"], visit["cycles"]))
-            regions = RegionStats(r["visits"], r["instructions"],
-                                  r["cycles"], tuple(per_visit))
-        return cls(
-            model_name=f["model"],
-            source=f["source"],
-            digest=f["digest"],
-            alias_policy=f["alias_policy"],
-            truncated=f["truncated"],
-            summary=SummaryStats(**_fields(
-                f["summary"], _SUMMARY_KINDS, "summary.")),
-            pool=PoolStats(**_fields(f["pool"], _POOL_KINDS, "pool.")),
-            missing_metadata=f["missing_metadata"],
-            regions=regions,
-        )
+        try:
+            return _REPORT.read(doc, "report", root=True)
+        except ModelError as e:  # the codec's error class, for models too
+            raise TraceParseError(f"malformed analysis report: {e}") from None
 
 
-# The JSON type of each report field; summary, pool and regions are read
-# by the tables their types are built from.
-_REPORT_KINDS = {"model": str, "source": str, "digest": str,
-                 "alias_policy": str, "truncated": bool, "summary": dict,
-                 "pool": dict, "missing_metadata": int,
-                 "regions": (dict, type(None))}
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
-               bool: "true or false", list: "a list", dict: "an object",
-               (dict, type(None)): "an object or null"}
+# A report's JSON objects, read and written by the model's codec.  Every
+# field is required, and each key but 'model' names the attribute it
+# fills.
+def _required(**kinds) -> dict:
+    return {key: (key, kind, _REQUIRED) for key, kind in kinds.items()}
 
 
-def _malformed(what: str) -> TraceParseError:
-    return TraceParseError(f"malformed analysis report: {what}")
-
-
-def _typed(v, kind, name: str):
-    """v, refused unless it has kind's JSON type.
-
-    A bool never passes for an int or a number, nor a number for a bool;
-    an int passes for a number and is read as a float.  Every integer
-    field of a report is a count, so a negative integer is refused.
-    """
-    if not (isinstance(v, (int, float) if kind is float else kind)
-            and isinstance(v, bool) == (kind is bool)):
-        raise _malformed(f"'{name}' must be {_KIND_NAMES[kind]}, "
-                         f"got {json.dumps(v)}")
-    if kind is int and v < 0:
-        raise _malformed(f"'{name}' must not be negative, got {v}")
-    return float(v) if kind is float else v
-
-
-def _fields(obj: dict, kinds: dict, where: str, exact: bool = True) -> dict:
-    """obj's fields named in kinds, each checked by _typed; with exact
-    set, obj may hold no other field."""
-    for key in kinds:
-        if key not in obj:
-            raise _malformed(f"missing field '{where}{key}'")
-    if exact:
-        for key in obj:
-            if key not in kinds:
-                raise _malformed(f"unknown field '{where}{key}'")
-    return {k: _typed(obj[k], kind, where + k) for k, kind in kinds.items()}
+_VISIT = _Table("visit", lambda instructions, cycles: (instructions, cycles),
+                _required(instructions=int, cycles=int))
+_REGIONS = _Table("regions", RegionStats, _required(
+    visits=int, instructions=int, cycles=int, per_visit=[_VISIT]))
+_SUMMARY = _Table("summary", SummaryStats, _required(
+    instructions=int, total_cycles=int, total_uops=int, dispatch_width=int,
+    uops_per_cycle=float, ipc=float, block_rthroughput=float))
+_POOL = _Table("pool", PoolStats, _required(
+    total_allocated=int, total_recycled=int, peak_live=int))
+_REPORT = _Table("report", AnalysisReport, {
+    "model": ("model_name", str, _REQUIRED), **_required(
+        source=str, digest=str, alias_policy=str, truncated=bool,
+        summary=_SUMMARY, pool=_POOL, missing_metadata=int,
+        regions=(_REGIONS, None))})
 
 
 class _HashingBroker:

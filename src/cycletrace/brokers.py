@@ -38,9 +38,9 @@ canonical.  The socket broker reads such a frame in one regular
 expression pass that both certifies it and captures every field, and
 builds each instruction's canonical trace line as it goes, so the
 frame's batch carries its text (Batch.text).  Any other frame, and a
-canonical one that is out of range, is decoded by json and from_wire,
-which checks the JSON shape and holds the values to render_trace's
-rules, a trace line's.
+canonical one that is out of range, is decoded by json and as from_wire
+decodes each object, which renders its trace line to check it; the
+lines are kept as the batch's text, so every 'insts' frame has its text.
 
 The socket module is imported where a socket is opened (listen, connect
 and send_trace), so reading a file does not load it.
@@ -66,7 +66,7 @@ from .trace import (
     ChunkReader,
     MemoryAccess,
     TraceInstruction,
-    from_wire,
+    _wire_line,
     to_wire,
 )
 
@@ -394,7 +394,9 @@ class SocketBroker:
             objs = frame.get("batch")
             if not isinstance(objs, list):
                 raise ProtocolError("'insts' frame without a batch list")
-            batch = Batch(tuple(map(from_wire, objs)))
+            decoded = [_wire_line(obj) for obj in objs]
+            batch = Batch(tuple(inst for inst, _ in decoded),
+                          text="".join(line for _, line in decoded))
         for inst in batch.instructions:
             if inst.seq_id <= last_seq:
                 raise ProtocolError(

@@ -139,10 +139,7 @@ class InstrRecord:
         self.stores: tuple = ()
 
 
-# The JSON type of each PoolStats field, as a report reads it back.
-_POOL_KINDS = {"total_allocated": int, "total_recycled": int,
-               "peak_live": int}
-PoolStats = namedtuple("PoolStats", _POOL_KINDS)
+PoolStats = namedtuple("PoolStats", "total_allocated total_recycled peak_live")
 
 
 def _order_error(seq: int, last: int) -> AnalysisError:

@@ -48,91 +48,127 @@ class MachineModel(namedtuple(
 
 
 # ---------------------------------------------------------------------------
-# JSON load / render
+# JSON codec: models here, and analysis reports through the same tables
 
 _REQUIRED = object()
+# Each JSON type's name in messages, and the types json.loads gives for
+# it: an integer is a number too, and a bool is neither.
+_TYPES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
+          str: ("a string", (str,)), bool: ("a boolean", (bool,)),
+          dict: ("an object", (dict,)), list: ("a list", (list,))}
 
 
-def _resource(obj, where: str) -> ResourceDesc:
-    return ResourceDesc(**_read(obj, _RESOURCE, "resource"))
+def _must(subject: str, name: str, v) -> ModelError:
+    return ModelError(f"{subject} must be {name}, got {json.dumps(v)}")
 
 
-def _use(obj, where: str) -> tuple[str, int]:
-    return tuple(_read(obj, _USE, f"{where} resource use").values())
+class _Table:
+    """One kind of JSON object, read into a tuple and written from one.
+
+    what names the object in messages, and make builds its tuple from
+    keyword arguments.  fields maps each JSON key, in the order of the
+    tuple's items, to the argument it fills, its kind and its default
+    (_REQUIRED when it has none).  A kind is a JSON type (int, float,
+    str, bool or dict), a table for a nested object, [table] for a list
+    of them, or (kind, None) when null is allowed too.  An int kind is a
+    count or a size, so a negative one is refused; a float kind reads an
+    integer as a float.  An object may hold no other field.
+    """
+
+    __slots__ = ("what", "make", "fields")
+
+    def __init__(self, what: str, make, fields: dict):
+        self.what, self.make, self.fields = what, make, {}
+        for key, (attr, kind, default) in fields.items():
+            null = type(kind) is tuple
+            base = kind[0] if null or type(kind) is list else kind
+            table = base if type(base) is _Table else None
+            name, types = _TYPES[list if type(kind) is list
+                                 else dict if table else base]
+            if null:
+                name, types = f"{name} or null", (*types, type(None))
+            self.fields[key] = (attr, kind, default, name, types, table)
+
+    def read(self, obj, where: str, root: bool = False):
+        """The tuple obj holds.  Messages name obj by where, a nested
+        object by where and its what (by its what alone in a root), and a
+        list entry by its index too, until its 'name' is read."""
+        if type(obj) is not dict:
+            raise _must(f"{where}:", "an object", obj)
+        unknown = obj.keys() - self.fields
+        if unknown:
+            raise ModelError(f"{where}: unknown field(s) "
+                             + ", ".join(map(repr, sorted(unknown))))
+        values = {}
+        for key, (attr, kind, default, name, types, table) in (
+                self.fields.items()):
+            if key not in obj:
+                if default is _REQUIRED:
+                    raise ModelError(f"{where}: missing field '{key}'")
+                values[attr] = default
+                continue
+            v = obj[key]
+            t = type(v)
+            if t not in types:
+                raise _must(f"{where}: field '{key}'", name, v)
+            if t is int:
+                if kind is float:
+                    v = float(v)
+                elif v < 0:
+                    raise ModelError(f"{where}: field '{key}' must not be "
+                                     f"negative, got {v}")
+            elif table is not None and v is not None:
+                at = ("" if root else f"{where} ") + table.what
+                v = table.read(v, at) if t is dict else tuple(
+                    table.read(entry, f"{at}[{i}]")
+                    for i, entry in enumerate(v))
+            elif key == "name" and not root:
+                where = f"{self.what} '{v}'"
+            values[attr] = v
+        return self.make(**values)
+
+    def doc(self, value) -> dict:
+        """value as the JSON object this table describes."""
+        doc = {}
+        for (key, (_, kind, *_, table)), v in zip(self.fields.items(),
+                                                  value):
+            if table is not None and v is not None:
+                v = table.doc(v) if type(kind) is not list else [
+                    table.doc(entry) for entry in v]
+            doc[key] = v
+        return doc
 
 
-def _instr_class(obj, where: str) -> InstrClass:
-    return InstrClass(**_read(obj, _CLASS, "class"))
-
-
-# Each table maps the JSON keys of one kind of object to the attribute a
-# key fills, its JSON type and its default (_REQUIRED when it has none).
-# A list of objects has for its type the function that reads one entry.
-_RESOURCE = {"name": ("name", str, _REQUIRED),
-             "units": ("units", int, _REQUIRED)}
-_USE = {"resource": (0, str, _REQUIRED), "cycles": (1, int, 1)}  # a pair
-_CLASS = {
+_USE = _Table("resource use", lambda resource, cycles: (resource, cycles), {
+    "resource": ("resource", str, _REQUIRED), "cycles": ("cycles", int, 1)})
+_RESOURCE = _Table("resource", ResourceDesc, {
+    "name": ("name", str, _REQUIRED), "units": ("units", int, _REQUIRED)})
+_CLASS = _Table("class", InstrClass, {
     "name": ("name", str, _REQUIRED),
     "latency": ("latency", int, _REQUIRED),
     "uops": ("num_uops", int, 1),
-    "uses": ("resource_usage", _use, ()),
+    "uses": ("resource_usage", [_USE], ()),
     "may_load": ("may_load", bool, False),
     "may_store": ("may_store", bool, False),
     "is_branch": ("is_branch", bool, False),
-    "context_key": ("context_latency_key", (str, type(None)), None),
-}
-_MODEL = {
+    "context_key": ("context_latency_key", (str, None), None),
+})
+_MODEL = _Table("model", MachineModel, {
     "name": ("name", str, _REQUIRED),
     "dispatch_width": ("dispatch_width", int, _REQUIRED),
     "retire_width": ("retire_width", int, None),  # None: dispatch_width
     "rob_size": ("reorder_buffer_size", int, _REQUIRED),
     "lq_size": ("load_queue_size", int, 16),
     "sq_size": ("store_queue_size", int, 16),
-    "resources": ("resources", _resource, ()),
-    "classes": ("classes", _instr_class, ()),
+    "resources": ("resources", [_RESOURCE], ()),
+    "classes": ("classes", [_CLASS], ()),
     "context_tables": ("context_latency_tables", dict, {}),
-}
-_ENTRIES = {_resource: _RESOURCE, _use: _USE, _instr_class: _CLASS}
-_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean",
-               dict: "an object", (str, type(None)): "a string or null"}
+})
 
 
 def _expect(cond: bool, message: str):
     if not cond:
         raise ModelError(message)
-
-
-def _is(v, kind) -> bool:
-    """Whether v has kind's JSON type; a bool is never an integer."""
-    return isinstance(v, kind) and isinstance(v, bool) == (kind is bool)
-
-
-def _read(obj, keys: dict, what: str) -> dict:
-    """obj's fields by attribute, each checked and defaulted by keys;
-    messages call obj what, and a list entry by its name once read."""
-    _expect(isinstance(obj, dict), f"{what}: expected an object")
-    unknown = sorted(obj.keys() - keys)
-    _expect(not unknown, f"{what}: unknown field(s) {', '.join(unknown)}")
-    where = what
-    fields = {}
-    for key, (attr, kind, default) in keys.items():
-        if key not in obj:
-            _expect(default is not _REQUIRED,
-                    f"{where}: missing field '{key}'")
-            fields[attr] = default
-            continue
-        v = obj[key]
-        if kind in _ENTRIES:
-            _expect(isinstance(v, list),
-                    f"{where}: field '{key}' must be a list")
-            v = tuple(kind(entry, where) for entry in v)
-        else:
-            _expect(_is(v, kind),
-                    f"{where}: field '{key}' must be {_TYPE_NAMES[kind]}")
-        fields[attr] = v
-        if key == "name" and what != "model":
-            where = f"{what} '{v}'"
-    return fields
 
 
 def load_model(text: str) -> MachineModel:
@@ -143,15 +179,17 @@ def load_model(text: str) -> MachineModel:
         raise ModelError(
             f"model parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
-    model = MachineModel(**_read(raw, _MODEL, "model"))
+    model = _MODEL.read(raw, "model", root=True)
     # A copy, so that no two models share the default {}.
     tables = dict(model.context_latency_tables)
     for key, table in tables.items():
         where = f"context table '{key}'"
-        _expect(isinstance(table, dict), f"{where}: must be an object")
+        if type(table) is not dict:
+            raise _must(f"{where}:", "an object", table)
         for value, lat in table.items():
-            _expect(_is(lat, int),
-                    f"{where}: latency for '{value}' must be an integer")
+            if type(lat) is not int:
+                raise _must(f"{where}: latency for '{value}'", "an integer",
+                            lat)
     width = model.retire_width
     model = model._replace(context_latency_tables=tables, retire_width=(
         model.dispatch_width if width is None else width))
@@ -218,19 +256,6 @@ def validate_model(model: MachineModel):
             )
 
 
-def _doc(obj, keys: dict) -> dict:
-    """obj as the JSON object keys describes, entries of lists included."""
-    if type(obj) is tuple:  # a resource use, not a model named tuple
-        return dict(zip(keys, obj))
-    doc = {}
-    for key, (attr, kind, _) in keys.items():
-        v = getattr(obj, attr)
-        if kind in _ENTRIES:
-            v = [_doc(entry, _ENTRIES[kind]) for entry in v]
-        doc[key] = v
-    return doc
-
-
 def render_model(model: MachineModel) -> str:
     """Serialize a model to JSON text; load_model inverts this exactly."""
-    return json.dumps(_doc(model, _MODEL), indent=2) + "\n"
+    return json.dumps(_MODEL.doc(model), indent=2) + "\n"

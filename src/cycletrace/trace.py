@@ -114,10 +114,11 @@ class Batch(namedtuple("Batch", "instructions end_of_stream stalled text",
     the driver never reads it.
 
     text, when set, is the batch's canonical text, render_trace of its
-    instructions, as read from the source; the digest hashes it without
-    rendering.  FileBroker sets it when every instruction of the batch
-    was read from a canonical line, and SocketBroker when the batch's
-    frame is canonical; any other source leaves it None.
+    instructions, as the broker read it or rendered it to check them;
+    the digest hashes it without rendering again.  FileBroker sets it
+    when every instruction of the batch was read from a canonical line,
+    and SocketBroker on every 'insts' frame; any other source leaves it
+    None.
     """
 
     __slots__ = ()
@@ -636,6 +637,12 @@ def from_wire(obj: dict) -> TraceInstruction:
     Fields are checked in a fixed order, so an object with several
     faults always reports the same one.
     """
+    return _wire_line(obj)[0]
+
+
+def _wire_line(obj) -> tuple[TraceInstruction, str]:
+    """from_wire's instruction, and the trace line that checking it
+    rendered, newline included."""
     if not isinstance(obj, dict):
         raise ProtocolError("instruction frame entry must be an object")
     get = obj.get
@@ -664,10 +671,7 @@ def from_wire(obj: dict) -> TraceInstruction:
     try:
         for reg in (*regs[0], *regs[1]):
             if reg.__class__ is not int:
-                _line(inst)
-                break
-        else:
-            render_trace((inst,))
+                return inst, _line(inst) + "\n"
+        return inst, render_trace((inst,))
     except TraceParseError as e:
         raise ProtocolError(str(e)) from None
-    return inst

@@ -23,12 +23,9 @@ from .engine import InstrRecord, Pipeline
 from .errors import AnalysisError
 
 
-# The JSON type of each SummaryStats field, as a report reads it back.
-_SUMMARY_KINDS = {"instructions": int, "total_cycles": int,
-                  "total_uops": int, "dispatch_width": int,
-                  "uops_per_cycle": float, "ipc": float,
-                  "block_rthroughput": float}
-SummaryStats = namedtuple("SummaryStats", _SUMMARY_KINDS)
+SummaryStats = namedtuple(
+    "SummaryStats", "instructions total_cycles total_uops dispatch_width "
+    "uops_per_cycle ipc block_rthroughput")
 
 
 def summarize(pipeline: Pipeline) -> SummaryStats:

@@ -713,24 +713,34 @@ def test_report_doc_is_valid():
     assert report.summary.ipc == 0.5
 
 
+def test_report_number_fields_read_integers_as_floats():
+    # Only an integer field is a count; a number field takes any number.
+    doc = json.loads(report_doc())
+    doc["summary"].update(ipc=2, block_rthroughput=-1)
+    summary = AnalysisReport.from_json(json.dumps(doc)).summary
+    assert (summary.ipc, summary.block_rthroughput) == (2.0, -1.0)
+    assert type(summary.ipc) is float
+
+
 @pytest.mark.parametrize("text,match", [
-    (report_doc(truncated=0), "'truncated' must be true or false, got 0"),
+    (report_doc(truncated=0),
+     "report: field 'truncated' must be a boolean, got 0"),
     (report_doc(missing_metadata=False),
      "'missing_metadata' must be an integer, got false"),
     (report_doc(model=7), "'model' must be a string, got 7"),
     (report_doc(pool=[]), "'pool' must be an object, got \\[\\]"),
     (report_doc(regions={"visits": 1, "instructions": 1, "cycles": 3,
                          "per_visit": [[1, 3]]}),
-     "'regions.per_visit\\[0\\]' must be an object"),
+     "regions visit\\[0\\]: must be an object, got \\[1, 3\\]"),
     (report_doc(regions={"visits": 1, "instructions": 1, "cycles": 3,
                          "per_visit": [{"instructions": 1, "cycles": 2.0}]}),
-     "'regions.per_visit\\[0\\].cycles' must be an integer, got 2.0"),
+     "regions visit\\[0\\]: field 'cycles' must be an integer, got 2.0"),
     (report_doc(regions="none"), "'regions' must be an object or null"),
     (report_doc(summary={"instructions": 1, "total_cycles": 3,
                          "total_uops": 1, "dispatch_width": 2,
                          "uops_per_cycle": 0.5, "ipc": 0.5,
                          "block_rthroughput": 0.5, "bogus": 1}),
-     "unknown field 'summary.bogus'"),
+     "summary: unknown field\\(s\\) 'bogus'"),
     ("not json", "not valid JSON"),
     ("[]", "missing version"),
     ('{"report_version": 2}', "missing version"),
@@ -754,7 +764,7 @@ def test_from_json_rejects(text, match):
 
 @pytest.mark.parametrize("key,cls", [
     ("summary", SummaryStats), ("pool", PoolStats),
-    ("regions", analysis.RegionStats),
+    ("regions", analysis.RegionStats), ("report", AnalysisReport),
 ])
 def test_each_json_kind_table_names_exactly_its_types_fields(model, key,
                                                             cls):
@@ -762,13 +772,23 @@ def test_each_json_kind_table_names_exactly_its_types_fields(model, key,
     doc = json.loads(analyze(model, SequenceBroker(trace),
                              regions=spec).to_json())
     fields = list(inspect.signature(cls).parameters)
-    assert list(doc[key]) == fields
-    for name in fields:
-        part = {k: v for k, v in doc[key].items() if k != name}
-        with pytest.raises(TraceParseError,
-                           match=re.escape(f"missing field '{key}.{name}'")):
-            AnalysisReport.from_json(json.dumps({**doc, key: part}))
-    part = {**doc[key], "bogus": 0}
-    with pytest.raises(TraceParseError,
-                       match=re.escape(f"unknown field '{key}.bogus'")):
-        AnalysisReport.from_json(json.dumps({**doc, key: part}))
+    if key == "report":
+        # The top level: its keys after report_version name the
+        # report's fields in order, model for model_name.
+        obj, names = doc, list(doc)[1:]
+        assert names == ["model", *fields[1:]]
+    else:
+        obj, names = doc[key], list(doc[key])
+        assert names == fields
+
+    def read(part):
+        AnalysisReport.from_json(json.dumps(
+            part if key == "report" else {**doc, key: part}))
+
+    for name in names:
+        with pytest.raises(TraceParseError, match=re.escape(
+                f"{key}: missing field '{name}'")):
+            read({k: v for k, v in obj.items() if k != name})
+    with pytest.raises(TraceParseError, match=re.escape(
+            f"{key}: unknown field(s) 'bogus'")):
+        read({**obj, "bogus": 0})

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import cycletrace
 import gen
-from cycletrace import model
+from cycletrace import analysis, model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,15 +26,31 @@ def test_every_public_name_is_used_or_documented():
     assert unused == []
 
 
-def test_readme_names_every_model_key():
+def _json_keys(table) -> set:
+    """The keys of a codec table and of every table nested in it."""
+    keys = set(table.fields)
+    for kind, *_ in table.fields.values():
+        kind = kind[0] if isinstance(kind, (list, tuple)) else kind
+        if isinstance(kind, model._Table):
+            keys |= _json_keys(kind)
+    return keys
+
+
+def _readme_misses(heading: str, keys: set) -> list:
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    paragraph = text.split("**Machine model**", 1)[1].split("\n\n", 1)[0]
-    keys = set()
-    for table in (model._MODEL, model._RESOURCE, model._CLASS, model._USE):
-        keys.update(table)
-    missing = [key for key in sorted(keys)
-               if not re.search(rf"\b{key}\b", paragraph)]
-    assert missing == []
+    paragraph = text.split(heading, 1)[1].split("\n\n", 1)[0]
+    return [key for key in sorted(keys)
+            if not re.search(rf"\b{key}\b", paragraph)]
+
+
+def test_readme_names_every_model_key():
+    assert _readme_misses("**Machine model**",
+                          _json_keys(model._MODEL)) == []
+
+
+def test_readme_names_every_report_key():
+    keys = _json_keys(analysis._REPORT) | {"report_version"}
+    assert _readme_misses("**Report**", keys) == []
 
 
 def test_readme_names_only_pipeline_methods_that_exist():

@@ -425,8 +425,8 @@ def test_diff_rejects_a_version_that_is_not_the_integer_one(
 @pytest.mark.parametrize("value, message", [
     # A string once crashed diff with a TypeError traceback, and true
     # was read as one cycle.
-    ("35", "'summary.total_cycles' must be an integer, got \"35\""),
-    (True, "'summary.total_cycles' must be an integer, got true"),
+    ("35", "summary: field 'total_cycles' must be an integer, got \"35\""),
+    (True, "summary: field 'total_cycles' must be an integer, got true"),
 ])
 def test_diff_rejects_mistyped_report_fields(tmp_path, report_pair, capsys,
                                              value, message):
@@ -442,22 +442,23 @@ def test_diff_rejects_mistyped_report_fields(tmp_path, report_pair, capsys,
     assert "Traceback" not in err
 
 
-# Report count fields, each by its name in error messages and its path.
+# Report count fields, each by its path in the JSON document: how error
+# messages name its object, and the path's keys.
 COUNT_FIELDS = {
-    "summary.instructions": ("summary", "instructions"),
-    "summary.total_cycles": ("summary", "total_cycles"),
-    "pool.peak_live": ("pool", "peak_live"),
-    "missing_metadata": ("missing_metadata",),
-    "regions.cycles": ("regions", "cycles"),
+    "summary.instructions": ("summary", ("summary", "instructions")),
+    "summary.total_cycles": ("summary", ("summary", "total_cycles")),
+    "pool.peak_live": ("pool", ("pool", "peak_live")),
+    "missing_metadata": ("report", ("missing_metadata",)),
+    "regions.cycles": ("regions", ("regions", "cycles")),
     "regions.per_visit[0].instructions":
-        ("regions", "per_visit", 0, "instructions"),
+        ("regions visit[0]", ("regions", "per_visit", 0, "instructions")),
 }
 
 
 @pytest.mark.parametrize("name", COUNT_FIELDS)
 def test_diff_rejects_negative_report_counts(tmp_path, report_pair, capsys,
                                             name):
-    path = COUNT_FIELDS[name]
+    where, path = COUNT_FIELDS[name]
     base, _ = report_pair
     other = json.loads(Path(base).read_text())
     other["regions"] = {"visits": 1, "instructions": 5, "cycles": 9,
@@ -471,8 +472,8 @@ def test_diff_rejects_negative_report_counts(tmp_path, report_pair, capsys,
     capsys.readouterr()
     assert main(["diff", "--base", base, "--cand", str(cand)]) == 2
     err = capsys.readouterr().err
-    assert (f"error: malformed analysis report: '{name}' must not be "
-            "negative, got -3") in err
+    assert (f"error: malformed analysis report: {where}: field "
+            f"'{path[-1]}' must not be negative, got -3") in err
 
 
 def test_diff_reads_a_zero_cycle_report(tmp_path, report_pair, model_file,

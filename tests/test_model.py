@@ -1,17 +1,22 @@
 """Machine model loading, validation, rendering."""
 
 import json
+import random
 import re
 
 import pytest
 
 import gen
 from cycletrace import (
+    AliasPolicy,
     AnalysisReport,
     ModelError,
     Pipeline,
     PoolStats,
+    RegionSpec,
+    SequenceBroker,
     SummaryStats,
+    analyze,
     load_model,
     render_model,
     validate_model,
@@ -94,7 +99,7 @@ def test_unknown_field_rejected():
     ('{"name": "m", "dispatch_width": 1, "rob_size": 4, '
      '"classes": [{"name": "a"}]}', "class 'a': missing field 'latency'"),
     ('{"name": "m", "dispatch_width": 1, "rob_size": 4, "classes": [], '
-     '"resources": [{"units": 1}]}', "resource: missing field 'name'"),
+     '"resources": [{"units": 1}]}', r"resource\[0\]: missing field 'name'"),
 ])
 def test_missing_required_field_rejected(text, message):
     with pytest.raises(ModelError, match=message):
@@ -121,13 +126,14 @@ def _class_text(**changes):
      "class 'a': field 'latency' must be an integer"),
     (_class_text(may_load=1), "class 'a': field 'may_load' must be a boolean"),
     (_class_text(uses={}), "'uses' must be a list"),
-    (_class_text(uses=[5]), "class 'a' resource use: expected an object"),
+    (_class_text(uses=[5]),
+     "class 'a' resource use[0]: must be an object, got 5"),
     (_model_text(resources=[{"name": "P0", "units": 2.0}]),
      "resource 'P0': field 'units' must be an integer"),
     (_model_text(name=5), "model: field 'name' must be a string"),
     (_model_text(classes=5), "'classes' must be a list"),
-    (_model_text(classes=[7]), "class: expected an object"),
-    ("[]", "model: expected an object"),
+    (_model_text(classes=[7]), "class[0]: must be an object, got 7"),
+    ("[]", "model: must be an object, got []"),
     (_model_text(context_tables=[]), "'context_tables' must be an object"),
     (_model_text(context_tables={"k": 3}),
      "context table 'k': must be an object"),
@@ -362,3 +368,22 @@ REPORT_TEXT = """\
 def test_report_to_json_writes_these_bytes():
     assert REPORT.to_json() == REPORT_TEXT
     assert AnalysisReport.from_json(REPORT_TEXT) == REPORT
+
+
+def test_models_and_reports_round_trip_through_the_codec():
+    for seed in range(20):
+        rng = random.Random(seed)
+        insts = gen.random_trace(rng, rng.randint(1, 60))
+        lo = rng.randrange(len(insts))
+        hi = rng.randrange(lo, len(insts))
+        spec = RegionSpec.from_ranges(
+            [(insts[lo].address, insts[hi].address + 1, None)])
+        for make in (gen.random_model, gen.wide_model):
+            m = make(rng)
+            assert load_model(render_model(m)) == m
+            for policy in AliasPolicy:
+                for regions in (None, spec):
+                    report = analyze(m, SequenceBroker(insts),
+                                     alias_policy=policy, regions=regions)
+                    assert AnalysisReport.from_json(
+                        report.to_json()) == report, seed

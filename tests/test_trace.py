@@ -690,7 +690,16 @@ def test_each_spelling_decodes_as_json_and_from_wire(name, i):
     batches, error = _check_received(frames, 256)
     if name == "canonical":
         assert error is None
-        assert all(b.text is not None for b in batches[:3])
+    # Every 'insts' frame's batch carries its text, however spelled.
+    assert all(b.text is not None for b in batches if b.instructions)
+
+
+def test_a_respelled_frame_batch_carries_its_rendered_text():
+    line = _dumps(_plain_frame(3), separators=(",", ":"))
+    assert brokers._read_canonical(line) is None
+    batch = SocketBroker._decode_frame(line, 2)
+    assert batch.text == render_trace(batch.instructions)
+    assert len(batch.instructions) == 3
 
 
 @pytest.mark.parametrize("seqs", [(5, 6, 7), (0, 6, 7), (6, 7, 7),
