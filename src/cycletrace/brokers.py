@@ -296,10 +296,11 @@ class SocketBroker:
     ok before it returns; if the handshake fails it closes the reader
     and the socket.  Each fetch reads and decodes one frame and hands it
     out whole, whatever max_n, so nothing is decoded ahead and TCP flow
-    control holds back a producer that outruns the consumer.  A
-    canonical frame's batch carries its text (Batch.text).  fetch_batch
-    blocks until the producer sends, so the pipeline simply waits for a
-    quiet producer.
+    control holds back a producer that outruns the consumer.  Every
+    'insts' frame's batch carries its text (Batch.text): a canonical
+    frame's as it was read, any other's as its checks rendered it.
+    fetch_batch blocks until the producer sends, so the pipeline simply
+    waits for a quiet producer.
     The broker never sets the socket's timeout: listen and connect hand
     it a blocking socket, and a read that times out on a timeout the
     caller set is reported as a truncated trace.  A frame line with more
@@ -381,8 +382,9 @@ class SocketBroker:
     @staticmethod
     def _decode_frame(line: bytes, last_seq: int) -> Batch:
         """The Batch of a stream frame line whose sequence ids follow
-        last_seq: an 'insts' frame's instructions, with its text if the
-        frame is canonical (_read_canonical), or the end batch."""
+        last_seq: an 'insts' frame's instructions with their text, read
+        by _read_canonical if the frame is canonical and rendered by
+        _wire_line's checks if not, or the end batch."""
         batch = _read_canonical(line)
         if batch is None:
             frame = _json_frame(line)

@@ -69,10 +69,10 @@ class _Table:
     keyword arguments.  fields maps each JSON key, in the order of the
     tuple's items, to the argument it fills, its kind and its default
     (_REQUIRED when it has none).  A kind is a JSON type (int, float,
-    str, bool or dict), a table for a nested object, [table] for a list
-    of them, or (kind, None) when null is allowed too.  An int kind is a
-    count or a size, so a negative one is refused; a float kind reads an
-    integer as a float.  An object may hold no other field.
+    str or bool), a table for a nested object, a _Map, [table] for a
+    list of objects, or (kind, None) when null is allowed too.  An int
+    kind is a count or a size, so a negative one is refused; a float
+    kind reads an integer as a float.  An object may hold no other field.
     """
 
     __slots__ = ("what", "make", "fields")
@@ -82,7 +82,7 @@ class _Table:
         for key, (attr, kind, default) in fields.items():
             null = type(kind) is tuple
             base = kind[0] if null or type(kind) is list else kind
-            table = base if type(base) is _Table else None
+            table = base if type(base) in (_Table, _Map) else None
             name, types = _TYPES[list if type(kind) is list
                                  else dict if table else base]
             if null:
@@ -113,7 +113,11 @@ class _Table:
                 raise _must(f"{where}: field '{key}'", name, v)
             if t is int:
                 if kind is float:
-                    v = float(v)
+                    try:
+                        v = float(v)
+                    except OverflowError:  # past a float's range
+                        raise _must(f"{where}: field '{key}'", name,
+                                    v) from None
                 elif v < 0:
                     raise ModelError(f"{where}: field '{key}' must not be "
                                      f"negative, got {v}")
@@ -139,6 +143,32 @@ class _Table:
         return doc
 
 
+class _Map(namedtuple("_Map", "what kind")):
+    """An object whose values, under any keys, all have one kind: int or
+    a _Map.  Messages name a value by what and its key; an int value is
+    a count or a size, so a negative one is refused."""
+
+    __slots__ = ()
+
+    def read(self, obj: dict, where: str) -> dict:
+        """A copy of obj, whose values where and their keys name."""
+        kind, out = self.kind, {}
+        name, types = _TYPES[dict if type(kind) is _Map else kind]
+        for key, v in obj.items():
+            at = f"{where} '{key}'"
+            if type(v) not in types:
+                raise _must(at + ":" * (type(kind) is _Map), name, v)
+            if type(kind) is _Map:
+                v = kind.read(v, f"{at}: {kind.what}")
+            elif v < 0:
+                raise ModelError(f"{at} must not be negative, got {v}")
+            out[key] = v
+        return out
+
+    def doc(self, value: dict) -> dict:
+        return value
+
+
 _USE = _Table("resource use", lambda resource, cycles: (resource, cycles), {
     "resource": ("resource", str, _REQUIRED), "cycles": ("cycles", int, 1)})
 _RESOURCE = _Table("resource", ResourceDesc, {
@@ -162,7 +192,8 @@ _MODEL = _Table("model", MachineModel, {
     "sq_size": ("store_queue_size", int, 16),
     "resources": ("resources", [_RESOURCE], ()),
     "classes": ("classes", [_CLASS], ()),
-    "context_tables": ("context_latency_tables", dict, {}),
+    "context_tables": ("context_latency_tables",
+                       _Map("context table", _Map("latency for", int)), {}),
 })
 
 
@@ -180,19 +211,11 @@ def load_model(text: str) -> MachineModel:
             f"model parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
     model = _MODEL.read(raw, "model", root=True)
-    # A copy, so that no two models share the default {}.
-    tables = dict(model.context_latency_tables)
-    for key, table in tables.items():
-        where = f"context table '{key}'"
-        if type(table) is not dict:
-            raise _must(f"{where}:", "an object", table)
-        for value, lat in table.items():
-            if type(lat) is not int:
-                raise _must(f"{where}: latency for '{value}'", "an integer",
-                            lat)
     width = model.retire_width
-    model = model._replace(context_latency_tables=tables, retire_width=(
-        model.dispatch_width if width is None else width))
+    # A copy of the tables, so that no two models share the default {}.
+    model = model._replace(
+        context_latency_tables=dict(model.context_latency_tables),
+        retire_width=model.dispatch_width if width is None else width)
     validate_model(model)
     return model
 

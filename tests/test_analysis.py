@@ -736,6 +736,12 @@ def test_report_number_fields_read_integers_as_floats():
                          "per_visit": [{"instructions": 1, "cycles": 2.0}]}),
      "regions visit\\[0\\]: field 'cycles' must be an integer, got 2.0"),
     (report_doc(regions="none"), "'regions' must be an object or null"),
+    # Past a float's range, a JSON integer is no number a report holds.
+    (report_doc(summary={"instructions": 1, "total_cycles": 3,
+                         "total_uops": 1, "dispatch_width": 2,
+                         "uops_per_cycle": 0.5, "ipc": 10 ** 400,
+                         "block_rthroughput": 0.5}),
+     "summary: field 'ipc' must be a number, got 1000"),
     (report_doc(summary={"instructions": 1, "total_cycles": 3,
                          "total_uops": 1, "dispatch_width": 2,
                          "uops_per_cycle": 0.5, "ipc": 0.5,

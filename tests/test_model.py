@@ -139,6 +139,8 @@ def _class_text(**changes):
      "context table 'k': must be an object"),
     (_model_text(context_tables={"k": {"1": True}}),
      "context table 'k': latency for '1' must be an integer"),
+    (_model_text(context_tables={"k": {"1": -1}}),
+     "context table 'k': latency for '1' must not be negative, got -1"),
     (_class_text(context_key=5), "'context_key' must be a string or null"),
 ])
 def test_wrong_json_type_rejected(text, message):

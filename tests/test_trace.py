@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import gen
 from cycletrace import brokers, trace
-from cycletrace.brokers import FRAME_INSTRUCTIONS
 from cycletrace import (
     AccessKind,
     MemoryAccess,
@@ -654,12 +653,13 @@ def _check_received(frames, max_n):
     for batch in batches:
         if batch.text is not None:
             assert batch.text == render_trace(batch.instructions)
-    if error is None and max_n >= FRAME_INSTRUCTIONS:
-        # Each frame is handed out whole.  One spelled canonically, with
-        # no escape, the fast path must take.
-        for (name, line), batch in zip(frames, batches):
+    if error is None:
+        # Every 'insts' frame's batch carries its text, so only the fast
+        # path itself tells whether it took a frame.  One spelled
+        # canonically, with no escape, it must take.
+        for name, line in frames:
             if name == "canonical" and b"\\" not in line:
-                assert batch.text is not None, line
+                assert brokers._read_canonical(line) is not None, line
     return batches, error
 
 
@@ -711,7 +711,9 @@ def test_canonical_frames_keep_sequence_ids_increasing(seqs):
     frames = [("canonical", _dumps(first)), ("canonical", _dumps(second))]
     batches, error = _check_received(frames, 256)
     assert error.startswith("sequence id ")
-    assert batches[0].text is not None
+    # The fast path takes both frames; the broker refuses the second.
+    assert all(brokers._read_canonical(line) is not None
+               for _, line in frames)
 
 
 def test_canonical_frame_strings_are_what_a_line_carries():
