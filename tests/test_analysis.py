@@ -641,6 +641,30 @@ def test_region_runs_keep_the_sequence_order_rule(model, stream, regions):
         analyze(model, SequenceBroker(insts), regions=spec)
 
 
+def test_a_visit_reports_its_early_error_before_a_later_chunk_is_read(
+        model, tmp_path):
+    # The visit runs from seq 200 past line 256, where the file broker's
+    # second chunk of lines starts; a line of that chunk is malformed.
+    # The unknown class comes first in the stream, so its error wins.
+    insts = [ti(seq, "bogus" if seq == 210 else "add",
+                address=0x100 if seq < 200 else 0x1000 + 4 * seq)
+             for seq in range(400)]
+    lines = render_trace(insts).splitlines(keepends=True)
+    lines[299] = "I 299 0x14ac add R:- W:- L:oops\n"
+    with pytest.raises(TraceParseError, match="line 300"):
+        parse_trace("".join(lines))
+    path = tmp_path / "t.trace"
+    path.write_text("".join(lines), encoding="utf-8")
+    spec = RegionSpec.from_ranges([(0x1000, 0x2000, None)])
+    broker = FileBroker(str(path))
+    try:
+        with pytest.raises(AnalysisError,
+                           match="instruction 210: unknown class"):
+            analyze(model, broker, regions=spec)
+    finally:
+        broker.close()
+
+
 def test_no_region_hits_mean_zero_visits(model):
     trace, spec = loop_case()
     far = RegionSpec.from_ranges([(0x9000, 0x9010, None)])
