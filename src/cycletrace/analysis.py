@@ -13,6 +13,13 @@ them).  Each maximal run of in-region instructions is one visit: it
 starts on a drained pipeline and is drained at its end, so visits are
 timed independently, and the visit number becomes the timeline iteration
 tag.
+
+A visit's timestamps, relative to its first cycle, depend only on the
+drained state it starts from and on what the stages read of its
+instructions.  So a short visit is read whole and looked up by both
+(_memoized): one seen twice is recorded, and each later one is replayed
+from that record (Pipeline._record, Pipeline._replay) with the same
+retirements, counters and end state, and no cycle run.
 """
 
 from __future__ import annotations
@@ -21,13 +28,14 @@ import hashlib
 import json
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
+from operator import attrgetter
 
 from .brokers import BrokerStream
 from .engine import Pipeline, PoolStats
 from .errors import AnalysisError, ModelError, TraceParseError
 from .lsunit import AliasPolicy
-from .model import _REQUIRED, MachineModel, _Table
+from .model import _REQUIRED, MachineModel, _loads, _Table
 from .trace import read_int, render_trace
 from .views import SummaryStats, TimelineRecorder, summarize
 
@@ -112,10 +120,7 @@ class AnalysisReport(namedtuple(
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
         """Read a report, checking that every field has its JSON type."""
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise TraceParseError(f"report is not valid JSON: {e.msg}") from None
+        doc = _loads(text, TraceParseError, "report is not valid JSON")
         # True and 1.0 equal 1, but only the integer is version 1.
         version = type(doc) is dict and doc.pop("report_version", None)
         if type(version) is not int or version != 1:
@@ -214,10 +219,44 @@ def analyze(
     )
 
 
+# A region run looks each visit of at most _MEMO_VISIT instructions up
+# in a memo of at most _MEMO_SHAPES keys, emptied when full: seen once,
+# a visit keeps only its key's hash; seen twice, it is recorded; from
+# then on it is replayed.  Full, the memo holds 383 KiB when each of
+# its instructions has a memory access and a context of its own, about
+# 510 bytes per instruction (test_a_full_memo_holds_under_512_kib).
+_MEMO_VISIT = 256
+_MEMO_SHAPES = 3
+# What the stages read of an instruction: all but its address and seq,
+# which they read only to keep the instructions in order.
+_shape = attrgetter("class_name", "reads", "writes", "mem", "context")
+
+
+def _memoized(pipe, memo: dict, head: list) -> bool:
+    """Replay or record a visit the memo has seen from the same drained
+    state; False if it is for the caller to simulate."""
+    key = (pipe._drained_state(), tuple(map(_shape, head)))
+    h = hash(key)
+    seen = memo.get(h)  # (), or (key, recorded visit)
+    if seen is None:
+        if len(memo) >= _MEMO_SHAPES:
+            memo.clear()
+        memo[h] = ()
+        return False
+    if not seen:
+        memo[h] = (key, pipe._record(head))
+    elif seen[0] == key:
+        pipe._replay(head, seen[1])
+    else:  # another key with the same hash
+        return False
+    return True
+
+
 def _analyze_regions(pipe, broker, regions):
     stream = BrokerStream(broker, pipe.entry_capacity)
     contains, feed = regions.contains, pipe.feed
     per_visit: list[tuple[int, int]] = []
+    memo: dict[int, tuple] = {}
     for inside, visit in groupby(chain.from_iterable(stream),
                                  key=lambda inst: contains(inst.address)):
         if not inside:
@@ -225,11 +264,21 @@ def _analyze_regions(pipe, broker, regions):
             continue
         pipe.iteration = len(per_visit)
         retired, cycles = pipe.instructions_retired, pipe.total_cycles
-        # One instruction per feed: a visit is never built into a list,
-        # since a region covering the whole program is one visit.
-        for inst in visit:
-            feed((inst,))
-        pipe.drain()
+        # At most _MEMO_VISIT + 1 instructions are read ahead: a region
+        # covering the whole program is one visit.
+        head: list = []
+        try:
+            head.extend(islice(visit, _MEMO_VISIT + 1))
+        except Exception:
+            # What was read before a later chunk failed is fed first, so
+            # that its errors win, as when each is fed once read.
+            for inst in head:
+                feed((inst,))
+            raise
+        if len(head) > _MEMO_VISIT or not _memoized(pipe, memo, head):
+            for inst in chain(head, visit):
+                feed((inst,))
+            pipe.drain()
         per_visit.append((pipe.instructions_retired - retired,
                           pipe.total_cycles - cycles))
     stats = RegionStats(

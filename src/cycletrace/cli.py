@@ -128,13 +128,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+def _read(path: str, error: type = TraceParseError) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8") from None
 
 
 def _cmd_analyze(args) -> int:
-    model = load_model(_read(args.model))
+    model = load_model(_read(args.model, ModelError))
     regions = parse_regions(_read(args.regions)) if args.regions else None
     recorder = TimelineRecorder(args.timeline) if args.timeline else None
 
@@ -236,7 +239,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_model_check(args) -> int:
-    model = load_model(_read(args.model))
+    model = load_model(_read(args.model, ModelError))
     print(f"model '{model.name}' ok: dispatch width {model.dispatch_width}, "
           f"{len(model.classes)} classes, {len(model.resources)} resources")
     return 0

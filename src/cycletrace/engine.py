@@ -58,10 +58,18 @@ Retired records go on a free list, and feed builds a new record only
 when that list is empty, so memory stays bounded by the ROB plus the
 entry buffer no matter how long the stream runs.  A record retires only
 once it has executed, so it waits on no producer any more.
+
+A drained pipeline holds nothing that can delay later work but its unit
+and dispatch timers (_drained_state), and the stages read sequence ids
+only for their order.  So instructions fed into it and drained time the
+same, relative to the first cycle, from every drained state with the
+same timers: _record keeps what they did, and _replay does it again
+without running a cycle.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque, namedtuple
 from collections.abc import Callable
 from heapq import heappush, heappop
@@ -141,6 +149,14 @@ class InstrRecord:
 
 PoolStats = namedtuple("PoolStats", "total_allocated total_recycled peak_live")
 
+# A visit as Pipeline._record saw it, from its drained start.  Per
+# retirement, in order: four timestamps relative to the start cycle in
+# times (dispatched, issued, executed, retired), and its _Kind, loads and
+# stores in held.  Then the cycles it took, its uops and instructions
+# missing metadata, (kind, records issued) per class that issued, and
+# the drained state it ended in.
+_Visit = namedtuple("_Visit", "times held cycles uops missing issued end")
+
 
 def _order_error(seq: int, last: int) -> AnalysisError:
     return AnalysisError(
@@ -184,6 +200,7 @@ class Pipeline:
         # class name -> its _Kind
         self.classes: dict[str, _Kind] = {
             c.name: _Kind(c, busy, groups) for c in model.classes}
+        self._busy = list(busy.values())        # per resource, in place
         self._unit_groups = list(groups.values())
         self.queues = MemQueues(model.load_queue_size, model.store_queue_size)
         self.free: list[InstrRecord] = []       # retired records, for reuse
@@ -513,6 +530,118 @@ class Pipeline:
         """Run cycles until everything in flight has retired."""
         while self.entry or self.rob:
             self.run_cycle()
+
+    # -- visits from a drained state ---------------------------------------
+
+    def _drained_state(self) -> tuple:
+        """What of a drained pipeline can still change later timestamps,
+        relative to the cycle: each resource's busy-until values as a
+        sorted multiset, each unit heap's next-free cycle, and the end of
+        the last dispatch span.
+
+        From a drained state, dispatch comes no earlier than this cycle
+        and issue no earlier than the next.  So a unit busy until this
+        cycle is as free as one busy until long before, a next-free cycle
+        up to the next as past as an older one, and a dispatch span that
+        ended before this cycle as over as an older one: each collapses
+        to one value.
+        """
+        cycle = self.cycle
+        return (
+            tuple([tuple(sorted([max(b - cycle, 0) for b in units]))
+                   for units in self._busy]),
+            tuple([max(w.unit_free_at - cycle, 1)
+                   for w in self._unit_groups]),
+            max(self._dispatch_busy_until - cycle, -1),
+        )
+
+    def _restore(self, state: tuple):
+        """Set the drained state that _drained_state returned, relative
+        to the current cycle."""
+        busy, free_at, dispatch = state
+        cycle = self.cycle
+        for units, rel in zip(self._busy, busy):
+            units[:] = [cycle + r for r in rel]
+        for waiting, rel in zip(self._unit_groups, free_at):
+            waiting.unit_free_at = cycle + rel
+        self._dispatch_busy_until = cycle + dispatch
+
+    def _record(self, instructions) -> _Visit:
+        """Feed instructions one per call into a drained pipeline and
+        drain it, as a region run does; returns what _replay needs to
+        run the same visit again from the same drained state."""
+        start = self.cycle
+        kinds = list(self.classes.values())
+        issued = [kind.issued for kind in kinds]
+        uops, missing = self.uops_retired, self.missing_metadata
+        times = array("q")
+        held: list = []
+        sink = self.retire_sink
+
+        def record(rec: InstrRecord, iteration: int):
+            times.extend((rec.dispatched_at - start, rec.issued_at - start,
+                          rec.executed_at - start, rec.retired_at - start))
+            held.extend((rec.kind, rec.loads, rec.stores))
+            if sink is not None:
+                sink(rec, iteration)
+
+        self.retire_sink = record
+        try:
+            for inst in instructions:
+                self.feed((inst,))
+            self.drain()
+        finally:
+            self.retire_sink = sink
+        return _Visit(
+            times=times,
+            held=tuple(held),
+            cycles=self.cycle - start,
+            uops=self.uops_retired - uops,
+            missing=self.missing_metadata - missing,
+            issued=tuple((kind, kind.issued - n)
+                         for kind, n in zip(kinds, issued) if kind.issued > n),
+            end=self._drained_state(),
+        )
+
+    def _replay(self, instructions, visit: _Visit):
+        """Retire instructions as _record recorded them, without running
+        a cycle.  The pipeline must be in the drained state the record
+        started from, and the instructions must equal the recorded ones
+        but for their addresses, which no stage reads, and their
+        sequence ids, which the stages read only for their order."""
+        self.skip(instructions)
+        start = self.cycle
+        sink = self.retire_sink
+        if sink is not None:
+            # One record for every retirement; a sink may read any field.
+            rec = InstrRecord()
+            iteration = self.iteration
+            t = iter(visit.times)
+            h = iter(visit.held)
+            for inst, d, i, x, r, kind, loads, stores in zip(
+                    instructions, t, t, t, t, h, h, h):
+                rec.seq_id = inst.seq_id
+                rec.kind = kind
+                rec.dispatched_at = start + d
+                rec.issued_at = start + i
+                rec.executed_at = start + x
+                rec.retired_at = start + r
+                rec.latency = x - i + 1
+                rec.uops = kind.uops
+                rec.reads = inst.reads
+                rec.writes = inst.writes
+                rec.loads = loads
+                rec.stores = stores
+                sink(rec, iteration)
+        self.instructions_retired += len(instructions)
+        self.uops_retired += visit.uops
+        self.missing_metadata += visit.missing
+        for kind, n in visit.issued:
+            kind.issued += n
+        self.cycle = start + visit.cycles
+        # A drain ends on the cycle that retires its last record.
+        self._last_retire_cycle = self.cycle - 1
+        self._restore(visit.end)
 
     # -- results -----------------------------------------------------------
 

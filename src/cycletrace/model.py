@@ -202,14 +202,23 @@ def _expect(cond: bool, message: str):
         raise ModelError(message)
 
 
+def _loads(text: str, error: type, what: str):
+    """json.loads(text), raising error for every text it refuses."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise error(
+            f"{what} at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError:
+        raise error(
+            f"{what}: integer past the interpreter's digit limit") from None
+    except RecursionError:
+        raise error(f"{what}: nested too deeply") from None
+
+
 def load_model(text: str) -> MachineModel:
     """Parse and validate a machine model from JSON text."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ModelError(
-            f"model parse error at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
+    raw = _loads(text, ModelError, "model parse error")
     model = _MODEL.read(raw, "model", root=True)
     width = model.retire_width
     # A copy of the tables, so that no two models share the default {}.

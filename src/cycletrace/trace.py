@@ -46,6 +46,11 @@ class AccessKind(Enum):
     LOAD = "load"
     STORE = "store"
 
+    # Members are equal only to themselves, so they hash by identity, in
+    # C: Enum's __hash__ runs in Python, and a region run hashes every
+    # access of every visit it looks up (analysis._analyze_regions).
+    __hash__ = object.__hash__
+
 
 _LOAD = AccessKind.LOAD
 _STORE = AccessKind.STORE

@@ -20,6 +20,7 @@ from cycletrace import (
     MachineModel,
     MemoryAccess,
     Pipeline,
+    RegionSpec,
     ResourceDesc,
     SequenceBroker,
     TimelineRecorder,
@@ -344,6 +345,36 @@ def random_trace(rng: random.Random, n: int,
             stores=stores,
             context=context,
         ))
+    return out
+
+
+# In-region instructions of region_trace lie in REGIONS; the filler
+# between visits lies past it.
+REGIONS = RegionSpec.from_ranges([(0x1000, 0x2000, None)])
+
+
+def region_trace(rng: random.Random, visits: int, *, shapes=3,
+                 length=(1, 40), one_off=0.1,
+                 weights=CLASS_WEIGHTS) -> list[TraceInstruction]:
+    """A region run's stream: each visit repeats one of a few random
+    blocks of instructions, or now and then runs a block of its own, with
+    out-of-region filler between visits and gaps in the sequence ids."""
+    def block():
+        return random_trace(rng, rng.randint(*length), weights)
+
+    blocks = [block() for _ in range(shapes)]
+    out: list[TraceInstruction] = []
+    seq = 0
+    for _ in range(visits):
+        for i, inst in enumerate(
+                block() if rng.random() < one_off else rng.choice(blocks)):
+            seq += rng.choice((1, 1, 1, 5))
+            out.append(TraceInstruction(
+                seq, 0x1000 + 4 * i, inst.class_name, inst.reads,
+                inst.writes, inst.mem, inst.context))
+        for _ in range(rng.randint(1, 3)):
+            seq += 1
+            out.append(ti(seq, "alu", writes=(0,), address=0x8000))
     return out
 
 

@@ -181,3 +181,31 @@ def simulate(model, insts, policy=AliasPolicy.METADATA):
 
     total = r[n - 1] + 1 if n else 0
     return total, list(zip(d, iss, x, r))
+
+
+def analyze_regions(pipe, broker, regions):
+    """analysis._analyze_regions before visits were memoized: every
+    visit is simulated, one instruction per feed.  analyze runs it in
+    place of its own loop when monkeypatched in."""
+    from itertools import chain, groupby
+
+    from cycletrace.analysis import RegionStats
+    from cycletrace.brokers import BrokerStream
+
+    stream = BrokerStream(broker, pipe.entry_capacity)
+    per_visit = []
+    for inside, visit in groupby(chain.from_iterable(stream),
+                                 key=lambda inst: regions.contains(inst.address)):
+        if not inside:
+            pipe.skip(visit)
+            continue
+        pipe.iteration = len(per_visit)
+        retired, cycles = pipe.instructions_retired, pipe.total_cycles
+        for inst in visit:
+            pipe.feed((inst,))
+        pipe.drain()
+        per_visit.append((pipe.instructions_retired - retired,
+                          pipe.total_cycles - cycles))
+    return stream.truncated, RegionStats(
+        len(per_visit), sum(n for n, _ in per_visit),
+        sum(c for _, c in per_visit), tuple(per_visit))

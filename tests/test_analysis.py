@@ -772,6 +772,12 @@ def test_report_number_fields_read_integers_as_floats():
                          "block_rthroughput": 0.5, "bogus": 1}),
      "summary: unknown field\\(s\\) 'bogus'"),
     ("not json", "not valid JSON"),
+    pytest.param(
+        '{"report_version": ' + "1" * 5000 + "}",
+        "report is not valid JSON: integer past the interpreter's digit limit",
+        id="digit-limit"),
+    pytest.param("[" * 100_000, "report is not valid JSON: nested too deeply",
+                 id="deep-nesting"),
     ("[]", "missing version"),
     ('{"report_version": 2}', "missing version"),
     # True and 1.0 equal 1, but only the integer is version 1.

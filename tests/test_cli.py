@@ -323,6 +323,59 @@ def test_analyze_bad_region_file(tmp_path, model_file, trace_file, capsys):
     assert "bad address" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,valid", [
+    ("model-check", "--model", None),
+    ("analyze", "--model", None),
+    ("analyze", "--regions", b"R 0x0 0x10\n"),
+    ("diff", "--base", None),
+    ("diff", "--cand", None),
+    ("diff", "--ground", b"G 1 2\n"),
+    ("trace", "--program", b"halt\n"),
+])
+def test_an_input_file_that_is_not_utf8_is_an_input_error(
+        tmp_path, model_file, trace_file, report_pair, capsys, command, flag,
+        valid):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe" if valid is None else valid + b"\xff\n")
+    base, cand = report_pair
+    argv = {
+        "model-check": ["--model", model_file],
+        "analyze": ["--model", model_file, "--trace", trace_file],
+        "diff": ["--base", base, "--cand", cand],
+        "trace": ["--program", "unused", "--out", str(tmp_path / "t")],
+    }[command]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(bad)
+    else:
+        argv += [flag, str(bad)]
+    capsys.readouterr()
+    assert main([command] + argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8\n"
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("analyze", "--model"), ("diff", "--base"),
+])
+@pytest.mark.parametrize("text", [
+    pytest.param('{"name": ' + "1" * 5000 + "}", id="digit-limit"),
+    pytest.param("[" * 100_000, id="deep-nesting"),
+])
+def test_json_past_the_decoder_limits_is_an_input_error(
+        tmp_path, model_file, trace_file, report_pair, capsys, command, flag,
+        text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    base, cand = report_pair
+    argv = (["analyze", "--model", str(bad), "--trace", trace_file]
+            if command == "analyze" else
+            ["diff", "--base", str(bad), "--cand", cand])
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "digit limit" in err or "nested too deeply" in err
+
+
 # -- diff ---------------------------------------------------------------------
 
 @pytest.fixture

@@ -89,6 +89,19 @@ def test_bad_json_reports_position():
         load_model('{"name": "x", }')
 
 
+@pytest.mark.parametrize("text,message", [
+    pytest.param(
+        '{"name": "m", "dispatch_width": ' + "1" * 5000 + "}",
+        "model parse error: integer past the interpreter's digit limit",
+        id="digit-limit"),
+    pytest.param("[" * 100_000, "model parse error: nested too deeply",
+                 id="deep-nesting"),
+])
+def test_json_the_decoder_refuses_past_its_limits(text, message):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        load_model(text)
+
+
 def test_unknown_field_rejected():
     with pytest.raises(ModelError, match="unknown field"):
         load_model('{"name": "m", "dispatch_width": 1, "rob_size": 4, '
