@@ -48,7 +48,7 @@ class AccessKind(Enum):
 
     # Members are equal only to themselves, so they hash by identity, in
     # C: Enum's __hash__ runs in Python, and a region run hashes every
-    # access of every visit it looks up (analysis._analyze_regions).
+    # access of every visit it looks up (analysis._memoized).
     __hash__ = object.__hash__
 
 

@@ -12,7 +12,11 @@ dispatch.
 
 from __future__ import annotations
 
+from itertools import chain, groupby
+
 from cycletrace import AccessKind, AliasPolicy
+from cycletrace.analysis import RegionStats
+from cycletrace.brokers import BrokerStream
 
 WAITING, EXECUTING, EXECUTED, RETIRED = range(4)
 
@@ -184,14 +188,9 @@ def simulate(model, insts, policy=AliasPolicy.METADATA):
 
 
 def analyze_regions(pipe, broker, regions):
-    """analysis._analyze_regions before visits were memoized: every
-    visit is simulated, one instruction per feed.  analyze runs it in
-    place of its own loop when monkeypatched in."""
-    from itertools import chain, groupby
-
-    from cycletrace.analysis import RegionStats
-    from cycletrace.brokers import BrokerStream
-
+    """The region loop that simulates every visit, one instruction per
+    feed: the reference for analysis._analyze_regions, which replays
+    repeated visits.  Monkeypatched over it, analyze runs this one."""
     stream = BrokerStream(broker, pipe.entry_capacity)
     per_visit = []
     for inside, visit in groupby(chain.from_iterable(stream),

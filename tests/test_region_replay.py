@@ -167,6 +167,17 @@ def test_more_repeated_shapes_than_the_memo_holds(monkeypatch):
         check(monkeypatch, model, lambda: insts)
 
 
+def test_visits_whose_keys_share_a_hash(monkeypatch):
+    # Every key hashes alike, so each lookup finds another visit's entry.
+    monkeypatch.setattr(analysis, "hash", lambda key: 0, raising=False)
+    rng = random.Random(9)
+    model = gen.random_model(rng)
+    blocks = [gen.random_trace(rng, rng.randint(1, 12)) for _ in range(3)]
+    insts = repeat(blocks[:1] + blocks + blocks[1:] * 2, 3)
+    feeds, reference_feeds = check(monkeypatch, model, lambda: insts)
+    assert feeds < reference_feeds
+
+
 @pytest.mark.parametrize("extra,simulated", [(0, 2), (1, 4)])
 def test_a_visit_longer_than_the_cap_is_streamed(monkeypatch, extra,
                                                  simulated):
