@@ -36,7 +36,7 @@ from .engine import Pipeline, PoolStats
 from .errors import AnalysisError, ModelError, TraceParseError
 from .lsunit import AliasPolicy
 from .model import _REQUIRED, MachineModel, _loads, _Table
-from .trace import read_int, render_trace
+from .trace import read_int, read_records, render_trace
 from .views import SummaryStats, TimelineRecorder, summarize
 
 
@@ -81,10 +81,7 @@ def _check_range(start: int, end: int, line: int | None = None):
 def parse_regions(text: str) -> RegionSpec:
     """Parse a region file: 'R <start> <end>' or 'S <symbol> <start> <end>'."""
     entries: list[tuple[int, int, str | None]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in read_records(text):
         fields = body.split()
         if fields[0] == "R" and len(fields) == 3:
             name, bounds = None, fields[1:]

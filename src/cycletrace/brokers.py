@@ -56,6 +56,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 
 from .errors import ProtocolError, TruncatedTraceError
+from .model import _loads
 from .trace import (
     _LOAD,
     _NUM,
@@ -178,17 +179,10 @@ def _read_canonical(line: bytes) -> Batch | None:
 def _json_frame(line: bytes) -> dict:
     """The frame line's JSON object, which has a 't' field."""
     try:
-        frame = json.loads(line.decode("utf-8"))
+        text = line.decode("utf-8")
     except UnicodeDecodeError:
         raise ProtocolError("bad frame: not UTF-8") from None
-    except json.JSONDecodeError as e:
-        raise ProtocolError(f"bad frame: {e.msg}") from None
-    except ValueError:
-        raise ProtocolError(
-            "bad frame: integer past the interpreter's digit limit"
-        ) from None
-    except RecursionError:
-        raise ProtocolError("bad frame: nested too deeply") from None
+    frame = _loads(text, ProtocolError, "bad frame")
     if not isinstance(frame, dict) or "t" not in frame:
         raise ProtocolError("frame is not an object with a 't' field")
     return frame
@@ -453,13 +447,14 @@ def stream_to_socket(
     """
     hello = {"t": "hello", "version": 1, "model_hint": model_hint}
     sock.sendall((json.dumps(hello) + "\n").encode("utf-8"))
-    with sock.makefile("r", encoding="utf-8", newline="\n") as rfile:
-        reply = rfile.readline()
+    # The reply is read as the receiver reads a frame.
+    with sock.makefile("rb") as rfile:
+        reply = rfile.readline(MAX_FRAME_BYTES + 1)
     try:
-        ok = json.loads(reply) if reply else None
-    except json.JSONDecodeError:
-        ok = None
-    if not isinstance(ok, dict) or ok.get("t") != "ok":
+        ok = _json_frame(reply)["t"] == "ok"
+    except ProtocolError:
+        ok = False
+    if not ok:
         raise ProtocolError("receiver did not acknowledge the handshake")
 
     def send(batch):

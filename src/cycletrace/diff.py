@@ -14,6 +14,7 @@ from collections import namedtuple
 
 from .analysis import AnalysisReport
 from .errors import AnalysisError, TraceParseError, UndefinedRatioError
+from .trace import read_records
 from .views import render_fields
 
 
@@ -107,10 +108,7 @@ def diff_reports(
 def parse_ground_truth(text: str) -> list[tuple[float, float]]:
     """Parse measured cycle pairs, one 'G <base> <candidate>' per line."""
     pairs: list[tuple[float, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in read_records(text):
         fields = body.split()
         if len(fields) != 3 or fields[0] != "G":
             raise TraceParseError(f"bad ground-truth line: '{body}'", lineno)

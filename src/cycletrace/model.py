@@ -203,7 +203,8 @@ def _expect(cond: bool, message: str):
 
 
 def _loads(text: str, error: type, what: str):
-    """json.loads(text), raising error for every text it refuses."""
+    """json.loads(text), raising error for every text it refuses; models,
+    reports and stream frames are all decoded here."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:

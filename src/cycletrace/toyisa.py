@@ -27,7 +27,8 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from .errors import ProgramError, TraceParseError, TruncatedTraceError
-from .trace import _LOAD, _STORE, MemoryAccess, TraceInstruction, read_int
+from .trace import (
+    _LOAD, _STORE, MemoryAccess, TraceInstruction, read_int, read_records)
 
 U64 = 1 << 64
 BASE_ADDRESS = 0x400000
@@ -82,10 +83,7 @@ def parse_program(text: str) -> ToyProgram:
     entry_label: str | None = None
     pending: list[tuple[int, str, list[str], str | None]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in read_records(text):
         if body.startswith(".map"):
             parts = body.split()
             if len(parts) != 3:

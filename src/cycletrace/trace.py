@@ -28,12 +28,11 @@ so its memory stays bounded on any input.
 
 from __future__ import annotations
 
-import functools
 import io
 import operator
 import re
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import islice
 
@@ -433,14 +432,21 @@ def parse_trace(text: str) -> list[TraceInstruction]:
     return out
 
 
-@functools.cache
-def _wire_names():
-    """The fullmatch of _CLASS, _CTX_KEY and _CTX_VALUE, compiled on
-    first use: a run that renders no instruction does not compile them.
-    A name a canonical line cannot carry would render to the text, and
-    the digest, of another instruction."""
-    return tuple(re.compile(p).fullmatch for p in (_CLASS, _CTX_KEY,
-                                                    _CTX_VALUE))
+def read_records(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped body) of each line of a region, ground-truth
+    or toy program text that holds more than blanks and a '#' comment.
+    Lines are split as parse_trace splits them, at LF, CRLF and CR only."""
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), 1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body
+
+
+# A name a canonical line cannot carry would render to the text, and
+# the digest, of another instruction.
+_IS_CLASS = re.compile(_CLASS).fullmatch
+_IS_CTX_KEY = re.compile(_CTX_KEY).fullmatch
+_IS_CTX_VALUE = re.compile(_CTX_VALUE).fullmatch
 
 
 # The rules of a trace line's fields, one function each; each raises
@@ -469,7 +475,7 @@ def _class_text(name) -> str:
     if not isinstance(name, str) or not name:
         raise TraceParseError(
             "instruction field 'class' must be a non-empty string")
-    if not _wire_names()[0](name):
+    if not _IS_CLASS(name):
         raise TraceParseError("instruction field 'class' may contain no "
                               "whitespace and no '#'")
     if _not_utf8(name):
@@ -517,12 +523,11 @@ def _context_text(context) -> str:
         raise TraceParseError(
             "instruction field 'ctx' must be a pair of strings")
     key, value = context
-    _, is_ctx_key, is_ctx_value = _wire_names()
-    if not is_ctx_key(key):
+    if not _IS_CTX_KEY(key):
         raise TraceParseError(
             "instruction field 'ctx' key must be non-empty, with no "
             "whitespace, no '#' and no '='")
-    if not is_ctx_value(value):
+    if not _IS_CTX_VALUE(value):
         raise TraceParseError("instruction field 'ctx' value may contain "
                               "no whitespace and no '#'")
     if _not_utf8(key + value):

@@ -290,13 +290,16 @@ _LOAD_16 = MemoryAccess(AccessKind.LOAD, 16, 8)
     (TraceInstruction(0, 0, 5),
      "instruction field 'class' must be a non-empty string"),
     (object(), "is not an instruction"),
+    (TraceInstruction(0, 0, "ld", mem=[_LOAD_16]),
+     "instruction field 'mem' must be a tuple"),
 ], ids=["long-seq", "long-register", "negative-register", "bool-register",
         "class-space", "class-hash", "class-empty", "class-surrogate",
         "context-key-equals", "context-surrogate", "context-newline",
         "register-list", "context-list", "address-2^64", "address-negative",
         "bool-seq", "bool-address", "access-size-0", "access-wraps",
         "context-str", "context-3-tuple", "context-1-tuple",
-        "access-not-an-access", "class-int", "not-an-instruction"])
+        "access-not-an-access", "class-int", "not-an-instruction",
+        "access-list"])
 def test_digest_refuses_what_no_trace_line_carries(model, inst, message):
     # The file and wire inputs refuse these; an in-memory one must too,
     # or the digest would name a trace no file or stream can carry.
@@ -641,12 +644,14 @@ def test_region_runs_keep_the_sequence_order_rule(model, stream, regions):
         analyze(model, SequenceBroker(insts), regions=spec)
 
 
-def test_a_visit_reports_its_early_error_before_a_later_chunk_is_read(
-        model, tmp_path):
-    # The visit runs from seq 200 past line 256, where the file broker's
-    # second chunk of lines starts; a line of that chunk is malformed.
-    # The unknown class comes first in the stream, so its error wins.
-    insts = [ti(seq, "bogus" if seq == 210 else "add",
+def visit_past_a_bad_chunk(tmp_path, bogus=None):
+    """A FileBroker over 400 instructions, and the region of its visit.
+
+    The visit runs from seq 200 past line 256, where the file broker's
+    second chunk of lines starts; line 300, in that chunk, is malformed.
+    Instruction bogus, if given, has a class no model defines.
+    """
+    insts = [ti(seq, "bogus" if seq == bogus else "add",
                 address=0x100 if seq < 200 else 0x1000 + 4 * seq)
              for seq in range(400)]
     lines = render_trace(insts).splitlines(keepends=True)
@@ -655,11 +660,28 @@ def test_a_visit_reports_its_early_error_before_a_later_chunk_is_read(
         parse_trace("".join(lines))
     path = tmp_path / "t.trace"
     path.write_text("".join(lines), encoding="utf-8")
-    spec = RegionSpec.from_ranges([(0x1000, 0x2000, None)])
-    broker = FileBroker(str(path))
+    return (FileBroker(str(path)),
+            RegionSpec.from_ranges([(0x1000, 0x2000, None)]))
+
+
+def test_a_visit_reports_its_early_error_before_a_later_chunk_is_read(
+        model, tmp_path):
+    # The unknown class comes first in the stream, so its error wins.
+    broker, spec = visit_past_a_bad_chunk(tmp_path, bogus=210)
     try:
         with pytest.raises(AnalysisError,
                            match="instruction 210: unknown class"):
+            analyze(model, broker, regions=spec)
+    finally:
+        broker.close()
+
+
+def test_a_visit_with_a_clean_head_reports_the_later_chunks_error(
+        model, tmp_path):
+    # The head is fed, and then the read-ahead's error is raised.
+    broker, spec = visit_past_a_bad_chunk(tmp_path)
+    try:
+        with pytest.raises(TraceParseError, match="line 300"):
             analyze(model, broker, regions=spec)
     finally:
         broker.close()

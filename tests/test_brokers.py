@@ -712,6 +712,9 @@ def test_socket_hands_out_a_frame_larger_than_max_n_whole():
         assert not batch.end_of_stream  # the end frame is not sent yet
         producer.sendall(b'{"t": "end"}\n')
         assert broker.fetch_batch(10) == Batch(end_of_stream=True)
+        # After the end frame the broker answers without reading.
+        producer.close()
+        assert broker.fetch_batch(10) == Batch(end_of_stream=True)
     finally:
         producer.close()
         broker.close()
@@ -810,7 +813,10 @@ def test_batches_of_zero_are_refused():
 
 @pytest.mark.parametrize("reply", [
     b'{"t": "nope"}\n', b'["ok"]\n', b"not json\n", b"",
-], ids=["other-type", "not-an-object", "not-json", "closed"])
+    # Refused as the receiver refuses such a frame.
+    b"\xff\n", b'{"t": ' + b"1" * 5000 + b"\n", b"[" * 100_000 + b"\n",
+], ids=["other-type", "not-an-object", "not-json", "closed", "not-utf8",
+        "long-int", "deep"])
 def test_producer_refuses_a_receiver_that_does_not_say_ok(reply):
     producer, receiver = loopback_sockets()
     producer.settimeout(10)

@@ -661,6 +661,32 @@ def test_truncated_trace_over_a_socket_exits_four_on_both_sides(
     assert cut.summary.instructions == 10
 
 
+@pytest.mark.parametrize("reply", [
+    b"\xff\n", b'{"t": ' + b"1" * 5000 + b"\n", b"[" * 100_000 + b"\n",
+], ids=["not-utf8", "long-int", "deep"])
+def test_a_bad_handshake_reply_exits_three(program_file, capsys, reply):
+    server = socket.create_server(("127.0.0.1", 0))
+
+    def receiver():
+        conn, _ = server.accept()
+        with conn, conn.makefile("rb") as rfile:
+            rfile.readline()  # the hello
+            conn.sendall(reply)
+
+    t = threading.Thread(target=receiver)
+    t.start()
+    try:
+        code = main(["trace", "--program", program_file, "--connect",
+                     f"127.0.0.1:{server.getsockname()[1]}"])
+    finally:
+        t.join(10)
+        server.close()
+    assert not t.is_alive()
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "protocol error: receiver did not acknowledge the handshake\n")
+
+
 def test_program_error_over_a_socket_leaves_a_truncated_stream(
     tmp_path, model_file, capsys
 ):

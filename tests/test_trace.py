@@ -20,6 +20,9 @@ from cycletrace import (
     TraceInstruction,
     TraceParseError,
     from_wire,
+    parse_ground_truth,
+    parse_program,
+    parse_regions,
     parse_trace,
     parse_trace_line,
     render_instruction,
@@ -154,6 +157,43 @@ def test_parse_rejects(line, message):
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(TraceParseError, match="line 3:"):
         parse_trace("I 0 0x0 nop R:- W:-\n\nJ bad\n")
+
+
+# -- every line-oriented input splits lines alike -------------------------------
+
+@pytest.mark.parametrize("char", ["\f", "\x85", "\u2028"],
+                         ids=["FF", "NEL", "LS"])
+@pytest.mark.parametrize("read,good,bad,message", [
+    (parse_regions, "R 0x10 0x20", "R 0x30", "bad region line: 'R 0x30'"),
+    (parse_ground_truth, "G 10 20", "G 30", "bad ground-truth line: 'G 30'"),
+    (parse_program, "halt", "jump", "'jump' needs a target label"),
+], ids=["regions", "ground-truth", "program"])
+def test_a_comment_ends_only_at_a_line_end(read, good, bad, message, char):
+    # Only LF, CRLF and CR end a line, as in a trace.
+    with pytest.raises(TraceParseError,
+                       match=f"^line 3: {re.escape(message)}$"):
+        read(f"{good}\n# a{char}b\n{bad}\n")
+
+
+_BREAKS = "\f\v\x1c\x85\u2028"  # line breaks to str.splitlines only
+_skipped_lines = st.lists(st.tuples(
+    st.text(" \t" + _BREAKS, max_size=3),
+    st.one_of(st.just(""), st.text("a #" + _BREAKS, max_size=6).map(
+        "#".__add__)),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+), max_size=8)
+
+
+@given(_skipped_lines)
+def test_every_line_reader_numbers_lines_alike(lines):
+    head = "".join(map("".join, lines))
+    # A CR then an LF is one line end, as the alternation reads it.
+    line = len(re.findall("\r\n|\r|\n", head)) + 1
+    for read in (parse_trace, parse_regions, parse_ground_truth,
+                 parse_program):
+        with pytest.raises(TraceParseError) as e:
+            read(head + "X\n")
+        assert e.value.line == line, read
 
 
 def test_access_must_fit_address_space():
@@ -719,7 +759,7 @@ def test_canonical_frames_keep_sequence_ids_increasing(seqs):
 def test_canonical_frame_strings_are_what_a_line_carries():
     # Each printable character the fast path takes in a string is one
     # json.dumps writes unescaped and the trace line's pattern takes.
-    is_class, is_ctx_key, _ = trace._wire_names()
+    is_class, is_ctx_key = trace._IS_CLASS, trace._IS_CTX_KEY
     for c in map(chr, range(0x20, 0x7f)):
         name = "a" + c
         plain = json.dumps(name) == f'"{name}"'
