@@ -19,6 +19,12 @@ The stages keep the MemQueues fields in place: dispatch and retire its
 slot counts, and dispatch and execution (stage 2, or a single-cycle
 issue) its pending maps.  Admission (find_blocker) is the one call.
 
+The queues hold the records themselves, so no stage looks one up by
+seq: the scoreboard maps a register to its youngest writer's record,
+the ready, deferred and unit heaps hold (seq, record), and executing
+(completes_at, seq, record).  Records do not order, so each heap entry
+leads with its seq, which is unique and orders records oldest first.
+
 A ready record that fails to issue waits where it is blocked and is
 tried again only once it could succeed, so issue work per cycle follows
 what changes, not the size of the window:
@@ -88,7 +94,7 @@ def _free_from(claims) -> int:
 
 
 class _UnitWaits(list):
-    """Heap of ready seq ids short of units, with their next-free cycle."""
+    """Heap of ready (seq, record) short of units, with a next-free cycle."""
 
     unit_free_at = 0
 
@@ -100,8 +106,8 @@ class _Kind:
     several times faster than the InstrClass named tuple's fields.
     """
 
-    __slots__ = ("cls", "latency", "uops", "claims", "usage", "may_load",
-                 "may_store", "context_key", "waiting", "issued")
+    __slots__ = ("cls", "latency", "uops", "claims", "may_load", "may_store",
+                 "context_key", "waiting", "issued")
 
     def __init__(self, cls: InstrClass, busy: dict[str, list[int]],
                  groups: dict[tuple, _UnitWaits]):
@@ -111,7 +117,6 @@ class _Kind:
         # (busy list, occupancy cycles) per claim
         self.claims = tuple((busy[rname], cycles)
                             for rname, cycles in cls.resource_usage)
-        self.usage = cls.resource_usage
         self.may_load = cls.may_load
         self.may_store = cls.may_store
         self.context_key = cls.context_latency_key
@@ -119,9 +124,9 @@ class _Kind:
         # Classes that claim the same resources the same number of times
         # share one _UnitWaits; None if the class claims nothing.
         self.waiting = None
-        if self.usage:
+        if cls.resource_usage:
             self.waiting = groups.setdefault(
-                tuple(sorted(r for r, _ in self.usage)), _UnitWaits())
+                tuple(sorted(r for r, _ in cls.resource_usage)), _UnitWaits())
 
 
 class InstrRecord:
@@ -170,9 +175,9 @@ class Pipeline:
         alias_policy: AliasPolicy = AliasPolicy.METADATA,
         entry_capacity: int = 256,
     ):
-        # Fewer than 30 instance attributes: CPython 3.11 shares at most
-        # 30 keys between a class's instance dicts, and past that every
-        # attribute read and write in the stages takes a slower path.
+        # Fewer than 30 instance attributes (28 now): CPython 3.11 shares
+        # at most 30 keys between a class's instance dicts, and past that
+        # every attribute read and write in the stages is slower.
         validate_model(model)
         self.model = model
         self.policy = alias_policy
@@ -187,14 +192,13 @@ class Pipeline:
         self.cycle = 0
         self.entry: deque[InstrRecord] = deque()
         self.rob: deque[InstrRecord] = deque()
-        self.live: dict[int, InstrRecord] = {}
-        self.scoreboard: dict[int, int] = {}      # register -> youngest writer
+        self.scoreboard: dict[int, InstrRecord] = {}  # reg -> youngest writer
         # seq -> records waiting for it to execute: register consumers, and
         # ready memory records its LSQ entry blocks
         self.consumers: dict[int, list[InstrRecord]] = {}
-        self.ready: list[int] = []                # heap of ready seq ids
-        self.deferred: list[int] = []             # in a dispatch span; next cycle
-        self.executing: list[tuple[int, int]] = []  # heap (completes_at, seq)
+        self.ready: list[tuple] = []      # heap of (seq, record)
+        self.deferred: list[tuple] = []   # (seq, record) in a dispatch span
+        self.executing: list[tuple] = []  # heap (completes_at, seq, record)
         busy = {r.name: [-1] * r.units for r in model.resources}
         groups: dict[tuple, _UnitWaits] = {}
         # class name -> its _Kind
@@ -317,7 +321,6 @@ class Pipeline:
         if cycle < self._quiet_until:
             self.cycle = cycle + 1
             return
-        live = self.live
         queues = self.queues
 
         # 1. retire from the ROB head, in order
@@ -329,11 +332,9 @@ class Pipeline:
             sink = self.retire_sink
             while budget > 0 and rob and rob[0].executed_at >= 0:
                 rec = rob.popleft()
-                seq = rec.seq_id
                 rec.retired_at = cycle
-                del live[seq]
                 for reg in rec.writes:
-                    if scoreboard.get(reg) == seq:
+                    if scoreboard.get(reg) is rec:
                         del scoreboard[reg]
                 if rec.loads or rec.stores:
                     queues.lq_used -= len(rec.loads)
@@ -349,8 +350,7 @@ class Pipeline:
         # 2. complete executions elapsing this cycle
         executing = self.executing
         while executing and executing[0][0] <= cycle:
-            _, seq = heappop(executing)
-            rec = live[seq]
+            _, seq, rec = heappop(executing)
             rec.executed_at = cycle
             if rec.loads:
                 del queues.pending_loads[seq]
@@ -365,8 +365,8 @@ class Pipeline:
         #    whose next-free cycle has come returns.
         ready = self.ready
         deferred = self.deferred
-        for seq in deferred:
-            heappush(ready, seq)
+        for item in deferred:
+            heappush(ready, item)
         deferred.clear()
         groups = self._unit_groups
         for waiting in groups:
@@ -376,17 +376,17 @@ class Pipeline:
             policy = self.policy
             consumers = self.consumers
             while ready:
-                seq = heappop(ready)
-                rec = live[seq]
+                item = heappop(ready)
+                seq, rec = item
                 if rec.dispatched_at >= cycle:
-                    deferred.append(seq)
+                    deferred.append(item)
                     continue
                 kind = rec.kind
                 claims = kind.claims
                 if claims:
                     waiting = kind.waiting
                     if waiting.unit_free_at > cycle:
-                        heappush(waiting, seq)
+                        heappush(waiting, item)
                         continue
                 loads = rec.loads
                 stores = rec.stores
@@ -413,7 +413,7 @@ class Pipeline:
                                 units[units.index(min(units))] = cycle + occ - 1
                         waiting.unit_free_at = _free_from(claims)
                     if low >= cycle:
-                        heappush(waiting, seq)
+                        heappush(waiting, item)
                         continue
                     kind.issued += 1
                     if waiting and waiting.unit_free_at <= cycle:
@@ -428,7 +428,7 @@ class Pipeline:
                         del queues.pending_stores[seq]
                     self._wake(seq)
                 else:
-                    heappush(executing, (cycle + lat - 1, seq))
+                    heappush(executing, (cycle + lat - 1, seq, rec))
 
         # 4. dispatch from the entry buffer while width and space allow;
         #    held is whether ROB or LSQ space stopped it
@@ -470,18 +470,17 @@ class Pipeline:
                     rec.dispatched_at = cycle
                     budget -= uops
                 rob.append(rec)
-                live[seq] = rec
                 pending = rec.waiting_on
                 for reg in rec.reads:
                     producer = scoreboard.get(reg)
-                    if (producer is not None and producer not in pending
-                            and live[producer].executed_at < 0):
-                        pending.add(producer)
-                        consumers.setdefault(producer, []).append(rec)
+                    if (producer is not None and producer.executed_at < 0
+                            and producer.seq_id not in pending):
+                        pending.add(producer.seq_id)
+                        consumers.setdefault(producer.seq_id, []).append(rec)
                 for reg in rec.writes:
-                    scoreboard[reg] = seq
+                    scoreboard[reg] = rec
                 if not pending:
-                    heappush(ready, seq)
+                    heappush(ready, (seq, rec))
 
         # 5. if no stage can act next cycle, note when one next can
         if not (ready or deferred or rob and rob[0].executed_at >= 0):
@@ -509,7 +508,7 @@ class Pipeline:
                 pending.discard(producer_seq)
                 if pending:
                     continue
-            heappush(ready, rec.seq_id)
+            heappush(ready, (rec.seq_id, rec))
 
     # -- driving -----------------------------------------------------------
 
@@ -655,7 +654,7 @@ class Pipeline:
         """Occupancy cycles claimed so far, per resource name."""
         claimed = dict.fromkeys((r.name for r in self.model.resources), 0)
         for kind in self.classes.values():
-            for rname, occ in kind.usage:
+            for rname, occ in kind.cls.resource_usage:
                 claimed[rname] += kind.issued * occ
         return claimed
 

@@ -28,7 +28,7 @@ from collections.abc import Iterator
 
 from .errors import ProgramError, TraceParseError, TruncatedTraceError
 from .trace import (
-    _LOAD, _STORE, MemoryAccess, TraceInstruction, read_int, read_records)
+    _LOAD, _STORE, MemoryAccess, TraceInstruction, _parse_int, read_records)
 
 U64 = 1 << 64
 BASE_ADDRESS = 0x400000
@@ -68,13 +68,6 @@ def _parse_reg(token: str, line: int) -> int:
     if n > 31:
         raise TraceParseError(f"register r{n} out of range (r0..r31)", line)
     return n
-
-
-def _parse_imm(token: str, line: int) -> int:
-    try:
-        return read_int(token)
-    except ValueError:
-        raise TraceParseError(f"bad immediate '{token}'", line) from None
 
 
 def parse_program(text: str) -> ToyProgram:
@@ -148,7 +141,7 @@ def parse_program(text: str) -> ToyProgram:
             if kind == "r":
                 regs.append(_parse_reg(token, lineno))
             elif kind == "i":
-                imm = _parse_imm(token, lineno)
+                imm = _parse_int(token, lineno, "immediate")
             else:
                 key, sep, value = token.partition("=")
                 if not sep or not key:

@@ -628,9 +628,7 @@ def to_wire(inst: TraceInstruction) -> dict:
             for a in inst.mem
         ]
     if inst.context is not None:
-        # The engine reads a context value as its text, so a producer's
-        # non-string value is sent as that text.
-        obj["ctx"] = [inst.context[0], str(inst.context[1])]
+        obj["ctx"] = inst.context  # the receiver holds it to the line rules
     return obj
 
 

@@ -129,10 +129,17 @@ def run_trace(pipe, instructions) -> bool:
     return pipe.run_until_starved(SequenceBroker(instructions))
 
 
+def seqs(queue) -> list[int]:
+    """The seqs of a pipeline queue's (seq, record) entries, in queue
+    order; each entry's seq must be its record's."""
+    assert all(seq == rec.seq_id for seq, rec in queue)
+    return [seq for seq, _ in queue]
+
+
 def unit_waits(pipe) -> dict:
-    """Class name -> its heap of records short of units (_UnitWaits), for
-    each class of pipe that claims units."""
-    return {name: kind.waiting for name, kind in pipe.classes.items()
+    """Class name -> the seqs in its heap of records short of units
+    (_UnitWaits), for each class of pipe that claims units."""
+    return {name: seqs(kind.waiting) for name, kind in pipe.classes.items()
             if kind.waiting is not None}
 
 
@@ -375,6 +382,72 @@ def region_trace(rng: random.Random, visits: int, *, shapes=3,
         for _ in range(rng.randint(1, 3)):
             seq += 1
             out.append(ti(seq, "alu", writes=(0,), address=0x8000))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Long traces shaped like the benchmark's workloads, built here so that
+# neither side moves the other
+
+def mix_trace(n):
+    """add/mul/load/nop round robin with register hazards, no stores: the
+    shape of the file and socket mixes, on simple_model."""
+    for s in range(n):
+        k = s & 3
+        if k == 0:
+            yield ti(s, "add", reads=(s % 4,), writes=((s + 1) % 4,))
+        elif k == 1:
+            yield ti(s, "mul", reads=((s + 1) % 4,), writes=(s % 4,))
+        elif k == 2:
+            yield ti(s, "load", loads=((0x1000 + 8 * (s % 64), 8),))
+        else:
+            yield ti(s, "nop")
+
+
+def big_core_model() -> MachineModel:
+    """Four wide, a 512-entry ROB and 64-entry memory queues."""
+    return make_model(
+        [
+            make_class("alu", 1, uses=[("ALU", 1)]),
+            make_class("mul", 4, uses=[("MULDIV", 1)]),
+            make_class("div", 30, uses=[("MULDIV", 4)]),
+            make_class("load", 5, may_load=True, uses=[("LOAD", 1)]),
+            make_class("store", 1, may_store=True, uses=[("STORE", 1)]),
+        ],
+        name="big", width=4, rob=512, lq=64, sq=64,
+        resources=[("ALU", 3), ("MULDIV", 1), ("LOAD", 2), ("STORE", 1)],
+    )
+
+
+def big_core_trace(groups: int) -> list[TraceInstruction]:
+    """For big_core_model, groups of 209 instructions.  A group opens with
+    a serial chain of slow divides that nothing reads, so the window
+    fills behind it, then repeats four times: a multiply burst on the one
+    MULDIV unit, a dependent ALU chain behind a divide, and four stores
+    fed by a slow divide, each with three loads queued behind it, the
+    first overlapping every other store."""
+    shape = [("div", (4,), (4,), ())] * 8 + [("alu", (4,), (5,), ())]
+    for _ in range(4):
+        shape += [("mul", (1,), (8 + i % 8,), ()) for i in range(20)]
+        shape += [("div", (2,), (2,), ())] + [("alu", (2,), (2,), ())] * 8
+        shape.append(("div", (3,), (16,), ()))
+        for k in range(4):
+            shape.append(("store", (16,), (), ((AccessKind.STORE, 64 * k),)))
+            for j in range(3):
+                offset = 64 * k + 4 if j == 0 and k % 2 == 0 else (
+                    4096 + 64 * (3 * k + j))
+                shape.append(("load", (), (24 + j,),
+                              ((AccessKind.LOAD, offset),)))
+            shape.append(("alu", (24,), (3,), ()))
+    out = []
+    for g in range(groups):
+        base = 0x100000 + g % 256 * 0x2000  # fresh data lines per group
+        for cls, reads, writes, mem in shape:
+            seq = len(out)
+            out.append(TraceInstruction(
+                seq, 0x400000 + 4 * seq, cls, reads, writes,
+                tuple(MemoryAccess(kind, base + offset, 8)
+                      for kind, offset in mem)))
     return out
 
 

@@ -21,6 +21,16 @@ from cycletrace.brokers import BrokerStream
 WAITING, EXECUTING, EXECUTED, RETIRED = range(4)
 
 
+def youngest_writer(insts, rob, i, reg):
+    """The youngest entry older than i in the ROB (trace indices, oldest
+    first, a contiguous run) that writes reg; None if it has none, when
+    every older writer has retired and so blocks nothing."""
+    for j in range(i - 1, rob[0] - 1, -1):
+        if reg in insts[j].writes:
+            return j
+    return None
+
+
 def simulate(model, insts, policy=AliasPolicy.METADATA):
     """Return (total_cycles, [(dispatched, issued, executed, retired)...])."""
     n = len(insts)
@@ -58,12 +68,6 @@ def simulate(model, insts, policy=AliasPolicy.METADATA):
     dispatch_blocked_until = -1
     width = model.dispatch_width
     cycle = 0
-
-    def youngest_writer(i, reg):
-        for j in range(i - 1, -1, -1):
-            if reg in insts[j].writes:
-                return j
-        return None
 
     def conflicts(a, b):
         if policy is AliasPolicy.NONE:
@@ -116,7 +120,7 @@ def simulate(model, insts, policy=AliasPolicy.METADATA):
                 continue
             blocked = False
             for reg in insts[j].reads:
-                w = youngest_writer(j, reg)
+                w = youngest_writer(insts, rob, j, reg)
                 if w is not None and state[w] < EXECUTED:
                     blocked = True
                     break

@@ -62,20 +62,6 @@ def run_with_times(model, insts, batch=None, policy=AliasPolicy.METADATA):
     return pipe.total_cycles, times
 
 
-def synthetic(n):
-    """Endless-style generator of cheap instructions with real hazards."""
-    for s in range(n):
-        k = s & 3
-        if k == 0:
-            yield ti(s, "add", reads=(s % 4,), writes=((s + 1) % 4,))
-        elif k == 1:
-            yield ti(s, "mul", reads=((s + 1) % 4,), writes=(s % 4,))
-        elif k == 2:
-            yield ti(s, "load", loads=((0x1000 + 8 * (s % 64), 8),))
-        else:
-            yield ti(s, "nop")
-
-
 # 1. Cycle counts and timestamps must not depend on producer batching.
 
 def test_streaming_batch_size_invariance():
@@ -181,7 +167,7 @@ def test_record_recycling_bounds_memory_by_window_not_trace_length(model):
     def pool_of(n):
         pipe = Pipeline(model)
         started = time.perf_counter()
-        truncated = pipe.run_until_starved(gen.ChunkedBroker(synthetic(n), 64))
+        truncated = pipe.run_until_starved(gen.ChunkedBroker(gen.mix_trace(n), 64))
         elapsed = time.perf_counter() - started
         assert not truncated
         return pipe.pool_stats(), elapsed
@@ -199,7 +185,7 @@ def test_record_recycling_bounds_memory_by_window_not_trace_length(model):
 def test_million_instruction_trace_within_time_budget(model):
     pipe = Pipeline(model)
     started = time.perf_counter()
-    truncated = pipe.run_until_starved(SequenceBroker(synthetic(10 ** 6)))
+    truncated = pipe.run_until_starved(SequenceBroker(gen.mix_trace(10 ** 6)))
     elapsed = time.perf_counter() - started
     assert not truncated
     assert pipe.instructions_retired == 10 ** 6
@@ -325,7 +311,7 @@ def hand_report(cycles):
 
 
 def test_differential_throughput_identities(model):
-    insts = list(synthetic(64))
+    insts = list(gen.mix_trace(64))
     a = analyze(model, SequenceBroker(insts))
     b = analyze(model, SequenceBroker(insts))
     assert diff_reports(a, b).delta == 1.0  # exact, not approximate
@@ -395,7 +381,7 @@ def test_windowed_timeline_glyphs_reconcile_and_render_golden(model):
 # 10. The exported trace-event document is complete and well formed.
 
 def test_browser_trace_export_is_valid_and_complete(model):
-    insts = list(synthetic(100))
+    insts = list(gen.mix_trace(100))
     pipe = Pipeline(model)
     recorder = TimelineRecorder().attach(pipe)
     assert not gen.run_trace(pipe, insts)

@@ -1,5 +1,6 @@
 """Command-line flows and exit codes, driven through main(argv)."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -732,6 +733,30 @@ def test_protocol_violation_exits_three(model_file, capsys):
     server.close()
     assert rc == 3
     assert "protocol error" in capsys.readouterr().err
+
+
+def test_a_context_no_trace_line_carries_exits_three(model_file, capsys):
+    # analyze refuses ("sz", 4) in memory; sent as it is, the receiver
+    # refuses it too, rather than reading it as ("sz", "4").
+    server = socket.create_server(("127.0.0.1", 0))
+
+    def producer():
+        conn, _ = server.accept()
+        with conn, contextlib.suppress(OSError):
+            stream_to_socket(conn, [ti(0, "add", context=("sz", 4))])
+
+    t = threading.Thread(target=producer)
+    t.start()
+    try:
+        rc = main(["analyze", "--model", model_file,
+                   "--connect", f"127.0.0.1:{server.getsockname()[1]}"])
+    finally:
+        t.join(10)
+        server.close()
+    assert not t.is_alive()
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "protocol error: instruction field 'ctx' must be a pair of strings\n")
 
 
 def test_analyze_connects_to_a_bracketed_ipv6_host(model_file, capsys,

@@ -318,7 +318,7 @@ def test_load_parked_on_store_issues_when_store_completes():
     pipe, recorder = _stepped(m, insts, 2)
     # Refused at cycle 1, the load waits on the store, not in the ready heap.
     assert [r.seq_id for r in pipe.consumers[1]] == [2]
-    assert 2 not in pipe.ready and 2 not in pipe.deferred
+    assert 2 not in gen.seqs(pipe.ready) + gen.seqs(pipe.deferred)
     t = _finish_like_reference(pipe, recorder, m, insts)
     # slow executes at 8, the store issues then and completes at 10.
     assert t[1][1:3] == (8, 10)
@@ -356,7 +356,7 @@ def test_failed_multi_claim_blocks_its_class_but_frees_the_port():
     # stays free; the second "both" is not tried, and both p_only records
     # take P.
     assert sorted(gen.unit_waits(pipe)["both"]) == [1, 2]
-    assert pipe.ready == [] and pipe.deferred == []
+    assert gen.seqs(pipe.ready) == gen.seqs(pipe.deferred) == []
     t = _finish_like_reference(pipe, recorder, m, insts)
     assert [row[1] for row in t] == [1, 4, 5, 1, 1]
 
@@ -368,9 +368,9 @@ def test_record_in_dispatch_span_waits_for_its_last_slot():
     # Dispatch slots 0, 1 and 2: stamped 2, retried each cycle until 3.
     for _ in range(2):
         pipe.run_cycle()
-        assert pipe.deferred == [0]
+        assert gen.seqs(pipe.deferred) == [0]
     pipe.run_cycle()
-    assert pipe.deferred == []
+    assert gen.seqs(pipe.deferred) == []
     t = _finish_like_reference(pipe, recorder, m, insts)
     assert t[0][:2] == (2, 3)
 

@@ -103,6 +103,44 @@ def test_repeated_and_mixed_claims_match_reference():
         assert eng == ref, f"case {case}"
 
 
+def whole_trace_writer(insts, rob, i, reg):
+    """refsim.youngest_writer's reference: the writer found by a scan of
+    the whole trace older than i, retired or not."""
+    for j in range(i - 1, -1, -1):
+        if reg in insts[j].writes:
+            return j
+    return None
+
+
+@pytest.mark.parametrize("policy", list(AliasPolicy))
+def test_the_window_scan_agrees_with_the_whole_trace_scan(monkeypatch,
+                                                          policy):
+    # Short and long traces on small windows, where writers retire long
+    # before their last reader, and on big ones.
+    rng = random.Random(0xD1A)
+    cases = [(gen.random_model(rng), gen.random_trace(rng, n))
+             for n in [rng.randint(1, 25) for _ in range(100)] + [200] * 20]
+    cases += [(gen.wide_model(rng),
+               gen.random_trace(rng, rng.randint(50, 400), gen.MEMORY_WEIGHTS))
+              for _ in range(10)]
+    window = [refsim.simulate(model, insts, policy) for model, insts in cases]
+    monkeypatch.setattr(refsim, "youngest_writer", whole_trace_writer)
+    assert [refsim.simulate(model, insts, policy)
+            for model, insts in cases] == window
+
+
+@pytest.mark.parametrize("shape", ["mix", "big_core_third"])
+def test_bench_shaped_traces_match_reference(shape):
+    # Every timestamp of a 70,000-instruction mix, and of a third of the
+    # big-core trace: the oracle takes three times as long on all of it.
+    if shape == "mix":
+        model, insts = gen.simple_model(), list(gen.mix_trace(70_000))
+    else:
+        model, insts = gen.big_core_model(), gen.big_core_trace(50)
+    ref, eng = both(model, insts)
+    assert eng == ref
+
+
 def test_reference_matches_under_every_policy(rng):
     for policy in AliasPolicy:
         for _ in range(25):

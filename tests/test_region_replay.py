@@ -243,3 +243,25 @@ def test_a_full_memo_holds_under_512_kib():
     finally:
         tracemalloc.stop()
     assert size < 512 * 1024
+
+
+def test_a_pipeline_keeps_under_30_instance_attributes(monkeypatch):
+    # CPython 3.11 shares at most 30 keys between a class's instance
+    # dicts; past that every attribute read and write in the stages is
+    # slower.  Recording, replaying and the timeline set attributes too.
+    pipes, replays = [], []
+    replay = Pipeline._replay
+    monkeypatch.setattr(Pipeline, "_replay", lambda pipe, *args: (
+        replays.append(args), replay(pipe, *args)))
+
+    class Kept(TimelineRecorder):
+        def attach(self, pipe):
+            pipes.append(pipe)
+            return super().attach(pipe)
+
+    rng = random.Random(3)
+    model = gen.random_model(rng)
+    analyze(model, SequenceBroker(gen.region_trace(rng, 40)),
+            regions=gen.REGIONS, recorder=Kept())
+    assert replays
+    assert len(vars(pipes[0])) < 30

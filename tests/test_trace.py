@@ -220,12 +220,6 @@ def test_wire_round_trip():
         assert from_wire(to_wire(inst)) == inst
 
 
-def test_wire_stringifies_context_value():
-    inst = parse_trace_line("I 0 0x0 a R:- W:-")
-    inst.context = ("sz", 4)
-    assert to_wire(inst)["ctx"] == ["sz", "4"]
-
-
 def _wire(**fields):
     return {"seq": 0, "addr": 0, "class": "a", **fields}
 
