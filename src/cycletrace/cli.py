@@ -253,10 +253,12 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (TraceParseError, ModelError, ProgramError, TruncatedTraceError,
-            OSError) as e:
+    except (TraceParseError, ModelError, ProgramError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except TruncatedTraceError as e:  # a stream cut before its first frame
+        print(f"error: {e}", file=sys.stderr)
+        return 4
     except ProtocolError as e:
         print(f"protocol error: {e}", file=sys.stderr)
         return 3

@@ -21,15 +21,17 @@ issue) its pending maps.  Admission (find_blocker) is the one call.
 
 The queues hold the records themselves, so no stage looks one up by
 seq: the scoreboard maps a register to its youngest writer's record,
-the ready, deferred and unit heaps hold (seq, record), and executing
-(completes_at, seq, record).  Records do not order, so each heap entry
-leads with its seq, which is unique and orders records oldest first.
+the LSQ's pending maps seq to records, the ready, deferred and unit
+heaps hold (seq, record), and executing (completes_at, seq, record).
+Records do not order, so each heap entry leads with its seq, which is
+unique and orders records oldest first.  A record keeps its own waiters
+(to release when it executes) and waiting (its unexecuted producers).
 
 A ready record that fails to issue waits where it is blocked and is
 tried again only once it could succeed, so issue work per cycle follows
 what changes, not the size of the window:
 
-  * blocked by an older LSQ entry: parked on that entry's seq and put
+  * blocked by an older LSQ entry: parked on that entry's record and put
     back in the ready heap when the entry executes, in the complete stage
     or on a single-cycle issue earlier in the same pass;
   * short of resource units: kept in a heap shared by the classes that
@@ -63,7 +65,7 @@ with a cycle run only on a full entry buffer (feed) or an ended input
 Retired records go on a free list, and feed builds a new record only
 when that list is empty, so memory stays bounded by the ROB plus the
 entry buffer no matter how long the stream runs.  A record retires only
-once it has executed, so it waits on no producer any more.
+once it has executed, so it waits on no producer and holds no waiters.
 
 A drained pipeline holds nothing that can delay later work but its unit
 and dispatch timers (_drained_state), and the stages read sequence ids
@@ -134,7 +136,7 @@ class InstrRecord:
 
     __slots__ = ("seq_id", "kind", "dispatched_at", "issued_at",
                  "executed_at", "retired_at", "latency", "uops", "reads",
-                 "writes", "waiting_on", "loads", "stores")
+                 "writes", "waiting", "waiters", "loads", "stores")
 
     def __init__(self):
         self.seq_id = -1
@@ -147,7 +149,8 @@ class InstrRecord:
         self.uops = 1
         self.reads: tuple[int, ...] = ()
         self.writes: tuple[int, ...] = ()
-        self.waiting_on: set[int] = set()
+        self.waiting = 0            # unexecuted producers of its reads
+        self.waiters: list = []     # records to release when it executes
         self.loads: tuple = ()      # MemoryAccess or None (metadata missing)
         self.stores: tuple = ()
 
@@ -175,7 +178,7 @@ class Pipeline:
         alias_policy: AliasPolicy = AliasPolicy.METADATA,
         entry_capacity: int = 256,
     ):
-        # Fewer than 30 instance attributes (28 now): CPython 3.11 shares
+        # Fewer than 30 instance attributes (27 now): CPython 3.11 shares
         # at most 30 keys between a class's instance dicts, and past that
         # every attribute read and write in the stages is slower.
         validate_model(model)
@@ -193,9 +196,6 @@ class Pipeline:
         self.entry: deque[InstrRecord] = deque()
         self.rob: deque[InstrRecord] = deque()
         self.scoreboard: dict[int, InstrRecord] = {}  # reg -> youngest writer
-        # seq -> records waiting for it to execute: register consumers, and
-        # ready memory records its LSQ entry blocks
-        self.consumers: dict[int, list[InstrRecord]] = {}
         self.ready: list[tuple] = []      # heap of (seq, record)
         self.deferred: list[tuple] = []   # (seq, record) in a dispatch span
         self.executing: list[tuple] = []  # heap (completes_at, seq, record)
@@ -356,7 +356,7 @@ class Pipeline:
                 del queues.pending_loads[seq]
             if rec.stores:
                 del queues.pending_stores[seq]
-            self._wake(seq)
+            self._wake(rec)
 
         # 3. issue ready records oldest-first; a producer completing here
         #    (single-cycle latency) can wake and issue its consumers within
@@ -374,7 +374,6 @@ class Pipeline:
                 heappush(ready, heappop(waiting))
         if ready:
             policy = self.policy
-            consumers = self.consumers
             while ready:
                 item = heappop(ready)
                 seq, rec = item
@@ -393,7 +392,7 @@ class Pipeline:
                 if loads or stores:
                     blocker = queues.find_blocker(policy, seq, loads, stores)
                     if blocker is not None:
-                        consumers.setdefault(blocker, []).append(rec)
+                        blocker.waiters.append(rec)
                         if claims and waiting:
                             heappush(ready, heappop(waiting))
                         continue
@@ -426,7 +425,7 @@ class Pipeline:
                         del queues.pending_loads[seq]
                     if stores:
                         del queues.pending_stores[seq]
-                    self._wake(seq)
+                    self._wake(rec)
                 else:
                     heappush(executing, (cycle + lat - 1, seq, rec))
 
@@ -438,7 +437,6 @@ class Pipeline:
             width = self.dispatch_width
             rob_size = self.rob_size
             scoreboard = self.scoreboard
-            consumers = self.consumers
             budget = width
             while entry and budget > 0:
                 rec = entry[0]
@@ -456,10 +454,10 @@ class Pipeline:
                 seq = rec.seq_id
                 if loads:
                     queues.lq_used += len(loads)
-                    queues.pending_loads[seq] = loads
+                    queues.pending_loads[seq] = rec
                 if stores:
                     queues.sq_used += len(stores)
-                    queues.pending_stores[seq] = stores
+                    queues.pending_stores[seq] = rec
                 if uops > width:
                     # Wider than the machine: takes dispatch for whole
                     # cycles, and only starts on a fresh cycle.
@@ -470,16 +468,17 @@ class Pipeline:
                     rec.dispatched_at = cycle
                     budget -= uops
                 rob.append(rec)
-                pending = rec.waiting_on
+                # a producer read twice already ends its waiters with rec
                 for reg in rec.reads:
                     producer = scoreboard.get(reg)
-                    if (producer is not None and producer.executed_at < 0
-                            and producer.seq_id not in pending):
-                        pending.add(producer.seq_id)
-                        consumers.setdefault(producer.seq_id, []).append(rec)
+                    if producer is not None and producer.executed_at < 0:
+                        waiters = producer.waiters
+                        if not waiters or waiters[-1] is not rec:
+                            waiters.append(rec)
+                            rec.waiting += 1
                 for reg in rec.writes:
                     scoreboard[reg] = rec
-                if not pending:
+                if not rec.waiting:
                     heappush(ready, (seq, rec))
 
         # 5. if no stage can act next cycle, note when one next can
@@ -495,20 +494,20 @@ class Pipeline:
 
         self.cycle = cycle + 1
 
-    def _wake(self, producer_seq: int):
-        """Release the records waiting for producer_seq to execute."""
-        waiters = self.consumers.pop(producer_seq, None)
-        if not waiters:
-            return
-        ready = self.ready
-        for rec in waiters:
-            pending = rec.waiting_on
-            if pending:
-                # a register consumer: ready once its last producer is done
-                pending.discard(producer_seq)
-                if pending:
-                    continue
-            heappush(ready, (rec.seq_id, rec))
+    def _wake(self, producer: InstrRecord):
+        """Release the records waiting for producer, which just executed."""
+        waiters = producer.waiters
+        if waiters:
+            ready = self.ready
+            for rec in waiters:
+                left = rec.waiting
+                if left:
+                    # a register consumer: ready once all producers are done
+                    rec.waiting = left - 1
+                    if left > 1:
+                        continue
+                heappush(ready, (rec.seq_id, rec))
+            waiters.clear()
 
     # -- driving -----------------------------------------------------------
 

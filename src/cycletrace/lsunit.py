@@ -15,10 +15,11 @@ compares the actual byte ranges.  An access slot with no metadata (the
 producer traced the instruction but not its addresses) is represented by
 None and conservatively conflicts with everything under METADATA.
 
-A refused instruction learns one older blocking entry.  Conflicts never
-change, so the instruction cannot be admitted before that entry executes,
-and the caller may wait for it instead of asking again.  Entries are
-inserted in sequence order, so no new older blocker can appear later.
+A refused instruction learns the record of one older blocking entry.
+Conflicts never change, so the instruction cannot be admitted before that
+entry executes, and the caller may wait on that record instead of asking
+again.  Entries are inserted in sequence order, so no new older blocker
+can appear later.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class MemQueues:
     The pipeline's stages keep the fields in place.  lq_used and sq_used
     count the slots taken, at most lq_size and sq_size: dispatch takes
     one per access, and retire frees them.  pending_loads and
-    pending_stores map seq to the accesses of each entry that has not
+    pending_stores map seq to the record of each entry that has not
     executed, the only ones that can block: dispatch adds entries in
     seq order, and each leaves as it executes.
     """
@@ -56,17 +57,12 @@ class MemQueues:
         self.sq_size = sq_size
         self.lq_used = 0
         self.sq_used = 0
-        self.pending_loads: dict[int, tuple] = {}
-        self.pending_stores: dict[int, tuple] = {}
+        self.pending_loads: dict = {}   # seq -> record, oldest first
+        self.pending_stores: dict = {}
 
-    def find_blocker(
-        self,
-        policy: AliasPolicy,
-        seq: int,
-        loads: tuple,
-        stores: tuple,
-    ) -> int | None:
-        """An older blocking entry that has not executed, or None to admit.
+    def find_blocker(self, policy: AliasPolicy, seq: int, loads: tuple,
+                     stores: tuple):
+        """Record of an older unexecuted blocking entry, or None to admit.
 
         Stores are scanned before loads, each queue oldest first, and the
         first conflict found is returned.
@@ -75,16 +71,18 @@ class MemQueues:
             return None
         # Loads wait on conflicting older stores; stores wait on
         # conflicting older stores and older loads.
-        blocker = _first_conflict(self.pending_stores, policy, seq,
+        blocker = _first_conflict(self.pending_stores, True, policy, seq,
                                   loads + stores)
         if blocker is None and stores:
-            blocker = _first_conflict(self.pending_loads, policy, seq, stores)
+            blocker = _first_conflict(self.pending_loads, False, policy, seq,
+                                      stores)
         return blocker
 
 
-def _first_conflict(pending: dict, policy: AliasPolicy, seq: int,
-                    mine: tuple) -> int | None:
-    """Oldest entry of pending, older than seq, that conflicts with mine.
+def _first_conflict(pending: dict, of_stores: bool, policy: AliasPolicy,
+                    seq: int, mine: tuple):
+    """Oldest record of pending, older than seq, whose stores (of_stores)
+    or loads conflict with mine.
 
     Each of mine is read once and scanned for on its own; each scan stops
     at the oldest blocker found so far, and the oldest found is returned.
@@ -92,8 +90,8 @@ def _first_conflict(pending: dict, policy: AliasPolicy, seq: int,
     if not pending:
         return None
     if policy is _ALL:
-        oldest = next(iter(pending))
-        return oldest if oldest < seq else None
+        oldest, rec = next(iter(pending.items()))
+        return rec if oldest < seq else None
     blocker = seq  # insertion is in seq order; younger entries never block
     for a in mine:
         # Untraced addresses (None) conflict with every access; byte
@@ -103,10 +101,10 @@ def _first_conflict(pending: dict, policy: AliasPolicy, seq: int,
         else:
             start = a.address
             end = start + a.size
-        for other, theirs in pending.items():
+        for other, rec in pending.items():
             if other >= blocker:
                 break
-            for b in theirs:
+            for b in (rec.stores if of_stores else rec.loads):
                 if b is None or (start < b.address + b.size
                                  and b.address < end):
                     break
@@ -114,4 +112,4 @@ def _first_conflict(pending: dict, policy: AliasPolicy, seq: int,
                 continue
             blocker = other
             break
-    return blocker if blocker < seq else None
+    return pending[blocker] if blocker < seq else None

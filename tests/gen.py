@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 from hypothesis import strategies as st
 
@@ -145,13 +146,16 @@ def unit_waits(pipe) -> dict:
 
 def enqueue(queues, seq, loads=(), stores=()):
     """Enter an entry into MemQueues as dispatch does: a queue slot per
-    access, and its accesses pending until it executes."""
+    access, and its record pending until it executes.  The record is a
+    stand-in with the fields the queues read; it is returned."""
+    rec = SimpleNamespace(seq_id=seq, loads=loads, stores=stores)
     queues.lq_used += len(loads)
     queues.sq_used += len(stores)
     if loads:
-        queues.pending_loads[seq] = loads
+        queues.pending_loads[seq] = rec
     if stores:
-        queues.pending_stores[seq] = stores
+        queues.pending_stores[seq] = rec
+    return rec
 
 
 def run_recorded(model, insts, *, policy=AliasPolicy.METADATA):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -829,6 +830,33 @@ def test_truncated_stream_exits_four_with_a_partial_report(
     assert report.truncated
     assert report.summary.instructions == len(insts)
     assert report.summary.total_cycles == cycles_of(out)
+
+
+def test_a_connection_reset_in_the_handshake_exits_four(model_file, capsys):
+    # The producer resets the connection (SO_LINGER 0) before its hello:
+    # a stream truncated before its first frame, exit 4 as after it.
+    server = socket.create_server(("127.0.0.1", 0))
+
+    def producer():
+        conn, _ = server.accept()
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        conn.close()
+
+    t = threading.Thread(target=producer)
+    t.start()
+    try:
+        rc = main(["analyze", "--model", model_file,
+                   "--connect", f"127.0.0.1:{server.getsockname()[1]}"])
+    finally:
+        t.join(10)
+        server.close()
+    assert not t.is_alive()
+    assert rc == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: stream failed: ")
+    assert "reset" in err
 
 
 def test_module_entry_point(model_file):

@@ -317,7 +317,7 @@ def test_load_parked_on_store_issues_when_store_completes():
     ]
     pipe, recorder = _stepped(m, insts, 2)
     # Refused at cycle 1, the load waits on the store, not in the ready heap.
-    assert [r.seq_id for r in pipe.consumers[1]] == [2]
+    assert [r.seq_id for r in pipe.queues.pending_stores[1].waiters] == [2]
     assert 2 not in gen.seqs(pipe.ready) + gen.seqs(pipe.deferred)
     t = _finish_like_reference(pipe, recorder, m, insts)
     # slow executes at 8, the store issues then and completes at 10.
@@ -333,9 +333,39 @@ def test_load_behind_single_cycle_store_issues_in_the_same_pass():
         ti(2, "ld", loads=[(0x100, 8)], writes=[2]),
     ]
     pipe, recorder = _stepped(m, insts, 2)
-    assert [r.seq_id for r in pipe.consumers[1]] == [2]
+    assert [r.seq_id for r in pipe.queues.pending_stores[1].waiters] == [2]
     t = _finish_like_reference(pipe, recorder, m, insts)
     assert t[1][1] == t[1][2] == t[2][1] == 8
+
+
+# A record counts the distinct producers of its reads that have not
+# executed (waiting), and a producer holds the records it releases when
+# it executes (waiters).  Both are checked before the drain: a producer
+# counted twice would leave its consumer waiting for ever.
+
+def test_a_producer_read_through_two_registers_is_waited_on_once(model):
+    insts = [ti(0, "mul", writes=[1, 2]), ti(1, "add", reads=[1, 2])]
+    pipe, recorder = _stepped(model, insts, 1)
+    producer, consumer = pipe.rob
+    assert consumer.waiting == 1
+    assert producer.waiters == [consumer]
+    t = _finish_like_reference(pipe, recorder, model, insts)
+    # The mul's one execution releases the add, which issues that cycle.
+    assert t[1][1] == t[0][2] == 3
+
+
+def test_reads_of_p_q_p_wait_on_each_producer_once(model):
+    # P writes r1 and r3, Q writes r2, and the consumer reads r1, r2, r3:
+    # P's second read comes after a read of Q, and still counts once.
+    insts = [ti(0, "mul", writes=[1, 3]), ti(1, "add", writes=[2]),
+             ti(2, "add", reads=[1, 2, 3])]
+    pipe, recorder = _stepped(model, insts, 2)
+    p, q, consumer = pipe.rob
+    assert consumer.waiting == 2
+    assert p.waiters == q.waiters == [consumer]
+    t = _finish_like_reference(pipe, recorder, model, insts)
+    # Q executes at 2 and P at 3, which releases the consumer.
+    assert (t[1][2], t[0][2], t[2][1]) == (2, 3, 3)
 
 
 def test_failed_multi_claim_blocks_its_class_but_frees_the_port():
@@ -482,6 +512,25 @@ def test_pool_allocates_only_at_peak(model):
     assert stats.total_allocated == stats.peak_live
     assert stats.total_recycled == 500
     assert stats.peak_live <= pipe.entry_capacity + model.reorder_buffer_size
+
+
+def test_a_retired_record_carries_no_wake_up_state():
+    # The pool reuses a retired record as it is: it must wait on no
+    # producer and hold no waiters, or these would carry over.
+    rng = random.Random(0x3A17)
+    carried = []
+
+    def check(rec, iteration):
+        if rec.waiting or rec.waiters:
+            carried.append(rec.seq_id)
+
+    for policy in AliasPolicy:
+        pipe = Pipeline(gen.wide_model(rng), policy)
+        pipe.retire_sink = check
+        insts = gen.random_trace(rng, 3000, gen.MEMORY_WEIGHTS)
+        assert not gen.run_trace(pipe, insts)
+        assert pipe.pool_stats().total_allocated < len(insts)
+    assert carried == []
 
 
 def test_directly_built_model_is_validated():
@@ -757,13 +806,17 @@ def test_traced_calls_follow_cycles_executions_and_admission_checks(
     memory = [i.seq_id for i in insts if i.class_name in ("ld", "st", "fence")]
     assert {"ld", "st", "pair"} <= {inst.class_name for inst in insts}
     cycles = _calls(monkeypatch, Pipeline, "run_cycle")
-    wakes = _calls(monkeypatch, Pipeline, "_wake")
+    # Records are pooled, so each executed record's seq is read at the call.
+    wakes = []
+    wake = Pipeline._wake
+    monkeypatch.setattr(Pipeline, "_wake", lambda self, rec: (
+        wakes.append(rec.seq_id), wake(self, rec)))
     admissions = _calls(monkeypatch, MemQueues, "find_blocker")
     pipe = Pipeline(model, policy)
     assert not gen.run_trace(pipe, insts)
 
     assert len(cycles) == pipe.cycle == pipe.total_cycles
-    assert sorted(seq for (seq,), _ in wakes) == [i.seq_id for i in insts]
+    assert sorted(wakes) == [i.seq_id for i in insts]
     assert len(admissions) == checks
     # Every memory record is admitted; on this trace, each only once.
     admitted = [seq for (_, seq, _, _), blocker in admissions

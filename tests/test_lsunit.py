@@ -1,8 +1,8 @@
 """Alias policies, memory queue blocking rules, and byte-range overlap.
 
 The queues are set up as dispatch fills them (gen.enqueue), and an entry
-executes as the complete stage has it: its accesses leave the pending
-map.
+executes as the complete stage has it: its record leaves the pending map.
+A refused instruction learns the blocking entry's record.
 """
 
 from hypothesis import given
@@ -58,7 +58,8 @@ def test_load_blocked_by_older_conflicting_store():
     q = queues()
     enqueue(q, 1, stores=(S(0x100, 8),))
     enqueue(q, 5, loads=(L(0x104, 4),))
-    assert q.find_blocker(AliasPolicy.METADATA, 5, (L(0x104, 4),), ()) == 1
+    store = q.find_blocker(AliasPolicy.METADATA, 5, (L(0x104, 4),), ())
+    assert store.seq_id == 1
     del q.pending_stores[1]  # the store executes
     assert q.find_blocker(AliasPolicy.METADATA, 5, (L(0x104, 4),), ()) is None
 
@@ -74,8 +75,9 @@ def test_store_blocked_by_older_loads_and_stores():
     enqueue(q, 1, loads=(L(0x100, 8),))
     enqueue(q, 2, stores=(S(0x200, 8),))
     st_acc = (S(0x100, 4),)
-    assert q.find_blocker(AliasPolicy.METADATA, 3, (), st_acc) == 1
-    assert q.find_blocker(AliasPolicy.ALL, 3, (), st_acc) == 2  # SQ scanned first
+    assert q.find_blocker(AliasPolicy.METADATA, 3, (), st_acc).seq_id == 1
+    # SQ scanned first
+    assert q.find_blocker(AliasPolicy.ALL, 3, (), st_acc).seq_id == 2
 
 
 def test_policy_none_never_blocks():
@@ -90,14 +92,15 @@ def test_disjoint_ranges_pass_under_metadata():
     assert q.find_blocker(
         AliasPolicy.METADATA, 2, (L(0x108, 8),), ()
     ) is None
-    assert q.find_blocker(AliasPolicy.ALL, 2, (L(0x108, 8),), ()) == 1
+    assert q.find_blocker(AliasPolicy.ALL, 2, (L(0x108, 8),), ()).seq_id == 1
 
 
 def test_missing_metadata_conflicts_with_everything():
     # A None access is a memory op whose addresses were not traced.
     q = queues()
-    enqueue(q, 1, stores=(None,))
-    assert q.find_blocker(AliasPolicy.METADATA, 2, (L(0x9999, 1),), ()) == 1
+    store = enqueue(q, 1, stores=(None,))
+    assert q.find_blocker(
+        AliasPolicy.METADATA, 2, (L(0x9999, 1),), ()) is store
     assert q.find_blocker(AliasPolicy.NONE, 2, (L(0x9999, 1),), ()) is None
 
 

@@ -8,12 +8,13 @@ to the edit, and sweeps the big-window regimes the small models miss.
 
 import math
 import random
+from itertools import accumulate
 
 import pytest
 
 import gen
 import refsim
-from cycletrace import AliasPolicy
+from cycletrace import AliasPolicy, Pipeline
 from gen import make_class, make_model
 
 
@@ -47,6 +48,34 @@ def test_wide_windows_match_reference():
         insts = gen.random_trace(rng, n, weights)
         ref, eng = both(model, insts, policies[case % len(policies)])
         assert eng == ref, f"case {case}"
+
+
+def peak_in_flight(times, insts, classes):
+    """Most records of classes between dispatch and retirement in one
+    cycle; a retirement frees its slot before that cycle's dispatch."""
+    events = sorted(e for (d, _, _, r), inst in zip(times, insts)
+                    if inst.class_name in classes for e in ((d, 1), (r, -1)))
+    return max(accumulate(delta for _, delta in events))
+
+
+@pytest.mark.parametrize("policy", list(AliasPolicy))
+def test_an_aperiodic_rob_512_trace_matches_reference(monkeypatch, policy):
+    # A memory-heavy random trace, with no shape that repeats, on a big
+    # window with 64-entry memory queues: the load queue fills, and where
+    # memory operations may alias a store releases dozens of parked ones.
+    # On this mix the queues, not the ROB, bound the records in flight.
+    rng = random.Random(0)
+    model = gen.wide_model(rng)._replace(
+        reorder_buffer_size=512, load_queue_size=64, store_queue_size=64)
+    insts = gen.random_trace(rng, 2000, gen.MEMORY_WEIGHTS)
+    released = []
+    wake = Pipeline._wake
+    monkeypatch.setattr(Pipeline, "_wake", lambda self, rec: (
+        released.append(len(rec.waiters)), wake(self, rec)))
+    ref, eng = both(model, insts, policy)
+    assert eng == ref
+    assert peak_in_flight(eng[1], insts, ("ld", "fence")) == 64
+    assert max(released) > (5 if policy is AliasPolicy.NONE else 40)
 
 
 def repeat_claim_model(rng):
