@@ -218,10 +218,10 @@ def analyze(
 
 # A region run looks each visit of at most _MEMO_VISIT instructions up
 # in a memo of at most _MEMO_SHAPES keys, emptied when full: seen once,
-# a visit keeps only its key's hash; seen twice, it is recorded; from
-# then on it is replayed.  Full, the memo holds 383 KiB when each of
+# a visit's key maps to None; seen twice, to its record; from then on
+# it is replayed.  Full, the memo holds 381 KiB when each of
 # its instructions has a memory access and a context of its own, about
-# 510 bytes per instruction (test_a_full_memo_holds_under_512_kib).
+# 508 bytes per instruction (test_a_full_memo_holds_under_512_kib).
 _MEMO_VISIT = 256
 _MEMO_SHAPES = 3
 # What the stages read of an instruction: all but its address and seq,
@@ -233,19 +233,16 @@ def _memoized(pipe, memo: dict, head: list) -> bool:
     """Replay or record a visit the memo has seen from the same drained
     state; False if it is for the caller to simulate."""
     key = (pipe._drained_state(), tuple(map(_shape, head)))
-    h = hash(key)
-    seen = memo.get(h)  # (), or (key, recorded visit)
-    if seen is None:
+    visit = memo.get(key, False)  # False: not seen; None: seen once
+    if visit is False:
         if len(memo) >= _MEMO_SHAPES:
             memo.clear()
-        memo[h] = ()
+        memo[key] = None
         return False
-    if not seen:
-        memo[h] = (key, pipe._record(head))
-    elif seen[0] == key:
-        pipe._replay(head, seen[1])
-    else:  # another key with the same hash
-        return False
+    if visit is None:
+        memo[key] = pipe._record(head)
+    else:
+        pipe._replay(head, visit)
     return True
 
 
@@ -253,7 +250,7 @@ def _analyze_regions(pipe, broker, regions):
     stream = BrokerStream(broker, pipe.entry_capacity)
     contains, feed = regions.contains, pipe.feed
     per_visit: list[tuple[int, int]] = []
-    memo: dict[int, tuple] = {}
+    memo: dict[tuple, object] = {}
     for inside, visit in groupby(chain.from_iterable(stream),
                                  key=lambda inst: contains(inst.address)):
         if not inside:

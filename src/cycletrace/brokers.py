@@ -68,6 +68,7 @@ from .trace import (
     MemoryAccess,
     TraceInstruction,
     _wire_line,
+    render_trace,
     to_wire,
 )
 
@@ -443,7 +444,8 @@ def stream_to_socket(
     instructions may be a generator that produces the trace as it is
     sent.  If iterating it raises, what it produced is still sent and
     the error propagates without the end frame, which the receiver
-    reports as a truncated trace.
+    reports as a truncated trace.  An instruction that no trace line
+    carries (render_trace) raises TraceParseError the same way, unsent.
     """
     hello = {"t": "hello", "version": 1, "model_hint": model_hint}
     sock.sendall((json.dumps(hello) + "\n").encode("utf-8"))
@@ -465,6 +467,7 @@ def stream_to_socket(
     chunk: list[dict] = []
     try:
         for inst in instructions:
+            render_trace((inst,))
             chunk.append(to_wire(inst))
             if len(chunk) == FRAME_INSTRUCTIONS:
                 # Emptied before the send, so a failed send is not retried.

@@ -78,7 +78,7 @@ without running a cycle.
 from __future__ import annotations
 
 from array import array
-from collections import deque, namedtuple
+from collections import Counter, deque, namedtuple
 from collections.abc import Callable
 from heapq import heappush, heappop
 
@@ -109,7 +109,7 @@ class _Kind:
     """
 
     __slots__ = ("cls", "latency", "uops", "claims", "may_load", "may_store",
-                 "context_key", "waiting", "issued")
+                 "context_key", "waiting", "retired")
 
     def __init__(self, cls: InstrClass, busy: dict[str, list[int]],
                  groups: dict[tuple, _UnitWaits]):
@@ -122,7 +122,7 @@ class _Kind:
         self.may_load = cls.may_load
         self.may_store = cls.may_store
         self.context_key = cls.context_latency_key
-        self.issued = 0             # records issued; counted if it claims units
+        self.retired = 0            # records of this class retired
         # Classes that claim the same resources the same number of times
         # share one _UnitWaits; None if the class claims nothing.
         self.waiting = None
@@ -135,8 +135,8 @@ class InstrRecord:
     """Mutable per-instruction pipeline state; pooled and recycled."""
 
     __slots__ = ("seq_id", "kind", "dispatched_at", "issued_at",
-                 "executed_at", "retired_at", "latency", "uops", "reads",
-                 "writes", "waiting", "waiters", "loads", "stores")
+                 "executed_at", "retired_at", "latency", "reads", "writes",
+                 "waiting", "waiters", "loads", "stores")
 
     def __init__(self):
         self.seq_id = -1
@@ -146,7 +146,6 @@ class InstrRecord:
         self.executed_at = -1       # >= 0 once executed
         self.retired_at = -1
         self.latency = 1            # the class latency or its context override
-        self.uops = 1
         self.reads: tuple[int, ...] = ()
         self.writes: tuple[int, ...] = ()
         self.waiting = 0            # unexecuted producers of its reads
@@ -160,10 +159,10 @@ PoolStats = namedtuple("PoolStats", "total_allocated total_recycled peak_live")
 # A visit as Pipeline._record saw it, from its drained start.  Per
 # retirement, in order: four timestamps relative to the start cycle in
 # times (dispatched, issued, executed, retired), and its _Kind, loads and
-# stores in held.  Then the cycles it took, its uops and instructions
-# missing metadata, (kind, records issued) per class that issued, and
-# the drained state it ended in.
-_Visit = namedtuple("_Visit", "times held cycles uops missing issued end")
+# stores in held.  Then its instructions missing metadata, (kind, records
+# retired) per class that retired, and the drained state it ended in.
+# The visit took its last retirement's cycle + 1.
+_Visit = namedtuple("_Visit", "times held missing retired end")
 
 
 def _order_error(seq: int, last: int) -> AnalysisError:
@@ -178,7 +177,7 @@ class Pipeline:
         alias_policy: AliasPolicy = AliasPolicy.METADATA,
         entry_capacity: int = 256,
     ):
-        # Fewer than 30 instance attributes (27 now): CPython 3.11 shares
+        # Fewer than 30 instance attributes (25 now): CPython 3.11 shares
         # at most 30 keys between a class's instance dicts, and past that
         # every attribute read and write in the stages is slower.
         validate_model(model)
@@ -210,13 +209,11 @@ class Pipeline:
         self.free: list[InstrRecord] = []       # retired records, for reuse
 
         self.instructions_retired = 0
-        self.uops_retired = 0
         self.missing_metadata = 0
         self.iteration = 0
         self.retire_sink: Callable[[InstrRecord, int], None] | None = None
 
         self._last_seq = -1
-        self._last_retire_cycle = -1
         self._dispatch_busy_until = -1
         self._quiet_until = 0
 
@@ -288,7 +285,6 @@ class Pipeline:
             rec.dispatched_at = rec.issued_at = rec.executed_at = -1
             rec.retired_at = -1
             rec.latency = lat
-            rec.uops = kind.uops
             rec.reads = inst.reads
             rec.writes = inst.writes
             rec.loads = load_accs
@@ -340,8 +336,7 @@ class Pipeline:
                     queues.lq_used -= len(rec.loads)
                     queues.sq_used -= len(rec.stores)
                 self.instructions_retired += 1
-                self.uops_retired += rec.uops
-                self._last_retire_cycle = cycle
+                rec.kind.retired += 1
                 if sink is not None:
                     sink(rec, self.iteration)
                 free.append(rec)
@@ -414,7 +409,6 @@ class Pipeline:
                     if low >= cycle:
                         heappush(waiting, item)
                         continue
-                    kind.issued += 1
                     if waiting and waiting.unit_free_at <= cycle:
                         heappush(ready, heappop(waiting))
                 rec.issued_at = cycle
@@ -440,7 +434,7 @@ class Pipeline:
             budget = width
             while entry and budget > 0:
                 rec = entry[0]
-                uops = rec.uops
+                uops = rec.kind.uops
                 if budget < width if uops > width else uops > budget:
                     break
                 loads = rec.loads
@@ -569,9 +563,7 @@ class Pipeline:
         drain it, as a region run does; returns what _replay needs to
         run the same visit again from the same drained state."""
         start = self.cycle
-        kinds = list(self.classes.values())
-        issued = [kind.issued for kind in kinds]
-        uops, missing = self.uops_retired, self.missing_metadata
+        missing = self.missing_metadata
         times = array("q")
         held: list = []
         sink = self.retire_sink
@@ -593,11 +585,8 @@ class Pipeline:
         return _Visit(
             times=times,
             held=tuple(held),
-            cycles=self.cycle - start,
-            uops=self.uops_retired - uops,
             missing=self.missing_metadata - missing,
-            issued=tuple((kind, kind.issued - n)
-                         for kind, n in zip(kinds, issued) if kind.issued > n),
+            retired=tuple(Counter(held[::3]).items()),
             end=self._drained_state(),
         )
 
@@ -625,36 +614,41 @@ class Pipeline:
                 rec.executed_at = start + x
                 rec.retired_at = start + r
                 rec.latency = x - i + 1
-                rec.uops = kind.uops
                 rec.reads = inst.reads
                 rec.writes = inst.writes
                 rec.loads = loads
                 rec.stores = stores
                 sink(rec, iteration)
         self.instructions_retired += len(instructions)
-        self.uops_retired += visit.uops
         self.missing_metadata += visit.missing
-        for kind, n in visit.issued:
-            kind.issued += n
-        self.cycle = start + visit.cycles
+        for kind, n in visit.retired:
+            kind.retired += n
         # A drain ends on the cycle that retires its last record.
-        self._last_retire_cycle = self.cycle - 1
+        self.cycle = start + visit.times[-1] + 1
         self._restore(visit.end)
 
     # -- results -----------------------------------------------------------
 
     @property
     def total_cycles(self) -> int:
-        """Cycles consumed so far: last retirement cycle + 1, 0 if none."""
-        return self._last_retire_cycle + 1
+        """Cycles consumed so far.  A drain ends on the cycle that retires
+        its last record, so after one this is that cycle + 1, or 0 if
+        nothing has retired."""
+        return self.cycle
+
+    @property
+    def uops_retired(self) -> int:
+        """Uops of the records retired so far."""
+        return sum(kind.retired * kind.uops for kind in self.classes.values())
 
     @property
     def resource_claimed(self) -> dict[str, int]:
-        """Occupancy cycles claimed so far, per resource name."""
+        """Occupancy cycles claimed so far by retired records, per
+        resource name."""
         claimed = dict.fromkeys((r.name for r in self.model.resources), 0)
         for kind in self.classes.values():
             for rname, occ in kind.cls.resource_usage:
-                claimed[rname] += kind.issued * occ
+                claimed[rname] += kind.retired * occ
         return claimed
 
     def pool_stats(self) -> PoolStats:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import gen
 from cycletrace import (
+    AnalysisError,
     Batch,
     FileBroker,
     Pipeline,
@@ -26,6 +27,7 @@ from cycletrace import (
     TraceInstruction,
     TraceParseError,
     TruncatedTraceError,
+    analyze,
     parse_trace,
     parse_trace_line,
     render_instruction,
@@ -655,6 +657,29 @@ def test_source_error_wins_over_a_receiver_that_has_gone():
 
     with sock, pytest.raises(TruncatedTraceError):
         stream_to_socket(sock, source())
+
+
+@pytest.mark.parametrize("bad", [
+    TraceInstruction(2, 0, "add", reads=[1]),
+    TraceInstruction(2, 0, "add", context=["sz", "4"]),
+], ids=["list-reads", "list-context"])
+def test_stream_to_socket_refuses_what_analyze_refuses(model, bad):
+    insts = [ti(0, "add"), ti(1, "add")]
+    with pytest.raises(AnalysisError, match="no trace line can carry"):
+        analyze(model, SequenceBroker(insts + [bad]))
+    # The instructions before it are sent, it is not, and no end frame
+    # follows, as when the source raises.
+    sock, peer = socket.socketpair()
+    with sock, peer:
+        peer.sendall(b'{"t": "ok"}\n')
+        with pytest.raises(TraceParseError):
+            stream_to_socket(sock, insts + [bad])
+        sock.shutdown(socket.SHUT_WR)
+        with peer.makefile("rb") as rfile:
+            frames = [json.loads(line) for line in rfile]
+    assert frames[0]["t"] == "hello"
+    assert frames[1:] == [
+        {"t": "insts", "batch": [to_wire(inst) for inst in insts]}]
 
 
 def test_socket_fetch_waits_for_a_quiet_producer():

@@ -23,6 +23,7 @@ from cycletrace import (
     render_model,
     render_trace,
     stream_to_socket,
+    to_wire,
 )
 from cycletrace.cli import _endpoint, main
 from gen import ti
@@ -737,14 +738,20 @@ def test_protocol_violation_exits_three(model_file, capsys):
 
 
 def test_a_context_no_trace_line_carries_exits_three(model_file, capsys):
-    # analyze refuses ("sz", 4) in memory; sent as it is, the receiver
-    # refuses it too, rather than reading it as ("sz", "4").
+    # analyze refuses ("sz", 4) in memory, and so does stream_to_socket;
+    # sent as it is by another producer, the receiver refuses it too,
+    # rather than reading it as ("sz", "4").
     server = socket.create_server(("127.0.0.1", 0))
+    bad = to_wire(ti(0, "add", context=("sz", 4)))
+    frame = {"t": "insts", "batch": [bad]}
 
     def producer():
         conn, _ = server.accept()
-        with conn, contextlib.suppress(OSError):
-            stream_to_socket(conn, [ti(0, "add", context=("sz", 4))])
+        with conn, conn.makefile("rb") as rfile, \
+                contextlib.suppress(OSError):
+            conn.sendall(b'{"t": "hello", "version": 1, "model_hint": ""}\n')
+            rfile.readline()  # the ok
+            conn.sendall((json.dumps(frame) + '\n{"t": "end"}\n').encode())
 
     t = threading.Thread(target=producer)
     t.start()

@@ -503,6 +503,86 @@ def test_empty_trace_finishes_at_zero_cycles(model):
     assert pipe.total_cycles == 0
 
 
+class Retirements:
+    """Attaches to a pipeline as a TimelineRecorder does, and keeps the
+    pipeline, the kind of every record its retire sink receives and the
+    latest retirement cycle (-1 before any)."""
+
+    def __init__(self):
+        self.pipe = None
+        self.kinds = []
+        self.last = -1
+
+    def attach(self, pipe):
+        self.pipe = pipe
+
+        def sink(rec, iteration):
+            self.kinds.append(rec.kind)
+            self.last = max(self.last, rec.retired_at)
+
+        pipe.retire_sink = sink
+        return self
+
+
+def sink_checked_runs(monkeypatch, policy, seed, check):
+    """Retirements of an empty run, a random plain run and a random region
+    run that replays visits, under policy; check(retirements) runs after
+    every drain and every replayed visit."""
+    runs, replays = [], []
+    drain, replay = Pipeline.drain, Pipeline._replay
+
+    def drained(pipe):
+        drain(pipe)
+        check(runs[-1])
+
+    def replayed(pipe, *args):
+        replay(pipe, *args)
+        replays.append(args)
+        check(runs[-1])
+
+    monkeypatch.setattr(Pipeline, "drain", drained)
+    monkeypatch.setattr(Pipeline, "_replay", replayed)
+    rng = random.Random(0xC10C + seed)
+    model = gen.random_model(rng)
+    for insts in ([], gen.random_trace(rng, 200, gen.MEMORY_WEIGHTS)):
+        pipe = Pipeline(model, policy)
+        runs.append(Retirements().attach(pipe))
+        assert not gen.run_trace(pipe, insts)
+    runs.append(Retirements())
+    analyze(model, SequenceBroker(gen.region_trace(rng, 40)),
+            alias_policy=policy, regions=gen.REGIONS, recorder=runs[-1])
+    assert replays
+    return runs
+
+
+@pytest.mark.parametrize("policy", list(AliasPolicy))
+@pytest.mark.parametrize("seed", range(2))
+def test_the_clock_stands_one_past_the_last_retirement(monkeypatch, policy,
+                                                       seed):
+    def check(seen):
+        assert seen.pipe.total_cycles == seen.last + 1
+
+    runs = sink_checked_runs(monkeypatch, policy, seed, check)
+    assert runs[0].pipe.total_cycles == 0
+
+
+@pytest.mark.parametrize("policy", list(AliasPolicy))
+@pytest.mark.parametrize("seed", range(2))
+def test_the_counters_sum_what_the_sink_received(monkeypatch, policy, seed):
+    def check(seen):
+        pipe = seen.pipe
+        claimed = dict.fromkeys(pipe.resource_claimed, 0)
+        for kind in seen.kinds:
+            for rname, occ in kind.cls.resource_usage:
+                claimed[rname] += occ
+        assert pipe.instructions_retired == len(seen.kinds)
+        assert pipe.uops_retired == sum(kind.uops for kind in seen.kinds)
+        assert pipe.resource_claimed == claimed
+
+    for seen in sink_checked_runs(monkeypatch, policy, seed, check):
+        check(seen)
+
+
 # -- recycling and bounded state ---------------------------------------------
 
 def test_pool_allocates_only_at_peak(model):

@@ -168,13 +168,28 @@ def test_more_repeated_shapes_than_the_memo_holds(monkeypatch):
 
 
 def test_visits_whose_keys_share_a_hash(monkeypatch):
-    # Every key hashes alike, so each lookup finds another visit's entry.
-    monkeypatch.setattr(analysis, "hash", lambda key: 0, raising=False)
+    # Every shape hashes alike, so the keys of visits of one length from
+    # one drained state share a hash; they still compare by their fields.
+    mismatches = 0
+    shape = analysis._shape
+
+    class Shape(tuple):
+        def __hash__(self):
+            return 0
+
+        def __eq__(self, other):
+            nonlocal mismatches
+            same = tuple.__eq__(self, other)
+            mismatches += not same
+            return same
+
+    monkeypatch.setattr(analysis, "_shape", lambda inst: Shape(shape(inst)))
     rng = random.Random(9)
     model = gen.random_model(rng)
-    blocks = [gen.random_trace(rng, rng.randint(1, 12)) for _ in range(3)]
+    blocks = [gen.random_trace(rng, 6) for _ in range(3)]
     insts = repeat(blocks[:1] + blocks + blocks[1:] * 2, 3)
     feeds, reference_feeds = check(monkeypatch, model, lambda: insts)
+    assert mismatches  # a lookup met another visit's key
     assert feeds < reference_feeds
 
 
