@@ -11,12 +11,14 @@ and is simply fetched again.
 
 The file broker reads up to max_n lines per fetch and decodes them as
 one chunk (trace.ChunkReader), which is the batch.  One regular
-expression findall tiles the chunk into its lines: a canonical line's
-fields are captured, and any other line is parsed with
-trace.parse_trace_line.  The batch carries its canonical lines' text
-(Batch.text) when the other lines hold no instruction.  A chunk holding
-a bad line is read again line by line, only for its error.  The socket
-broker hands out each decoded frame as one batch.
+expression findall tiles the chunk into its lines, certifying each
+line's sequence id, address and accesses; a line's middle (class and
+register lists) and context are certified and parsed once per distinct
+text, in tables of bounded size, and any line that is not canonical is
+parsed with trace.parse_trace_line.  The batch carries its canonical
+lines' text (Batch.text) when the other lines hold no instruction.  A
+chunk holding a bad line is read again line by line, only for its
+error.  The socket broker hands out each decoded frame as one batch.
 
 The wire protocol is newline-delimited JSON, one frame per line:
 
@@ -249,15 +251,16 @@ class FileBroker(SequenceBroker):
 
     Each fetch reads up to max_n lines and decodes them as one chunk
     (trace.ChunkReader), which is the batch: one regular expression
-    findall tiles the chunk into its lines, capturing each canonical
-    line's fields, and each other line is parsed on its own.  A batch
-    whose instructions were all read from canonical lines carries their
-    text (Batch.text): on a canonical file, each batch carries its
-    chunk's text as read.  Comment and blank lines count
-    towards max_n, so a batch may hold fewer instructions, or none,
-    without ending the stream.  A read that comes back short of max_n
-    lines ends the stream, so a file whose line count is a multiple of
-    max_n ends with an empty batch.
+    findall tiles the chunk into its lines, a line's static text (class,
+    registers and context) is certified and parsed once per distinct
+    text, and each line that is not canonical is parsed on its own.  A
+    batch whose instructions were all read from canonical lines carries
+    their text (Batch.text): on a canonical file, each batch carries its
+    chunk's text as read.  Comment and blank lines count towards max_n,
+    so a batch may hold fewer instructions, or none, without ending the
+    stream.  A read that comes back short of max_n lines ends the
+    stream, so a file whose line count is a multiple of max_n ends with
+    an empty batch.
 
     The file is read with universal newlines, so a CRLF file reads as
     its LF twin.  A byte that is not UTF-8 is reported as a

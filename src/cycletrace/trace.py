@@ -12,18 +12,25 @@ ASCII.  The wire encoding mirrors the same fields as a JSON object.
 A line spelled exactly as render_trace writes it, newline included, is
 canonical.  A whole trace is read a chunk of lines at a time
 (ChunkReader): one findall of a regular expression tiles a chunk's
-joined text into its lines, capturing every canonical line's fields,
-and each other line is read with parse_trace_line, which parses any
-spelling field by field.  A chunk holding a bad line is read again
-line by line for the error the format calls for.  Lines are split as
-a file read with universal newlines splits them, at LF, CRLF and CR
-only, whether the text comes from a file or from parse_trace.
+joined text into its lines.  It certifies a line's sequence id, address
+and accesses, and captures the rest as read: the middle, from the class
+to the writes, and the context.  A static instruction repeats those two,
+so each distinct middle and context text is certified and parsed once,
+and a line costs two ints and a few dict lookups.  A line that is not
+canonical is parsed with parse_trace_line, which parses any spelling
+field by field.  A chunk holding a bad line is read again line by line
+for the error the format calls for.  Lines are split as a file read
+with universal newlines splits them, at LF, CRLF and CR only, whether
+the text comes from a file or from parse_trace.
 
-A canonical line's register lists are interned by their field text, and
-a rendered line's class and register lists by their objects: a static
-instruction re-executes with the same class and registers.  Each table
-is an _InternTable, cleared whenever it reaches _INTERN_BOUND entries,
-so its memory stays bounded on any input.
+The reader keeps a line's middle, context and access texts with their
+fields, and render_trace a class and register lists, and a context,
+with their text.  Each table is an _InternTable, cleared whenever it is
+full, so its memory stays bounded on any input: _INTERN_BOUND entries,
+and 256 for the access texts, which carry dynamic addresses.
+render_trace's entry also keeps the register tuples whose types it
+checked, and checks each register's type on a hit by other tuples, so
+what it accepts does not depend on what it rendered before.
 """
 
 from __future__ import annotations
@@ -162,26 +169,21 @@ _INTERN_BOUND = 4096  # entries an _InternTable holds before it is cleared
 class _InternTable(dict):
     """A dict that makes a missing key's value with make(key), keeps it
     and returns it; if make raises, nothing is kept.  It is cleared
-    whenever it reaches _INTERN_BOUND entries, so its memory stays
-    bounded however many distinct keys arrive."""
+    whenever it reaches bound entries, so its memory stays bounded
+    however many distinct keys arrive."""
 
-    __slots__ = ("make",)
+    __slots__ = ("make", "bound")
 
-    def __init__(self, make):
+    def __init__(self, make, bound=_INTERN_BOUND):
         self.make = make
+        self.bound = bound
 
     def __missing__(self, key):
         value = self.make(key)
-        if len(self) >= _INTERN_BOUND:
+        if len(self) >= self.bound:
             self.clear()
         self[key] = value
         return value
-
-
-# A canonical line's register-list field text -> parsed tuple.  Raises
-# ValueError for a register past the interpreter's digit limit.
-_REG_LISTS = _InternTable(
-    lambda f: () if f == "-" else tuple(map(int, f.split(","))))
 
 
 def read_int(token: str) -> int:
@@ -221,14 +223,69 @@ _REGS = rf"(?:-|{_NUM}(?:,{_NUM})*)"
 _CLASS = r"[^\s#]+"
 _CTX_KEY = r"[^\s#=]+"
 _CTX_VALUE = r"[^\s#]*"
+_MIDDLE = rf" ({_CLASS}) R:({_REGS}) W:({_REGS})"
+_ACCESSES = rf"(?: [LS]:{_HEX}:[1-9][0-9]*)*"
+_CONTEXT = rf" C:({_CTX_KEY})=({_CTX_VALUE})"
 _CANONICAL_LINE = (
-    rf"I ({_NUM}) ({_HEX}) ({_CLASS}) R:({_REGS}) W:({_REGS})"
-    rf"((?: [LS]:{_HEX}:[1-9][0-9]*)*)(?: C:({_CTX_KEY})=({_CTX_VALUE}))?\n"
-)
-# Each match is one line: a canonical line's eight fields, or any other
-# line, newline included, in the ninth group.  Only a newline ends a
-# line, as io.StringIO(text, newline="\n") splits it.
-_LINE = re.compile(rf"{_CANONICAL_LINE}|(.+\n?|\n)")
+    rf"I ({_NUM}) ({_HEX}){_MIDDLE}({_ACCESSES})(?:{_CONTEXT})?\n")
+# Each match is one line.  A line shaped as a canonical one gives its
+# sequence id, address, middle (the text from the class to the writes),
+# accesses and context as read.  The pattern certifies the sequence id,
+# the address and the accesses; _LINE_MIDDLES and _LINE_CONTEXTS
+# certify the middle and the context once per distinct text, and the
+# line is canonical when both are.  Any other line, newline included,
+# is the sixth group.  Only a newline ends a line, as
+# io.StringIO(text, newline="\n") splits it.
+_LINE = re.compile(rf"I ({_NUM}) ({_HEX})( [^ \n]+ R:[^ \n]* W:[^ \n]*)"
+                   rf"({_ACCESSES})( C:[^ \n]*)?\n|(.+\n?|\n)")
+
+
+def _read_middle(text: str):
+    """(class, reads, writes) of a middle text that is canonical, and
+    None for any other; raises ValueError for a register past the
+    interpreter's digit limit."""
+    m = re.fullmatch(_MIDDLE, text)
+    if m is None:
+        return None
+    name, reads, writes = m.groups()
+    return (name, () if reads == "-" else tuple(map(int, reads.split(","))),
+            () if writes == "-" else tuple(map(int, writes.split(","))))
+
+
+def _read_context(text: str):
+    """The (key, value) of a context text that is canonical, None for no
+    context and False for any other."""
+    if not text:
+        return None
+    m = re.fullmatch(_CONTEXT, text)
+    return False if m is None else m.groups()
+
+
+def _read_accesses(text: str) -> tuple[MemoryAccess, ...]:
+    """The accesses of an access text that _ACCESSES matched; raises
+    ValueError for one that wraps past 2^64, or a size past the
+    interpreter's digit limit."""
+    mem = []
+    for tok in text.split():
+        kind, a, s = tok.split(":")
+        a = int(a, 16)
+        s = int(s)
+        if a + s > U64_LIMIT:
+            raise ValueError
+        # MemoryAccess(...) without the Python frame of its __new__: a
+        # trace whose every address is new makes one per line.
+        mem.append(tuple.__new__(MemoryAccess, (
+            _LOAD if kind == "L" else _STORE, a, s)))
+    return tuple(mem)
+
+
+# The text of a line's middle, context and accesses -> its fields.  A
+# static instruction repeats its middle and context, so each distinct
+# text is certified and parsed once.  Access addresses are dynamic data,
+# so that table is held to window scale: 256 entries, a chunk of lines.
+_LINE_MIDDLES = _InternTable(_read_middle)
+_LINE_CONTEXTS = _InternTable(_read_context)
+_LINE_ACCESSES = _InternTable(_read_accesses, bound=256)
 
 
 def parse_trace_line(
@@ -331,16 +388,20 @@ def _read_chunk(text: str, lineno: int, last_seq: int):
     """(instructions, text) of a chunk's joined lines, the first being
     line lineno + 1; raises the error of the first bad line.
 
-    One _LINE.findall tiles the chunk into its lines.  A canonical
-    line's instruction is built from its fields, and any other line is
-    parsed by parse_trace_line.  The text returned is the chunk as read
-    when every line is canonical, its canonical lines when the other
-    lines hold no instruction, and None otherwise.  A chunk that is not
-    UTF-8, or that holds a bad line (out of range, out of sequence
-    order or malformed), is read one by one for its error.
+    One _LINE.findall tiles the chunk into its lines.  A line costs its
+    sequence id, its address and a lookup each of its middle, context
+    and access texts, whose fields are certified and parsed once per
+    distinct text.  A line that is not canonical is parsed by
+    parse_trace_line, as it was read.  The text returned is the chunk as
+    read when every line is canonical, its canonical lines when the
+    other lines hold no instruction, and None otherwise.  A chunk that
+    is not UTF-8, or that holds a bad line (out of range, out of
+    sequence order or malformed), is read one by one for its error.
     """
     first_seq = last_seq
-    reg_lists = _REG_LISTS
+    middles = _LINE_MIDDLES
+    contexts = _LINE_CONTEXTS
+    accesses_of = _LINE_ACCESSES
     insts: list[TraceInstruction] = []
     append = insts.append
     others = 0  # lines that are not canonical
@@ -348,40 +409,31 @@ def _read_chunk(text: str, lineno: int, last_seq: int):
         if _not_utf8(text):
             raise ValueError
         matches = _LINE.findall(text)
-        for (seq, addr, name, r_field, w_field, accesses, key, value,
-             other) in matches:
-            if other:
-                others += 1
-                inst = parse_trace_line(other)
-                if inst is None:
-                    continue
-                if inst.seq_id <= last_seq:
-                    raise ValueError
-                last_seq = inst.seq_id
-                append(inst)
-                continue
-            seq = int(seq)
-            if seq <= last_seq:
-                raise ValueError
-            last_seq = seq
-            addr = int(addr, 16)
-            if addr >= U64_LIMIT:
-                raise ValueError
-            mem = ()
-            if accesses:
-                mem = []
-                for tok in accesses.split():
-                    a, s = tok[2:].split(":")
-                    a = int(a, 16)
-                    s = int(s)
-                    if a + s > U64_LIMIT:
+        for seq, addr, middle, accesses, context, other in matches:
+            if not other:
+                static = middles[middle]
+                ctx = contexts[context]
+                if static is not None and ctx is not False:
+                    seq = int(seq)
+                    if seq <= last_seq:
                         raise ValueError
-                    mem.append(MemoryAccess(_LOAD if tok[0] == "L"
-                                            else _STORE, a, s))
-                mem = tuple(mem)
-            append(TraceInstruction(seq, addr, name, reg_lists[r_field],
-                                    reg_lists[w_field], mem,
-                                    (key, value) if key else None))
+                    last_seq = seq
+                    addr = int(addr, 16)
+                    if addr >= U64_LIMIT:
+                        raise ValueError
+                    name, reads, writes = static
+                    append(TraceInstruction(seq, addr, name, reads, writes,
+                                            accesses_of[accesses], ctx))
+                    continue
+                other = f"I {seq} {addr}{middle}{accesses}{context}\n"
+            others += 1
+            inst = parse_trace_line(other)
+            if inst is None:
+                continue
+            if inst.seq_id <= last_seq:
+                raise ValueError
+            last_seq = inst.seq_id
+            append(inst)
     except (ValueError, TraceParseError):
         return _read_lines(io.StringIO(text, newline="\n"), lineno,
                            first_seq), None
@@ -389,9 +441,11 @@ def _read_chunk(text: str, lineno: int, last_seq: int):
         return insts, text
     if len(insts) > len(matches) - others:  # another line held one
         return insts, None
+    # Every line that held no instruction is in the sixth group, and
+    # every other line is canonical.
     lines = io.StringIO(text, newline="\n").readlines()
     return insts, "".join([line for line, m in zip(lines, matches)
-                           if not m[8]])
+                           if not m[5]])
 
 
 def _read_lines(lines: Iterable[str], lineno: int, last_seq: int):
@@ -554,9 +608,10 @@ def _line(inst) -> str:
     return line if context is None else line + _context_text(context)
 
 
-# (class name, reads, writes) -> _middle, and context -> its C: token.
-# Equal keys share an entry: once (1,) is interned, (True,) renders as 1.
-_MIDDLES = _InternTable(_middle)
+# (class name, reads, writes) -> (_middle, reads, writes), and context ->
+# its C: token.  Equal keys share an entry, and (1,) == (True,), so an
+# entry keeps the register tuples whose types it checked.
+_MIDDLES = _InternTable(lambda key: (_middle(key), key[1], key[2]))
 _CONTEXT_TEXT = _InternTable(_context_text)
 
 
@@ -584,8 +639,19 @@ def render_trace(instructions: Iterable[TraceInstruction]) -> str:
                     or seq < 0 or addr < 0 or addr >= U64_LIMIT
                     or mem.__class__ is not tuple):
                 raise ValueError
-            line = (f"I {seq} {addr:#x}"
-                    f"{middles[inst.class_name, inst.reads, inst.writes]}")
+            reads = inst.reads
+            writes = inst.writes
+            middle, checked_reads, checked_writes = middles[
+                inst.class_name, reads, writes]
+            if checked_reads is not reads:
+                for reg in reads:
+                    if reg.__class__ is not int:
+                        raise ValueError
+            if checked_writes is not writes:
+                for reg in writes:
+                    if reg.__class__ is not int:
+                        raise ValueError
+            line = f"I {seq} {addr:#x}{middle}"
             for acc in mem:
                 kind, a, s = acc
                 if (acc.__class__ is not MemoryAccess
@@ -638,12 +704,9 @@ def from_wire(obj: dict) -> TraceInstruction:
     Only the JSON shape is checked here: the object is a dict, 'reads'
     and 'writes' are lists, and 'mem' is a list of objects.  The values
     are held to a trace line's rules by render_trace, whose
-    TraceParseError is raised as a ProtocolError.  render_trace interns
-    register lists by equality, so once (1,) has rendered it would take
-    a JSON true or 2.0 as register 1 or 2; an object with a register
-    that is not an int is checked by _line, which interns nothing.
-    Fields are checked in a fixed order, so an object with several
-    faults always reports the same one.
+    TraceParseError is raised as a ProtocolError.  Fields are checked in
+    a fixed order, so an object with several faults always reports the
+    same one.
     """
     return _wire_line(obj)[0]
 
@@ -677,9 +740,6 @@ def _wire_line(obj) -> tuple[TraceInstruction, str]:
     inst = TraceInstruction(get("seq"), get("addr"), get("class"), *regs,
                             tuple(mem), ctx)
     try:
-        for reg in (*regs[0], *regs[1]):
-            if reg.__class__ is not int:
-                return inst, _line(inst) + "\n"
         return inst, render_trace((inst,))
     except TraceParseError as e:
         raise ProtocolError(str(e)) from None

@@ -9,7 +9,9 @@ from cycletrace import brokers, trace
 @pytest.fixture(autouse=True)
 def fresh_intern_tables():
     """Start each test with every intern table empty, whatever ran first."""
-    trace._REG_LISTS.clear()
+    trace._LINE_MIDDLES.clear()
+    trace._LINE_CONTEXTS.clear()
+    trace._LINE_ACCESSES.clear()
     trace._MIDDLES.clear()
     trace._CONTEXT_TEXT.clear()
     brokers._WIRE_REG_LISTS.clear()

@@ -1,6 +1,7 @@
 """Trace text parsing, rendering, and the JSON wire encoding."""
 
 import contextlib
+import io
 import json
 import re
 import socket
@@ -78,7 +79,7 @@ def test_register_list_table_stays_bounded():
     parse_trace("".join(
         f"I {i} 0x0 add R:{i} W:-\n" for i in range(bound + 10)
     ))
-    assert len(trace._REG_LISTS) <= bound
+    assert len(trace._LINE_MIDDLES) <= bound
     late = parse_trace_line(f"I 0 0x0 add R:{bound + 5},7 W:x9", 1)
     assert late.reads == (bound + 5, 7)
     assert late.writes == (9,)
@@ -385,8 +386,8 @@ def test_from_wire_checks_each_integer_field(put, got, bool_message,
 @pytest.mark.parametrize("reg", [True, 2.0], ids=["bool", "float"])
 def test_wire_registers_are_checked_whatever_was_rendered_before(reg):
     # render_trace interns a class and its register lists by equality,
-    # so once (1,) and (2,) have rendered, (True,) and (2.0,) render as
-    # registers 1 and 2.  The wire must refuse them all the same.
+    # and (1,) == (True,) and (2,) == (2.0,).  The wire must refuse them
+    # after (1,) and (2,) have rendered all the same.
     render_trace([TraceInstruction(0, 0, "a", (1,)),
                   TraceInstruction(1, 0, "a", (2,))])
     message = re.escape(
@@ -396,6 +397,26 @@ def test_wire_registers_are_checked_whatever_was_rendered_before(reg):
     frame = json.dumps({"t": "insts", "batch": [_wire(reads=[reg])]})
     with pytest.raises(ProtocolError, match=message):
         SocketBroker._decode_frame(frame.encode() + b"\n", -1)
+
+
+@pytest.mark.parametrize("field", ["reads", "writes"])
+@pytest.mark.parametrize("reg", [True, 2.0], ids=["bool", "float"])
+def test_rendered_registers_are_checked_whatever_was_rendered_before(field,
+                                                                     reg):
+    # (1,) == (True,) and (2,) == (2.0,), so they share an intern entry.
+    def inst(seq, regs):
+        return TraceInstruction(seq, 4 * seq, "a", **{field: regs})
+
+    message = re.escape(
+        f"register {reg!r} in instruction field '{field}' is not an integer")
+    with pytest.raises(TraceParseError, match=f"^{message}$"):
+        render_trace([inst(2, (reg,))])
+    render_trace([inst(0, (int(reg),))])
+    with pytest.raises(TraceParseError, match=f"^{message}$"):
+        render_trace([inst(2, (reg,))])
+    trace._MIDDLES.clear()
+    with pytest.raises(TraceParseError, match=f"^{message}$"):
+        render_trace([inst(0, (int(reg),)), inst(2, (reg,))])
 
 
 _regs = st.lists(st.integers(-2, 63), max_size=3).map(tuple)
@@ -497,11 +518,6 @@ def _check_from_wire_against_render_trace(obj):
     """from_wire takes obj exactly when render_trace takes its instruction,
     and refuses it with render_trace's message."""
     inst = _instruction_of_fields(obj)
-    # render_trace interns register lists and contexts by equality, so
-    # once (1,) has rendered it takes (True,) as well; fresh tables make
-    # what it accepts depend on obj alone.
-    trace._MIDDLES.clear()
-    trace._CONTEXT_TEXT.clear()
     try:
         text = render_trace([inst])
     except TraceParseError as e:
@@ -799,6 +815,17 @@ def is_canonical(line):
         return False
 
 
+def parse_each_line(text):
+    """parse_trace_line's instructions for each line of text, numbered as
+    read_chunk numbers them."""
+    insts = []
+    for lineno, raw in enumerate(io.StringIO(text, newline="\n"), 5):
+        inst = parse_trace_line(raw, lineno)
+        if inst is not None:
+            insts.append(inst)
+    return insts
+
+
 @given(gen.instructions)
 def test_rendered_lines_are_canonical(inst):
     line = render_instruction(inst) + "\n"
@@ -838,9 +865,24 @@ def test_every_canonical_line_renders_back_to_itself(line):
     "I 3 0x40 add R: W:2\n",
     "I 3 0x40 add R:1 W:2",
     "I 3 0x40 add R:1 W:2\r\n",
+    # A canonical middle with a context that is not.
+    "I 3 0x40 add R:1 W:2 C:=v\n",
+    "I 3 0x40 add R:1 W:2 C:k\n",
+    "I 3 0x40 ld R:1 W:2 L:0x10:8 C:k=v#c\n",
+    # A middle that is not canonical with canonical accesses.
+    "I 3 0x40 ld R:01 W:2 L:0x10:8\n",
+    "I 3 0x40 ld R:01 W:2 L:0x10:8 S:0x20:4 C:k=v\n",
+    # str.split() splits at U+0085, which a class may not hold.
+    "I 3 0x40 a\x85 R:1 W:2\n",
+    "I 3 0x40 a\x85b R:1 W:2\n",
+    # The second line's middle or context is served from the table.
+    "I 3 0x40 add R:01 W:2\nI 4 0x44 add R:01 W:2\n",
+    "I 3 0x40 add R:1 W:2 C:k\nI 4 0x44 add R:1 W:2 C:k\n",
 ])
 def test_near_miss_spellings_are_not_canonical(line):
     assert not is_canonical(line)
+    assert (read_or_error(lambda text: read_chunk(text)[0], line)
+            == read_or_error(parse_each_line, line))
 
 
 def read_or_error(read, line):
@@ -854,6 +896,66 @@ def read_or_error(read, line):
 def test_matched_canonical_lines_parse_as_the_general_path_does(line):
     assert (read_or_error(lambda line: read_chunk(line)[0][0], line)
             == read_or_error(lambda line: parse_trace_line(line, 5), line))
+
+
+# Characters a mutation puts into a field: separators of the format,
+# digits, hex letters, whitespace a line may hold, and non-ASCII digits.
+_MUTANTS = ["0", "1", "7", "a", "F", "x", "X", "-", "+", "_", ",", ":", "=",
+            "#", " ", "\t", "\r", "\x85", "\u2028", "\u0661", "I", "R",
+            "W", "L", "S", "C"]
+
+
+def _one_field_mutants(line, char):
+    """line with one field changed, in each way: char put in at either
+    end or the middle, or in place of an end character; an end character
+    taken out; or the field swapped with the next one."""
+    fields = line[:-1].split(" ")
+    for i, field in enumerate(fields):
+        mid = len(field) // 2
+        for changed in (char + field, field[:mid] + char + field[mid:],
+                        field + char, char + field[1:], field[:-1] + char,
+                        field[1:], field[:-1]):
+            yield " ".join([*fields[:i], changed, *fields[i + 1:]]) + "\n"
+        if i + 1 < len(fields):
+            yield " ".join([*fields[:i], fields[i + 1], field,
+                            *fields[i + 2:]]) + "\n"
+
+
+@given(st.from_regex(trace._CANONICAL_LINE, fullmatch=True),
+       st.sampled_from(_MUTANTS))
+def test_the_reader_keeps_a_line_as_read_exactly_when_it_is_canonical(
+        line, char):
+    for mutant in (line, *_one_field_mutants(line, char)):
+        try:
+            insts, text = read_chunk(mutant)
+        except TraceParseError as e:
+            assert read_or_error(parse_each_line, mutant) == (str(e), e.line)
+            continue
+        assert insts == parse_each_line(mutant)
+        assert (text == mutant) == bool(
+            re.fullmatch(trace._CANONICAL_LINE, mutant))
+
+
+def test_line_tables_stay_bounded():
+    # Each line brings a new middle, context and access text.
+    lines = [f"I {i} 0x0 c{i} R:{i} W:- L:{8 * i:#x}:8 C:k={i}\n"
+             for i in range(20_000)]
+    first = read_chunk(lines[0])
+    reader = trace.ChunkReader()
+    tables = (trace._LINE_MIDDLES, trace._LINE_CONTEXTS,
+              trace._LINE_ACCESSES)
+    for at in range(0, len(lines), 100):
+        chunk = lines[at:at + 100]
+        text = "".join(chunk)
+        assert reader.read(text, len(chunk)) == (
+            parse_each_line(text), text)
+        for table in tables:
+            assert len(table) <= table.bound
+    assert trace._LINE_ACCESSES.bound == 256
+    # Each table was cleared since the first line was read.
+    for table, key in zip(tables, (" c0 R:0 W:-", " C:k=0", " L:0x0:8")):
+        assert key not in table
+    assert read_chunk(lines[0]) == first
 
 
 @given(gen.instructions)
