@@ -12,9 +12,9 @@ and is simply fetched again.
 The file broker reads up to max_n lines per fetch and decodes them as
 one chunk (trace.ChunkReader), which is the batch.  One regular
 expression findall tiles the chunk into its lines, certifying each
-line's sequence id, address and accesses; a line's middle (class and
-register lists) and context are certified and parsed once per distinct
-text, in tables of bounded size, and any line that is not canonical is
+line's sequence id, address, accesses and context; a line's middle
+(class and register lists) is certified and parsed once per distinct
+text, in a table of bounded size, and any line that is not canonical is
 parsed with trace.parse_trace_line.  The batch carries its canonical
 lines' text (Batch.text) when the other lines hold no instruction.  A
 chunk holding a bad line is read again line by line, only for its
@@ -251,13 +251,13 @@ class FileBroker(SequenceBroker):
 
     Each fetch reads up to max_n lines and decodes them as one chunk
     (trace.ChunkReader), which is the batch: one regular expression
-    findall tiles the chunk into its lines, a line's static text (class,
-    registers and context) is certified and parsed once per distinct
-    text, and each line that is not canonical is parsed on its own.  A
-    batch whose instructions were all read from canonical lines carries
-    their text (Batch.text): on a canonical file, each batch carries its
-    chunk's text as read.  Comment and blank lines count towards max_n,
-    so a batch may hold fewer instructions, or none, without ending the
+    findall tiles the chunk into its lines, a line's static text (class
+    and registers) is certified and parsed once per distinct text, and
+    each line that is not canonical is parsed on its own.  A batch whose
+    instructions were all read from canonical lines carries their text
+    (Batch.text): on a canonical file, each batch carries its chunk's
+    text as read.  Comment and blank lines count towards max_n, so a
+    batch may hold fewer instructions, or none, without ending the
     stream.  A read that comes back short of max_n lines ends the
     stream, so a file whose line count is a multiple of max_n ends with
     an empty batch.

@@ -12,20 +12,19 @@ ASCII.  The wire encoding mirrors the same fields as a JSON object.
 A line spelled exactly as render_trace writes it, newline included, is
 canonical.  A whole trace is read a chunk of lines at a time
 (ChunkReader): one findall of a regular expression tiles a chunk's
-joined text into its lines.  It certifies a line's sequence id, address
-and accesses, and captures the rest as read: the middle, from the class
-to the writes, and the context.  A static instruction repeats those two,
-so each distinct middle and context text is certified and parsed once,
-and a line costs two ints and a few dict lookups.  A line that is not
-canonical is parsed with parse_trace_line, which parses any spelling
-field by field.  A chunk holding a bad line is read again line by line
+joined text into its lines.  It certifies a line's sequence id, address,
+accesses and context, and captures the middle, from the class to the
+writes, as read.  A static instruction repeats its middle, so each
+distinct middle text is certified and parsed once, and a line costs two
+ints and two dict lookups.  A line that is not canonical is parsed with
+parse_trace_line, which parses any spelling field by field.  A chunk holding a bad line is read again line by line
 for the error the format calls for.  Lines are split as a file read
 with universal newlines splits them, at LF, CRLF and CR only, whether
 the text comes from a file or from parse_trace.
 
-The reader keeps a line's middle, context and access texts with their
-fields, and render_trace a class and register lists, and a context,
-with their text.  Each table is an _InternTable, cleared whenever it is
+The reader keeps a line's middle and access texts with their fields,
+and render_trace a class and register lists, and a context, with their
+text.  Each table is an _InternTable, cleared whenever it is
 full, so its memory stays bounded on any input: _INTERN_BOUND entries,
 and 256 for the access texts, which carry dynamic addresses.
 render_trace's entry also keeps the register tuples whose types it
@@ -229,15 +228,14 @@ _CONTEXT = rf" C:({_CTX_KEY})=({_CTX_VALUE})"
 _CANONICAL_LINE = (
     rf"I ({_NUM}) ({_HEX}){_MIDDLE}({_ACCESSES})(?:{_CONTEXT})?\n")
 # Each match is one line.  A line shaped as a canonical one gives its
-# sequence id, address, middle (the text from the class to the writes),
-# accesses and context as read.  The pattern certifies the sequence id,
-# the address and the accesses; _LINE_MIDDLES and _LINE_CONTEXTS
-# certify the middle and the context once per distinct text, and the
-# line is canonical when both are.  Any other line, newline included,
-# is the sixth group.  Only a newline ends a line, as
+# sequence id, address, middle (the text from the class to the writes)
+# as read, accesses, and context key and value.  The pattern certifies
+# all but the middle; _LINE_MIDDLES certifies that once per distinct
+# text, and the line is canonical when it is.  Any other line, newline
+# included, is the seventh group.  Only a newline ends a line, as
 # io.StringIO(text, newline="\n") splits it.
 _LINE = re.compile(rf"I ({_NUM}) ({_HEX})( [^ \n]+ R:[^ \n]* W:[^ \n]*)"
-                   rf"({_ACCESSES})( C:[^ \n]*)?\n|(.+\n?|\n)")
+                   rf"({_ACCESSES})(?:{_CONTEXT})?\n|(.+\n?|\n)")
 
 
 def _read_middle(text: str):
@@ -250,15 +248,6 @@ def _read_middle(text: str):
     name, reads, writes = m.groups()
     return (name, () if reads == "-" else tuple(map(int, reads.split(","))),
             () if writes == "-" else tuple(map(int, writes.split(","))))
-
-
-def _read_context(text: str):
-    """The (key, value) of a context text that is canonical, None for no
-    context and False for any other."""
-    if not text:
-        return None
-    m = re.fullmatch(_CONTEXT, text)
-    return False if m is None else m.groups()
 
 
 def _read_accesses(text: str) -> tuple[MemoryAccess, ...]:
@@ -279,12 +268,11 @@ def _read_accesses(text: str) -> tuple[MemoryAccess, ...]:
     return tuple(mem)
 
 
-# The text of a line's middle, context and accesses -> its fields.  A
-# static instruction repeats its middle and context, so each distinct
-# text is certified and parsed once.  Access addresses are dynamic data,
+# The text of a line's middle and accesses -> its fields.  A static
+# instruction repeats its middle, so each distinct text is certified and
+# parsed once.  Access addresses are dynamic data,
 # so that table is held to window scale: 256 entries, a chunk of lines.
 _LINE_MIDDLES = _InternTable(_read_middle)
-_LINE_CONTEXTS = _InternTable(_read_context)
 _LINE_ACCESSES = _InternTable(_read_accesses, bound=256)
 
 
@@ -389,9 +377,9 @@ def _read_chunk(text: str, lineno: int, last_seq: int):
     line lineno + 1; raises the error of the first bad line.
 
     One _LINE.findall tiles the chunk into its lines.  A line costs its
-    sequence id, its address and a lookup each of its middle, context
-    and access texts, whose fields are certified and parsed once per
-    distinct text.  A line that is not canonical is parsed by
+    sequence id, its address and a lookup each of its middle and access
+    texts, whose fields are certified and parsed once per distinct
+    text.  A line that is not canonical is parsed by
     parse_trace_line, as it was read.  The text returned is the chunk as
     read when every line is canonical, its canonical lines when the
     other lines hold no instruction, and None otherwise.  A chunk that
@@ -400,7 +388,6 @@ def _read_chunk(text: str, lineno: int, last_seq: int):
     """
     first_seq = last_seq
     middles = _LINE_MIDDLES
-    contexts = _LINE_CONTEXTS
     accesses_of = _LINE_ACCESSES
     insts: list[TraceInstruction] = []
     append = insts.append
@@ -409,11 +396,10 @@ def _read_chunk(text: str, lineno: int, last_seq: int):
         if _not_utf8(text):
             raise ValueError
         matches = _LINE.findall(text)
-        for seq, addr, middle, accesses, context, other in matches:
+        for seq, addr, middle, accesses, key, value, other in matches:
             if not other:
                 static = middles[middle]
-                ctx = contexts[context]
-                if static is not None and ctx is not False:
+                if static is not None:
                     seq = int(seq)
                     if seq <= last_seq:
                         raise ValueError
@@ -423,8 +409,10 @@ def _read_chunk(text: str, lineno: int, last_seq: int):
                         raise ValueError
                     name, reads, writes = static
                     append(TraceInstruction(seq, addr, name, reads, writes,
-                                            accesses_of[accesses], ctx))
+                                            accesses_of[accesses],
+                                            (key, value) if key else None))
                     continue
+                context = f" C:{key}={value}" if key else ""
                 other = f"I {seq} {addr}{middle}{accesses}{context}\n"
             others += 1
             inst = parse_trace_line(other)
@@ -441,11 +429,11 @@ def _read_chunk(text: str, lineno: int, last_seq: int):
         return insts, text
     if len(insts) > len(matches) - others:  # another line held one
         return insts, None
-    # Every line that held no instruction is in the sixth group, and
+    # Every line that held no instruction is in the seventh group, and
     # every other line is canonical.
     lines = io.StringIO(text, newline="\n").readlines()
     return insts, "".join([line for line, m in zip(lines, matches)
-                           if not m[5]])
+                           if not m[6]])
 
 
 def _read_lines(lines: Iterable[str], lineno: int, last_seq: int):

@@ -10,7 +10,6 @@ from cycletrace import brokers, trace
 def fresh_intern_tables():
     """Start each test with every intern table empty, whatever ran first."""
     trace._LINE_MIDDLES.clear()
-    trace._LINE_CONTEXTS.clear()
     trace._LINE_ACCESSES.clear()
     trace._MIDDLES.clear()
     trace._CONTEXT_TEXT.clear()

@@ -875,8 +875,9 @@ def test_every_canonical_line_renders_back_to_itself(line):
     # str.split() splits at U+0085, which a class may not hold.
     "I 3 0x40 a\x85 R:1 W:2\n",
     "I 3 0x40 a\x85b R:1 W:2\n",
-    # The second line's middle or context is served from the table.
+    # The second line's middle is served from the table.
     "I 3 0x40 add R:01 W:2\nI 4 0x44 add R:01 W:2\n",
+    # A context that is not canonical, twice.
     "I 3 0x40 add R:1 W:2 C:k\nI 4 0x44 add R:1 W:2 C:k\n",
 ])
 def test_near_miss_spellings_are_not_canonical(line):
@@ -937,13 +938,12 @@ def test_the_reader_keeps_a_line_as_read_exactly_when_it_is_canonical(
 
 
 def test_line_tables_stay_bounded():
-    # Each line brings a new middle, context and access text.
+    # Each line brings a new middle and access text.
     lines = [f"I {i} 0x0 c{i} R:{i} W:- L:{8 * i:#x}:8 C:k={i}\n"
              for i in range(20_000)]
     first = read_chunk(lines[0])
     reader = trace.ChunkReader()
-    tables = (trace._LINE_MIDDLES, trace._LINE_CONTEXTS,
-              trace._LINE_ACCESSES)
+    tables = (trace._LINE_MIDDLES, trace._LINE_ACCESSES)
     for at in range(0, len(lines), 100):
         chunk = lines[at:at + 100]
         text = "".join(chunk)
@@ -953,7 +953,7 @@ def test_line_tables_stay_bounded():
             assert len(table) <= table.bound
     assert trace._LINE_ACCESSES.bound == 256
     # Each table was cleared since the first line was read.
-    for table, key in zip(tables, (" c0 R:0 W:-", " C:k=0", " L:0x0:8")):
+    for table, key in zip(tables, (" c0 R:0 W:-", " L:0x0:8")):
         assert key not in table
     assert read_chunk(lines[0]) == first
 
