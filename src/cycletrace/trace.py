@@ -17,16 +17,17 @@ accesses and context, and captures the middle, from the class to the
 writes, as read.  A static instruction repeats its middle, so each
 distinct middle text is certified and parsed once, and a line costs two
 ints and two dict lookups.  A line that is not canonical is parsed with
-parse_trace_line, which parses any spelling field by field.  A chunk holding a bad line is read again line by line
-for the error the format calls for.  Lines are split as a file read
-with universal newlines splits them, at LF, CRLF and CR only, whether
-the text comes from a file or from parse_trace.
+parse_trace_line, which parses any spelling field by field.  A chunk
+holding a bad line is read again line by line for the error the format
+calls for.  Lines are split as a file read with universal newlines
+splits them, at LF, CRLF and CR only, whether the text comes from a
+file or from parse_trace.
 
 The reader keeps a line's middle and access texts with their fields,
 and render_trace a class and register lists, and a context, with their
-text.  Each table is an _InternTable, cleared whenever it is
-full, so its memory stays bounded on any input: _INTERN_BOUND entries,
-and 256 for the access texts, which carry dynamic addresses.
+text.  Each table is an _InternTable, cleared whenever it is full, so
+its memory stays bounded on any input: _INTERN_BOUND entries, and 256
+for the access texts, which carry dynamic addresses.
 render_trace's entry also keeps the register tuples whose types it
 checked, and checks each register's type on a hit by other tuples, so
 what it accepts does not depend on what it rendered before.
@@ -270,8 +271,8 @@ def _read_accesses(text: str) -> tuple[MemoryAccess, ...]:
 
 # The text of a line's middle and accesses -> its fields.  A static
 # instruction repeats its middle, so each distinct text is certified and
-# parsed once.  Access addresses are dynamic data,
-# so that table is held to window scale: 256 entries, a chunk of lines.
+# parsed once.  Access addresses are dynamic data, so that table is held
+# to window scale: 256 entries, a chunk of lines.
 _LINE_MIDDLES = _InternTable(_read_middle)
 _LINE_ACCESSES = _InternTable(_read_accesses, bound=256)
 
@@ -379,12 +380,12 @@ def _read_chunk(text: str, lineno: int, last_seq: int):
     One _LINE.findall tiles the chunk into its lines.  A line costs its
     sequence id, its address and a lookup each of its middle and access
     texts, whose fields are certified and parsed once per distinct
-    text.  A line that is not canonical is parsed by
-    parse_trace_line, as it was read.  The text returned is the chunk as
-    read when every line is canonical, its canonical lines when the
-    other lines hold no instruction, and None otherwise.  A chunk that
-    is not UTF-8, or that holds a bad line (out of range, out of
-    sequence order or malformed), is read one by one for its error.
+    text.  A line that is not canonical is parsed by parse_trace_line,
+    as it was read.  The text returned is the chunk as read when every
+    line is canonical, its canonical lines when the other lines hold no
+    instruction, and None otherwise.  A chunk that is not UTF-8, or
+    that holds a bad line (out of range, out of sequence order or
+    malformed), is read one by one for its error.
     """
     first_seq = last_seq
     middles = _LINE_MIDDLES
